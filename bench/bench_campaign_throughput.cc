@@ -13,7 +13,7 @@
  *   FH_INJECTIONS=2000 FH_THREADS=1 bench_campaign_throughput
  *
  * Honors FH_BENCH (default 400.perl, matching the recorded baseline),
- * FH_INJECTIONS (default 2000), FH_WINDOW, FH_SEED, FH_GOLDEN_FORK.
+ * FH_INJECTIONS (default 2000), FH_WINDOW, FH_SEED.
  *
  * FH_DIST_WORKERS=N adds a multi-PROCESS row: the same campaign run
  * through the distributed fabric (in-process coordinator, N forked
@@ -92,10 +92,9 @@ printSched(std::FILE *out, const fault::SchedCounters &s)
     auto u = [](u64 v) { return static_cast<unsigned long long>(v); };
     std::fprintf(out,
                  "  scheduler: %llu wakeup hits, %llu overflow parks, "
-                 "%llu overflow rescans, %llu fast-forwarded cycles, "
-                 "issue occupancy %.2f\n",
+                 "%llu overflow rescans, issue occupancy %.2f\n",
                  u(s.wakeupHits), u(s.overflowParks),
-                 u(s.overflowRescans), u(s.fastForwarded), occ);
+                 u(s.overflowRescans), occ);
 }
 
 void
@@ -106,11 +105,10 @@ writeJsonSched(std::FILE *out, const fault::SchedCounters &s,
     std::fprintf(out,
                  "%s\"scheduler\": { \"wakeup_hits\": %llu, "
                  "\"overflow_parks\": %llu, \"overflow_rescans\": %llu, "
-                 "\"fast_forwarded_cycles\": %llu, \"issue_evals\": "
-                 "%llu, \"issue_candidates\": %llu },\n",
+                 "\"issue_evals\": %llu, \"issue_candidates\": %llu },\n",
                  indent, u(s.wakeupHits), u(s.overflowParks),
-                 u(s.overflowRescans), u(s.fastForwarded),
-                 u(s.issueEvals), u(s.issueCandidates));
+                 u(s.overflowRescans), u(s.issueEvals),
+                 u(s.issueCandidates));
 }
 
 /// One timed single-configuration campaign; returns trials/second.
@@ -214,11 +212,10 @@ main()
         cfg.threads = threads;
         std::fprintf(stderr,
                      "campaign throughput: %s, %llu injections, %u "
-                     "worker thread(s), %s golden...\n",
+                     "worker thread(s)...\n",
                      bench_name.c_str(),
                      static_cast<unsigned long long>(cfg.injections),
-                     threads,
-                     cfg.forceGoldenFork ? "forked" : "ledger");
+                     threads);
         const auto t0 = std::chrono::steady_clock::now();
         run.result = fault::runCampaign(params, &prog, cfg);
         run.seconds = std::chrono::duration<double>(
@@ -451,8 +448,6 @@ main()
     std::fprintf(out, "  \"seed\": %llu,\n", u(cfg.seed));
     std::fprintf(out, "  \"injections\": %llu,\n", u(cfg.injections));
     std::fprintf(out, "  \"window\": %llu,\n", u(cfg.window));
-    std::fprintf(out, "  \"golden_mode\": \"%s\",\n",
-                 cfg.forceGoldenFork ? "forked" : "ledger");
     std::fprintf(out, "  \"runs\": [\n");
     for (size_t i = 0; i < runs.size(); ++i) {
         const Run &run = runs[i];

@@ -10,9 +10,6 @@
  *   FH_SEED        master seed
  *   FH_THREADS     host worker threads (default: all hardware
  *                  threads; results are bit-identical for any value)
- *   FH_GOLDEN_FORK set to 1 to run campaigns with the legacy explicit
- *                  golden fork instead of the golden checkpoint
- *                  ledger (same counts, ~1 extra fork per trial)
  *   FH_JOURNAL     trial-journal path; an interrupted campaign rerun
  *                  with the same config resumes from the journal
  *                  (single-campaign harnesses only — harnesses that
@@ -229,7 +226,6 @@ campaignConfig()
     cfg.window = envU64("FH_WINDOW", 1000);
     cfg.seed = envU64("FH_SEED", 1);
     cfg.threads = static_cast<unsigned>(envU64("FH_THREADS", 0));
-    cfg.forceGoldenFork = envU64("FH_GOLDEN_FORK", 0) != 0;
     cfg.trialTimeoutMs = envU64("FH_TRIAL_TIMEOUT_MS", 0);
     cfg.earlyStop = envU64("FH_EARLY_STOP", 1) != 0;
     cfg.ciTarget = envDouble("FH_CI_TARGET", 0.0);

@@ -47,8 +47,6 @@ main(int argc, char **argv)
     cfg.window = 1000; // paper: 1000-instruction run window
     cfg.threads = static_cast<unsigned>(
         env_threads ? std::strtoul(env_threads, nullptr, 0) : 0);
-    if (const char *gf = std::getenv("FH_GOLDEN_FORK"))
-        cfg.forceGoldenFork = std::strtoul(gf, nullptr, 0) != 0;
     // Resilience knobs: FH_JOURNAL names a trial journal (rerun with
     // the same config to resume an interrupted campaign), and
     // FH_TRIAL_TIMEOUT_MS bounds each trial's wall time.

@@ -98,8 +98,6 @@ declareAllKeys(const Config &cfg)
     cfg.declareKey("jobs",
                    "campaign worker threads, or worker processes in "
                    "dispatch mode; 0 = all hardware threads");
-    cfg.declareKey("golden_fork",
-                   "force the legacy golden-fork loop (default false)");
     cfg.declareKey("journal",
                    "trial-journal path for checkpoint/resume");
     cfg.declareKey("trial_timeout_ms",
@@ -214,7 +212,6 @@ specFromConfig(const Config &cfg)
     spec.campaign.injections = cfg.getU64("injections", 300);
     spec.campaign.window = cfg.getU64("window", 1000);
     spec.campaign.seed = cfg.getU64("seed", 1);
-    spec.campaign.forceGoldenFork = cfg.getBool("golden_fork", false);
     spec.campaign.trialTimeoutMs = cfg.getU64("trial_timeout_ms", 0);
     spec.campaign.earlyStop =
         cfg.getBool("early_stop", spec.campaign.earlyStop);
@@ -328,11 +325,10 @@ emitCampaignOutputs(const Config &cfg, const std::string &bench,
     auto ull = [](u64 v) { return static_cast<unsigned long long>(v); };
     std::fprintf(stderr,
                  "fhsim: scheduler — wakeup hits %llu, overflow "
-                 "parks %llu, overflow rescans %llu, fast-forwarded "
-                 "cycles %llu, issue occupancy %.2f (%llu candidates "
-                 "/ %llu evals)\n",
+                 "parks %llu, overflow rescans %llu, issue occupancy "
+                 "%.2f (%llu candidates / %llu evals)\n",
                  ull(s.wakeupHits), ull(s.overflowParks),
-                 ull(s.overflowRescans), ull(s.fastForwarded),
+                 ull(s.overflowRescans),
                  s.issueEvals ? static_cast<double>(s.issueCandidates) /
                                     static_cast<double>(s.issueEvals)
                               : 0.0,

@@ -563,6 +563,12 @@ Coordinator::run(fault::TrialJournal *journal)
             c.fd = -1;
         }
     }
+    // Stop listening too. A worker that missed its Shutdown (a reset
+    // or a lost frame) is then refused on reconnect and gives up after
+    // its backoff, instead of filling the accept backlog with
+    // connections nobody accepts and blocking in connect() for minutes.
+    closeFabricFd(listenFd_);
+    listenFd_ = -1;
 
     // Merged counters past a halt cannot exist; past a shutdown they
     // were never merged (the stash beyond the contiguous prefix is

@@ -118,7 +118,8 @@ class Coordinator
      * the result is then marked partial). journal may be null; when
      * set, merged records are appended in trial order and the
      * journaled prefix is replayed upfront, exactly like a
-     * single-process runCampaign.
+     * single-process runCampaign. Call once: on return the endpoint
+     * no longer accepts connections.
      */
     fault::CampaignResult run(fault::TrialJournal *journal);
 

@@ -50,7 +50,6 @@ CampaignSpec::encode() const
         "rename_frac = %.17g\n"
         "lsq_frac = %.17g\n"
         "inflight_frac = %.17g\n"
-        "golden_fork = %u\n"
         "trial_timeout_ms = %llu\n"
         "early_stop = %u\n"
         "ci_target = %.17g\n"
@@ -68,7 +67,7 @@ CampaignSpec::encode() const
         static_cast<unsigned long long>(campaign.forkMaxCycles),
         static_cast<unsigned long long>(campaign.seed),
         campaign.mix.renameFrac, campaign.mix.lsqFrac,
-        campaign.mix.inflightFrac, campaign.forceGoldenFork ? 1 : 0,
+        campaign.mix.inflightFrac,
         static_cast<unsigned long long>(campaign.trialTimeoutMs),
         campaign.earlyStop ? 1 : 0, campaign.ciTarget,
         static_cast<unsigned long long>(campaign.ciWave));
@@ -115,7 +114,6 @@ CampaignSpec::decode(const std::string &text, CampaignSpec &out,
         cfg.getDouble("lsq_frac", s.campaign.mix.lsqFrac);
     s.campaign.mix.inflightFrac =
         cfg.getDouble("inflight_frac", s.campaign.mix.inflightFrac);
-    s.campaign.forceGoldenFork = cfg.getBool("golden_fork", false);
     s.campaign.trialTimeoutMs = cfg.getU64("trial_timeout_ms", 0);
     s.campaign.earlyStop =
         cfg.getBool("early_stop", s.campaign.earlyStop);

@@ -23,6 +23,20 @@ resolveThreads(unsigned requested)
 namespace
 {
 thread_local unsigned tlsWorkerIndex = 0;
+
+/** Makes the calling thread index 0 of the pool it is calling into,
+ *  restoring its index in an outer pool on every exit. */
+class CallerIndexScope
+{
+  public:
+    CallerIndexScope() : saved_(tlsWorkerIndex) { tlsWorkerIndex = 0; }
+    ~CallerIndexScope() { tlsWorkerIndex = saved_; }
+    CallerIndexScope(const CallerIndexScope &) = delete;
+    CallerIndexScope &operator=(const CallerIndexScope &) = delete;
+
+  private:
+    unsigned saved_;
+};
 } // namespace
 
 unsigned
@@ -122,6 +136,11 @@ ThreadPool::parallelFor(u64 n, u64 grain,
 {
     if (n == 0)
         return;
+    // A body may itself call parallelFor on another pool (a campaign
+    // run on an outer pool's worker): inside that call this thread is
+    // the inner pool's caller, so scratch indexed by currentWorker()
+    // stays below the inner pool's size.
+    CallerIndexScope caller;
     lastSkipped_ = 0;
     grain = std::max<u64>(1, grain);
     if (nthreads_ == 1 || n == 1) {

@@ -56,8 +56,11 @@ class ThreadPool
      * per-worker scratch indexing: the pool's caller thread is 0 and
      * spawned workers are 1..size()-1, so any thread inside a
      * parallelFor body may index a caller-owned array of size()
-     * entries without synchronization. Threads that never entered a
-     * pool report 0 (they are somebody's caller).
+     * entries without synchronization. A thread calling parallelFor
+     * is 0 for the duration of the call, even when it is a worker of
+     * an outer pool, and gets its outer index back afterwards.
+     * Threads that never entered a pool report 0 (they are somebody's
+     * caller).
      */
     static unsigned currentWorker();
 

@@ -136,7 +136,6 @@ provablyMasked(const pipeline::Core &master, const InjectionPlan &plan,
  */
 struct ForkScratch
 {
-    std::optional<ForkOutcome> golden;
     std::optional<ForkOutcome> bare;
     std::optional<ForkOutcome> prot;
 };
@@ -173,12 +172,10 @@ forkInto(std::optional<ForkOutcome> &slot, pipeline::Core &&base,
 }
 
 /**
- * Shared tail of both classifiers: the SDC fault ran through a
- * protected fork — decide recovered/detected/uncovered and the
- * Figure 11 bin. golden_trapped is the golden trap status (fork or
- * ledger); prot_matches_golden must already include the
- * reached-targets and no-trap guards (short-circuit preserved from
- * the original classifier).
+ * The SDC fault ran through a protected fork — decide
+ * recovered/detected/uncovered and the Figure 11 bin. golden_trapped
+ * is the golden entry's trap status; prot_matches_golden must already
+ * include the reached-targets and no-trap guards.
  */
 void
 classifyProtected(CampaignResult &r, const Trial &t,
@@ -224,138 +221,25 @@ classifyProtected(CampaignResult &r, const Trial &t,
 }
 
 /**
- * Legacy trial: run the golden fork explicitly plus 1–2 faulty forks
- * and classify. A pure function of the descriptor (safe on any worker
- * thread; the returned single-trial counters merge into
- * CampaignResult with order-insensitive adds), except that the last
- * fork consumes t.master by move — the caller's batch slot is dead
- * after this and gets overwritten by the next batch.
+ * Classify one trial. There is no golden execution: the bare (and,
+ * for SDC faults, protected) fork is compared against the master's
+ * golden checkpoint with O(threads + segments) arch/digest compares.
+ * A pure function of the descriptor (safe on any worker thread; the
+ * returned single-trial counters merge into CampaignResult with
+ * order-insensitive adds), except that the last fork consumes
+ * t.master by move — the trial slot is dead after this and gets
+ * overwritten at its next refill.
  */
 CampaignResult
-runTrialGoldenFork(const pipeline::CoreParams &params,
-                   const CampaignConfig &cfg, Trial &t, ForkScratch &fs,
-                   const ForkDeadline *deadline)
+runTrial(const pipeline::CoreParams &params, const CampaignConfig &cfg,
+         Trial &t, const GoldenLedger::Entry &g, ForkScratch &fs,
+         const ForkDeadline *deadline)
 {
     CampaignResult r;
     ++r.injected;
     // Scheduler observability: each fork starts from the snapshot's
     // counters, so its contribution is the delta past them. Captured
-    // before any fork because the last fork consumes t.master by move.
-    const pipeline::CoreStats snapStats = t.master.stats();
-
-    // Golden fork: no fault, detector checks off (architecturally
-    // identical to a protected run; faster).
-    auto t0 = PhaseClock::now();
-    ForkOutcome &golden = forkInto(fs.golden, t.master, nullptr, false,
-                                   t.targets, cfg.forkMaxCycles,
-                                   deadline);
-    r.phases.goldenNs += nsSince(t0);
-    r.sched += SchedCounters::delta(golden.core.stats(), snapStats);
-
-    // A provably dead injection: the bare fork would replay the golden
-    // fork bit for bit (see Trial::provablyMasked), so classify from
-    // the golden outcome alone. Trap status matches by construction,
-    // leaving only the reached-targets leg of the noisy test.
-    if (t.provablyMasked) {
-        if (!golden.reachedTargets) {
-            ++r.hungBare;
-            ++r.noisy;
-        } else {
-            ++r.masked;
-            // Same skip condition as the ledger path (crossed and
-            // untrapped golden), so the counter merges identically
-            // across both golden modes.
-            if (!golden.trapped) {
-                ++r.skippedProvablyMasked;
-                t.meta.flags |= kMetaSkippedProvablyMasked;
-            }
-        }
-        return r;
-    }
-
-    // Unprotected faulty fork: classifies the fault itself. With a
-    // golden run that crossed its targets untrapped, the regfile fault
-    // watch may end it early: erasure-before-any-read makes the fork
-    // bit-equivalent to the golden fork from that point on (tandem.hh).
-    const bool arm =
-        cfg.earlyStop && golden.reachedTargets && !golden.trapped;
-    t0 = PhaseClock::now();
-    ForkOutcome &bare =
-        forkInto(fs.bare, t.master, &t.plan, false, t.targets,
-                 cfg.forkMaxCycles, deadline, arm);
-    r.phases.bareNs += nsSince(t0);
-    r.sched += SchedCounters::delta(bare.core.stats(), snapStats);
-    t.meta.exitCycle = bare.exitCycle;
-
-    if (bare.earlyMasked) {
-        // The injected bit was provably erased before any consumer
-        // read it: the rest of the window replays the golden fork,
-        // which reached its targets without trapping — masked.
-        t.meta.flags |= kMetaEarlyTerminated;
-        ++r.masked;
-        ++r.earlyTerminated;
-        return r;
-    }
-
-    if (!bare.reachedTargets)
-        ++r.hungBare; // diagnostic only; still classified noisy below
-    const bool noisy =
-        bare.trapped != golden.trapped || !bare.reachedTargets;
-    if (noisy) {
-        ++r.noisy;
-        return r;
-    }
-    t0 = PhaseClock::now();
-    const bool masked = archEquals(bare.core, golden.core);
-    r.phases.compareNs += nsSince(t0);
-    if (masked) {
-        ++r.masked;
-        return r;
-    }
-    ++r.sdc;
-
-    if (params.detector.scheme == filters::Scheme::None) {
-        ++r.uncovered;
-        ++r.bins.other;
-        return r;
-    }
-
-    // Protected faulty fork: does the scheme cover the fault? This is
-    // the trial's last fork, so it takes the snapshot by swap (the
-    // trial slot inherits the scratch's old buffers and is overwritten
-    // in place at the next refill).
-    t0 = PhaseClock::now();
-    ForkOutcome &prot =
-        forkInto(fs.prot, std::move(t.master), &t.plan, true, t.targets,
-                 cfg.forkMaxCycles, deadline);
-    r.phases.protectedNs += nsSince(t0);
-    r.sched += SchedCounters::delta(prot.core.stats(), snapStats);
-
-    if (!prot.reachedTargets)
-        ++r.hungProtected; // diagnostic; classification unchanged
-    t0 = PhaseClock::now();
-    const bool prot_matches = prot.reachedTargets && !prot.trapped &&
-                              archEquals(prot.core, golden.core);
-    r.phases.compareNs += nsSince(t0);
-    classifyProtected(r, t, prot, golden.trapped, prot_matches);
-    return r;
-}
-
-/**
- * Ledger trial: no golden execution at all. The bare (and, for SDC
- * faults, protected) fork is compared against the master's golden
- * checkpoint with O(threads + segments) arch/digest compares.
- */
-CampaignResult
-runTrialLedger(const pipeline::CoreParams &params,
-               const CampaignConfig &cfg, Trial &t,
-               const GoldenLedger::Entry &g, ForkScratch &fs,
-               const ForkDeadline *deadline)
-{
-    CampaignResult r;
-    ++r.injected;
-    // Per-fork scheduler deltas past the snapshot's counters (see
-    // runTrialGoldenFork); captured before the move-consuming fork.
+    // before the move-consuming fork.
     const pipeline::CoreStats snapStats = t.master.stats();
 
     // A provably dead injection against a genuinely-crossed, untrapped
@@ -395,6 +279,9 @@ runTrialLedger(const pipeline::CoreParams &params,
     t.meta.exitCycle = bare.exitCycle;
 
     if (bare.earlyMasked) {
+        // The injected bit was provably erased before any consumer
+        // read it: the rest of the window replays a no-fault fork,
+        // which matches the crossed, untrapped entry — masked.
         t.meta.flags |= kMetaEarlyTerminated;
         ++r.masked;
         ++r.earlyTerminated;
@@ -423,6 +310,10 @@ runTrialLedger(const pipeline::CoreParams &params,
         return r;
     }
 
+    // Protected faulty fork: does the scheme cover the fault? This is
+    // the trial's last fork, so it takes the snapshot by swap (the
+    // trial slot inherits the scratch's old buffers and is overwritten
+    // in place at the next refill).
     t0 = PhaseClock::now();
     ForkOutcome &prot =
         forkInto(fs.prot, std::move(t.master), &t.plan, true, t.targets,
@@ -491,10 +382,8 @@ runTrialGuarded(const CampaignConfig &cfg, const Trial &t,
 } // namespace
 
 /**
- * All loop state of the original runCampaign loops, held across
- * runRange calls so a distributed worker can execute its leased
- * ranges incrementally. One Impl serves both golden modes; the
- * ledger members stay empty in golden-fork mode.
+ * All loop state of runCampaign, held across runRange calls so a
+ * distributed worker can execute its leased ranges incrementally.
  */
 struct CampaignSession::Impl
 {
@@ -515,6 +404,12 @@ struct CampaignSession::Impl
           pool(threads),
           batchCap(std::max<u64>(u64{threads} * 4, 8))
     {
+        if (!GoldenLedger::supports(master, *prog))
+            fh_fatal("program '%s' does not give each SMT thread a "
+                     "memory segment of its own; the golden ledger "
+                     "needs one per thread",
+                     prog->name.c_str());
+
         // Warm up caches, predictors and filters.
         while (master.committedTotal() < cfg.warmupInsts &&
                !master.allHalted()) {
@@ -530,22 +425,10 @@ struct CampaignSession::Impl
         // warmup (see CampaignSession::rewind).
         warmSnapshot = std::make_unique<pipeline::Core>(master);
 
-        useLedger =
-            !cfg.forceGoldenFork && GoldenLedger::supports(master, *prog);
-        if (useLedger) {
-            ledger = std::make_unique<GoldenLedger>(master);
-            master.setCommitObserver(ledger.get());
-        }
-        batch.reserve(batchCap);
-        partial.resize(batchCap);
+        ledger = std::make_unique<GoldenLedger>(master);
+        master.setCommitObserver(ledger.get());
         wave.reserve(batchCap + 8);
         scratch.resize(threads);
-    }
-
-    ~Impl()
-    {
-        if (useLedger)
-            master.setCommitObserver(nullptr);
     }
 
     bool stopRequested() const
@@ -557,11 +440,8 @@ struct CampaignSession::Impl
     }
 
     /** Advance the master over one inter-injection gap; true if it ran
-     *  to completion (false = the workload halted inside it). Uses
-     *  Core::advance so wakeup-mode masters fast-forward through idle
-     *  stretches — the post-gap machine state is bit-identical to gap
-     *  individual ticks (the ledger observer only fires on commits,
-     *  which never happen in a skipped cycle). */
+     *  to completion (false = the workload halted inside it). Ledger
+     *  entries of earlier trials complete inside these ticks. */
     bool advanceGap()
     {
         const Cycle gap = gapRng.range(cfg.minGap, cfg.maxGap);
@@ -607,10 +487,7 @@ struct CampaignSession::Impl
         return plan;
     }
 
-    RangeOutcome runRangeGoldenFork(u64 begin, u64 end,
-                                    const TrialSink &sink);
-    RangeOutcome runRangeLedger(u64 begin, u64 end,
-                                const TrialSink &sink);
+    RangeOutcome runRange(u64 begin, u64 end, const TrialSink &sink);
     void rewind();
 
     pipeline::CoreParams params;
@@ -620,31 +497,26 @@ struct CampaignSession::Impl
     Rng gapRng;
     unsigned threads;
     exec::ThreadPool pool;
-    u64 batchCap;
-    bool useLedger = false;
+    u64 batchCap; ///< wave size at which produced trials execute
     std::unique_ptr<GoldenLedger> ledger;
 
     u64 trial = 0;    ///< next producible trial index
     u64 executed = 0; ///< trials actually executed by this session
     bool halted = false;
 
-    // One fixed-size batch of trial slots, allocated once and reused
-    // across batches: a slot's snapshot is overwritten in place (a
-    // flat arena memcpy plus COW memory/filter copies), so the
-    // campaign keeps at most batchCap machine copies live with no
-    // per-batch reallocation churn.
-    std::vector<Trial> batch;
-    std::vector<CampaignResult> partial;
+    std::vector<CampaignResult> partial; ///< per wave position
     // Per-worker reusable fork machines, indexed by
     // ThreadPool::currentWorker() (caller = 0, workers 1..threads-1).
     std::vector<ForkScratch> scratch;
-    // Ledger mode: reusable trial slots. A deque so the references
+    // Reusable trial slots: a retired slot's snapshot is overwritten
+    // in place (a flat arena memcpy plus COW memory/filter copies),
+    // with no per-trial reallocation churn. A deque so the references
     // workers hold across a parallelFor stay stable while the
     // producer appends new slots.
     std::deque<Trial> trialPool;
     std::vector<u32> freeTrials;
-    // Ledger mode: produced trials whose windows the master has not
-    // fully crossed yet; bounded by window/minGap in practice.
+    // Produced trials whose windows the master has not fully crossed
+    // yet; bounded by window/minGap in practice.
     std::deque<Pending> inflight;
     std::vector<Pending> wave;
     std::unique_ptr<pipeline::Core> warmSnapshot;
@@ -661,9 +533,7 @@ struct CampaignSession::Impl
 void
 CampaignSession::Impl::rewind()
 {
-    if (useLedger)
-        master.setCommitObserver(nullptr);
-    master = *warmSnapshot;
+    master = *warmSnapshot; // also detaches the old ledger
     gapRng = Rng(cfg.seed);
     trial = 0;
     executed = 0;
@@ -673,131 +543,26 @@ CampaignSession::Impl::rewind()
     freeTrials.clear();
     for (u32 i = 0; i < trialPool.size(); ++i)
         freeTrials.push_back(i);
-    if (useLedger) {
-        ledger = std::make_unique<GoldenLedger>(master);
-        master.setCommitObserver(ledger.get());
-    }
+    ledger = std::make_unique<GoldenLedger>(master);
+    master.setCommitObserver(ledger.get());
 }
 
 /**
- * Legacy-mode range: produce a batch of snapshots, run each trial's
- * golden + faulty forks on the pool, merge in trial order.
+ * Produce and execute one range. The master advances gap by gap (no
+ * extra ticks between snapshots), so the injection points are a pure
+ * function of the seed. A produced trial waits in a FIFO until the
+ * master's own advance crosses all its commit targets (completing its
+ * ledger entry, usually within the next trial or two's gaps);
+ * completed trials run on the pool in waves. Windows still open at
+ * the end of the range are closed by extra "drain" ticks — on the
+ * real master when nothing further depends on its cycle position
+ * (final range, halt, or shutdown), and otherwise on a scratch copy,
+ * so a later range still sees the exact single-process schedule.
+ * Either way an entry finalizes at the same commit counts with the
+ * same sampled state: that is the ledger's master-as-golden argument.
  */
 RangeOutcome
-CampaignSession::Impl::runRangeGoldenFork(u64 begin, u64 end,
-                                          const TrialSink &sink)
-{
-    RangeOutcome out;
-    CampaignPhases produced;
-    const pipeline::CoreStats masterBase = master.stats();
-    bool stopped = false;
-
-    while (trial < end && !halted && !stopped) {
-        u64 filled = 0;
-        while (filled < batchCap && trial < end) {
-            // Graceful shutdown: stop opening new trials; the batch
-            // filled so far still runs and reaches the sink (drained).
-            if (stopRequested()) {
-                stopped = true;
-                break;
-            }
-            // Advance the master to the next injection point.
-            auto t0 = PhaseClock::now();
-            const bool ran = advanceGap();
-            produced.snapshotNs += nsSince(t0);
-            if (!ran)
-                break;
-
-            // Skip-advance: a trial below the range (journal-replayed
-            // by the caller, or leased to another worker) consumed its
-            // gap — same schedule as a full run — but needs no
-            // snapshot or fork work here.
-            if (trial < begin) {
-                ++trial;
-                continue;
-            }
-
-            // The plan comes from the trial's own stream, so the
-            // injection schedule is a pure function of (seed, trial)
-            // regardless of how many workers execute the forks.
-            t0 = PhaseClock::now();
-            TrialMeta meta;
-            const InjectionPlan plan = drawTrialPlan(trial, meta);
-
-            // Record register lifetime phase before any fork runs.
-            pipeline::PregPhase phase = pipeline::PregPhase::Free;
-            if (plan.target == Target::RegFile)
-                phase = master.pregPhase(plan.preg);
-            const bool provable = provablyMasked(master, plan, phase);
-
-            if (filled < batch.size()) {
-                // Refill the slot in place: the snapshot lands in the
-                // slot's existing arena (a flat memcpy), targets reuse
-                // their capacity.
-                Trial &slot = batch[filled];
-                slot.master = master;
-                slot.plan = plan;
-                windowTargetsInto(slot.targets, master, cfg.window);
-                slot.phase = phase;
-                slot.masterStats = master.detector().stats();
-                slot.index = trial;
-                slot.provablyMasked = provable;
-                slot.meta = meta;
-            } else {
-                batch.push_back(Trial{master, plan,
-                                      windowTargets(master, cfg.window),
-                                      phase, master.detector().stats(),
-                                      trial, provable, meta});
-            }
-            produced.snapshotNs += nsSince(t0);
-            ++filled;
-            ++trial;
-            ++executed;
-        }
-
-        pool.parallelFor(filled, [&](u64 k) {
-            ForkScratch &fs =
-                scratch[exec::ThreadPool::currentWorker()];
-            partial[k] = runTrialGuarded(
-                cfg, batch[k], [&](const ForkDeadline *dl) {
-                    return runTrialGoldenFork(params, cfg, batch[k], fs,
-                                              dl);
-                });
-            if (cfg.progress)
-                cfg.progress->tick();
-        });
-        // Merge — and sink — in trial (production) order.
-        for (u64 k = 0; k < filled; ++k)
-            sink(batch[k].index, partial[k], batch[k].meta);
-    }
-
-    out.nextTrial = trial;
-    out.halted = halted;
-    out.stopped = stopped;
-    out.phases = produced;
-    out.sched = SchedCounters::delta(master.stats(), masterBase);
-    return out;
-}
-
-/**
- * Ledger-mode range. The master advances on exactly the legacy
- * schedule (same gap ticks between the same snapshots, no extra
- * ticks), so the injection points — and therefore every
- * classification — are bit-identical to the golden-fork path. A
- * produced trial waits in a FIFO until the master's own advance
- * crosses all its commit targets (completing its ledger entry,
- * usually within the next trial or two's gaps); completed trials run
- * on the pool in waves. Windows still open at the end of the range
- * are closed by extra "drain" ticks — on the real master when nothing
- * further depends on its cycle position (final range, halt, or
- * shutdown), and otherwise on a scratch copy, so a later range still
- * sees the exact single-process schedule. Either way an entry
- * finalizes at the same commit counts with the same sampled state:
- * that is the ledger's master-as-golden argument.
- */
-RangeOutcome
-CampaignSession::Impl::runRangeLedger(u64 begin, u64 end,
-                                      const TrialSink &sink)
+CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
 {
     RangeOutcome out;
     CampaignPhases produced;
@@ -823,9 +588,8 @@ CampaignSession::Impl::runRangeLedger(u64 begin, u64 end,
             Trial &t = trialPool[wave[k].trialIdx];
             partial[k] = runTrialGuarded(
                 cfg, t, [&](const ForkDeadline *dl) {
-                    return runTrialLedger(params, cfg, t,
-                                          ledger->entry(wave[k].slot),
-                                          fs, dl);
+                    return runTrial(params, cfg, t,
+                                    ledger->entry(wave[k].slot), fs, dl);
                 });
             if (cfg.progress)
                 cfg.progress->tick();
@@ -851,25 +615,29 @@ CampaignSession::Impl::runRangeLedger(u64 begin, u64 end,
             stopped = true;
             break;
         }
-        // Advance the master to the next injection point — the exact
-        // legacy schedule. Ledger entries of earlier trials complete
-        // passively inside these ticks via the commit observer.
+        // Advance the master to the next injection point.
         auto t0 = PhaseClock::now();
         const bool ran = advanceGap();
         produced.goldenNs += nsSince(t0);
         if (!ran)
             break;
 
-        // Skip-advance (see runRangeGoldenFork): gap consumed, no
-        // snapshot, no ledger entry, no forks.
+        // Skip-advance: a trial below the range (journal-replayed by
+        // the caller, or leased to another worker) consumed its gap —
+        // same schedule as a full run — but needs no snapshot, ledger
+        // entry or forks here.
         if (trial < begin) {
             ++trial;
             continue;
         }
 
+        // The plan comes from the trial's own stream, so the injection
+        // schedule is a pure function of (seed, trial) regardless of
+        // how many workers execute the forks.
         t0 = PhaseClock::now();
         TrialMeta meta;
         const InjectionPlan plan = drawTrialPlan(trial, meta);
+        // Record register lifetime phase before any fork runs.
         pipeline::PregPhase phase = pipeline::PregPhase::Free;
         if (plan.target == Target::RegFile)
             phase = master.pregPhase(plan.preg);
@@ -999,9 +767,7 @@ CampaignSession::runRange(u64 begin, u64 end, const TrialSink &sink)
         out.halted = impl_->halted;
         return out;
     }
-    return impl_->useLedger
-               ? impl_->runRangeLedger(begin, end, sink)
-               : impl_->runRangeGoldenFork(begin, end, sink);
+    return impl_->runRange(begin, end, sink);
 }
 
 CampaignResult

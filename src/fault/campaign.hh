@@ -11,9 +11,7 @@
  * past each trial's commit targets records a golden checkpoint
  * (per-thread ArchState + per-segment memory digests) in a
  * GoldenLedger, and forks are compared against that checkpoint in
- * O(threads + segments). The legacy explicit golden fork survives
- * behind CampaignConfig::forceGoldenFork for equivalence testing and
- * for programs without the per-thread segment layout.
+ * O(threads + segments).
  *
  * Execution is sharded: the master advances serially between
  * injection points (cheap), each point is snapshotted into a trial
@@ -67,8 +65,8 @@ struct CampaignConfig
     InjectionMix mix{};
 
     /**
-     * Host worker threads executing the per-trial forks (golden /
-     * bare / protected), i.e. the exec::ThreadPool size; 0 = one per
+     * Host worker threads executing the per-trial forks (bare /
+     * protected), i.e. the exec::ThreadPool size; 0 = one per
      * hardware thread (the default), 1 = fully serial. Also settable
      * via the FH_THREADS environment variable in the bench harnesses.
      * The result is bit-identical for every value: each trial draws
@@ -79,17 +77,6 @@ struct CampaignConfig
     unsigned threads = 0;
     /** Optional meter ticked once per completed trial (may be null). */
     exec::ProgressMeter *progress = nullptr;
-
-    /**
-     * Debug/equivalence flag: run the legacy per-trial golden fork
-     * instead of the golden checkpoint ledger. Classifications are
-     * identical either way (tests/test_golden_ledger.cc asserts it);
-     * the ledger is ~1 full fork per trial cheaper. Also forced
-     * automatically when the program lacks the one-segment-per-thread
-     * layout the ledger's master-as-golden argument needs. Settable
-     * via FH_GOLDEN_FORK=1 in the bench harnesses / fhsim / examples.
-     */
-    bool forceGoldenFork = false;
 
     /**
      * Trial journal path (FH_JOURNAL in the bench harnesses,
@@ -145,7 +132,7 @@ struct CampaignConfig
     /**
      * FH_EARLY_STOP environment default for earlyStop (unset or any
      * value but "0" = on). An env read, like FH_SCAN_ISSUE, so the
-     * pinned-count and ledger-equivalence suites can be rerun with
+     * pinned-count and golden-ledger suites can be rerun with
      * early termination forced off as an equivalence oracle without
      * touching their configs.
      */
@@ -182,17 +169,17 @@ struct CampaignConfig
 
 /**
  * Where a campaign's wall time went, in nanoseconds: master advance +
- * ledger upkeep ("golden" — in legacy mode, the per-trial golden
- * forks), trial snapshot copies, the bare and protected faulty forks,
- * and the state comparisons. Accumulated per-trial on the worker
- * threads (each trial sums into its own CampaignResult, merged in
- * trial order) plus producer-side terms added once at the end, so no
- * synchronization is needed beyond the pool's wave barrier.
+ * ledger upkeep ("golden"), trial snapshot copies, the bare and
+ * protected faulty forks, and the state comparisons. Accumulated
+ * per-trial on the worker threads (each trial sums into its own
+ * CampaignResult, merged in trial order) plus producer-side terms
+ * added once at the end, so no synchronization is needed beyond the
+ * pool's wave barrier.
  */
 struct CampaignPhases
 {
     u64 snapshotNs = 0;  ///< machine copies + plan draws (producer)
-    u64 goldenNs = 0;    ///< golden ledger upkeep or golden forks
+    u64 goldenNs = 0;    ///< master advance + golden ledger upkeep
     u64 bareNs = 0;      ///< unprotected faulty forks
     u64 protectedNs = 0; ///< protected faulty forks
     u64 compareNs = 0;   ///< arch/digest comparisons
@@ -227,7 +214,6 @@ struct SchedCounters
     u64 wakeupHits = 0;      ///< consumers moved wake row -> ready pool
     u64 overflowParks = 0;   ///< subscriptions parked on overflow lists
     u64 overflowRescans = 0; ///< overflow refs examined by the slow path
-    u64 fastForwarded = 0;   ///< idle cycles skipped by fast-forward
     u64 issueEvals = 0;      ///< cycles the issue stage examined refs
     u64 issueCandidates = 0; ///< ready candidates across those cycles
 
@@ -236,7 +222,6 @@ struct SchedCounters
         wakeupHits += o.wakeupHits;
         overflowParks += o.overflowParks;
         overflowRescans += o.overflowRescans;
-        fastForwarded += o.fastForwarded;
         issueEvals += o.issueEvals;
         issueCandidates += o.issueCandidates;
         return *this;
@@ -250,7 +235,6 @@ struct SchedCounters
         d.wakeupHits = now.wakeupHits - base.wakeupHits;
         d.overflowParks = now.overflowParks - base.overflowParks;
         d.overflowRescans = now.overflowRescans - base.overflowRescans;
-        d.fastForwarded = now.fastForwarded - base.fastForwarded;
         d.issueEvals = now.issueEvals - base.issueEvals;
         d.issueCandidates = now.issueCandidates - base.issueCandidates;
         return d;
@@ -451,9 +435,9 @@ class CampaignSession
     /**
      * Produce and execute trials [max(begin, position()), min(end,
      * cfg.injections)), calling sink in trial order; trials below
-     * begin are skip-advanced. In ledger mode a non-terminal range
-     * closes its last windows on a scratch copy of the master, so the
-     * schedule seen by later ranges is untouched.
+     * begin are skip-advanced. A non-terminal range closes its last
+     * windows on a scratch copy of the master, so the schedule seen
+     * by later ranges is untouched.
      */
     RangeOutcome runRange(u64 begin, u64 end, const TrialSink &sink);
 
@@ -466,8 +450,8 @@ class CampaignSession
      * session — and in particular without re-running warmup, which
      * dominates session construction. The master machine is restored
      * from a retained warm snapshot by buffer-reusing assignment, the
-     * gap schedule restarts from cfg.seed, and the golden ledger (if
-     * any) is rebuilt empty; everything downstream is a pure function
+     * gap schedule restarts from cfg.seed, and the golden ledger is
+     * rebuilt empty; everything downstream is a pure function
      * of (config, trial index), so trials re-executed after a rewind
      * are bit-identical to their first execution.
      */

@@ -142,11 +142,10 @@ writeCampaignJson(const std::string &path, const std::string &bench,
     std::fprintf(out,
                  "  \"scheduler\": { \"wakeup_hits\": %llu, "
                  "\"overflow_parks\": %llu, \"overflow_rescans\": %llu, "
-                 "\"fast_forwarded_cycles\": %llu, \"issue_evals\": "
-                 "%llu, \"issue_candidates\": %llu },\n",
+                 "\"issue_evals\": %llu, \"issue_candidates\": %llu },\n",
                  u(s.wakeupHits), u(s.overflowParks),
-                 u(s.overflowRescans), u(s.fastForwarded),
-                 u(s.issueEvals), u(s.issueCandidates));
+                 u(s.overflowRescans), u(s.issueEvals),
+                 u(s.issueCandidates));
     // Wall-time phase breakdown: master advance + golden checkpoint
     // ledger, snapshot copies, the two faulty forks, and the
     // arch/digest comparisons.

@@ -16,7 +16,7 @@ GoldenLedger::supports(const pipeline::Core &master,
 {
     const auto segs = master.memory().segments();
     const unsigned n = master.numThreads();
-    if (segs.size() != n || prog.threadBases.size() < n)
+    if (segs.size() < n || prog.threadBases.size() < n)
         return false;
     for (unsigned tid = 0; tid < n; ++tid) {
         if (segs[tid].base != prog.baseOf(tid))
@@ -36,7 +36,19 @@ GoldenLedger::finalizeThread(u32 slot, unsigned tid)
     if (master_->trapOf(tid) != isa::Trap::None)
         e.trapped = true;
     fh_assert(e.remaining > 0, "ledger entry finalized twice");
-    --e.remaining;
+    if (--e.remaining > 0)
+        return;
+    // open() sampled the unowned segments on the premise that a
+    // fault-free run never writes them; refuse a program that does
+    // rather than classify against a stale digest.
+    const mem::Memory &m = master_->memory();
+    for (size_t s = master_->numThreads(); s < e.digests.size(); ++s) {
+        if (m.segmentDigest(s) != e.digests[s])
+            fh_fatal("a fault-free run wrote memory segment %zu, which "
+                     "no SMT thread owns; the golden ledger cannot "
+                     "classify this program",
+                     s);
+    }
 }
 
 u32
@@ -52,10 +64,15 @@ GoldenLedger::open(const std::vector<u64> &targets)
     }
 
     const unsigned n = master_->numThreads();
+    const mem::Memory &m = master_->memory();
     Entry &e = entries_[slot];
     e.targets = targets;
     e.archDigests.assign(n, 0);
-    e.digests.assign(master_->memory().segmentCount(), 0);
+    // Unowned segments keep this digest; owned ones are resampled when
+    // their thread crosses.
+    e.digests.resize(m.segmentCount());
+    for (size_t s = 0; s < e.digests.size(); ++s)
+        e.digests[s] = m.segmentDigest(s);
     e.trapped = false;
     e.crossed = true;
     e.remaining = n;

@@ -1,20 +1,22 @@
 /**
  * @file
- * Golden checkpoint ledger: the fault campaign's replacement for the
- * per-trial golden fork.
+ * Golden checkpoint ledger: the fault campaign's fault-free reference.
  *
- * The legacy classifier forked the master at every injection point
- * and re-executed a fault-free ("golden") copy of the run window just
- * to sample what correct architectural state looks like at the
- * trial's per-thread commit targets. But the serially advancing
- * master *is* that fault-free execution: every workload gives each
- * SMT thread a private memory segment (guard gaps, r1-relative
- * addressing), so a thread's committed values are a pure function of
- * its own commit count — independent of scheduling, of the other
- * threads, and of whether the detector is checking. The master
- * crossing commit count N on thread t therefore has exactly the
- * architectural register state, trap status and segment contents a
- * frozen golden fork would show at target N.
+ * A trial is classified against what a fault-free ("golden") fork of
+ * its snapshot would look like at the trial's per-thread commit
+ * targets. The serially advancing master *is* that fault-free
+ * execution: every workload gives each SMT thread a private memory
+ * segment (guard gaps, r1-relative addressing), so a thread's
+ * committed values are a pure function of its own commit count —
+ * independent of scheduling, of the other threads, and of whether the
+ * detector is checking. The master crossing commit count N on thread t
+ * therefore has exactly the architectural register state, trap status
+ * and segment contents a frozen golden fork would show at target N.
+ * Segments no thread owns (a 1-thread core running a program laid out
+ * for 2) are never written by a fault-free run, so their digest at
+ * any commit count is the one sampled when the entry opens; a faulty
+ * fork that writes one still mismatches, and a program whose
+ * fault-free run writes one is refused when the entry completes.
  *
  * The ledger rides the master's retirement stream (CommitObserver):
  * opening an entry registers one watch per thread at the trial's
@@ -25,6 +27,8 @@
  * freeze halted at the same count), the entry is complete and a
  * worker can classify bare/protected forks against it with O(threads
  * + segments) compares — no golden execution, no memory sweeps.
+ * tests/test_golden_ledger.cc holds the golden-fork oracle: every
+ * entry must agree with a no-fault fork of its trial's snapshot.
  *
  * Not thread-safe by design: all mutation happens on the producer
  * thread between worker waves, and workers only read entries of
@@ -64,7 +68,9 @@ class GoldenLedger final : public pipeline::CommitObserver
          *  because the master is fault-free). Fork-side compares
          *  recompute from the fork's materialized archState(). */
         std::vector<u64> archDigests;
-        std::vector<u64> digests;          ///< per segment (== thread)
+        /** Per segment: an owned one at its thread's crossing, an
+         *  unowned one at open(). */
+        std::vector<u64> digests;
         bool trapped = false;
         /** True iff every thread finalized at a genuine commit-target
          *  crossing (not a halt, pre-halted open, or force-finalize).
@@ -92,11 +98,11 @@ class GoldenLedger final : public pipeline::CommitObserver
     void retarget(pipeline::Core &master) { master_ = &master; }
 
     /**
-     * The master-as-golden argument needs the thread <-> segment
-     * bijection: one memory segment per SMT thread, in thread order,
-     * based at the thread's r1 data base. Campaigns on programs that
-     * break this (none of the built-in workloads do) fall back to the
-     * explicit golden fork.
+     * The master-as-golden argument needs each SMT thread to own a
+     * memory segment: segment tid based at thread tid's r1 data base.
+     * Further segments are allowed (see the file comment). Every
+     * built-in workload is laid out this way; runCampaign refuses a
+     * program that is not.
      */
     static bool supports(const pipeline::Core &master,
                          const isa::Program &prog);

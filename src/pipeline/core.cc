@@ -25,9 +25,6 @@ namespace
  */
 constexpr u32 kWakeRowCap = 6;
 
-/** "No scheduled event" sentinel for the idle fast-forward. */
-constexpr Cycle kNoEvent = ~Cycle{0};
-
 } // namespace
 
 bool
@@ -378,14 +375,8 @@ void
 Core::advance(Cycle cycles)
 {
     const Cycle end = cycle_ + cycles;
-    while (cycle_ < end && !allHalted()) {
-        if (!params_.scanIssue) {
-            fastForward(end);
-            if (cycle_ >= end)
-                break;
-        }
+    while (cycle_ < end && !allHalted())
         tick();
-    }
 }
 
 bool
@@ -423,15 +414,6 @@ Core::runUntilCommitted(const std::vector<u64> &targets, Cycle max_cycles)
             return done(); // frozen short of a target: hung, bail now
         if (cycle_ >= end)
             return done();
-        if (!params_.scanIssue) {
-            // Dead cycles can't flip done()/all_frozen() (no commits
-            // happen in them), so skipping is decision-equivalent; a
-            // no-event machine lands on the same hung cycle_ = end the
-            // per-cycle loop would reach.
-            fastForward(end);
-            if (cycle_ >= end)
-                return done();
-        }
         tick();
     }
 }
@@ -1267,78 +1249,6 @@ Core::drainAllWakeRows()
     for (unsigned preg = 0; preg < params_.physRegs; ++preg)
         if (!wakeRows_[preg].empty())
             wakePreg(preg);
-}
-
-// ------------------------------------------------------- fast-forward
-
-Cycle
-Core::nextEventCycle() const
-{
-    const Cycle soon = cycle_ + 1;
-    // A populated pool or overflow list must be re-examined every
-    // cycle (memory-ordering blocks and non-monotonic readiness have
-    // no wake edge), so those cycles are never dead.
-    for (unsigned tid = 0; tid < numThreads(); ++tid) {
-        if (!readyPools_[tid].empty() || !overflowLists_[tid].empty())
-            return soon;
-    }
-    Cycle next = kNoEvent;
-    const auto consider = [&](Cycle c) {
-        next = std::min(next, std::max(c, soon));
-    };
-    for (unsigned tid = 0; tid < numThreads(); ++tid) {
-        const ThreadState &ts = threads_[tid];
-        if (ts.halted)
-            continue;
-        const bool frozen = ts.opts.stopAfterInsts != 0 &&
-                            ts.committed >= ts.opts.stopAfterInsts;
-        const Rob &rob = robs_[tid];
-        if (!frozen && !rob.empty()) {
-            const unsigned head = rob.headSlot();
-            if (rob.hot(head).state == EntryState::Completed)
-                consider(rob.cold(head).commitReadyAt);
-        }
-        // FinishRef keys never exceed the live finishCycle, so the
-        // earliest key bounds the next completion from below — a safe
-        // (possibly early) wake, never a missed one.
-        const RefList<FinishRef> &il = issuedLists_[tid];
-        for (u32 i = 0; i < il.size(); ++i)
-            consider(il[i].finish);
-        // Queued front-end work: dispatch acts when the fetch-queue
-        // head matures (back-pressure stalls then re-check per cycle,
-        // conservatively keeping those cycles live).
-        if (!(quiesceFrozen_ && frozen) && !ts.fetchQ.empty())
-            consider(ts.fetchQ.front().availAt);
-        // Fetch eligibility mirrors fetchStage's own gating.
-        if (!frozen && !ts.fetchBlocked &&
-            ts.fetchQ.size() < 4 * params_.fetchWidth &&
-            ts.fetchPc < prog_->text.size()) {
-            consider(ts.fetchStallUntil);
-        }
-        if (next <= soon)
-            return soon;
-    }
-    return next;
-}
-
-void
-Core::fastForward(Cycle limit)
-{
-    // Jump to one cycle before the next scheduled event: every skipped
-    // tick is provably a no-op in all five stages (nothing due to
-    // commit, complete, issue, dispatch, or fetch), so only the cycle
-    // counters move. kNoEvent machines skip straight to the limit,
-    // landing on the same final cycle_ the per-cycle loop reaches.
-    const Cycle next = nextEventCycle();
-    if (next <= cycle_ + 1)
-        return;
-    const Cycle target = std::min(next - 1, limit);
-    if (target <= cycle_)
-        return;
-    const Cycle skip = target - cycle_;
-    stats_.fastForwarded += skip;
-    stats_.cycles += skip;
-    cycle_ = target;
 }
 
 // -------------------------------------------------------------- dispatch

@@ -73,7 +73,6 @@ struct CoreStats
     u64 wakeupHits = 0;      ///< consumers moved wake row -> ready pool
     u64 overflowParks = 0;   ///< subscriptions parked on the overflow list
     u64 overflowRescans = 0; ///< overflow refs examined by the slow path
-    u64 fastForwarded = 0;   ///< idle cycles skipped (included in cycles)
     u64 issueEvals = 0;      ///< cycles the issue stage examined refs
     u64 issueCandidates = 0; ///< ready candidates across those cycles
 
@@ -168,17 +167,8 @@ class Core
     /** Advance one cycle. */
     void tick();
 
-    /**
-     * Advance exactly `cycles` cycles (or until every thread halts),
-     * fast-forwarding through provably idle stretches in wakeup mode:
-     * when no stage can make progress before the next scheduled event
-     * (pending finish, fetch stall expiry, commit-delay expiry, queued
-     * front-end work), cycle_ jumps there instead of ticking through
-     * dead cycles. State after advance(n) is bit-identical to n
-     * tick() calls — dead cycles are exactly the ticks with no effect
-     * beyond the cycle counters. The campaign's inter-injection gaps
-     * run through this.
-     */
+    /** Advance exactly `cycles` cycles (or until every thread halts).
+     *  The campaign's inter-injection gaps run through this. */
     void advance(Cycle cycles);
 
     /** Run until every thread halted or max_cycles elapse. */
@@ -448,13 +438,6 @@ class Core
     void collectCandidatesWakeup();
     /** Issue scanScratch_ against the port/width limits. */
     void issueCandidates();
-
-    /** Earliest cycle > cycle_ at which any stage can make progress,
-     *  or kNoEvent when nothing is scheduled. */
-    Cycle nextEventCycle() const;
-    /** Jump cycle_ to min(nextEventCycle() - 1, limit); both cycle_
-     *  and stats_.cycles advance by the skip. */
-    void fastForward(Cycle limit);
 
     /** Try to commit the head of one thread; true if it retired. */
     bool tryCommitHead(unsigned tid);

@@ -65,9 +65,8 @@ struct CoreParams
     /**
      * Issue-stage mode. False (default): producer-indexed wakeup — a
      * per-preg wake matrix plus per-thread ready pools feed the issue
-     * stage, and idle cycles fast-forward to the next scheduled event.
-     * True: the legacy per-cycle readiness scan over the whole issue
-     * queue, kept compiled in as the equivalence oracle — candidate
+     * stage. True: the legacy per-cycle readiness scan over the whole
+     * issue queue, kept compiled in as the equivalence oracle — candidate
      * sets are produced in identical seq order either way, so every
      * architectural outcome and classification is bit-identical
      * (tests/test_fuzz_equivalence.cc pins it). Defaults from the

@@ -345,6 +345,10 @@ TEST(Chaos, DeadFleetDegradesToInProcessIdentically)
     EXPECT_FALSE(r.partial);
     EXPECT_TRUE(coord.stats().degraded);
     EXPECT_EQ(fileBytes(refJournal), fileBytes(journal));
+    // run() stopped listening: a late worker is refused at once rather
+    // than queued in a backlog nobody accepts from.
+    std::string error;
+    EXPECT_LT(dist::connectTo(coord.endpoint(), error), 0);
     std::remove(refJournal.c_str());
     std::remove(journal.c_str());
 }

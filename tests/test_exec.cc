@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -164,6 +166,34 @@ TEST(ThreadPool, OneShotHelper)
     EXPECT_EQ(sum.load(), 999u * 1000u / 2);
 }
 
+TEST(ThreadPool, NestedPoolIndexesItsCallerAsZero)
+{
+    // Each outer index waits until all four outer threads hold one, so
+    // outer workers 1..3 — not just the caller — run the inner pools.
+    exec::ThreadPool outer(4);
+    std::latch all_in(4);
+    std::vector<unsigned> outer_index(4);
+    std::atomic<unsigned> bad{0};
+    outer.parallelFor(4, [&](u64 k) {
+        all_in.arrive_and_wait();
+        const unsigned mine = exec::ThreadPool::currentWorker();
+        outer_index[k] = mine;
+        for (unsigned inner_size : {1u, 2u}) {
+            exec::ThreadPool inner(inner_size);
+            inner.parallelFor(16, [&](u64) {
+                if (exec::ThreadPool::currentWorker() >= inner_size)
+                    bad.fetch_add(1);
+            });
+            if (exec::ThreadPool::currentWorker() != mine)
+                bad.fetch_add(1);
+        }
+    });
+    EXPECT_EQ(bad.load(), 0u);
+    std::sort(outer_index.begin(), outer_index.end());
+    EXPECT_EQ(outer_index, (std::vector<unsigned>{0, 1, 2, 3}));
+    EXPECT_EQ(exec::ThreadPool::currentWorker(), 0u);
+}
+
 TEST(ProgressMeter, CountsConcurrentTicks)
 {
     exec::ProgressMeter meter("test", 5000, /*interval_ms=*/1u << 30);
@@ -189,6 +219,32 @@ TEST(CampaignParallel, BitIdenticalFor1And4Threads)
     cfg.threads = 4;
     auto parallel = fault::runCampaign(fhParams(), &program, cfg);
     expectIdentical(serial, parallel);
+}
+
+TEST(CampaignParallel, NestedInOuterPoolWorkerMatchesSerial)
+{
+    // The paper harnesses split threads between scheme cells (outer
+    // pool) and each cell's campaign (inner pool); a campaign on any
+    // outer worker, at any inner size, must equal the serial run.
+    auto program = prog();
+    fault::CampaignConfig cfg;
+    cfg.injections = 16;
+    cfg.window = 300;
+    cfg.seed = 31;
+    cfg.threads = 1;
+    const auto serial = fault::runCampaign(fhParams(), &program, cfg);
+
+    exec::ThreadPool outer(4);
+    std::latch all_in(4);
+    std::vector<fault::CampaignResult> nested(4);
+    outer.parallelFor(4, [&](u64 k) {
+        all_in.arrive_and_wait();
+        fault::CampaignConfig inner = cfg;
+        inner.threads = k % 2 ? 2 : 1;
+        nested[k] = fault::runCampaign(fhParams(), &program, inner);
+    });
+    for (const fault::CampaignResult &r : nested)
+        expectIdentical(serial, r);
 }
 
 TEST(CampaignParallel, BitIdenticalWithoutDetector)

@@ -440,13 +440,7 @@ INSTANTIATE_TEST_SUITE_P(PoolWidths, ScanOracleEquivalence,
 namespace
 {
 
-struct EarlyStopCase
-{
-    u64 seed;
-    bool goldenFork;
-};
-
-class EarlyStopEquivalence : public testing::TestWithParam<EarlyStopCase>
+class EarlyStopEquivalence : public testing::TestWithParam<u64>
 {
 };
 
@@ -460,14 +454,12 @@ class EarlyStopEquivalence : public testing::TestWithParam<EarlyStopCase>
  * over random programs with early stop forced on and off: every
  * classification counter, the SDC bins, and the per-stratum profile
  * rows must be identical. Only the earlyTerminated diagnostic (and the
- * trials' exit cycles, which no counter reads) may differ. Runs in
- * both golden modes so the forked-golden and checkpoint-ledger arming
- * conditions are each exercised.
+ * trials' exit cycles, which no counter reads) may differ.
  */
 TEST_P(EarlyStopEquivalence, ClassificationIdentical)
 {
-    const auto &c = GetParam();
-    Program prog = randomProgram(c.seed, 100'000);
+    const u64 seed = GetParam();
+    Program prog = randomProgram(seed, 100'000);
 
     pipeline::CoreParams params;
     params.detector = filters::DetectorParams::faultHound();
@@ -475,9 +467,8 @@ TEST_P(EarlyStopEquivalence, ClassificationIdentical)
     fault::CampaignConfig cfg;
     cfg.injections = 80;
     cfg.window = 200;
-    cfg.seed = c.seed;
+    cfg.seed = seed;
     cfg.threads = 2;
-    cfg.forceGoldenFork = c.goldenFork;
 
     cfg.earlyStop = true;
     const fault::CampaignResult on =
@@ -522,10 +513,7 @@ TEST_P(EarlyStopEquivalence, ClassificationIdentical)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Campaigns, EarlyStopEquivalence,
-    testing::Values(EarlyStopCase{7, false}, EarlyStopCase{7, true},
-                    EarlyStopCase{19, false}),
-    [](const testing::TestParamInfo<EarlyStopCase> &i) {
-        return "seed" + std::to_string(i.param.seed) +
-               (i.param.goldenFork ? "_forked" : "_ledger");
+    Campaigns, EarlyStopEquivalence, testing::Values(u64{7}, u64{19}),
+    [](const testing::TestParamInfo<u64> &i) {
+        return "seed" + std::to_string(i.param);
     });

@@ -343,7 +343,6 @@ TEST(CampaignSpec, RoundTrip)
     spec.campaign.window = 456;
     spec.campaign.seed = 789;
     spec.campaign.mix.renameFrac = 0.25;
-    spec.campaign.forceGoldenFork = true;
     spec.campaign.trialTimeoutMs = 1500;
     spec.campaign.earlyStop = false;
     spec.campaign.ciTarget = 0.015625;
@@ -363,7 +362,6 @@ TEST(CampaignSpec, RoundTrip)
     EXPECT_EQ(out.campaign.window, 456u);
     EXPECT_EQ(out.campaign.seed, 789u);
     EXPECT_EQ(out.campaign.mix.renameFrac, 0.25);
-    EXPECT_TRUE(out.campaign.forceGoldenFork);
     EXPECT_EQ(out.campaign.trialTimeoutMs, 1500u);
     EXPECT_FALSE(out.campaign.earlyStop);
     EXPECT_EQ(out.campaign.ciTarget, 0.015625);
@@ -380,6 +378,12 @@ TEST(CampaignSpec, RejectsUnknownKeysAndBadNames)
     EXPECT_FALSE(CampaignSpec::decode(
         spec.encode() + "future_knob = 1\n", out, error));
     EXPECT_NE(error.find("future_knob"), std::string::npos);
+    // A retired key is refused too: a spec from a peer that still
+    // sends the removed golden-fork switch must not run with it
+    // silently ignored.
+    EXPECT_FALSE(CampaignSpec::decode(
+        spec.encode() + "golden_fork = 0\n", out, error));
+    EXPECT_NE(error.find("unknown spec key"), std::string::npos);
 
     spec.bench = "no-such-bench";
     EXPECT_FALSE(CampaignSpec::decode(spec.encode(), out, error));

@@ -5,7 +5,8 @@
  * kill-at-trial-K → resume → bit-identical-continuation contract at 1
  * and 4 worker threads, the hung-fork diagnostics (forkMaxCycles on an
  * always-looping program, the GoldenLedger forceFinalizeAll hung-master
- * drain), and the wall-clock watchdog.
+ * drain), the wall-clock watchdog, and the refusal of a program the
+ * golden ledger cannot serve.
  */
 
 #include <gtest/gtest.h>
@@ -86,6 +87,37 @@ spinProg()
     return p;
 }
 
+/** Both SMT contexts on one data segment: no thread owns a segment. */
+isa::Program
+sharedSegmentProg()
+{
+    isa::ProgramBuilder b("shared-segment");
+    b.addSegment(0x20000000, 4096);
+    b.emit(isa::makeLi(2, 0));
+    b.emit(isa::makeHalt());
+    isa::Program p = b.take();
+    p.threadBases = {0x20000000, 0x20000000};
+    return p;
+}
+
+/** One SMT context that stores into the segment it does not own. */
+isa::Program
+unownedWriterProg()
+{
+    isa::ProgramBuilder b("unowned-writer");
+    b.addSegment(0x20000000, 4096);
+    b.addSegment(0x20010000, 4096);
+    b.emit(isa::makeLi(2, 0x20010000));
+    b.emit(isa::makeLi(3, 1));
+    const u32 loop = b.here();
+    b.emit(isa::makeSt(2, 3, 0));
+    b.emit(isa::makeRRI(isa::Op::Addi, 3, 3, 1));
+    b.emit(isa::makeJmp(loop));
+    isa::Program p = b.take();
+    p.threadBases = {0x20000000, 0x20010000};
+    return p;
+}
+
 /** A journal path under the test temp dir, fresh per call site. */
 std::string
 journalPath(const std::string &name)
@@ -130,27 +162,25 @@ baseConfig()
 }
 
 /**
- * The resume-determinism contract (at the given worker-thread count,
- * in either golden mode): killing a journaled campaign after K
- * executed trials and rerunning it with the same configuration yields
- * the exact counters of the uninterrupted reference run.
+ * The resume-determinism contract (at the given worker-thread count):
+ * killing a journaled campaign after K executed trials and rerunning
+ * it with the same configuration yields the exact counters of the
+ * uninterrupted reference run.
  */
 void
-checkResume(unsigned threads, bool golden_fork)
+checkResume(unsigned threads)
 {
     auto program = prog();
     auto params = fhParams();
 
     fault::CampaignConfig cfg = baseConfig();
     cfg.threads = threads;
-    cfg.forceGoldenFork = golden_fork;
     const auto reference = fault::runCampaign(params, &program, cfg);
     ASSERT_EQ(reference.injected, cfg.injections);
     EXPECT_FALSE(reference.partial);
 
-    cfg.journalPath = journalPath(
-        "resume_t" + std::to_string(threads) +
-        (golden_fork ? "_gf" : "_ledger") + ".fhj");
+    cfg.journalPath =
+        journalPath("resume_t" + std::to_string(threads) + ".fhj");
     cfg.stopAfterTrials = 10; // simulated SIGINT after 10 trials
     const auto interrupted = fault::runCampaign(params, &program, cfg);
     EXPECT_TRUE(interrupted.partial);
@@ -259,19 +289,33 @@ TEST(TrialIsolationDeathTest, StrictModeAbortsCampaignOnTrialPanic)
                  "panic: campaign debug hook");
 }
 
-TEST(Journal, ResumeBitIdenticalLedgerSerial) { checkResume(1, false); }
-
-TEST(Journal, ResumeBitIdenticalLedgerParallel) { checkResume(4, false); }
-
-TEST(Journal, ResumeBitIdenticalGoldenForkSerial)
+TEST(LedgerLayoutDeathTest, CampaignRefusesThreadsSharingASegment)
 {
-    checkResume(1, true);
+    // The golden ledger needs a segment per SMT thread; a program
+    // without one is refused by name instead of run another way.
+    isa::Program p = sharedSegmentProg();
+    EXPECT_DEATH(fault::runCampaign(fhParams(), &p, baseConfig()),
+                 "program 'shared-segment'");
 }
 
-TEST(Journal, ResumeBitIdenticalGoldenForkParallel)
+TEST(LedgerLayoutDeathTest, CampaignRefusesWritesToAnUnownedSegment)
 {
-    checkResume(4, true);
+    // At 1 SMT thread the second segment has no owner; the ledger
+    // assumes a fault-free run never writes it, and says so when a
+    // program breaks that instead of classifying against a stale
+    // digest.
+    isa::Program p = unownedWriterProg();
+    pipeline::CoreParams params = fhParams();
+    params.threads = 1;
+    fault::CampaignConfig cfg = baseConfig();
+    cfg.injections = 2;
+    EXPECT_DEATH(fault::runCampaign(params, &p, cfg),
+                 "no SMT thread owns");
 }
+
+TEST(Journal, ResumeBitIdenticalLedgerSerial) { checkResume(1); }
+
+TEST(Journal, ResumeBitIdenticalLedgerParallel) { checkResume(4); }
 
 TEST(Journal, CompletedJournalShortCircuitsTheCampaign)
 {
@@ -362,14 +406,6 @@ TEST(HungForks, CampaignCountsHungForksWithoutReclassifying)
     cfg.threads = 4;
     const auto parallel = fault::runCampaign(params, &program, cfg);
     expectIdentical(serial, parallel);
-
-    // The legacy golden-fork loop hits its own drain-free path with
-    // the same hang accounting.
-    cfg.forceGoldenFork = true;
-    cfg.threads = 1;
-    const auto forked = fault::runCampaign(params, &program, cfg);
-    EXPECT_EQ(forked.injected, cfg.injections);
-    EXPECT_GT(forked.hungBare, 0u);
 }
 
 TEST(Watchdog, TimeoutClassifiesRunawayTrialsAsErrors)

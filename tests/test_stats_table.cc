@@ -1,90 +1,16 @@
 /**
  * @file
- * stats:: counters/accumulators/histograms/groups and the TextTable
- * renderer used by the benchmark harnesses.
+ * The TextTable renderer used by the benchmark harnesses.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
-#include "sim/stats.hh"
 #include "sim/text_table.hh"
 
 using namespace fh;
-using namespace fh::stats;
-
-TEST(Counter, IncrementAndAdd)
-{
-    Counter c;
-    ++c;
-    c += 5;
-    EXPECT_EQ(c.value(), 6u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Accumulator, TracksMeanMinMax)
-{
-    Accumulator a;
-    EXPECT_EQ(a.mean(), 0.0);
-    a.sample(2.0);
-    a.sample(4.0);
-    a.sample(9.0);
-    EXPECT_EQ(a.count(), 3u);
-    EXPECT_DOUBLE_EQ(a.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(a.min(), 2.0);
-    EXPECT_DOUBLE_EQ(a.max(), 9.0);
-}
-
-TEST(Histogram, BucketsAndClamping)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.sample(0.5);
-    h.sample(3.0);
-    h.sample(9.9);
-    h.sample(-4.0); // clamps into first bucket
-    h.sample(40.0); // clamps into last bucket
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_EQ(h.buckets()[0], 2u);
-    EXPECT_EQ(h.buckets()[1], 1u);
-    EXPECT_EQ(h.buckets()[4], 2u);
-    EXPECT_DOUBLE_EQ(h.bucketLo(1), 2.0);
-    EXPECT_DOUBLE_EQ(h.bucketHi(1), 4.0);
-}
-
-TEST(Histogram, WeightedSamples)
-{
-    Histogram h(0.0, 4.0, 2);
-    h.sample(1.0, 7);
-    EXPECT_EQ(h.total(), 7u);
-    EXPECT_EQ(h.buckets()[0], 7u);
-}
-
-TEST(Group, CountersCreatedOnFirstUseAndMerged)
-{
-    Group a("core0");
-    ++a.counter("commits");
-    a.counter("commits") += 2;
-    EXPECT_EQ(a.get("commits"), 3u);
-    EXPECT_EQ(a.get("missing"), 0u);
-
-    Group b("core1");
-    b.counter("commits") += 10;
-    b.counter("loads") += 4;
-    a.merge(b);
-    EXPECT_EQ(a.get("commits"), 13u);
-    EXPECT_EQ(a.get("loads"), 4u);
-}
-
-TEST(Group, DumpIsPrefixed)
-{
-    Group g("fh");
-    ++g.counter("x");
-    std::ostringstream os;
-    g.dump(os);
-    EXPECT_NE(os.str().find("fh.x 1"), std::string::npos);
-}
 
 TEST(TextTable, AlignsColumns)
 {
