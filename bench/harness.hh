@@ -1,32 +1,27 @@
 /**
  * @file
  * Shared helpers for the experiment harnesses (one binary per paper
- * table/figure). Every harness honors these environment knobs:
+ * table/figure). Every harness honors these environment knobs, read
+ * with the FH_* readers of sim/config.hh: unset or empty gives the
+ * default, and a malformed value exits naming the variable.
  *
- *   FH_BENCH       run only the named benchmark (default: all 14)
+ *   FH_BENCH       run only the named benchmark (default: all 14; an
+ *                  unknown name exits listing the valid ones)
  *   FH_INSTS       instruction budget of timing runs
  *   FH_INJECTIONS  fault injections per campaign
  *   FH_WINDOW      run-window length (instructions, paper: 1000)
  *   FH_SEED        master seed
  *   FH_THREADS     host worker threads (default: all hardware
  *                  threads; results are bit-identical for any value)
- *   FH_JOURNAL     trial-journal path; an interrupted campaign rerun
- *                  with the same config resumes from the journal
- *                  (single-campaign harnesses only — harnesses that
- *                  run many campaign cells would contend for the file)
  *   FH_TRIAL_TIMEOUT_MS  per-trial wall-clock budget; overruns are
  *                  isolated and counted as trial errors
- *   FH_EARLY_STOP  set to 0 to disable bare-fork early termination on
- *                  provable fault erasure (default 1; classification
- *                  is identical either way)
  *   FH_CI_TARGET   adaptive stop: pooled SDC-rate Wilson CI
  *                  half-width target (default 0 = fixed-count)
  *   FH_CI_WAVE     adaptive stop wave size in trials (default 64)
- *   FH_DIST_WORKERS  bench_campaign_throughput only: add a row run
- *                  through the distributed fabric with this many
- *                  forked worker processes (coordinator in-process,
- *                  loopback socket) — measures dispatch overhead and
- *                  re-checks bit-identical classification
+ *
+ * The library's own defaults read FH_EARLY_STOP (0/false/no/off
+ * disables bare-fork early termination; classification is identical
+ * either way) and FH_SCAN_ISSUE, so those reach every harness too.
  *
  * The campaign-heavy harnesses additionally parallelize across their
  * independent scheme/size/benchmark cells, splitting the FH_THREADS
@@ -38,6 +33,7 @@
 #define FH_BENCH_HARNESS_HH
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -46,32 +42,12 @@
 #include "fault/campaign.hh"
 #include "filters/detector.hh"
 #include "pipeline/core.hh"
+#include "sim/config.hh"
 #include "sim/text_table.hh"
 #include "workload/workload.hh"
 
 namespace fh::bench
 {
-
-inline u64
-envU64(const char *name, u64 def)
-{
-    const char *v = std::getenv(name);
-    return v ? std::strtoull(v, nullptr, 0) : def;
-}
-
-inline std::string
-envStr(const char *name, const std::string &def)
-{
-    const char *v = std::getenv(name);
-    return v ? v : def;
-}
-
-inline double
-envDouble(const char *name, double def)
-{
-    const char *v = std::getenv(name);
-    return v ? std::strtod(v, nullptr) : def;
-}
 
 /** Worker-thread budget from FH_THREADS (unset/0 = all hardware). */
 inline unsigned
@@ -103,16 +79,21 @@ splitThreads(u64 cells)
     return split;
 }
 
-/** Benchmarks selected by FH_BENCH (default: all of Table 1). */
+/** Benchmarks selected by FH_BENCH (default: all of Table 1); a
+ *  name that matches none exits listing the valid ones. */
 inline std::vector<workload::BenchmarkInfo>
 selectedBenchmarks()
 {
-    const std::string pick = envStr("FH_BENCH", "");
-    std::vector<workload::BenchmarkInfo> out;
+    const std::string pick = envString("FH_BENCH");
+    if (pick.empty())
+        return workload::all();
+    if (const workload::BenchmarkInfo *info = workload::find(pick))
+        return {*info};
+    std::fprintf(stderr, "unknown FH_BENCH '%s'; pick one of:\n",
+                 pick.c_str());
     for (const auto &info : workload::all())
-        if (pick.empty() || info.name == pick)
-            out.push_back(info);
-    return out;
+        std::fprintf(stderr, "  %s\n", info.name.c_str());
+    std::exit(1);
 }
 
 /** Build a benchmark program for the given SMT context count. */
@@ -227,22 +208,8 @@ campaignConfig()
     cfg.seed = envU64("FH_SEED", 1);
     cfg.threads = static_cast<unsigned>(envU64("FH_THREADS", 0));
     cfg.trialTimeoutMs = envU64("FH_TRIAL_TIMEOUT_MS", 0);
-    cfg.earlyStop = envU64("FH_EARLY_STOP", 1) != 0;
     cfg.ciTarget = envDouble("FH_CI_TARGET", 0.0);
     cfg.ciWave = envU64("FH_CI_WAVE", 64);
-    return cfg;
-}
-
-/**
- * campaignConfig() plus FH_JOURNAL, for harnesses that run exactly
- * one campaign (the journal is keyed to one config; concurrent cells
- * would clobber each other's files).
- */
-inline fault::CampaignConfig
-campaignConfigJournaled()
-{
-    fault::CampaignConfig cfg = campaignConfig();
-    cfg.journalPath = envStr("FH_JOURNAL", "");
     return cfg;
 }
 

@@ -12,14 +12,14 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "exec/interrupt.hh"
 #include "exec/progress.hh"
 #include "exec/thread_pool.hh"
 #include "fault/campaign.hh"
 #include "fault/campaign_json.hh"
+#include "sim/config.hh"
+#include "sim/logging.hh"
 #include "workload/workload.hh"
 
 using namespace fh;
@@ -31,9 +31,7 @@ main(int argc, char **argv)
     // (threads: host workers for the campaign forks; also settable
     //  via FH_THREADS; 0/unset = all hardware threads)
     const char *bench_name = argc > 1 ? argv[1] : "400.perl";
-    const char *env = std::getenv("FH_INJECTIONS");
-    const char *env_threads = std::getenv("FH_THREADS");
-    const char *env_json = std::getenv("FH_JSON");
+    const std::string json = envString("FH_JSON");
 
     workload::WorkloadSpec spec;
     spec.maxThreads = 2;
@@ -43,20 +41,18 @@ main(int argc, char **argv)
     params.detector = filters::DetectorParams::faultHound();
 
     fault::CampaignConfig cfg;
-    cfg.injections = env ? std::strtoull(env, nullptr, 0) : 200;
+    cfg.injections = envU64("FH_INJECTIONS", 200);
     cfg.window = 1000; // paper: 1000-instruction run window
-    cfg.threads = static_cast<unsigned>(
-        env_threads ? std::strtoul(env_threads, nullptr, 0) : 0);
+    u64 threads = envU64("FH_THREADS", 0);
+    if (argc > 2 && !parseU64(argv[2], threads))
+        fh_fatal("threads argument '%s' is not an unsigned integer",
+                 argv[2]);
+    cfg.threads = static_cast<unsigned>(threads);
     // Resilience knobs: FH_JOURNAL names a trial journal (rerun with
     // the same config to resume an interrupted campaign), and
     // FH_TRIAL_TIMEOUT_MS bounds each trial's wall time.
-    if (const char *j = std::getenv("FH_JOURNAL"))
-        cfg.journalPath = j;
-    if (const char *t = std::getenv("FH_TRIAL_TIMEOUT_MS"))
-        cfg.trialTimeoutMs = std::strtoull(t, nullptr, 0);
-    if (argc > 2)
-        cfg.threads =
-            static_cast<unsigned>(std::strtoul(argv[2], nullptr, 0));
+    cfg.journalPath = envString("FH_JOURNAL");
+    cfg.trialTimeoutMs = envU64("FH_TRIAL_TIMEOUT_MS", 0);
 
     std::printf("injecting %llu single-bit faults into %s "
                 "(rename 20%% / LSQ 8%% / datapath+RF 72%%) "
@@ -77,11 +73,10 @@ main(int argc, char **argv)
             .count();
     meter.finish();
 
-    if (env_json) {
-        fault::writeCampaignJson(env_json, bench_name,
+    if (!json.empty())
+        fault::writeCampaignJson(json, bench_name,
                                  exec::resolveThreads(cfg.threads), cfg,
                                  r, seconds);
-    }
 
     auto pct = [&](u64 n, u64 d) {
         return d ? 100.0 * static_cast<double>(n) / d : 0.0;

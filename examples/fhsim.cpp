@@ -112,7 +112,7 @@ declareAllKeys(const Config &cfg)
     cfg.declareKey("ci_wave",
                    "adaptive stop wave size in trials (default 64)");
     cfg.declareKey("json",
-                   "write the FH_JSON campaign record here "
+                   "write the JSON campaign record here "
                    "(\"-\" = stdout)");
     // Distributed fabric.
     cfg.declareKey("listen",
@@ -125,10 +125,9 @@ declareAllKeys(const Config &cfg)
                    "trials per range lease; 0 = auto (~4 per worker)");
     cfg.declareKey("lease_timeout_ms",
                    "heartbeat silence before a worker's lease is "
-                   "re-issued (default 10000; env FH_LEASE_TIMEOUT_MS)");
+                   "re-issued (default 10000)");
     cfg.declareKey("heartbeat_ms",
-                   "worker liveness heartbeat period (default 300; "
-                   "env FH_HEARTBEAT_MS)");
+                   "worker liveness heartbeat period (default 300)");
     cfg.declareKey("worker_jobs",
                    "dispatch mode: fork-execution threads per worker "
                    "process (default 1)");
@@ -220,42 +219,25 @@ specFromConfig(const Config &cfg)
     return spec;
 }
 
-/** Env-mirrored u64 default: the config key wins, then the env var,
- *  then the built-in — so chaos/slow CI hosts can retune the fabric's
- *  timing knobs fleet-wide without touching every invocation. */
-u64
-u64FromEnv(const char *env, u64 def)
+/** Coordinator options shared by dispatch and serve; false (after
+ *  printing why) on a malformed listen endpoint. */
+bool
+coordinatorOptions(const Config &cfg, unsigned workers,
+                   exec::ProgressMeter &meter,
+                   dist::CoordinatorOptions &copts)
 {
-    const char *v = std::getenv(env);
-    if (!v || !*v)
-        return def;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0') {
-        fh_warn("ignoring malformed %s='%s'", env, v);
-        return def;
+    std::string error;
+    if (!dist::parseEndpoint(cfg.getString("listen", "127.0.0.1:0"),
+                             copts.listen, error)) {
+        std::fprintf(stderr, "fhsim: %s\n", error.c_str());
+        return false;
     }
-    return parsed;
-}
-
-std::string
-journalPathFromConfig(const Config &cfg)
-{
-    std::string path = cfg.getString("journal", "");
-    if (const char *env = std::getenv("FH_JOURNAL");
-        env && *env && path.empty())
-        path = env;
-    return path;
-}
-
-std::string
-jsonPathFromConfig(const Config &cfg)
-{
-    std::string path = cfg.getString("json", "");
-    if (const char *env = std::getenv("FH_JSON");
-        env && *env && path.empty())
-        path = env;
-    return path;
+    copts.workers = workers;
+    copts.chunk = cfg.getU64("chunk", 0);
+    copts.leaseTimeoutMs =
+        cfg.getU64("lease_timeout_ms", copts.leaseTimeoutMs);
+    copts.progress = &meter;
+    return true;
 }
 
 /** The stdout campaign block + FH_JSON record + exit code, shared by
@@ -387,7 +369,7 @@ emitCampaignOutputs(const Config &cfg, const std::string &bench,
                          "SDC(s)\n",
                          ull(pcs[i].first), ull(pcs[i].second));
     }
-    const std::string json = jsonPathFromConfig(cfg);
+    const std::string json = cfg.getString("json", "");
     if (!json.empty())
         fault::writeCampaignJson(json, bench, workers, ccfg, r,
                                  seconds, fabric);
@@ -408,7 +390,7 @@ runCoordinator(const Config &cfg, dist::Coordinator &coord,
                const dist::CampaignSpec &spec, unsigned workers)
 {
     fault::CampaignConfig ccfg = spec.campaign;
-    ccfg.journalPath = journalPathFromConfig(cfg);
+    ccfg.journalPath = cfg.getString("journal", "");
     std::unique_ptr<fault::TrialJournal> journal;
     if (!ccfg.journalPath.empty()) {
         journal = std::make_unique<fault::TrialJournal>(
@@ -477,19 +459,10 @@ cmdDispatch(int argc, char **argv)
                               spec.campaign.injections);
 
     dist::CoordinatorOptions copts;
-    copts.workers = jobs;
-    copts.chunk = cfg.getU64("chunk", 0);
-    copts.leaseTimeoutMs = cfg.getU64(
-        "lease_timeout_ms", u64FromEnv("FH_LEASE_TIMEOUT_MS", 10000));
-    copts.progress = &meter;
-    std::string error;
-    if (!dist::parseEndpoint(cfg.getString("listen", "127.0.0.1:0"),
-                             copts.listen, error)) {
-        std::fprintf(stderr, "fhsim: %s\n", error.c_str());
+    if (!coordinatorOptions(cfg, jobs, meter, copts))
         return 1;
-    }
-    const u64 heartbeatMs = cfg.getU64(
-        "heartbeat_ms", u64FromEnv("FH_HEARTBEAT_MS", 300));
+    const u64 heartbeatMs =
+        cfg.getU64("heartbeat_ms", dist::WorkerOptions{}.heartbeatMs);
     dist::Coordinator coord(spec, copts);
 
     const std::string exe = dist::selfExe();
@@ -552,20 +525,11 @@ cmdServe(int argc, char **argv)
     exec::ProgressMeter meter("fhsim serve",
                               spec.campaign.injections);
 
-    dist::CoordinatorOptions copts;
-    std::string error;
-    if (!dist::parseEndpoint(
-            cfg.getString("listen", "127.0.0.1:0"), copts.listen,
-            error)) {
-        std::fprintf(stderr, "fhsim: %s\n", error.c_str());
-        return 1;
-    }
-    copts.workers = static_cast<unsigned>(
+    const unsigned workers = static_cast<unsigned>(
         std::max<u64>(1, cfg.getU64("workers", 1)));
-    copts.chunk = cfg.getU64("chunk", 0);
-    copts.leaseTimeoutMs = cfg.getU64(
-        "lease_timeout_ms", u64FromEnv("FH_LEASE_TIMEOUT_MS", 10000));
-    copts.progress = &meter;
+    dist::CoordinatorOptions copts;
+    if (!coordinatorOptions(cfg, workers, meter, copts))
+        return 1;
     dist::Coordinator coord(spec, copts);
     std::fprintf(stderr,
                  "fhsim: serving %llu injections on %s; start "
@@ -602,15 +566,15 @@ cmdWorker(int argc, char **argv)
         return 1;
     }
     wopts.jobs = static_cast<unsigned>(cfg.getU64("jobs", 1));
-    wopts.heartbeatMs = cfg.getU64(
-        "heartbeat_ms", u64FromEnv("FH_HEARTBEAT_MS", 300));
+    wopts.heartbeatMs = cfg.getU64("heartbeat_ms", wopts.heartbeatMs);
     return dist::runWorker(wopts);
 }
 
 int
 runSim(const Config &cfg)
 {
-    const std::string bench = cfg.getString("bench", "400.perl");
+    const dist::CampaignSpec spec = specFromConfig(cfg);
+    const std::string &bench = spec.bench;
     if (!workload::find(bench)) {
         std::fprintf(stderr, "fhsim: unknown benchmark '%s'; pick "
                              "one of:\n",
@@ -619,30 +583,14 @@ runSim(const Config &cfg)
             std::fprintf(stderr, "  %s\n", info.name.c_str());
         return 1;
     }
-
-    workload::WorkloadSpec spec;
-    spec.maxThreads =
-        std::max<unsigned>(2, static_cast<unsigned>(
-                                  cfg.getU64("threads", 2)));
-    spec.seed = cfg.getU64("seed", 0x5eedULL);
-    isa::Program prog = workload::build(bench, spec);
-
-    pipeline::CoreParams params;
-    params.threads =
-        static_cast<unsigned>(cfg.getU64("threads", 2));
-    if (!dist::schemeByName(cfg.getString("scheme", "faulthound"),
-                            params.detector)) {
+    filters::DetectorParams preset;
+    if (!dist::schemeByName(spec.scheme, preset)) {
         std::fprintf(stderr, "fhsim: unknown scheme '%s'\n",
-                     cfg.getString("scheme", "").c_str());
+                     spec.scheme.c_str());
         return 1;
     }
-    params.detector.tcam.entries = static_cast<unsigned>(
-        cfg.getU64("tcam.entries", params.detector.tcam.entries));
-    params.detector.tcam.loosenThreshold =
-        static_cast<unsigned>(cfg.getU64(
-            "tcam.threshold", params.detector.tcam.loosenThreshold));
-    params.delayBufferSize = static_cast<unsigned>(
-        cfg.getU64("delay_buffer", params.delayBufferSize));
+    isa::Program prog = spec.buildProgram();
+    const pipeline::CoreParams params = spec.buildParams();
 
     const u64 insts = cfg.getU64("insts", 100000);
     std::fprintf(stderr,
@@ -664,10 +612,10 @@ runSim(const Config &cfg)
                 "energy.detector", e.detector);
 
     if (cfg.getBool("campaign", false)) {
-        fault::CampaignConfig ccfg = specFromConfig(cfg).campaign;
+        fault::CampaignConfig ccfg = spec.campaign;
         ccfg.threads =
             static_cast<unsigned>(cfg.getU64("jobs", 0));
-        ccfg.journalPath = journalPathFromConfig(cfg);
+        ccfg.journalPath = cfg.getString("journal", "");
         exec::installShutdownHandlers();
         exec::ProgressMeter meter("fhsim campaign", ccfg.injections);
         ccfg.progress = &meter;

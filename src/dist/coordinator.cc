@@ -542,17 +542,8 @@ Coordinator::run(fault::TrialJournal *journal)
                      std::chrono::duration_cast<
                          std::chrono::milliseconds>(now -
                                                     lastWorkerSeen)
-                         .count()) > opts_.noWorkerTimeoutMs) {
-            if (!opts_.degradeToLocal) {
-                fh_fatal("coordinator: no live workers for %llu ms "
-                         "with %llu trials outstanding",
-                         static_cast<unsigned long long>(
-                             opts_.noWorkerTimeoutMs),
-                         static_cast<unsigned long long>(
-                             effectiveEnd_ - mergedNext_));
-            }
+                         .count()) > opts_.noWorkerTimeoutMs)
             runDegradedTail(journal);
-        }
     }
 
     // Completion (or drained shutdown): release every worker.

@@ -60,8 +60,9 @@ struct CoordinatorOptions
      *  re-issued. Generous: heartbeats flow even while a worker
      *  grinds one slow trial, so silence really means hung/dead. */
     u64 leaseTimeoutMs = 10000;
-    /** Give up (fatal) after this long with work outstanding and not
-     *  a single live worker. */
+    /** After this long with work outstanding and not a single live
+     *  worker, run the rest in-process: bit-identical, but flagged in
+     *  DistStats::degraded and FH_JSON's "fabric" block. */
     u64 noWorkerTimeoutMs = 120000;
     exec::ProgressMeter *progress = nullptr; ///< ticked per merged trial
     /** Test hook: behave as if SIGTERM arrived once this many trials
@@ -74,13 +75,6 @@ struct CoordinatorOptions
      *  successful lease clears the strike count. */
     unsigned quarantineStrikes = 3;
     u64 quarantineCooloffMs = 2000;
-
-    /** When the whole fleet is dead past noWorkerTimeoutMs, execute
-     *  the remaining trials in-process (bit-identical — each trial is
-     *  a pure function of spec and index) instead of dying with work
-     *  outstanding. The result is flagged in DistStats::degraded and
-     *  FH_JSON's "fabric" block. false restores the old fatal. */
-    bool degradeToLocal = true;
 };
 
 struct DistStats

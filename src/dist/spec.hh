@@ -55,8 +55,8 @@ struct CampaignSpec
     /** Canonical key=value text (the Spec frame payload). */
     std::string encode() const;
 
-    /** Parse an encoded spec; false (with error) on malformed text,
-     *  unknown keys, or an unknown benchmark/scheme. */
+    /** Parse encode()'s text (a malformed value is fatal); false, with
+     *  error, on a bad line, unknown key, or unknown bench/scheme. */
     static bool decode(const std::string &text, CampaignSpec &out,
                        std::string &error);
 

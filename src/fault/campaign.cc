@@ -14,6 +14,7 @@
 #include "exec/thread_pool.hh"
 #include "fault/golden_ledger.hh"
 #include "fault/journal.hh"
+#include "sim/config.hh"
 #include "sim/error.hh"
 #include "sim/logging.hh"
 
@@ -23,10 +24,7 @@ namespace fh::fault
 bool
 CampaignConfig::envEarlyStop()
 {
-    static const bool on = [] {
-        const char *v = std::getenv("FH_EARLY_STOP");
-        return !v || !(v[0] == '0' && v[1] == '\0');
-    }();
+    static const bool on = envBool("FH_EARLY_STOP", true);
     return on;
 }
 

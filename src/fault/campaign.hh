@@ -79,7 +79,7 @@ struct CampaignConfig
     exec::ProgressMeter *progress = nullptr;
 
     /**
-     * Trial journal path (FH_JOURNAL in the bench harnesses,
+     * Trial journal path (FH_JOURNAL in fault_injection_campaign,
      * `journal=` in fhsim); empty = no journal. Completed trials are
      * appended (and flushed) in trial order; a restarted campaign
      * with the same configuration replays the journaled prefix
@@ -130,8 +130,8 @@ struct CampaignConfig
     bool earlyStop = envEarlyStop();
 
     /**
-     * FH_EARLY_STOP environment default for earlyStop (unset or any
-     * value but "0" = on). An env read, like FH_SCAN_ISSUE, so the
+     * FH_EARLY_STOP environment default for earlyStop (unset = on;
+     * read with fh::envBool). An env read, like FH_SCAN_ISSUE, so the
      * pinned-count and golden-ledger suites can be rerun with
      * early termination forced off as an equivalence oracle without
      * touching their configs.

@@ -1,9 +1,9 @@
 #include "pipeline/core.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "isa/exec.hh"
+#include "sim/config.hh"
 #include "sim/logging.hh"
 
 namespace fh::pipeline
@@ -30,10 +30,7 @@ constexpr u32 kWakeRowCap = 6;
 bool
 CoreParams::envScanIssue()
 {
-    static const bool scan = [] {
-        const char *v = std::getenv("FH_SCAN_ISSUE");
-        return v && v[0] == '1' && v[1] == '\0';
-    }();
+    static const bool scan = envBool("FH_SCAN_ISSUE", false);
     return scan;
 }
 

@@ -70,7 +70,7 @@ struct CoreParams
      * sets are produced in identical seq order either way, so every
      * architectural outcome and classification is bit-identical
      * (tests/test_fuzz_equivalence.cc pins it). Defaults from the
-     * FH_SCAN_ISSUE environment variable (=1 selects the scan).
+     * FH_SCAN_ISSUE environment variable (1/true/yes/on = scan).
      */
     bool scanIssue = envScanIssue();
     static bool envScanIssue();

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+#include "sim/logging.hh"
 
 namespace fh
 {
@@ -24,7 +27,80 @@ strip(const std::string &s)
     return s.substr(a, b - a);
 }
 
+/** Parse text with parse, or fail naming what (a key or variable). */
+template <typename T>
+T
+parseOrDie(const std::string &text,
+           bool (*parse)(const std::string &, T &),
+           const std::string &what)
+{
+    T out{};
+    if (!parse(text, out))
+        fh_fatal("malformed value %s='%s'", what.c_str(), text.c_str());
+    return out;
+}
+
 } // namespace
+
+bool
+parseU64(const std::string &text, u64 &out)
+{
+    // The leading digit refuses the space and sign strtoull would skip.
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtoull(text.c_str(), &end, 0);
+    return std::isdigit(static_cast<unsigned char>(text[0])) &&
+           errno != ERANGE && *end == '\0';
+}
+
+bool
+parseDouble(const std::string &text, double &out)
+{
+    char *end = nullptr;
+    out = std::strtod(text.c_str(), &end);
+    return !text.empty() &&
+           !std::isspace(static_cast<unsigned char>(text[0])) &&
+           *end == '\0';
+}
+
+bool
+parseBool(const std::string &text, bool &out)
+{
+    std::string v = text;
+    std::transform(v.begin(), v.end(), v.begin(), [](unsigned char c) {
+        return static_cast<char>(std::tolower(c));
+    });
+    out = v == "1" || v == "true" || v == "yes" || v == "on";
+    return out || v == "0" || v == "false" || v == "no" || v == "off";
+}
+
+std::string
+envString(const char *name)
+{
+    const char *v = std::getenv(name);
+    return v ? v : "";
+}
+
+u64
+envU64(const char *name, u64 def)
+{
+    const std::string v = envString(name);
+    return v.empty() ? def : parseOrDie(v, parseU64, name);
+}
+
+double
+envDouble(const char *name, double def)
+{
+    const std::string v = envString(name);
+    return v.empty() ? def : parseOrDie(v, parseDouble, name);
+}
+
+bool
+envBool(const char *name, bool def)
+{
+    const std::string v = envString(name);
+    return v.empty() ? def : parseOrDie(v, parseBool, name);
+}
 
 bool
 Config::parse(const std::string &text, std::string &error)
@@ -95,52 +171,28 @@ Config::getString(const std::string &key, const std::string &def) const
 u64
 Config::getU64(const std::string &key, u64 def) const
 {
-    declareKey(key);
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return def;
-    return std::strtoull(it->second.c_str(), nullptr, 0);
+    return has(key) ? parseOrDie(getString(key), parseU64, key) : def;
 }
 
 double
 Config::getDouble(const std::string &key, double def) const
 {
-    declareKey(key);
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return def;
-    return std::strtod(it->second.c_str(), nullptr);
+    return has(key) ? parseOrDie(getString(key), parseDouble, key) : def;
 }
 
 bool
 Config::getBool(const std::string &key, bool def) const
 {
-    declareKey(key);
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return def;
-    std::string v = it->second;
-    std::transform(v.begin(), v.end(), v.begin(), [](unsigned char c) {
-        return static_cast<char>(std::tolower(c));
-    });
-    if (v == "1" || v == "true" || v == "yes" || v == "on")
-        return true;
-    if (v == "0" || v == "false" || v == "no" || v == "off")
-        return false;
-    return def;
-}
-
-void
-Config::declareKey(const std::string &key) const
-{
-    declared_.emplace(key, std::string());
+    return has(key) ? parseOrDie(getString(key), parseBool, key) : def;
 }
 
 void
 Config::declareKey(const std::string &key,
                    const std::string &desc) const
 {
-    declared_[key] = desc;
+    std::string &doc = declared_[key];
+    if (!desc.empty())
+        doc = desc;
 }
 
 std::vector<std::pair<std::string, std::string>>

@@ -4,14 +4,14 @@
  * `section.key = value` with '#' comments, plus typed accessors with
  * defaults. Intentionally minimal — enough to configure CoreParams and
  * campaign settings from a file or command-line overrides without
- * pulling in a dependency.
+ * pulling in a dependency. The same full-token parsers back the FH_*
+ * environment readers, so keys and variables fail alike when malformed.
  */
 
 #ifndef FH_SIM_CONFIG_HH
 #define FH_SIM_CONFIG_HH
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -37,34 +37,26 @@ class Config
 
     bool has(const std::string &key) const;
 
+    /** Typed accessors: a missing key gives def; a malformed value
+     *  is fatal, naming the key. */
     std::string getString(const std::string &key,
                           const std::string &def = "") const;
     u64 getU64(const std::string &key, u64 def = 0) const;
     double getDouble(const std::string &key, double def = 0.0) const;
     bool getBool(const std::string &key, bool def = false) const;
 
-    const std::map<std::string, std::string> &entries() const
-    {
-        return values_;
-    }
-
     /**
      * Register a key a driver understands without reading it yet
      * (e.g. `injections`, consulted only when `campaign=true`). Every
      * typed accessor registers its key automatically, so drivers only
-     * declare keys they read conditionally.
-     */
-    void declareKey(const std::string &key) const;
-
-    /**
-     * Register a key together with a one-line description. The
-     * description feeds keyDocs(), from which a driver generates its
-     * help text — the registry that powers the typo check doubles as
-     * the single source of truth for what the driver understands, so
-     * help can never drift from the accepted option set.
+     * declare keys they read conditionally. A description feeds
+     * keyDocs(), from which a driver generates its help text — the
+     * registry that powers the typo check doubles as the single
+     * source of truth for what the driver understands, so help can
+     * never drift from the accepted option set.
      */
     void declareKey(const std::string &key,
-                    const std::string &desc) const;
+                    const std::string &desc = "") const;
 
     /**
      * Every declared key with its description (empty for keys
@@ -87,6 +79,22 @@ class Config
      *  because reading a value is logically const. */
     mutable std::map<std::string, std::string> declared_;
 };
+
+/**
+ * Full-token value parsers: false unless the whole text is one value
+ * (out is then unspecified). u64 is base 0, so `0x5eed` is valid, and
+ * takes no sign; bool is 1/true/yes/on or 0/false/no/off, any case.
+ */
+bool parseU64(const std::string &text, u64 &out);
+bool parseDouble(const std::string &text, double &out);
+bool parseBool(const std::string &text, bool &out);
+
+/** FH_* environment readers: an unset or empty variable gives def
+ *  (envString: ""); a malformed value is fatal, naming the variable. */
+std::string envString(const char *name);
+u64 envU64(const char *name, u64 def);
+double envDouble(const char *name, double def);
+bool envBool(const char *name, bool def);
 
 } // namespace fh
 

@@ -1,7 +1,6 @@
 #include "sim/error.hh"
 
-#include <cstdlib>
-#include <cstring>
+#include "sim/config.hh"
 
 namespace fh
 {
@@ -36,8 +35,7 @@ strictMode()
 {
     // Read per call, not cached: tests flip the knob with setenv, and
     // the lookup only happens on the (cold) panic path.
-    const char *v = std::getenv("FH_STRICT");
-    return v && *v && std::strcmp(v, "0") != 0;
+    return envBool("FH_STRICT", false);
 }
 
 } // namespace fh

@@ -1,13 +1,166 @@
 /**
  * @file
- * Config: the key=value parser behind the fhsim CLI.
+ * Config: the key=value parser behind the fhsim CLI, and the strict
+ * value parsers and FH_* environment readers it shares with the
+ * harnesses and the simulator's env defaults.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "sim/config.hh"
+#include "sim/error.hh"
 
 using namespace fh;
+
+namespace
+{
+
+/** Scoped environment override restoring the previous value on exit
+ *  (the readers under test see the real process environment). */
+class EnvOverride
+{
+  public:
+    EnvOverride(const char *name, const char *value) : name_(name)
+    {
+        const char *old = std::getenv(name);
+        had_ = old != nullptr;
+        if (had_)
+            old_ = old;
+        set(value);
+    }
+
+    ~EnvOverride()
+    {
+        if (had_)
+            setenv(name_, old_.c_str(), 1);
+        else
+            unsetenv(name_);
+    }
+
+    void set(const char *value) { setenv(name_, value, 1); }
+
+  private:
+    const char *name_;
+    bool had_ = false;
+    std::string old_;
+};
+
+} // namespace
+
+TEST(ConfigDeathTest, MalformedValueIsFatalNamingTheKey)
+{
+    Config cfg;
+    cfg.set("injections=2O");
+    cfg.set("ci_target=0.o1");
+    cfg.set("early_stop=maybe");
+    cfg.set("window=abc");
+    EXPECT_EXIT(cfg.getU64("injections"), testing::ExitedWithCode(1),
+                "injections='2O'");
+    EXPECT_EXIT(cfg.getDouble("ci_target"), testing::ExitedWithCode(1),
+                "ci_target='0.o1'");
+    EXPECT_EXIT(cfg.getBool("early_stop"), testing::ExitedWithCode(1),
+                "early_stop='maybe'");
+    EXPECT_EXIT(cfg.getU64("window", 1000), testing::ExitedWithCode(1),
+                "window='abc'");
+}
+
+TEST(ConfigDeathTest, MalformedEnvValueIsFatalNamingTheVariable)
+{
+    EXPECT_EXIT(
+        {
+            setenv("FH_INJECTIONS", "2O", 1);
+            envU64("FH_INJECTIONS", 120);
+        },
+        testing::ExitedWithCode(1), "FH_INJECTIONS='2O'");
+    EXPECT_EXIT(
+        {
+            setenv("FH_CI_TARGET", "0.o1", 1);
+            envDouble("FH_CI_TARGET", 0.0);
+        },
+        testing::ExitedWithCode(1), "FH_CI_TARGET='0.o1'");
+    EXPECT_EXIT(
+        {
+            setenv("FH_EARLY_STOP", "maybe", 1);
+            envBool("FH_EARLY_STOP", true);
+        },
+        testing::ExitedWithCode(1), "FH_EARLY_STOP='maybe'");
+}
+
+TEST(ConfigParse, NumbersMustBeTheWholeToken)
+{
+    u64 n = 0;
+    EXPECT_TRUE(parseU64("0x5eed", n));
+    EXPECT_EQ(n, 0x5eedu);
+    EXPECT_TRUE(parseU64("18446744073709551615", n));
+    EXPECT_EQ(n, ~u64{0});
+    EXPECT_TRUE(parseU64("010", n)); // base 0: leading 0 is octal
+    EXPECT_EQ(n, 8u);
+    for (const char *bad : {"", "2O", "abc", "-1", "+1", " 1", "1 ", "0x",
+                            "18446744073709551616"})
+        EXPECT_FALSE(parseU64(bad, n)) << "'" << bad << "'";
+
+    double d = 0.0;
+    EXPECT_TRUE(parseDouble("0.01", d));
+    EXPECT_DOUBLE_EQ(d, 0.01);
+    EXPECT_TRUE(parseDouble("-2.5e-1", d));
+    EXPECT_DOUBLE_EQ(d, -0.25);
+    for (const char *bad : {"", "0.o1", "abc", " 1", "1 ", "1.5x"})
+        EXPECT_FALSE(parseDouble(bad, d)) << "'" << bad << "'";
+}
+
+TEST(ConfigEnv, UnsetOrEmptyGivesTheDefault)
+{
+    EnvOverride env("FH_SEED", "");
+    EXPECT_EQ(envU64("FH_SEED", 7), 7u);
+    EXPECT_DOUBLE_EQ(envDouble("FH_SEED", 0.5), 0.5);
+    EXPECT_TRUE(envBool("FH_SEED", true));
+    EXPECT_EQ(envString("FH_SEED"), "");
+    unsetenv("FH_SEED");
+    EXPECT_EQ(envU64("FH_SEED", 7), 7u);
+    EXPECT_FALSE(envBool("FH_SEED", false));
+}
+
+TEST(ConfigEnv, ReadersParseTheFullToken)
+{
+    EnvOverride env("FH_SEED", "0x5eed");
+    EXPECT_EQ(envU64("FH_SEED", 1), 0x5eedu);
+    EXPECT_EQ(envString("FH_SEED"), "0x5eed");
+    env.set("0.013");
+    EXPECT_DOUBLE_EQ(envDouble("FH_SEED", 0.0), 0.013);
+}
+
+TEST(ConfigEnv, BoolReaderTakesTheConfigWords)
+{
+    // FH_EARLY_STOP, FH_SCAN_ISSUE and FH_STRICT all read through
+    // envBool, so each word means the same thing in every variable.
+    EnvOverride env("FH_EARLY_STOP", "false");
+    for (const char *word : {"false", "no", "off", "0", "FALSE", "Off"}) {
+        env.set(word);
+        EXPECT_FALSE(envBool("FH_EARLY_STOP", true)) << word;
+    }
+    for (const char *word : {"true", "yes", "on", "1", "TRUE", "Yes"}) {
+        env.set(word);
+        EXPECT_TRUE(envBool("FH_EARLY_STOP", false)) << word;
+    }
+    bool b = false;
+    for (const char *bad : {"", "maybe", "2", "truee", " on"})
+        EXPECT_FALSE(parseBool(bad, b)) << "'" << bad << "'";
+}
+
+TEST(ConfigEnv, StrictModeReadsFalseAsOff)
+{
+    EnvOverride env("FH_STRICT", "false");
+    EXPECT_FALSE(strictMode());
+    env.set("off");
+    EXPECT_FALSE(strictMode());
+    env.set("yes");
+    EXPECT_TRUE(strictMode());
+    env.set("");
+    EXPECT_FALSE(strictMode());
+}
 
 TEST(Config, ParsesKeysValuesAndComments)
 {

@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <optional>
+#include <ostream>
+#include <string>
 
 #include "exec/thread_pool.hh"
 #include "fault/campaign.hh"
@@ -19,6 +22,7 @@
 #include "isa/functional.hh"
 #include "pipeline/core.hh"
 #include "sim/rng.hh"
+#include "workload/workload.hh"
 
 using namespace fh;
 using namespace fh::isa;
@@ -440,7 +444,46 @@ INSTANTIATE_TEST_SUITE_P(PoolWidths, ScanOracleEquivalence,
 namespace
 {
 
-class EarlyStopEquivalence : public testing::TestWithParam<u64>
+/** One early-stop identity input: a labelled program and the
+ *  campaign shape run on it. */
+struct EarlyStopCase
+{
+    std::string label;
+    std::function<Program()> program;
+    u64 injections;
+    u64 window;
+    u64 seed;
+};
+
+void
+PrintTo(const EarlyStopCase &c, std::ostream *os)
+{
+    *os << c.label;
+}
+
+EarlyStopCase
+randomCase(u64 seed)
+{
+    return {"seed" + std::to_string(seed),
+            [seed] { return randomProgram(seed, 100'000); }, 80, 200,
+            seed};
+}
+
+/** A real workload at the paper's window, so the identity is also
+ *  checked where most bare forks really are cut short. */
+EarlyStopCase
+perlCase()
+{
+    return {"perl400",
+            [] {
+                workload::WorkloadSpec spec;
+                spec.maxThreads = 2;
+                return workload::build("400.perl", spec);
+            },
+            200, 1000, 1};
+}
+
+class EarlyStopEquivalence : public testing::TestWithParam<EarlyStopCase>
 {
 };
 
@@ -450,24 +493,24 @@ class EarlyStopEquivalence : public testing::TestWithParam<u64>
  * Arch-digest early termination must be classification-invariant: a
  * bare fork is cut short only when its injected fault was provably
  * erased (fault-watch disarm before any read), which implies the fork
- * is bit-equivalent to a fault-free run — masked. Fuzz whole campaigns
- * over random programs with early stop forced on and off: every
- * classification counter, the SDC bins, and the per-stratum profile
- * rows must be identical. Only the earlyTerminated diagnostic (and the
- * trials' exit cycles, which no counter reads) may differ.
+ * is bit-equivalent to a fault-free run — masked. Run whole campaigns
+ * over random programs and 400.perl with early stop forced on and off:
+ * every classification counter, the SDC bins, and the per-stratum
+ * profile rows must be identical. Only the earlyTerminated diagnostic
+ * (and the trials' exit cycles, which no counter reads) may differ.
  */
 TEST_P(EarlyStopEquivalence, ClassificationIdentical)
 {
-    const u64 seed = GetParam();
-    Program prog = randomProgram(seed, 100'000);
+    const EarlyStopCase &c = GetParam();
+    const Program prog = c.program();
 
     pipeline::CoreParams params;
     params.detector = filters::DetectorParams::faultHound();
 
     fault::CampaignConfig cfg;
-    cfg.injections = 80;
-    cfg.window = 200;
-    cfg.seed = seed;
+    cfg.injections = c.injections;
+    cfg.window = c.window;
+    cfg.seed = c.seed;
     cfg.threads = 2;
 
     cfg.earlyStop = true;
@@ -478,6 +521,8 @@ TEST_P(EarlyStopEquivalence, ClassificationIdentical)
         fault::runCampaign(params, &prog, cfg);
 
     EXPECT_EQ(off.earlyTerminated, 0u);
+    // Vacuous unless some bare fork was really cut short.
+    EXPECT_GT(on.earlyTerminated, 0u);
     EXPECT_EQ(on.injected, off.injected);
     EXPECT_EQ(on.masked, off.masked);
     EXPECT_EQ(on.noisy, off.noisy);
@@ -513,7 +558,8 @@ TEST_P(EarlyStopEquivalence, ClassificationIdentical)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Campaigns, EarlyStopEquivalence, testing::Values(u64{7}, u64{19}),
-    [](const testing::TestParamInfo<u64> &i) {
-        return "seed" + std::to_string(i.param);
+    Campaigns, EarlyStopEquivalence,
+    testing::Values(randomCase(7), randomCase(19), perlCase()),
+    [](const testing::TestParamInfo<EarlyStopCase> &i) {
+        return i.param.label;
     });
