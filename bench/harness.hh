@@ -19,9 +19,8 @@
  *                  half-width target (default 0 = fixed-count)
  *   FH_CI_WAVE     adaptive stop wave size in trials (default 64)
  *
- * The library's own defaults read FH_EARLY_STOP (0/false/no/off
- * disables bare-fork early termination; classification is identical
- * either way) and FH_SCAN_ISSUE, so those reach every harness too.
+ * The library's own FH_STRICT (sim/error.hh: an in-trial panic aborts
+ * instead of counting as a trial error) reaches every harness too.
  *
  * The campaign-heavy harnesses additionally parallelize across their
  * independent scheme/size/benchmark cells, splitting the FH_THREADS

@@ -1,25 +1,28 @@
 /**
  * @file
  * Example: run a fault-injection campaign (the Section 4 methodology)
- * on one benchmark under FaultHound, and print the classification and
- * coverage breakdown. Mirrors what bench_fig8_coverage_fp does per
- * scheme, but as a minimal, commented walkthrough of the fault API:
+ * on one benchmark under FaultHound through the public API, and print
+ * the classification and coverage breakdown. Mirrors what
+ * bench_fig8_coverage_fp does per scheme, as a minimal walkthrough:
  *
- *   fault::drawPlan / apply    -> single-bit flips in RF/LSQ/rename
- *   fault::runFork / archEquals -> tandem golden-vs-faulty execution
- *   fault::runCampaign          -> the full masked/noisy/SDC pipeline
+ *   workload::build      -> the benchmark program
+ *   fault::CampaignConfig -> 200 single-bit flips in RF/LSQ/rename,
+ *                           1000-instruction run window
+ *   fault::runCampaign   -> masked/noisy/SDC classification, coverage
+ *                           and Figure 11 bins
+ *
+ * usage: fault_injection_campaign [bench]
+ *
+ * Everything else — injection count, worker threads, journal resume,
+ * trial timeouts, the JSON record — is fhsim's campaign mode
+ * (`fhsim bench=... campaign=true injections=... jobs=... journal=...
+ * json=...`).
  */
 
-#include <chrono>
 #include <cstdio>
 
-#include "exec/interrupt.hh"
-#include "exec/progress.hh"
 #include "exec/thread_pool.hh"
 #include "fault/campaign.hh"
-#include "fault/campaign_json.hh"
-#include "sim/config.hh"
-#include "sim/logging.hh"
 #include "workload/workload.hh"
 
 using namespace fh;
@@ -27,11 +30,11 @@ using namespace fh;
 int
 main(int argc, char **argv)
 {
-    // usage: fault_injection_campaign [bench] [threads]
-    // (threads: host workers for the campaign forks; also settable
-    //  via FH_THREADS; 0/unset = all hardware threads)
+    if (argc > 2) {
+        std::fprintf(stderr, "usage: fault_injection_campaign [bench]\n");
+        return 1;
+    }
     const char *bench_name = argc > 1 ? argv[1] : "400.perl";
-    const std::string json = envString("FH_JSON");
 
     workload::WorkloadSpec spec;
     spec.maxThreads = 2;
@@ -41,18 +44,9 @@ main(int argc, char **argv)
     params.detector = filters::DetectorParams::faultHound();
 
     fault::CampaignConfig cfg;
-    cfg.injections = envU64("FH_INJECTIONS", 200);
+    cfg.injections = 200;
     cfg.window = 1000; // paper: 1000-instruction run window
-    u64 threads = envU64("FH_THREADS", 0);
-    if (argc > 2 && !parseU64(argv[2], threads))
-        fh_fatal("threads argument '%s' is not an unsigned integer",
-                 argv[2]);
-    cfg.threads = static_cast<unsigned>(threads);
-    // Resilience knobs: FH_JOURNAL names a trial journal (rerun with
-    // the same config to resume an interrupted campaign), and
-    // FH_TRIAL_TIMEOUT_MS bounds each trial's wall time.
-    cfg.journalPath = envString("FH_JOURNAL");
-    cfg.trialTimeoutMs = envU64("FH_TRIAL_TIMEOUT_MS", 0);
+    cfg.threads = 0;   // all hardware threads; results are identical
 
     std::printf("injecting %llu single-bit faults into %s "
                 "(rename 20%% / LSQ 8%% / datapath+RF 72%%) "
@@ -60,23 +54,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(cfg.injections),
                 prog.name.c_str(), exec::resolveThreads(cfg.threads));
 
-    exec::installShutdownHandlers();
-    exec::ProgressMeter meter(std::string(bench_name) + " campaign",
-                              cfg.injections);
-    cfg.progress = &meter;
-
-    const auto t0 = std::chrono::steady_clock::now();
-    auto r = fault::runCampaign(params, &prog, cfg);
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
-    meter.finish();
-
-    if (!json.empty())
-        fault::writeCampaignJson(json, bench_name,
-                                 exec::resolveThreads(cfg.threads), cfg,
-                                 r, seconds);
+    const fault::CampaignResult r = fault::runCampaign(params, &prog, cfg);
 
     auto pct = [&](u64 n, u64 d) {
         return d ? 100.0 * static_cast<double>(n) / d : 0.0;
@@ -119,11 +97,5 @@ main(int argc, char **argv)
         std::printf("\n%llu trial(s) isolated after in-fork errors "
                     "(see warnings above for repro plans)\n",
                     static_cast<unsigned long long>(r.trialErrors));
-    if (r.partial) {
-        std::printf("\ncampaign interrupted after %llu trials; rerun "
-                    "with the same FH_JOURNAL to resume\n",
-                    static_cast<unsigned long long>(r.injected));
-        return 130;
-    }
     return 0;
 }

@@ -103,9 +103,6 @@ declareAllKeys(const Config &cfg)
     cfg.declareKey("trial_timeout_ms",
                    "wall-clock budget per trial; overruns become "
                    "trial errors (0 = off)");
-    cfg.declareKey("early_stop",
-                   "end bare forks early on provable fault erasure "
-                   "(default true; classification unchanged)");
     cfg.declareKey("ci_target",
                    "adaptive stop: pooled SDC-rate CI half-width "
                    "target (0 = fixed-count campaign)");
@@ -212,8 +209,6 @@ specFromConfig(const Config &cfg)
     spec.campaign.window = cfg.getU64("window", 1000);
     spec.campaign.seed = cfg.getU64("seed", 1);
     spec.campaign.trialTimeoutMs = cfg.getU64("trial_timeout_ms", 0);
-    spec.campaign.earlyStop =
-        cfg.getBool("early_stop", spec.campaign.earlyStop);
     spec.campaign.ciTarget = cfg.getDouble("ci_target", 0.0);
     spec.campaign.ciWave = cfg.getU64("ci_wave", 64);
     return spec;
@@ -300,8 +295,7 @@ emitCampaignOutputs(const Config &cfg, const std::string &bench,
                  pct(p.protectedNs), pct(p.compareNs));
     // Scheduler observability (stderr for the same reason): how the
     // event-driven issue stage spent the campaign's window execution.
-    // Zeros under FH_SCAN_ISSUE=1 (except the issue-stage occupancy
-    // pair) and in distributed runs (the wire carries classification
+    // Zeros in distributed runs (the wire carries classification
     // counters only).
     const fault::SchedCounters &s = r.sched;
     auto ull = [](u64 v) { return static_cast<unsigned long long>(v); };

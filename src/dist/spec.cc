@@ -51,7 +51,6 @@ CampaignSpec::encode() const
         "lsq_frac = %.17g\n"
         "inflight_frac = %.17g\n"
         "trial_timeout_ms = %llu\n"
-        "early_stop = %u\n"
         "ci_target = %.17g\n"
         "ci_wave = %llu\n",
         bench.c_str(), scheme.c_str(), coreThreads,
@@ -69,8 +68,7 @@ CampaignSpec::encode() const
         campaign.mix.renameFrac, campaign.mix.lsqFrac,
         campaign.mix.inflightFrac,
         static_cast<unsigned long long>(campaign.trialTimeoutMs),
-        campaign.earlyStop ? 1 : 0, campaign.ciTarget,
-        static_cast<unsigned long long>(campaign.ciWave));
+        campaign.ciTarget, static_cast<unsigned long long>(campaign.ciWave));
 }
 
 bool
@@ -115,8 +113,6 @@ CampaignSpec::decode(const std::string &text, CampaignSpec &out,
     s.campaign.mix.inflightFrac =
         cfg.getDouble("inflight_frac", s.campaign.mix.inflightFrac);
     s.campaign.trialTimeoutMs = cfg.getU64("trial_timeout_ms", 0);
-    s.campaign.earlyStop =
-        cfg.getBool("early_stop", s.campaign.earlyStop);
     s.campaign.ciTarget =
         cfg.getDouble("ci_target", s.campaign.ciTarget);
     s.campaign.ciWave = cfg.getU64("ci_wave", s.campaign.ciWave);

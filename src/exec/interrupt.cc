@@ -54,12 +54,4 @@ shutdownSignal()
     return static_cast<int>(g_signal_no);
 }
 
-void
-clearShutdown()
-{
-    g_signalled = 0;
-    g_signal_no = 0;
-    g_shutdown.store(false, std::memory_order_relaxed);
-}
-
 } // namespace fh::exec

@@ -37,9 +37,6 @@ void requestShutdown();
  */
 int shutdownSignal();
 
-/** Clear the flag (tests that simulate several interrupted runs). */
-void clearShutdown();
-
 } // namespace fh::exec
 
 #endif // FH_EXEC_INTERRUPT_HH

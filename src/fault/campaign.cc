@@ -14,19 +14,11 @@
 #include "exec/thread_pool.hh"
 #include "fault/golden_ledger.hh"
 #include "fault/journal.hh"
-#include "sim/config.hh"
 #include "sim/error.hh"
 #include "sim/logging.hh"
 
 namespace fh::fault
 {
-
-bool
-CampaignConfig::envEarlyStop()
-{
-    static const bool on = envBool("FH_EARLY_STOP", true);
-    return on;
-}
 
 namespace
 {

@@ -14,11 +14,13 @@
  * O(threads + segments).
  *
  * Execution is sharded: the master advances serially between
- * injection points (cheap), each point is snapshotted into a trial
- * descriptor with its own Rng::stream(seed, trial_index), and an
- * exec::ThreadPool runs the trials' forks concurrently. Per-trial
- * results reduce into CampaignResult in trial order, so the outcome
- * is bit-identical for 1 and N worker threads.
+ * injection points, each point is snapshotted into a trial descriptor
+ * with its own Rng::stream(seed, trial_index), and an exec::ThreadPool
+ * runs the trials' forks concurrently. The serial producer (advance
+ * plus snapshots) takes 41-51% of wall time at one pool thread
+ * (perfbench `producer.share`). Per-trial results reduce into
+ * CampaignResult in trial order, so the outcome is bit-identical for
+ * 1 and N worker threads.
  */
 
 #ifndef FH_FAULT_CAMPAIGN_HH
@@ -79,12 +81,11 @@ struct CampaignConfig
     exec::ProgressMeter *progress = nullptr;
 
     /**
-     * Trial journal path (FH_JOURNAL in fault_injection_campaign,
-     * `journal=` in fhsim); empty = no journal. Completed trials are
-     * appended (and flushed) in trial order; a restarted campaign
-     * with the same configuration replays the journaled prefix
-     * through the cheap serial master advance and skips its forks,
-     * producing counters and SDC bins bit-identical to an
+     * Trial journal path (`journal=` in fhsim); empty = no journal.
+     * Completed trials are appended (and flushed) in trial order; a
+     * restarted campaign with the same configuration replays the
+     * journaled prefix through the serial master advance and skips
+     * its forks, producing counters and SDC bins bit-identical to an
      * uninterrupted run. See fault/journal.hh.
      */
     std::string journalPath;
@@ -119,24 +120,18 @@ struct CampaignConfig
     u64 panicAtTrial = ~u64{0};
 
     /**
-     * Early termination of bare forks (FH_EARLY_STOP, `early_stop=` in
-     * fhsim; default on): arm a fault watch on register-file flips so
-     * a fork whose injected value is provably erased before any read
-     * is classified masked immediately instead of running the window
-     * out. Classification is identical either way (DESIGN.md
-     * "Arch-digest early exit"; fuzzed in test_fuzz_equivalence.cc);
-     * only the earlyTerminated diagnostic counter differs.
+     * Debug/test hook: early termination of bare forks (default on).
+     * Arms a fault watch on register-file flips so a fork whose
+     * injected value is provably erased before any read is classified
+     * masked immediately instead of running the window out. False
+     * runs every bare fork's full window — the equivalence oracle the
+     * pinned-count and golden-ledger suites run as their full_window
+     * mode (tests/oracle_modes.hh). Classification is identical either
+     * way (DESIGN.md "Arch-digest early exit"); only the
+     * earlyTerminated diagnostic counter differs, which is why it is
+     * in no campaign spec, journal header or FH_JSON record.
      */
-    bool earlyStop = envEarlyStop();
-
-    /**
-     * FH_EARLY_STOP environment default for earlyStop (unset = on;
-     * read with fh::envBool). An env read, like FH_SCAN_ISSUE, so the
-     * pinned-count and golden-ledger suites can be rerun with
-     * early termination forced off as an equivalence oracle without
-     * touching their configs.
-     */
-    static bool envEarlyStop();
+    bool earlyStop = true;
 
     /**
      * Adaptive stop target (FH_CI_TARGET, `ci_target=` in fhsim): when
@@ -206,8 +201,8 @@ struct CampaignPhases
  * not what the workload did. Purely observational — excluded from the
  * journal's trial packing and the distributed wire format (like
  * phases), so journal bytes and classification stay identical across
- * scheduler modes; in FH_SCAN_ISSUE=1 oracle mode everything except
- * issueEvals/issueCandidates reads zero.
+ * scheduler modes; under the tests' per-cycle issue-scan oracle
+ * everything except issueEvals/issueCandidates reads zero.
  */
 struct SchedCounters
 {

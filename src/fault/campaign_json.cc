@@ -30,8 +30,6 @@ writeCampaignJson(const std::string &path, const std::string &bench,
     // complete: the classification below covers only injected trials.
     std::fprintf(out, "  \"partial\": %s,\n",
                  r.partial ? "true" : "false");
-    std::fprintf(out, "  \"early_stop\": %s,\n",
-                 cfg.earlyStop ? "true" : "false");
     std::fprintf(out, "  \"ci_target\": %.17g,\n", cfg.ciTarget);
     std::fprintf(out, "  \"ci_wave\": %llu,\n", u(cfg.ciWave));
     // Adaptive campaigns: stopped at a wave boundary because the
@@ -41,8 +39,11 @@ writeCampaignJson(const std::string &path, const std::string &bench,
     std::fprintf(out, "  \"replayed_trials\": %llu,\n",
                  u(r.replayedTrials));
     std::fprintf(out, "  \"elapsed_seconds\": %.3f,\n", seconds);
+    // Executed trials only: journal-replayed ones cost no wall time.
     std::fprintf(out, "  \"trials_per_second\": %.1f,\n",
-                 seconds > 0 ? static_cast<double>(r.injected) / seconds
+                 seconds > 0 ? static_cast<double>(r.injected -
+                                                   r.replayedTrials) /
+                                   seconds
                              : 0.0);
     std::fprintf(out, "  \"classification\": {\n");
     std::fprintf(out, "    \"injected\": %llu,\n", u(r.injected));

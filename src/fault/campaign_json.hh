@@ -1,8 +1,8 @@
 /**
  * @file
- * The machine-readable FH_JSON campaign record, shared by fhsim and
- * the fault_injection_campaign example so scripts and CI parse one
- * schema: configuration, classification counts (including the
+ * The machine-readable FH_JSON campaign record that fhsim's `json=`
+ * writes in every mode, so scripts and CI parse one schema:
+ * configuration, classification counts (including the
  * resilience-layer trialErrors / hung-fork counters), Figure 11 bins,
  * the wall-time phase breakdown, and a "partial" marker set when the
  * campaign was interrupted and drained instead of running to

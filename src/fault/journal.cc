@@ -107,7 +107,7 @@ headerLine(const CampaignConfig &cfg, const std::string &scheme)
         "\"min_gap\": %llu, \"max_gap\": %llu, "
         "\"fork_max_cycles\": %llu, \"rename_frac\": %.17g, "
         "\"lsq_frac\": %.17g, \"inflight_frac\": %.17g, "
-        "\"early_stop\": %d, \"ci_target\": %.17g, \"ci_wave\": %llu}",
+        "\"ci_target\": %.17g, \"ci_wave\": %llu}",
         scheme.c_str(), static_cast<unsigned long long>(cfg.seed),
         static_cast<unsigned long long>(cfg.injections),
         static_cast<unsigned long long>(cfg.window),
@@ -116,8 +116,7 @@ headerLine(const CampaignConfig &cfg, const std::string &scheme)
         static_cast<unsigned long long>(cfg.maxGap),
         static_cast<unsigned long long>(cfg.forkMaxCycles),
         cfg.mix.renameFrac, cfg.mix.lsqFrac, cfg.mix.inflightFrac,
-        cfg.earlyStop ? 1 : 0, cfg.ciTarget,
-        static_cast<unsigned long long>(cfg.ciWave));
+        cfg.ciTarget, static_cast<unsigned long long>(cfg.ciWave));
 }
 
 /**
@@ -232,8 +231,7 @@ TrialJournal::TrialJournal(const std::string &path,
             if (line != header) {
                 fh_fatal("journal '%s' was written by a different "
                          "campaign configuration; delete it or point "
-                         "FH_JOURNAL/journal= elsewhere\n  file: %s\n  "
-                         "want: %s",
+                         "journal= elsewhere\n  file: %s\n  want: %s",
                          path_.c_str(), line.c_str(), header.c_str());
             }
             u64 d[kTrialCounters];

@@ -19,8 +19,8 @@
  * the master's advance is a pure function of (seed, trial index), and
  * the master's advance itself is a pure function of the gap schedule
  * (gapRng is seeded). A restarted campaign therefore replays only the
- * cheap serial master advance over the journaled prefix — same gaps,
- * same ticks, bit-identical machine — skips the forks of journaled
+ * serial master advance over the journaled prefix — same gaps, same
+ * ticks, bit-identical machine — skips the forks of journaled
  * trials (their deltas are added straight from the journal), and
  * executes the remainder exactly as the uninterrupted run would have.
  * The final CampaignResult counters and SDC bins equal an

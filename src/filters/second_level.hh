@@ -49,7 +49,6 @@ class SecondLevelFilter
                 return true;
         return false;
     }
-    u8 stateAt(unsigned bit) const { return machines_[bit].state(); }
 
     u64 allowed() const { return allowed_; }
     u64 suppressed() const { return suppressed_; }

@@ -100,7 +100,6 @@ class BiasedNState
 
     bool quiet() const { return count_ == 0; }
     u8 state() const { return count_; }
-    u8 numStates() const { return numStates_; }
 
     /**
      * Record an observation; returns true if this event is allowed as

@@ -66,8 +66,6 @@ class CountingTcam
 
     unsigned size() const { return static_cast<unsigned>(entries_.size()); }
     unsigned validCount() const;
-    const BitFilter &filterAt(unsigned i) const { return entries_[i].filter; }
-    bool validAt(unsigned i) const { return entries_[i].valid; }
     const TcamParams &params() const { return params_; }
 
     /** Total updating lookups, for the energy model. */

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "isa/exec.hh"
-#include "sim/config.hh"
 #include "sim/logging.hh"
 
 namespace fh::pipeline
@@ -26,13 +25,6 @@ namespace
 constexpr u32 kWakeRowCap = 6;
 
 } // namespace
-
-bool
-CoreParams::envScanIssue()
-{
-    static const bool scan = envBool("FH_SCAN_ISSUE", false);
-    return scan;
-}
 
 void
 ValueProbe::sample(StreamKind kind, u64 pc, u64 value)

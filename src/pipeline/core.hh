@@ -242,7 +242,6 @@ class Core
     /** Enable/disable detector checks at runtime (classification runs
      *  disable them without changing the trained filter state). */
     void setDetectorEnabled(bool enabled) { detectorEnabled_ = enabled; }
-    bool detectorEnabled() const { return detectorEnabled_; }
 
     /**
      * Attach a retirement-stream observer (null detaches). The pointer

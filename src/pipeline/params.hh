@@ -69,11 +69,10 @@ struct CoreParams
      * issue queue, kept compiled in as the equivalence oracle — candidate
      * sets are produced in identical seq order either way, so every
      * architectural outcome and classification is bit-identical
-     * (tests/test_fuzz_equivalence.cc pins it). Defaults from the
-     * FH_SCAN_ISSUE environment variable (1/true/yes/on = scan).
+     * (tests/test_fuzz_equivalence.cc pins it). Only tests set it
+     * (tests/oracle_modes.hh); production always runs the wakeup path.
      */
-    bool scanIssue = envScanIssue();
-    static bool envScanIssue();
+    bool scanIssue = false;
 
     mem::HierarchyParams memory{};
     filters::DetectorParams detector{};

@@ -79,7 +79,7 @@ class PhysRegFile
 
     // Wakeup contract (Core's event-driven issue mode): every call
     // that can flip a ready bit 0->1 — write(), release(),
-    // markReady(), resetFreeList() — must be followed by a
+    // resetFreeList() — must be followed by a
     // Core::wakePreg() (or drainAllWakeRows() for the bulk rebuild) at
     // its Core call site, or subscribed consumers sleep through the
     // transition. 1->0 transitions (allocate(), markNotReady()) need
@@ -98,7 +98,6 @@ class PhysRegFile
     }
 
     void markNotReady(unsigned preg) { ready_[preg] = 0; }
-    void markReady(unsigned preg) { ready_[preg] = 1; }
 
     /** Allocate a free register; returns false when none available. */
     bool allocate(unsigned &preg);

@@ -11,18 +11,24 @@
  * deliberate, explained behavior change.
  *
  * The counts below were recorded from the seed revision of the
- * campaign runtime (pre-bit-sliced filters, pre-COW snapshots).
+ * campaign runtime (pre-bit-sliced filters, pre-COW snapshots). Every
+ * case runs in each oracle mode (oracle_modes.hh): the per-cycle issue
+ * scan and full-window bare forks must reproduce the same counts.
  */
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "fault/campaign.hh"
+#include "oracle_modes.hh"
 #include "workload/workload.hh"
 
 namespace
 {
 
 using namespace fh;
+using test::OracleMode;
 
 struct PinnedCase
 {
@@ -47,13 +53,21 @@ struct PinnedCase
     u64 other;
 };
 
-class CampaignPinned : public testing::TestWithParam<PinnedCase>
+/** Name the case in gtest output instead of raw bytes. */
+void
+PrintTo(const PinnedCase &c, std::ostream *os)
+{
+    *os << c.label;
+}
+
+class CampaignPinned
+    : public testing::TestWithParam<std::tuple<PinnedCase, OracleMode>>
 {
 };
 
 TEST_P(CampaignPinned, ResultsMatchRecordedCounts)
 {
-    const PinnedCase &c = GetParam();
+    const auto &[c, mode] = GetParam();
 
     workload::WorkloadSpec spec;
     spec.maxThreads = 2;
@@ -62,11 +76,13 @@ TEST_P(CampaignPinned, ResultsMatchRecordedCounts)
 
     pipeline::CoreParams params;
     params.detector = c.detector;
+    test::applyOracleMode(mode, params);
 
     fault::CampaignConfig cfg;
     cfg.injections = c.injections;
     cfg.window = 300;
     cfg.seed = c.seed;
+    test::applyOracleMode(mode, cfg);
 
     // The recorded counts must hold for any worker-thread count: the
     // golden-ledger waves shard trials differently at 1 and 4 threads
@@ -92,12 +108,13 @@ TEST_P(CampaignPinned, ResultsMatchRecordedCounts)
         EXPECT_EQ(r.bins.renameUncovered, c.renameUncovered);
         EXPECT_EQ(r.bins.noTrigger, c.noTrigger);
         EXPECT_EQ(r.bins.other, c.other);
+        test::expectOracleModeTookEffect(mode, r);
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, CampaignPinned,
-    testing::Values(
+    testing::Combine(testing::Values(
         PinnedCase{"faulthound", filters::DetectorParams::faultHound(),
                    1234, 48,
                    /*masked*/ 37, /*noisy*/ 3, /*sdc*/ 8,
@@ -122,8 +139,7 @@ INSTANTIATE_TEST_SUITE_P(
                    /*recovered*/ 0, /*detected*/ 0, /*uncovered*/ 2,
                    /*covered*/ 0, /*slm*/ 0, /*creg*/ 0, /*areg*/ 0,
                    /*ren*/ 0, /*notrig*/ 0, /*other*/ 2}),
-    [](const testing::TestParamInfo<PinnedCase> &pinfo) {
-        return std::string(pinfo.param.label);
-    });
+                     test::oracleModes()),
+    test::oracleCaseName<PinnedCase>);
 
 } // namespace

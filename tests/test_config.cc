@@ -2,7 +2,7 @@
  * @file
  * Config: the key=value parser behind the fhsim CLI, and the strict
  * value parsers and FH_* environment readers it shares with the
- * harnesses and the simulator's env defaults.
+ * harnesses and FH_STRICT.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,10 @@ using namespace fh;
 
 namespace
 {
+
+/** A variable nothing in the simulator or the harnesses reads, so
+ *  setting it in this process changes no other behavior. */
+constexpr const char *kUnreadVar = "FH_TEST_UNREAD";
 
 /** Scoped environment override restoring the previous value on exit
  *  (the readers under test see the real process environment). */
@@ -55,14 +59,14 @@ TEST(ConfigDeathTest, MalformedValueIsFatalNamingTheKey)
     Config cfg;
     cfg.set("injections=2O");
     cfg.set("ci_target=0.o1");
-    cfg.set("early_stop=maybe");
+    cfg.set("campaign=maybe");
     cfg.set("window=abc");
     EXPECT_EXIT(cfg.getU64("injections"), testing::ExitedWithCode(1),
                 "injections='2O'");
     EXPECT_EXIT(cfg.getDouble("ci_target"), testing::ExitedWithCode(1),
                 "ci_target='0.o1'");
-    EXPECT_EXIT(cfg.getBool("early_stop"), testing::ExitedWithCode(1),
-                "early_stop='maybe'");
+    EXPECT_EXIT(cfg.getBool("campaign"), testing::ExitedWithCode(1),
+                "campaign='maybe'");
     EXPECT_EXIT(cfg.getU64("window", 1000), testing::ExitedWithCode(1),
                 "window='abc'");
 }
@@ -83,10 +87,10 @@ TEST(ConfigDeathTest, MalformedEnvValueIsFatalNamingTheVariable)
         testing::ExitedWithCode(1), "FH_CI_TARGET='0.o1'");
     EXPECT_EXIT(
         {
-            setenv("FH_EARLY_STOP", "maybe", 1);
-            envBool("FH_EARLY_STOP", true);
+            setenv(kUnreadVar, "maybe", 1);
+            envBool(kUnreadVar, true);
         },
-        testing::ExitedWithCode(1), "FH_EARLY_STOP='maybe'");
+        testing::ExitedWithCode(1), "FH_TEST_UNREAD='maybe'");
 }
 
 TEST(ConfigParse, NumbersMustBeTheWholeToken)
@@ -134,16 +138,16 @@ TEST(ConfigEnv, ReadersParseTheFullToken)
 
 TEST(ConfigEnv, BoolReaderTakesTheConfigWords)
 {
-    // FH_EARLY_STOP, FH_SCAN_ISSUE and FH_STRICT all read through
-    // envBool, so each word means the same thing in every variable.
-    EnvOverride env("FH_EARLY_STOP", "false");
+    // Every boolean FH_* variable (FH_STRICT today) reads through
+    // envBool, so each word means what it means in a boolean fhsim key.
+    EnvOverride env(kUnreadVar, "false");
     for (const char *word : {"false", "no", "off", "0", "FALSE", "Off"}) {
         env.set(word);
-        EXPECT_FALSE(envBool("FH_EARLY_STOP", true)) << word;
+        EXPECT_FALSE(envBool(kUnreadVar, true)) << word;
     }
     for (const char *word : {"true", "yes", "on", "1", "TRUE", "Yes"}) {
         env.set(word);
-        EXPECT_TRUE(envBool("FH_EARLY_STOP", false)) << word;
+        EXPECT_TRUE(envBool(kUnreadVar, false)) << word;
     }
     bool b = false;
     for (const char *bad : {"", "maybe", "2", "truee", " on"})

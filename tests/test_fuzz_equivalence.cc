@@ -347,17 +347,15 @@ class ScanOracleEquivalence : public testing::TestWithParam<unsigned>
 /**
  * Wakeup-vs-scan issue-stage oracle: two masters over the same random
  * program, one on the event-driven wakeup scheduler (the default) and
- * one on the retired per-cycle scan (params.scanIssue, the
- * FH_SCAN_ISSUE oracle), ticked in lockstep — then fault trials forked
- * from both at the same points must agree on every observable a
- * classifier reads. The mix is rename-heavy so plans routinely leave
- * dangling source tags (the wakeup overflow/park path), and the
- * protected forks run the FaultHound detector whose triggered replays
- * re-dispatch completed consumers (the non-monotonic markNotReady
- * re-subscription path). Both modes are forced explicitly so the suite
- * stays meaningful whichever mode the surrounding ctest run selected.
- * Parameterized over pool width to race per-worker forks at 1 and 4
- * threads.
+ * one on the retired per-cycle scan (params.scanIssue, the scan
+ * oracle), ticked in lockstep — then fault trials forked from both at
+ * the same points must agree on every observable a classifier reads.
+ * The mix is rename-heavy so plans routinely leave dangling source
+ * tags (the wakeup overflow/park path), and the protected forks run
+ * the FaultHound detector whose triggered replays re-dispatch
+ * completed consumers (the non-monotonic markNotReady re-subscription
+ * path). Parameterized over pool width to race per-worker forks at 1
+ * and 4 threads.
  */
 TEST_P(ScanOracleEquivalence, WakeupMatchesScanIssue)
 {

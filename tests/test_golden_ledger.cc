@@ -14,7 +14,10 @@
  *    would, at 1 and 4 worker threads.
  *
  * Runs at 2 SMT threads (one segment per thread) and at 1 SMT thread
- * on the 2-segment layout fhsim builds, where a segment has no owner.
+ * on the 2-segment layout fhsim builds, where a segment has no owner,
+ * and in each oracle mode (oracle_modes.hh): under the per-cycle issue
+ * scan and with full-window bare forks the campaign must still
+ * classify exactly as the golden-fork classifier.
  * Also pins the ledger's layout check on every built-in workload and
  * the fork runtime's no-post-freeze-ticks guarantee.
  */
@@ -28,6 +31,7 @@
 #include "fault/campaign.hh"
 #include "fault/golden_ledger.hh"
 #include "fault/tandem.hh"
+#include "oracle_modes.hh"
 #include "sim/rng.hh"
 #include "workload/workload.hh"
 
@@ -35,6 +39,7 @@ namespace
 {
 
 using namespace fh;
+using test::OracleMode;
 
 struct LedgerCase
 {
@@ -62,22 +67,24 @@ buildProgram(const char *bench, unsigned smt_threads)
 }
 
 pipeline::CoreParams
-coreParams(const LedgerCase &c)
+coreParams(const LedgerCase &c, OracleMode mode)
 {
     pipeline::CoreParams params;
     params.threads = c.smtThreads;
     params.detector = c.detector;
+    test::applyOracleMode(mode, params);
     return params;
 }
 
 fault::CampaignConfig
-campaignConfig(const LedgerCase &c, unsigned pool_threads)
+campaignConfig(const LedgerCase &c, OracleMode mode, unsigned pool_threads)
 {
     fault::CampaignConfig cfg;
     cfg.injections = 64;
     cfg.window = 250;
     cfg.seed = c.seed;
     cfg.threads = pool_threads;
+    test::applyOracleMode(mode, cfg);
     return cfg;
 }
 
@@ -159,11 +166,11 @@ checkTrial(const fault::GoldenLedger::Entry &e, const PendingTrial &t,
  * check every trial as its entry completes.
  */
 OracleTally
-runOracle(const LedgerCase &c)
+runOracle(const LedgerCase &c, OracleMode mode)
 {
     const isa::Program program = buildProgram(c.bench, c.smtThreads);
-    const pipeline::CoreParams params = coreParams(c);
-    const fault::CampaignConfig cfg = campaignConfig(c, 1);
+    const pipeline::CoreParams params = coreParams(c, mode);
+    const fault::CampaignConfig cfg = campaignConfig(c, mode, 1);
     const bool protect =
         params.detector.scheme != filters::Scheme::None;
 
@@ -240,34 +247,38 @@ expectSameBins(const fault::CampaignResult &a,
     EXPECT_EQ(a.bins.other, b.bins.other);
 }
 
-class LedgerOracle : public testing::TestWithParam<LedgerCase>
+class LedgerOracle
+    : public testing::TestWithParam<std::tuple<LedgerCase, OracleMode>>
 {
 };
 
 TEST_P(LedgerOracle, EveryTrialMatchesItsNoFaultFork)
 {
-    const LedgerCase &c = GetParam();
-    const OracleTally oracle = runOracle(c);
-    ASSERT_EQ(oracle.result.injected, campaignConfig(c, 1).injections);
+    const auto &[c, mode] = GetParam();
+    const OracleTally oracle = runOracle(c, mode);
+    ASSERT_EQ(oracle.result.injected,
+              campaignConfig(c, mode, 1).injections);
     // The compares must see both outcomes to mean anything.
     EXPECT_GT(oracle.mismatchedForks, 0u);
     EXPECT_GT(oracle.comparedForks, oracle.mismatchedForks);
 
     const isa::Program program = buildProgram(c.bench, c.smtThreads);
-    const auto serial = fault::runCampaign(coreParams(c), &program,
-                                           campaignConfig(c, 1));
+    const auto serial = fault::runCampaign(
+        coreParams(c, mode), &program, campaignConfig(c, mode, 1));
     expectSameCounts(oracle.result, serial);
+    test::expectOracleModeTookEffect(mode, serial);
     // The worker count shards wave execution differently but must not
     // change a single count either way.
-    const auto pooled = fault::runCampaign(coreParams(c), &program,
-                                           campaignConfig(c, 4));
+    const auto pooled = fault::runCampaign(
+        coreParams(c, mode), &program, campaignConfig(c, mode, 4));
     expectSameCounts(serial, pooled);
     expectSameBins(serial, pooled);
+    test::expectOracleModeTookEffect(mode, pooled);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Workloads, LedgerOracle,
-    testing::Values(
+    testing::Combine(testing::Values(
         LedgerCase{"ocean_faulthound", "ocean",
                    filters::DetectorParams::faultHound(), 1234, 2},
         LedgerCase{"ocean_unprotected", "ocean",
@@ -284,9 +295,8 @@ INSTANTIATE_TEST_SUITE_P(
                    filters::DetectorParams::pbfsBiased(), 5, 1},
         LedgerCase{"perl_faulthound_1t", "400.perl",
                    filters::DetectorParams::faultHound(), 11, 1}),
-    [](const testing::TestParamInfo<LedgerCase> &pinfo) {
-        return std::string(pinfo.param.label);
-    });
+                     test::oracleModes()),
+    test::oracleCaseName<LedgerCase>);
 
 TEST(GoldenLedger, SupportsBuiltInWorkloadLayout)
 {

@@ -205,9 +205,9 @@ INSTANTIATE_TEST_SUITE_P(
                     OccCase{"429.mcf", filters::Scheme::FaultHound},
                     OccCase{"437.leslie3d", filters::Scheme::PbfsBiased},
                     OccCase{"ocean", filters::Scheme::FaultHound}),
-    [](const testing::TestParamInfo<OccCase> &info) {
-        std::string n = info.param.bench + "_" +
-                        filters::to_string(info.param.scheme);
+    [](const testing::TestParamInfo<OccCase> &pinfo) {
+        std::string n = pinfo.param.bench + "_" +
+                        filters::to_string(pinfo.param.scheme);
         for (auto &c : n)
             if (!isalnum(static_cast<unsigned char>(c)))
                 c = '_';

@@ -5,17 +5,21 @@
  * kill-at-trial-K → resume → bit-identical-continuation contract at 1
  * and 4 worker threads, the hung-fork diagnostics (forkMaxCycles on an
  * always-looping program, the GoldenLedger forceFinalizeAll hung-master
- * drain), the wall-clock watchdog, and the refusal of a program the
- * golden ledger cannot serve.
+ * drain), the wall-clock watchdog, the refusal of a program the
+ * golden ledger cannot serve, and an FH_JSON throughput that counts
+ * executed trials only.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "fault/campaign.hh"
+#include "fault/campaign_json.hh"
 #include "fault/tandem.hh"
 #include "isa/program.hh"
 #include "pipeline/core.hh"
@@ -328,6 +332,30 @@ TEST(Journal, CompletedJournalShortCircuitsTheCampaign)
     const auto second = fault::runCampaign(params, &program, cfg);
     EXPECT_EQ(second.replayedTrials, cfg.injections);
     expectIdentical(first, second);
+    std::remove(cfg.journalPath.c_str());
+}
+
+TEST(Journal, ReplayedTrialsAddNoThroughput)
+{
+    // trials_per_second divides executed trials by the wall time: a
+    // campaign replayed whole from its journal executed none, so it
+    // reports 0 however fast the replay was.
+    auto program = prog();
+    auto params = fhParams();
+    fault::CampaignConfig cfg = baseConfig();
+    cfg.journalPath = journalPath("throughput.fhj");
+    fault::runCampaign(params, &program, cfg);
+    const auto replayed = fault::runCampaign(params, &program, cfg);
+    ASSERT_EQ(replayed.replayedTrials, cfg.injections);
+
+    const std::string json = journalPath("throughput.json");
+    ASSERT_TRUE(fault::writeCampaignJson(json, "ocean", 1, cfg, replayed,
+                                         /*seconds=*/1.0));
+    std::ifstream in(json);
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
+    EXPECT_NE(text.find("\"trials_per_second\": 0.0,"), std::string::npos)
+        << text;
+    std::remove(json.c_str());
     std::remove(cfg.journalPath.c_str());
 }
 
