@@ -11,8 +11,9 @@
  *   FH_INJECTIONS  fault injections per campaign
  *   FH_WINDOW      run-window length (instructions, paper: 1000)
  *   FH_SEED        master seed
- *   FH_THREADS     host worker threads (default: all hardware
- *                  threads; results are bit-identical for any value)
+ *   FH_THREADS     host fork threads (default: all hardware
+ *                  threads; each campaign also runs its producer
+ *                  thread; results are bit-identical for any value)
  *   FH_TRIAL_TIMEOUT_MS  per-trial wall-clock budget; overruns are
  *                  isolated and counted as trial errors
  *   FH_CI_TARGET   adaptive stop: pooled SDC-rate Wilson CI
@@ -59,6 +60,8 @@ envThreads()
 /**
  * Split of the FH_THREADS budget between the independent
  * configuration cells of a harness and each cell's campaign forks.
+ * Each running cell's campaign adds its producer thread beside its
+ * inner fork threads.
  */
 struct ThreadSplit
 {

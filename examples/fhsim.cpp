@@ -65,6 +65,11 @@ using namespace fh;
 namespace
 {
 
+/** SMT contexts pipeline::Core supports (`threads`). */
+constexpr u64 kMaxSmtThreads = 8;
+/** Upper bound on `jobs` and `worker_jobs` (0 = all hardware). */
+constexpr u64 kMaxJobs = 1024;
+
 /**
  * The full option registry: every key any fhsim mode reads, with its
  * help line. Declaring them all up front serves both masters — the
@@ -81,7 +86,7 @@ declareAllKeys(const Config &cfg)
                    "(default faulthound)");
     cfg.declareKey("insts",
                    "per-thread instruction budget (default 100000)");
-    cfg.declareKey("threads", "SMT contexts (default 2)");
+    cfg.declareKey("threads", "SMT contexts, 1-8 (default 2)");
     cfg.declareKey("seed", "workload/data seed (default 0x5eed)");
     cfg.declareKey("tcam.entries",
                    "first-level TCAM entries (default 32)");
@@ -96,8 +101,9 @@ declareAllKeys(const Config &cfg)
                    "campaign injections (default 300)");
     cfg.declareKey("window", "campaign run window (default 1000)");
     cfg.declareKey("jobs",
-                   "campaign worker threads, or worker processes in "
-                   "dispatch mode; 0 = all hardware threads");
+                   "campaign fork threads (plus one producer thread), "
+                   "or worker processes in dispatch mode; 0-1024, "
+                   "0 = all hardware threads");
     cfg.declareKey("journal",
                    "trial-journal path for checkpoint/resume");
     cfg.declareKey("trial_timeout_ms",
@@ -126,8 +132,8 @@ declareAllKeys(const Config &cfg)
     cfg.declareKey("heartbeat_ms",
                    "worker liveness heartbeat period (default 300)");
     cfg.declareKey("worker_jobs",
-                   "dispatch mode: fork-execution threads per worker "
-                   "process (default 1)");
+                   "dispatch mode: fork threads per worker process, "
+                   "0-1024 (default 1)");
     cfg.declareKey("help", "print this option list and exit");
 }
 
@@ -195,8 +201,8 @@ specFromConfig(const Config &cfg)
     dist::CampaignSpec spec;
     spec.bench = cfg.getString("bench", "400.perl");
     spec.scheme = cfg.getString("scheme", "faulthound");
-    spec.coreThreads =
-        static_cast<unsigned>(cfg.getU64("threads", 2));
+    spec.coreThreads = static_cast<unsigned>(
+        cfg.getU64("threads", 2, 1, kMaxSmtThreads));
     spec.workload.maxThreads = std::max(2u, spec.coreThreads);
     spec.workload.seed = cfg.getU64("seed", 0x5eedULL);
     spec.tcamEntries =
@@ -277,9 +283,11 @@ emitCampaignOutputs(const Config &cfg, const std::string &bench,
                 static_cast<unsigned long long>(r.earlyTerminated));
     std::printf("%-34s%-16d# 1 = adaptive CI stop fired\n",
                 "campaign.ci_stopped", r.ciStopped ? 1 : 0);
-    // Wall-time phase split goes to stderr with the other
-    // diagnostics: stdout stays byte-identical across runs and
-    // worker counts (the determinism suite diffs it).
+    // Timing goes to stderr with the other diagnostics: stdout stays
+    // byte-identical across runs and worker counts (the determinism
+    // suite diffs it). The phases are busy time summed over the
+    // producer and the fork threads, which run at once, so their sum
+    // exceeds the wall time whenever the two overlap.
     const fault::CampaignPhases &p = r.phases;
     const double total =
         static_cast<double>(p.totalNs() ? p.totalNs() : 1);
@@ -287,10 +295,10 @@ emitCampaignOutputs(const Config &cfg, const std::string &bench,
         return 100.0 * static_cast<double>(ns) / total;
     };
     std::fprintf(stderr,
-                 "fhsim: campaign time %.2fs — snapshot %.1f%%, "
-                 "golden-ledger %.1f%%, bare %.1f%%, protected "
-                 "%.1f%%, compare %.1f%%\n",
-                 static_cast<double>(p.totalNs()) * 1e-9,
+                 "fhsim: campaign wall %.2fs, busy %.2fs summed over "
+                 "threads — snapshot %.1f%%, golden-ledger %.1f%%, "
+                 "bare %.1f%%, protected %.1f%%, compare %.1f%%\n",
+                 seconds, static_cast<double>(p.totalNs()) * 1e-9,
                  pct(p.snapshotNs), pct(p.goldenNs), pct(p.bareNs),
                  pct(p.protectedNs), pct(p.compareNs));
     // Scheduler observability (stderr for the same reason): how the
@@ -445,8 +453,8 @@ cmdDispatch(int argc, char **argv)
 
     const dist::CampaignSpec spec = specFromConfig(cfg);
     const unsigned jobs = static_cast<unsigned>(
-        std::max<u64>(1, cfg.getU64("jobs", 1)));
-    const u64 workerJobs = cfg.getU64("worker_jobs", 1);
+        std::max<u64>(1, cfg.getU64("jobs", 1, 0, kMaxJobs)));
+    const u64 workerJobs = cfg.getU64("worker_jobs", 1, 0, kMaxJobs);
 
     exec::installShutdownHandlers();
     exec::ProgressMeter meter("fhsim dispatch",
@@ -559,7 +567,8 @@ cmdWorker(int argc, char **argv)
         std::fprintf(stderr, "fhsim: %s\n", error.c_str());
         return 1;
     }
-    wopts.jobs = static_cast<unsigned>(cfg.getU64("jobs", 1));
+    wopts.jobs =
+        static_cast<unsigned>(cfg.getU64("jobs", 1, 0, kMaxJobs));
     wopts.heartbeatMs = cfg.getU64("heartbeat_ms", wopts.heartbeatMs);
     return dist::runWorker(wopts);
 }
@@ -608,13 +617,14 @@ runSim(const Config &cfg)
     if (cfg.getBool("campaign", false)) {
         fault::CampaignConfig ccfg = spec.campaign;
         ccfg.threads =
-            static_cast<unsigned>(cfg.getU64("jobs", 0));
+            static_cast<unsigned>(cfg.getU64("jobs", 0, 0, kMaxJobs));
         ccfg.journalPath = cfg.getString("journal", "");
         exec::installShutdownHandlers();
         exec::ProgressMeter meter("fhsim campaign", ccfg.injections);
         ccfg.progress = &meter;
         std::fprintf(stderr, "fhsim: running %llu-injection "
-                             "campaign on %u worker threads...\n",
+                             "campaign on %u fork thread(s) plus the "
+                             "producer...\n",
                      static_cast<unsigned long long>(ccfg.injections),
                      exec::resolveThreads(ccfg.threads));
         const auto t0 = std::chrono::steady_clock::now();

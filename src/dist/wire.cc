@@ -1,5 +1,6 @@
 #include "dist/wire.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
@@ -54,8 +55,16 @@ putDouble(std::vector<u8> &buf, double v)
 void
 putString(std::vector<u8> &buf, const std::string &s)
 {
-    putU32(buf, static_cast<u32>(s.size()));
-    buf.insert(buf.end(), s.begin(), s.end());
+    // Grow once, then store. push_back followed by a range insert is
+    // correct too, but once LTO inlines it into an encoder that starts
+    // from an empty buffer, GCC 12 follows an infeasible reallocation
+    // path through the two growths and reports -Wstringop-overflow.
+    const size_t at = buf.size();
+    const u32 n = static_cast<u32>(s.size());
+    buf.resize(at + 4 + s.size());
+    for (int i = 0; i < 4; ++i)
+        buf[at + i] = static_cast<u8>(n >> (8 * i));
+    std::copy(s.begin(), s.end(), buf.begin() + at + 4);
 }
 
 bool

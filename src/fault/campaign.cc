@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <deque>
+#include <exception>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -369,6 +374,100 @@ runTrialGuarded(const CampaignConfig &cfg, const Trial &t,
     }
 }
 
+/**
+ * The fork-executor thread of one runRange call. It runs each posted
+ * wave (on the session's pool) while the calling thread advances the
+ * master and fills the next wave. One wave is in flight at a time:
+ * post() hands it over, collect() waits for it and rethrows whatever
+ * escaped it. The destructor joins the thread — after the in-flight
+ * wave, if any, finishes — so the thread never outlives the call.
+ * Every member but the thread's own loop belongs to the caller.
+ */
+class WaveExecutor
+{
+  public:
+    explicit WaveExecutor(std::function<void()> run_wave)
+        : runWave_(std::move(run_wave)), thread_([this] { loop(); })
+    {
+    }
+
+    ~WaveExecutor()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            quit_ = true;
+        }
+        cv_.notify_all();
+        thread_.join();
+    }
+
+    WaveExecutor(const WaveExecutor &) = delete;
+    WaveExecutor &operator=(const WaveExecutor &) = delete;
+
+    /** No wave is running: none was posted, or it is done. */
+    bool idle()
+    {
+        if (!busy_)
+            return true;
+        std::lock_guard<std::mutex> lock(mutex_);
+        return !pending_;
+    }
+
+    void post()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            pending_ = true;
+        }
+        busy_ = true;
+        cv_.notify_all();
+    }
+
+    /** Wait for the posted wave, if any; its results are then the
+     *  caller's. */
+    void collect()
+    {
+        if (!busy_)
+            return;
+        std::unique_lock<std::mutex> lock(mutex_);
+        cv_.wait(lock, [&] { return !pending_; });
+        busy_ = false;
+        if (error_)
+            std::rethrow_exception(std::exchange(error_, nullptr));
+    }
+
+  private:
+    void loop()
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        for (;;) {
+            cv_.wait(lock, [&] { return quit_ || pending_; });
+            if (quit_)
+                return;
+            lock.unlock();
+            std::exception_ptr error;
+            try {
+                runWave_();
+            } catch (...) {
+                error = std::current_exception();
+            }
+            lock.lock();
+            error_ = error;
+            pending_ = false;
+            cv_.notify_all();
+        }
+    }
+
+    std::function<void()> runWave_;
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    bool pending_ = false; ///< posted, not yet run to the end
+    bool quit_ = false;
+    std::exception_ptr error_;
+    bool busy_ = false; ///< posted, not yet collected
+    std::thread thread_; ///< last: starts once the rest is built
+};
+
 } // namespace
 
 /**
@@ -383,6 +482,21 @@ struct CampaignSession::Impl
         u32 slot;     ///< ledger checkpoint slot
     };
 
+    /**
+     * One trial of a wave. The producer fills in everything but the
+     * result when the trial's ledger entry completes; the executor
+     * reads the trial and entry through the pointers (never through
+     * trialPool or the ledger, which the producer keeps mutating) and
+     * writes the result.
+     */
+    struct WaveTrial
+    {
+        Pending at;
+        Trial *trial;
+        const GoldenLedger::Entry *golden;
+        CampaignResult result;
+    };
+
     Impl(const pipeline::CoreParams &params_in, const isa::Program *prog,
          const CampaignConfig &cfg_in)
         : params(params_in),
@@ -392,7 +506,7 @@ struct CampaignSession::Impl
           gapRng(cfg_in.seed),
           threads(exec::resolveThreads(cfg_in.threads)),
           pool(threads),
-          batchCap(std::max<u64>(u64{threads} * 4, 8))
+          waveCap(std::max<u64>(u64{threads} * 2, 4))
     {
         if (!GoldenLedger::supports(master, *prog))
             fh_fatal("program '%s' does not give each SMT thread a "
@@ -417,7 +531,8 @@ struct CampaignSession::Impl
 
         ledger = std::make_unique<GoldenLedger>(master);
         master.setCommitObserver(ledger.get());
-        wave.reserve(batchCap + 8);
+        filling.reserve(waveCap + 8);
+        posted.reserve(waveCap + 8);
         scratch.resize(threads);
     }
 
@@ -487,28 +602,31 @@ struct CampaignSession::Impl
     Rng gapRng;
     unsigned threads;
     exec::ThreadPool pool;
-    u64 batchCap; ///< wave size at which produced trials execute
+    /** Largest wave. The executing and the filling wave together
+     *  hold at most 2 * waveCap = max(4 * threads, 8) trials, the
+     *  budget of the single blocking wave the overlap replaced. */
+    u64 waveCap;
     std::unique_ptr<GoldenLedger> ledger;
 
     u64 trial = 0;    ///< next producible trial index
     u64 executed = 0; ///< trials actually executed by this session
     bool halted = false;
 
-    std::vector<CampaignResult> partial; ///< per wave position
     // Per-worker reusable fork machines, indexed by
-    // ThreadPool::currentWorker() (caller = 0, workers 1..threads-1).
+    // ThreadPool::currentWorker() (the executor = 0, workers
+    // 1..threads-1).
     std::vector<ForkScratch> scratch;
     // Reusable trial slots: a retired slot's snapshot is overwritten
     // in place (a flat arena memcpy plus COW memory/filter copies),
-    // with no per-trial reallocation churn. A deque so the references
-    // workers hold across a parallelFor stay stable while the
-    // producer appends new slots.
+    // with no per-trial reallocation churn. A deque so the trials the
+    // executor holds stay put while the producer appends new slots.
     std::deque<Trial> trialPool;
     std::vector<u32> freeTrials;
     // Produced trials whose windows the master has not fully crossed
     // yet; bounded by window/minGap in practice.
     std::deque<Pending> inflight;
-    std::vector<Pending> wave;
+    std::vector<WaveTrial> filling; ///< completed, not yet posted
+    std::vector<WaveTrial> posted;  ///< the executor's wave
     std::unique_ptr<pipeline::Core> warmSnapshot;
 };
 
@@ -529,7 +647,8 @@ CampaignSession::Impl::rewind()
     executed = 0;
     halted = false;
     inflight.clear();
-    wave.clear();
+    filling.clear();
+    posted.clear();
     freeTrials.clear();
     for (u32 i = 0; i < trialPool.size(); ++i)
         freeTrials.push_back(i);
@@ -543,13 +662,21 @@ CampaignSession::Impl::rewind()
  * function of the seed. A produced trial waits in a FIFO until the
  * master's own advance crosses all its commit targets (completing its
  * ledger entry, usually within the next trial or two's gaps);
- * completed trials run on the pool in waves. Windows still open at
- * the end of the range are closed by extra "drain" ticks — on the
- * real master when nothing further depends on its cycle position
- * (final range, halt, or shutdown), and otherwise on a scratch copy,
- * so a later range still sees the exact single-process schedule.
+ * completed trials fill a wave, which goes to the fork executor when
+ * it is full or the executor is idle, and the master fills the next
+ * one while the executor runs it. Windows still open at the end of
+ * the range are closed by extra "drain" ticks — on the real master
+ * when nothing further depends on its cycle position (final range,
+ * halt, or shutdown), and otherwise on a scratch copy, so a later
+ * range still sees the exact single-process schedule.
  * Either way an entry finalizes at the same commit counts with the
  * same sampled state: that is the ledger's master-as-golden argument.
+ *
+ * Only this (the calling) thread touches the master, the ledger, the
+ * trial slots and the sink; the executor sees a posted wave's trials
+ * and complete entries, which stay untouched until the wave is
+ * collected. Every trial produced here is merged before the call
+ * returns, and the executor is joined on every exit.
  */
 RangeOutcome
 CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
@@ -559,41 +686,50 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
     const pipeline::CoreStats masterBase = master.stats();
     bool stopped = false;
 
+    WaveExecutor executor([&] {
+        pool.parallelFor(posted.size(), [&](u64 k) {
+            ForkScratch &fs =
+                scratch[exec::ThreadPool::currentWorker()];
+            WaveTrial &w = posted[k];
+            w.result = runTrialGuarded(
+                cfg, *w.trial, [&](const ForkDeadline *dl) {
+                    return runTrial(params, cfg, *w.trial, *w.golden,
+                                    fs, dl);
+                });
+            if (cfg.progress)
+                cfg.progress->tick();
+        });
+    });
+
     auto promote = [&] {
         // Entries complete in production order: per-thread targets are
         // nondecreasing, so the FIFO's front always finishes first.
         while (!inflight.empty() &&
                ledger->complete(inflight.front().slot)) {
-            wave.push_back(std::move(inflight.front()));
+            const Pending p = inflight.front();
             inflight.pop_front();
+            filling.push_back({p, &trialPool[p.trialIdx],
+                               &ledger->entry(p.slot), {}});
         }
     };
-    auto flushWave = [&] {
-        if (wave.empty())
-            return;
-        partial.resize(std::max(partial.size(), wave.size()));
-        pool.parallelFor(wave.size(), [&](u64 k) {
-            ForkScratch &fs =
-                scratch[exec::ThreadPool::currentWorker()];
-            Trial &t = trialPool[wave[k].trialIdx];
-            partial[k] = runTrialGuarded(
-                cfg, t, [&](const ForkDeadline *dl) {
-                    return runTrial(params, cfg, t,
-                                    ledger->entry(wave[k].slot), fs, dl);
-                });
-            if (cfg.progress)
-                cfg.progress->tick();
-        });
+    auto collect = [&] {
+        executor.collect();
         // Merge — and sink — in trial (production) order:
         // bit-identical for any worker count. Ledger slots and trial
         // slots both free up for the next opens.
-        for (size_t k = 0; k < wave.size(); ++k) {
-            const Trial &done = trialPool[wave[k].trialIdx];
-            sink(done.index, partial[k], done.meta);
-            ledger->release(wave[k].slot);
-            freeTrials.push_back(wave[k].trialIdx);
+        for (const WaveTrial &w : posted) {
+            sink(w.trial->index, w.result, w.trial->meta);
+            ledger->release(w.at.slot);
+            freeTrials.push_back(w.at.trialIdx);
         }
-        wave.clear();
+        posted.clear();
+    };
+    auto handOff = [&] {
+        collect();
+        if (filling.empty())
+            return;
+        std::swap(filling, posted);
+        executor.post();
     };
 
     while (trial < end && !halted) {
@@ -661,9 +797,13 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
         ++trial;
         ++executed;
 
+        // Hand the wave over once it is full, or as soon as the
+        // executor runs dry: then it waits at most one trial's
+        // production for work, never a whole wave's.
         promote();
-        if (wave.size() >= batchCap)
-            flushWave();
+        if (filling.size() >= waveCap ||
+            (!filling.empty() && executor.idle()))
+            handOff();
     }
 
     // Drain: the last trials' windows extend past the range's final
@@ -705,7 +845,8 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
 
     promote();
     fh_assert(inflight.empty(), "ledger drain left incomplete entries");
-    flushWave();
+    handOff();
+    collect();
 
     out.nextTrial = trial;
     out.halted = halted;

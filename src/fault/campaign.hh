@@ -13,14 +13,13 @@
  * GoldenLedger, and forks are compared against that checkpoint in
  * O(threads + segments).
  *
- * Execution is sharded: the master advances serially between
- * injection points, each point is snapshotted into a trial descriptor
- * with its own Rng::stream(seed, trial_index), and an exec::ThreadPool
- * runs the trials' forks concurrently. The serial producer (advance
- * plus snapshots) takes 41-51% of wall time at one pool thread
- * (perfbench `producer.share`). Per-trial results reduce into
- * CampaignResult in trial order, so the outcome is bit-identical for
- * 1 and N worker threads.
+ * Execution is sharded and overlapped: the master advances serially
+ * between injection points, each point is snapshotted into a trial
+ * descriptor with its own Rng::stream(seed, trial_index), and a
+ * fork-executor thread runs completed trials' forks in waves on an
+ * exec::ThreadPool while the master produces the next wave. Per-trial
+ * results reduce into CampaignResult in trial order, on the calling
+ * thread, so the outcome is bit-identical for 1 and N fork threads.
  */
 
 #ifndef FH_FAULT_CAMPAIGN_HH
@@ -67,12 +66,15 @@ struct CampaignConfig
     InjectionMix mix{};
 
     /**
-     * Host worker threads executing the per-trial forks (bare /
-     * protected), i.e. the exec::ThreadPool size; 0 = one per
-     * hardware thread (the default), 1 = fully serial. Also settable
-     * via the FH_THREADS environment variable in the bench harnesses.
-     * The result is bit-identical for every value: each trial draws
-     * from its own Rng::stream(seed, trial_index) and per-trial
+     * Host threads executing the per-trial forks (bare / protected),
+     * i.e. the exec::ThreadPool size; 0 = one per hardware thread (the
+     * default). The producer — the thread calling runCampaign or
+     * runRange, which advances the master — runs beside them, so a
+     * campaign occupies threads + 1 host threads; 1 runs the forks on
+     * one thread while the master advances on the other. Also
+     * settable via FH_THREADS in the bench harnesses and `jobs=` in
+     * fhsim. The result is bit-identical for every value: each trial
+     * draws from its own Rng::stream(seed, trial_index) and per-trial
      * results reduce in trial order. Distinct from the simulated
      * core's SMT threads (see `window`).
      */
@@ -163,13 +165,14 @@ struct CampaignConfig
 };
 
 /**
- * Where a campaign's wall time went, in nanoseconds: master advance +
- * ledger upkeep ("golden"), trial snapshot copies, the bare and
- * protected faulty forks, and the state comparisons. Accumulated
- * per-trial on the worker threads (each trial sums into its own
- * CampaignResult, merged in trial order) plus producer-side terms
- * added once at the end, so no synchronization is needed beyond the
- * pool's wave barrier.
+ * Busy time per campaign phase, in nanoseconds, summed over threads:
+ * master advance + ledger upkeep ("golden") and trial snapshot copies
+ * on the producer, the bare and protected faulty forks and the state
+ * comparisons on the fork threads. The producer runs while the forks
+ * do, so these are not shares of wall time: totalNs() exceeds the
+ * wall time whenever the two overlap. Fork-side terms sum into each
+ * trial's own CampaignResult (merged in trial order); producer-side
+ * terms arrive once per range through RangeOutcome::phases.
  */
 struct CampaignPhases
 {
@@ -316,7 +319,7 @@ struct CampaignResult
     u64 replayedTrials = 0;
 
     SdcBins bins;
-    CampaignPhases phases; ///< wall-time breakdown (not a count)
+    CampaignPhases phases; ///< busy time per phase (not a count)
     SchedCounters sched;   ///< scheduler observability (not journaled)
     /** Per-site vulnerability profile; empty on per-trial deltas
      *  (producers fold deltas + meta via VulnProfile::addTrial). */
@@ -392,8 +395,8 @@ struct RangeOutcome
     bool halted = false;
     /** A shutdown request drained the range early at nextTrial. */
     bool stopped = false;
-    /** Producer-side wall time (master advance + snapshots) spent in
-     *  this call; worker-side phase time rides in the trial deltas. */
+    /** Producer busy time (master advance + snapshots) in this call;
+     *  fork-side phase time rides in the trial deltas. */
     CampaignPhases phases;
     /** Master-side scheduler counters accumulated during this call
      *  (trial forks report theirs through the trial deltas). */
@@ -432,7 +435,12 @@ class CampaignSession
      * cfg.injections)), calling sink in trial order; trials below
      * begin are skip-advanced. A non-terminal range closes its last
      * windows on a scratch copy of the master, so the schedule seen
-     * by later ranges is untouched.
+     * by later ranges is untouched. The forks run on a fork-executor
+     * thread that lives only inside this call; sink runs on the
+     * calling thread, and every call to it happens before runRange
+     * returns. An exception from sink, or one that escaped a trial,
+     * propagates after the executor is joined; the session can then
+     * only be destroyed.
      */
     RangeOutcome runRange(u64 begin, u64 end, const TrialSink &sink);
 

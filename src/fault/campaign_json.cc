@@ -147,9 +147,9 @@ writeCampaignJson(const std::string &path, const std::string &bench,
                  u(s.wakeupHits), u(s.overflowParks),
                  u(s.overflowRescans), u(s.issueEvals),
                  u(s.issueCandidates));
-    // Wall-time phase breakdown: master advance + golden checkpoint
-    // ledger, snapshot copies, the two faulty forks, and the
-    // arch/digest comparisons.
+    // Busy time per phase, summed over threads (CampaignPhases):
+    // master advance + golden checkpoint ledger, snapshot copies, the
+    // two faulty forks, and the arch/digest comparisons.
     const CampaignPhases &p = r.phases;
     const double total =
         static_cast<double>(p.totalNs() ? p.totalNs() : 1);

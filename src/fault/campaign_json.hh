@@ -4,7 +4,7 @@
  * writes in every mode, so scripts and CI parse one schema:
  * configuration, classification counts (including the
  * resilience-layer trialErrors / hung-fork counters), Figure 11 bins,
- * the wall-time phase breakdown, and a "partial" marker set when the
+ * busy time per phase, and a "partial" marker set when the
  * campaign was interrupted and drained instead of running to
  * completion.
  */

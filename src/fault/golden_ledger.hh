@@ -30,9 +30,13 @@
  * tests/test_golden_ledger.cc holds the golden-fork oracle: every
  * entry must agree with a no-fault fork of its trial's snapshot.
  *
- * Not thread-safe by design: all mutation happens on the producer
- * thread between worker waves, and workers only read entries of
- * trials whose windows the master has already fully crossed.
+ * Thread ownership: one thread (the campaign's producer) calls every
+ * member except the static matches(); it opens, finalizes and
+ * releases entries. Fork executors read only *complete* entries,
+ * through references entry() returned, while the producer keeps
+ * opening and finalizing others. That needs no lock: a complete entry
+ * is immutable until release(), which the producer calls only after
+ * the trial's result is merged, and open() never moves an entry.
  */
 
 #ifndef FH_FAULT_GOLDEN_LEDGER_HH
@@ -161,7 +165,8 @@ class GoldenLedger final : public pipeline::CommitObserver
     void finalizeThread(u32 slot, unsigned tid);
 
     pipeline::Core *master_;
-    std::vector<Entry> entries_;
+    /** A deque: open() never moves an entry a fork is reading. */
+    std::deque<Entry> entries_;
     std::vector<u32> freeSlots_;
     /** Per-thread pending watches, FIFO by target (targets are
      *  nondecreasing across opens, so crossing pops from the front). */

@@ -24,8 +24,8 @@
  * trials (their deltas are added straight from the journal), and
  * executes the remainder exactly as the uninterrupted run would have.
  * The final CampaignResult counters and SDC bins equal an
- * uninterrupted run's exactly (wall-time phase accounting excepted —
- * it was never deterministic).
+ * uninterrupted run's exactly (phase timing excepted — it was never
+ * deterministic).
  *
  * The header line pins the campaign identity (seed, injections,
  * window, schedule, mix, scheme); resuming against a journal written
@@ -56,7 +56,7 @@ namespace fh::fault
  * The counters serialized per completed trial, in record-array order:
  * the journal's JSONL "d" array and the distributed fabric's TRIAL
  * frames carry exactly this vector, so a coordinator can journal a
- * worker's records verbatim. The wall-time phases and the
+ * worker's records verbatim. The phase times and the
  * partial/replayed markers are deliberately absent: phases were never
  * deterministic, and the markers describe a run, not a trial.
  */

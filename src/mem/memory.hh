@@ -26,6 +26,7 @@
 #ifndef FH_MEM_MEMORY_HH
 #define FH_MEM_MEMORY_HH
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -159,16 +160,26 @@ class Memory
     const Backing *find(Addr a) const;
     Backing *find(Addr a);
 
-    /** Give b private storage before a write lands in it. Safe when
-     *  other threads hold references to the old storage: they only
-     *  read it, and a stale use_count over-estimate merely causes a
-     *  harmless extra copy. */
+    /**
+     * Give b private storage before a write lands in it. Safe when
+     * other threads hold references to the old storage: they only read
+     * it, and a stale use_count over-estimate merely causes a harmless
+     * extra copy. A count of 1 means the last other owner has dropped
+     * its reference, possibly on another thread (a campaign's fork
+     * executor releasing a snapshot that still shares a buffer with
+     * the master). use_count() is a relaxed load, so the acquire fence
+     * pairs with that owner's release decrement: its reads of the
+     * buffer happen before the write this thread is about to make.
+     */
     static void detach(Backing &b)
     {
-        if (b.words.use_count() <= 1)
+        if (b.words.use_count() <= 1) {
+            std::atomic_thread_fence(std::memory_order_acquire);
             return;
+        }
         if (b.spare && b.spare.use_count() == 1 &&
             b.spare->size() == b.words->size()) {
+            std::atomic_thread_fence(std::memory_order_acquire);
             *b.spare = *b.words; // same-size copy: no allocation
             b.words = std::move(b.spare);
         } else {

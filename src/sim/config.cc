@@ -174,6 +174,18 @@ Config::getU64(const std::string &key, u64 def) const
     return has(key) ? parseOrDie(getString(key), parseU64, key) : def;
 }
 
+u64
+Config::getU64(const std::string &key, u64 def, u64 lo, u64 hi) const
+{
+    const u64 v = getU64(key, def);
+    if (v < lo || v > hi)
+        fh_fatal("%s=%llu is out of range [%llu, %llu]", key.c_str(),
+                 static_cast<unsigned long long>(v),
+                 static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi));
+    return v;
+}
+
 double
 Config::getDouble(const std::string &key, double def) const
 {

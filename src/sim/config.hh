@@ -42,6 +42,9 @@ class Config
     std::string getString(const std::string &key,
                           const std::string &def = "") const;
     u64 getU64(const std::string &key, u64 def = 0) const;
+    /** getU64 whose value must also lie in [lo, hi]; one outside it
+     *  is fatal, naming the key and the range. */
+    u64 getU64(const std::string &key, u64 def, u64 lo, u64 hi) const;
     double getDouble(const std::string &key, double def = 0.0) const;
     bool getBool(const std::string &key, bool def = false) const;
 

@@ -1,11 +1,12 @@
 /**
  * @file
- * Portable population count. std::popcount lowers to a libgcc call on
- * baseline x86-64 unless the whole build carries -mpopcnt; the
- * compiler builtin picks the best available lowering per target
- * without an ISA-gating compile flag, so the build stays portable and
- * the filter kernels stay fast. The SWAR fallback keeps non-GNU
- * compilers working (identical results, a few ops slower).
+ * Portable population count. On baseline x86-64 (no -mpopcnt) neither
+ * std::popcount nor __builtin_popcountll has an instruction to lower
+ * to: both become a call to libgcc's __popcountdi2. So the builtin is
+ * used only where it compiles to an instruction — x86-64 built with
+ * POPCNT enabled, and AArch64 — and everywhere else an inline SWAR
+ * reduction gives identical results without the call and without an
+ * ISA-gating compile flag.
  */
 
 #ifndef FH_SIM_POPCOUNT_HH
@@ -19,7 +20,8 @@ namespace fh
 constexpr unsigned
 popcount64(u64 x)
 {
-#if defined(__GNUC__) || defined(__clang__)
+#if (defined(__GNUC__) || defined(__clang__)) &&                        \
+    ((defined(__x86_64__) && defined(__POPCNT__)) || defined(__aarch64__))
     return static_cast<unsigned>(__builtin_popcountll(x));
 #else
     // Classic SWAR reduction (Hacker's Delight, fig. 5-2).

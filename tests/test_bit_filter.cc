@@ -1,15 +1,47 @@
 /**
  * @file
  * BitFilter: the ternary neighborhood encoding of Figure 1 — per-bit
- * counters plus the previous value — across all counter flavors.
+ * counters plus the previous value — across all counter flavors, and
+ * the population count its mismatch counts rest on.
  */
 
 #include <gtest/gtest.h>
 
 #include "filters/bit_filter.hh"
+#include "sim/popcount.hh"
+#include "sim/rng.hh"
 
 using namespace fh;
 using namespace fh::filters;
+
+namespace
+{
+
+unsigned
+bitLoopCount(u64 x)
+{
+    unsigned n = 0;
+    for (unsigned b = 0; b < 64; ++b)
+        n += (x >> b) & 1;
+    return n;
+}
+
+} // namespace
+
+TEST(Popcount, MatchesABitLoop)
+{
+    EXPECT_EQ(popcount64(0), 0u);
+    EXPECT_EQ(popcount64(~0ULL), 64u);
+    for (unsigned b = 0; b < 64; ++b) {
+        EXPECT_EQ(popcount64(1ULL << b), 1u) << "bit " << b;
+        EXPECT_EQ(popcount64(~(1ULL << b)), 63u) << "bit " << b;
+    }
+    Rng rng(0x9095);
+    for (int i = 0; i < 10000; ++i) {
+        const u64 x = rng.next();
+        ASSERT_EQ(popcount64(x), bitLoopCount(x)) << std::hex << x;
+    }
+}
 
 TEST(BitFilter, InstallMakesEverythingUnchanging)
 {

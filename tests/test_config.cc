@@ -71,6 +71,22 @@ TEST(ConfigDeathTest, MalformedValueIsFatalNamingTheKey)
                 "window='abc'");
 }
 
+TEST(ConfigDeathTest, BelowRangeValueIsFatalNamingTheKeyAndRange)
+{
+    Config cfg;
+    cfg.set("threads=0");
+    EXPECT_EXIT(cfg.getU64("threads", 2, 1, 8), testing::ExitedWithCode(1),
+                "threads=0 is out of range \\[1, 8\\]");
+}
+
+TEST(ConfigDeathTest, AboveRangeValueIsFatalNamingTheKeyAndRange)
+{
+    Config cfg;
+    cfg.set("jobs=100000");
+    EXPECT_EXIT(cfg.getU64("jobs", 0, 0, 1024), testing::ExitedWithCode(1),
+                "jobs=100000 is out of range \\[0, 1024\\]");
+}
+
 TEST(ConfigDeathTest, MalformedEnvValueIsFatalNamingTheVariable)
 {
     EXPECT_EXIT(
@@ -221,6 +237,16 @@ TEST(Config, TypedAccessorsAndDefaults)
     EXPECT_EQ(cfg.getString("missing", "d"), "d");
     EXPECT_TRUE(cfg.getBool("missing", true));
     EXPECT_FALSE(cfg.has("missing"));
+}
+
+TEST(Config, RangedAccessorTakesBoundsAndDefaults)
+{
+    Config cfg;
+    cfg.set("threads=8");
+    cfg.set("jobs=0");
+    EXPECT_EQ(cfg.getU64("threads", 2, 1, 8), 8u);
+    EXPECT_EQ(cfg.getU64("jobs", 1, 0, 1024), 0u);
+    EXPECT_EQ(cfg.getU64("worker_jobs", 1, 0, 1024), 1u);
 }
 
 TEST(Config, UnknownKeysTracksUndeclaredUnreadKeys)

@@ -4,7 +4,9 @@
  * every index exactly once under concurrency, exceptions propagate,
  * the progress meter counts concurrent ticks, and — the property the
  * whole subsystem exists for — runCampaign produces bit-identical
- * CampaignResults no matter how many worker threads execute it.
+ * CampaignResults no matter how many worker threads execute it. A
+ * session's sink runs on runRange's calling thread in trial order, and
+ * an exception from it leaves no thread behind.
  */
 
 #include <gtest/gtest.h>
@@ -12,8 +14,12 @@
 #include <algorithm>
 #include <atomic>
 #include <latch>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "exec/progress.hh"
@@ -295,3 +301,91 @@ TEST(CampaignParallel, ProgressTicksOncePerTrial)
     auto r = fault::runCampaign(fhParams(), &program, cfg);
     EXPECT_EQ(meter.done(), r.injected);
 }
+
+namespace
+{
+
+/** Session tests at one fork thread and at four. */
+class SessionSink : public testing::TestWithParam<unsigned>
+{
+  protected:
+    fault::CampaignConfig config() const
+    {
+        fault::CampaignConfig cfg;
+        cfg.injections = 40;
+        cfg.window = 300;
+        cfg.seed = 9;
+        cfg.threads = GetParam();
+        return cfg;
+    }
+};
+
+} // namespace
+
+TEST_P(SessionSink, RunsOnTheCallerInTrialOrder)
+{
+    // The fork executor overlaps the master's advance, but merging
+    // stays the caller's: each range's trials reach the sink exactly
+    // once, in order, on this thread, before runRange returns. The
+    // first range starts past a skip-advanced prefix and ends with a
+    // drain on a scratch master; the second is the campaign's tail.
+    auto program = prog();
+    const fault::CampaignConfig cfg = config();
+    fault::CampaignSession session(fhParams(), &program, cfg);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<bool> returned{false};
+    std::atomic<u64> offThread{0}, afterReturn{0};
+    std::vector<u64> seen;
+    const fault::TrialSink sink = [&](u64 trial,
+                                      const fault::CampaignResult &,
+                                      const fault::TrialMeta &) {
+        if (std::this_thread::get_id() != caller)
+            offThread.fetch_add(1);
+        if (returned.load())
+            afterReturn.fetch_add(1);
+        seen.push_back(trial);
+    };
+    for (const auto &[begin, end] :
+         {std::pair<u64, u64>{5, 17}, std::pair<u64, u64>{17, 40}}) {
+        seen.clear();
+        returned.store(false);
+        const fault::RangeOutcome out = session.runRange(begin, end, sink);
+        returned.store(true);
+        EXPECT_EQ(out.nextTrial, end);
+        std::vector<u64> want(end - begin);
+        std::iota(want.begin(), want.end(), begin);
+        EXPECT_EQ(seen, want) << "range [" << begin << ", " << end << ")";
+    }
+    EXPECT_EQ(offThread.load(), 0u);
+    EXPECT_EQ(afterReturn.load(), 0u);
+}
+
+TEST_P(SessionSink, ThrowingSinkPropagatesAndLeavesNoThread)
+{
+    // A sink failure escapes runRange on the calling thread. The fork
+    // executor must already be joined by then: a joinable std::thread
+    // destroyed during unwinding calls std::terminate, and one still
+    // running would race the session's destruction below.
+    auto program = prog();
+    const fault::CampaignConfig cfg = config();
+    auto session =
+        std::make_unique<fault::CampaignSession>(fhParams(), &program, cfg);
+    u64 calls = 0;
+    const fault::TrialSink sink = [&](u64 trial,
+                                      const fault::CampaignResult &,
+                                      const fault::TrialMeta &) {
+        if (++calls == 10)
+            throw std::runtime_error("sink failed at trial " +
+                                     std::to_string(trial));
+    };
+    EXPECT_THROW(session->runRange(0, cfg.injections, sink),
+                 std::runtime_error);
+    EXPECT_EQ(calls, 10u);
+    session.reset();
+}
+
+INSTANTIATE_TEST_SUITE_P(ForkThreads, SessionSink,
+                         testing::Values(1u, 4u),
+                         [](const testing::TestParamInfo<unsigned> &p) {
+                             return "threads" + std::to_string(p.param);
+                         });

@@ -18,8 +18,9 @@
  * and in each oracle mode (oracle_modes.hh): under the per-cycle issue
  * scan and with full-window bare forks the campaign must still
  * classify exactly as the golden-fork classifier.
- * Also pins the ledger's layout check on every built-in workload and
- * the fork runtime's no-post-freeze-ticks guarantee.
+ * Also pins the ledger's layout check on every built-in workload,
+ * the entries' stable addresses, and the fork runtime's
+ * no-post-freeze-ticks guarantee.
  */
 
 #include <gtest/gtest.h>
@@ -314,6 +315,25 @@ TEST(GoldenLedger, SupportsBuiltInWorkloadLayout)
                 << info.name << " at " << smt << " SMT thread(s)";
         }
     }
+}
+
+// Fork executors read complete entries while the producer keeps
+// opening new ones, so open() may never move an existing entry.
+TEST(GoldenLedger, EntriesStayPutAcrossOpens)
+{
+    isa::Program program = buildProgram("ocean", 2);
+    pipeline::CoreParams params;
+    pipeline::Core core(params, &program);
+    fault::GoldenLedger ledger(core);
+    core.setCommitObserver(&ledger);
+
+    const std::vector<u64> targets(core.numThreads(), 100);
+    const u32 first = ledger.open(targets);
+    const fault::GoldenLedger::Entry *before = &ledger.entry(first);
+    for (int i = 0; i < 1000; ++i)
+        ledger.open(targets);
+    EXPECT_EQ(&ledger.entry(first), before);
+    EXPECT_EQ(ledger.entry(first).targets, targets);
 }
 
 // Regression: once every thread is frozen at its stopAfterInsts
