@@ -65,10 +65,16 @@ using namespace fh;
 namespace
 {
 
-/** SMT contexts pipeline::Core supports (`threads`). */
-constexpr u64 kMaxSmtThreads = 8;
-/** Upper bound on `jobs` and `worker_jobs` (0 = all hardware). */
-constexpr u64 kMaxJobs = 1024;
+// Upper bounds of the ranged keys; each key's help line gives the
+// reason for its bound.
+constexpr u64 kMaxSmtThreads = 8;   ///< `threads`: pipeline::Core's SMT
+constexpr u64 kMaxJobs = 1024;      ///< `jobs`, `worker_jobs`, `workers`
+constexpr u64 kMaxInsts = 1'000'000'000'000'000; ///< `insts`
+constexpr u64 kMaxTcamEntries = 1024;            ///< `tcam.entries`
+constexpr u64 kMaxTcamThreshold = 64;            ///< `tcam.threshold`
+constexpr u64 kMaxMs = 86'400'000;  ///< the `*_ms` keys: one day
+constexpr double kMaxCiTarget = 0.5; ///< `ci_target`
+constexpr u64 kAnyU64 = ~u64{0};     ///< no bound but the type's
 
 /**
  * The full option registry: every key any fhsim mode reads, with its
@@ -85,21 +91,30 @@ declareAllKeys(const Config &cfg)
                    "none|pbfs|pbfs-biased|fh-backend|faulthound "
                    "(default faulthound)");
     cfg.declareKey("insts",
-                   "per-thread instruction budget (default 100000)");
+                   "per-thread instruction budget, 1 to 10^15: the "
+                   "run's cycle cap, 400 per instruction, must fit in "
+                   "64 bits (default 100000)");
     cfg.declareKey("threads", "SMT contexts, 1-8 (default 2)");
-    cfg.declareKey("seed", "workload/data seed (default 0x5eed)");
+    cfg.declareKey("seed",
+                   "workload/data seed, any 64-bit value (default "
+                   "0x5eed)");
     cfg.declareKey("tcam.entries",
-                   "first-level TCAM entries (default 32)");
+                   "first-level TCAM entries, 0-1024: 0 = the scheme "
+                   "preset (32); every lookup searches them all");
     cfg.declareKey("tcam.threshold",
-                   "TCAM loosen threshold (default 4)");
+                   "TCAM loosen threshold, 0-64: 0 = the scheme preset "
+                   "(4); it bounds a mismatch count over a 64-bit word");
     cfg.declareKey("delay_buffer",
-                   "delay buffer entries (default 16)");
+                   "delay buffer entries, 0-250: 0 = the default (16); "
+                   "it holds ROB slots and the ROB has 250");
     // Campaign.
     cfg.declareKey("campaign",
                    "also run a fault campaign (default false)");
     cfg.declareKey("injections",
-                   "campaign injections (default 300)");
-    cfg.declareKey("window", "campaign run window (default 1000)");
+                   "campaign injections, at least 1 (default 300)");
+    cfg.declareKey("window",
+                   "campaign run window in instructions per SMT "
+                   "thread, at least 1 (default 1000)");
     cfg.declareKey("jobs",
                    "campaign fork threads (plus one producer thread), "
                    "or worker processes in dispatch mode; 0-1024, "
@@ -107,13 +122,16 @@ declareAllKeys(const Config &cfg)
     cfg.declareKey("journal",
                    "trial-journal path for checkpoint/resume");
     cfg.declareKey("trial_timeout_ms",
-                   "wall-clock budget per trial; overruns become "
-                   "trial errors (0 = off)");
+                   "wall-clock budget per trial, 0 to 86400000 ms (a "
+                   "budget past a day watches nothing); overruns "
+                   "become trial errors (0 = off)");
     cfg.declareKey("ci_target",
                    "adaptive stop: pooled SDC-rate CI half-width "
-                   "target (0 = fixed-count campaign)");
+                   "target, 0-0.5: 0 = fixed-count campaign; a "
+                   "half-width of 0.5 already spans every rate");
     cfg.declareKey("ci_wave",
-                   "adaptive stop wave size in trials (default 64)");
+                   "adaptive stop wave size in trials, at least 1 "
+                   "(default 64)");
     cfg.declareKey("json",
                    "write the JSON campaign record here "
                    "(\"-\" = stdout)");
@@ -122,15 +140,20 @@ declareAllKeys(const Config &cfg)
                    "serve/dispatch mode: coordinator endpoint, "
                    "host:port or unix:/path (port 0 = ephemeral)");
     cfg.declareKey("workers",
-                   "serve mode: expected worker count, sizes the "
-                   "lease chunks (default 1)");
+                   "serve mode: expected worker count, 1-1024; sizes "
+                   "the lease chunks (default 1)");
     cfg.declareKey("chunk",
-                   "trials per range lease; 0 = auto (~4 per worker)");
+                   "trials per range lease, 0 up to injections; 0 = "
+                   "auto (~4 per worker)");
     cfg.declareKey("lease_timeout_ms",
                    "heartbeat silence before a worker's lease is "
-                   "re-issued (default 10000)");
+                   "re-issued, 1 to 86400000 ms: 0 would revoke every "
+                   "lease at once, and a day of silence is a dead "
+                   "worker (default 10000)");
     cfg.declareKey("heartbeat_ms",
-                   "worker liveness heartbeat period (default 300)");
+                   "worker liveness heartbeat period, 1 to 86400000 "
+                   "ms: 0 would flood the link, and no lease timeout "
+                   "waits longer (default 300)");
     cfg.declareKey("worker_jobs",
                    "dispatch mode: fork threads per worker process, "
                    "0-1024 (default 1)");
@@ -205,26 +228,28 @@ specFromConfig(const Config &cfg)
         cfg.getU64("threads", 2, 1, kMaxSmtThreads));
     spec.workload.maxThreads = std::max(2u, spec.coreThreads);
     spec.workload.seed = cfg.getU64("seed", 0x5eedULL);
-    spec.tcamEntries =
-        static_cast<unsigned>(cfg.getU64("tcam.entries", 0));
-    spec.tcamThreshold =
-        static_cast<unsigned>(cfg.getU64("tcam.threshold", 0));
-    spec.delayBuffer =
-        static_cast<unsigned>(cfg.getU64("delay_buffer", 0));
-    spec.campaign.injections = cfg.getU64("injections", 300);
-    spec.campaign.window = cfg.getU64("window", 1000);
+    spec.tcamEntries = static_cast<unsigned>(
+        cfg.getU64("tcam.entries", 0, 0, kMaxTcamEntries));
+    spec.tcamThreshold = static_cast<unsigned>(
+        cfg.getU64("tcam.threshold", 0, 0, kMaxTcamThreshold));
+    spec.delayBuffer = static_cast<unsigned>(cfg.getU64(
+        "delay_buffer", 0, 0, pipeline::CoreParams{}.robSize));
+    spec.campaign.injections = cfg.getU64("injections", 300, 1, kAnyU64);
+    spec.campaign.window = cfg.getU64("window", 1000, 1, kAnyU64);
     spec.campaign.seed = cfg.getU64("seed", 1);
-    spec.campaign.trialTimeoutMs = cfg.getU64("trial_timeout_ms", 0);
-    spec.campaign.ciTarget = cfg.getDouble("ci_target", 0.0);
-    spec.campaign.ciWave = cfg.getU64("ci_wave", 64);
+    spec.campaign.trialTimeoutMs =
+        cfg.getU64("trial_timeout_ms", 0, 0, kMaxMs);
+    spec.campaign.ciTarget =
+        cfg.getDouble("ci_target", 0.0, 0.0, kMaxCiTarget);
+    spec.campaign.ciWave = cfg.getU64("ci_wave", 64, 1, kAnyU64);
     return spec;
 }
 
 /** Coordinator options shared by dispatch and serve; false (after
  *  printing why) on a malformed listen endpoint. */
 bool
-coordinatorOptions(const Config &cfg, unsigned workers,
-                   exec::ProgressMeter &meter,
+coordinatorOptions(const Config &cfg, const dist::CampaignSpec &spec,
+                   unsigned workers, exec::ProgressMeter &meter,
                    dist::CoordinatorOptions &copts)
 {
     std::string error;
@@ -234,9 +259,9 @@ coordinatorOptions(const Config &cfg, unsigned workers,
         return false;
     }
     copts.workers = workers;
-    copts.chunk = cfg.getU64("chunk", 0);
+    copts.chunk = cfg.getU64("chunk", 0, 0, spec.campaign.injections);
     copts.leaseTimeoutMs =
-        cfg.getU64("lease_timeout_ms", copts.leaseTimeoutMs);
+        cfg.getU64("lease_timeout_ms", copts.leaseTimeoutMs, 1, kMaxMs);
     copts.progress = &meter;
     return true;
 }
@@ -303,8 +328,8 @@ emitCampaignOutputs(const Config &cfg, const std::string &bench,
                  pct(p.protectedNs), pct(p.compareNs));
     // Scheduler observability (stderr for the same reason): how the
     // event-driven issue stage spent the campaign's window execution.
-    // Zeros in distributed runs (the wire carries classification
-    // counters only).
+    // Distributed runs count only a degraded tail's master here (the
+    // wire carries classification counters only).
     const fault::SchedCounters &s = r.sched;
     auto ull = [](u64 v) { return static_cast<unsigned long long>(v); };
     std::fprintf(stderr,
@@ -391,20 +416,12 @@ int
 runCoordinator(const Config &cfg, dist::Coordinator &coord,
                const dist::CampaignSpec &spec, unsigned workers)
 {
-    fault::CampaignConfig ccfg = spec.campaign;
-    ccfg.journalPath = cfg.getString("journal", "");
+    const std::string journalPath = cfg.getString("journal", "");
     std::unique_ptr<fault::TrialJournal> journal;
-    if (!ccfg.journalPath.empty()) {
+    if (!journalPath.empty())
         journal = std::make_unique<fault::TrialJournal>(
-            ccfg.journalPath, ccfg,
+            journalPath, spec.campaign,
             filters::to_string(spec.buildParams().detector.scheme));
-        if (journal->replayCount() > 0)
-            fh_inform("journal '%s': replaying %llu completed "
-                      "trial(s)",
-                      ccfg.journalPath.c_str(),
-                      static_cast<unsigned long long>(
-                          journal->replayCount()));
-    }
 
     const auto t0 = std::chrono::steady_clock::now();
     fault::CampaignResult r = coord.run(journal.get());
@@ -433,8 +450,8 @@ runCoordinator(const Config &cfg, dist::Coordinator &coord,
     health.rangesReissued = ds.rangesReissued;
     health.quarantined = ds.quarantined;
     health.degraded = ds.degraded;
-    return emitCampaignOutputs(cfg, spec.bench, workers, ccfg, r,
-                               seconds, &health);
+    return emitCampaignOutputs(cfg, spec.bench, workers, spec.campaign,
+                               r, seconds, &health);
 }
 
 int
@@ -461,10 +478,10 @@ cmdDispatch(int argc, char **argv)
                               spec.campaign.injections);
 
     dist::CoordinatorOptions copts;
-    if (!coordinatorOptions(cfg, jobs, meter, copts))
+    if (!coordinatorOptions(cfg, spec, jobs, meter, copts))
         return 1;
-    const u64 heartbeatMs =
-        cfg.getU64("heartbeat_ms", dist::WorkerOptions{}.heartbeatMs);
+    const u64 heartbeatMs = cfg.getU64(
+        "heartbeat_ms", dist::WorkerOptions{}.heartbeatMs, 1, kMaxMs);
     dist::Coordinator coord(spec, copts);
 
     const std::string exe = dist::selfExe();
@@ -527,10 +544,10 @@ cmdServe(int argc, char **argv)
     exec::ProgressMeter meter("fhsim serve",
                               spec.campaign.injections);
 
-    const unsigned workers = static_cast<unsigned>(
-        std::max<u64>(1, cfg.getU64("workers", 1)));
+    const unsigned workers =
+        static_cast<unsigned>(cfg.getU64("workers", 1, 1, kMaxJobs));
     dist::CoordinatorOptions copts;
-    if (!coordinatorOptions(cfg, workers, meter, copts))
+    if (!coordinatorOptions(cfg, spec, workers, meter, copts))
         return 1;
     dist::Coordinator coord(spec, copts);
     std::fprintf(stderr,
@@ -569,7 +586,8 @@ cmdWorker(int argc, char **argv)
     }
     wopts.jobs =
         static_cast<unsigned>(cfg.getU64("jobs", 1, 0, kMaxJobs));
-    wopts.heartbeatMs = cfg.getU64("heartbeat_ms", wopts.heartbeatMs);
+    wopts.heartbeatMs =
+        cfg.getU64("heartbeat_ms", wopts.heartbeatMs, 1, kMaxMs);
     return dist::runWorker(wopts);
 }
 
@@ -595,7 +613,7 @@ runSim(const Config &cfg)
     isa::Program prog = spec.buildProgram();
     const pipeline::CoreParams params = spec.buildParams();
 
-    const u64 insts = cfg.getU64("insts", 100000);
+    const u64 insts = cfg.getU64("insts", 100000, 1, kMaxInsts);
     std::fprintf(stderr,
                  "fhsim: %s, scheme %s, %llu insts/thread, %u "
                  "threads\n",

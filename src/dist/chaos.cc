@@ -35,13 +35,6 @@ u64 gSeed = 0;
 Rates gRates;
 
 std::atomic<u64> gOrdinal{0};
-std::atomic<u64> gFrames{0};
-std::atomic<u64> gDrops{0};
-std::atomic<u64> gTruncs{0};
-std::atomic<u64> gFlips{0};
-std::atomic<u64> gDups{0};
-std::atomic<u64> gDelays{0};
-std::atomic<u64> gResets{0};
 
 /** splitmix64 — decisions are a pure function of (seed, ordinal). */
 u64
@@ -134,13 +127,6 @@ void
 reload()
 {
     gOrdinal.store(0, std::memory_order_relaxed);
-    gFrames.store(0, std::memory_order_relaxed);
-    gDrops.store(0, std::memory_order_relaxed);
-    gTruncs.store(0, std::memory_order_relaxed);
-    gFlips.store(0, std::memory_order_relaxed);
-    gDups.store(0, std::memory_order_relaxed);
-    gDelays.store(0, std::memory_order_relaxed);
-    gResets.store(0, std::memory_order_relaxed);
     const char *spec = std::getenv("FH_CHAOS");
     if (!spec || !*spec) {
         gEnabled = false;
@@ -156,26 +142,11 @@ enabled()
     return gEnabled;
 }
 
-Stats
-stats()
-{
-    Stats s;
-    s.frames = gFrames.load(std::memory_order_relaxed);
-    s.drops = gDrops.load(std::memory_order_relaxed);
-    s.truncs = gTruncs.load(std::memory_order_relaxed);
-    s.flips = gFlips.load(std::memory_order_relaxed);
-    s.dups = gDups.load(std::memory_order_relaxed);
-    s.delays = gDelays.load(std::memory_order_relaxed);
-    s.resets = gResets.load(std::memory_order_relaxed);
-    return s;
-}
-
 bool
 send(int fd, const u8 *frame, size_t n)
 {
     const u64 ordinal =
         gOrdinal.fetch_add(1, std::memory_order_relaxed);
-    gFrames.fetch_add(1, std::memory_order_relaxed);
     const u64 r = mix(gSeed + ordinal);
     const u32 roll = static_cast<u32>(r % 1000);
     // Extra random bits for the perturbation's parameters (which bit
@@ -184,13 +155,11 @@ send(int fd, const u8 *frame, size_t n)
 
     u32 edge = gRates.dropPm;
     if (roll < edge) {
-        gDrops.fetch_add(1, std::memory_order_relaxed);
         killConnection(fd);
         return false;
     }
     edge += gRates.truncPm;
     if (roll < edge) {
-        gTruncs.fetch_add(1, std::memory_order_relaxed);
         const size_t keep = n > 1 ? 1 + aux % (n - 1) : 0;
         if (keep > 0)
             sendAll(fd, frame, keep);
@@ -199,7 +168,6 @@ send(int fd, const u8 *frame, size_t n)
     }
     edge += gRates.flipPm;
     if (roll < edge) {
-        gFlips.fetch_add(1, std::memory_order_relaxed);
         std::vector<u8> mutated(frame, frame + n);
         const u64 bit = aux % (n * 8);
         mutated[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
@@ -207,19 +175,16 @@ send(int fd, const u8 *frame, size_t n)
     }
     edge += gRates.dupPm;
     if (roll < edge) {
-        gDups.fetch_add(1, std::memory_order_relaxed);
         return sendAll(fd, frame, n) && sendAll(fd, frame, n);
     }
     edge += gRates.delayPm;
     if (roll < edge) {
-        gDelays.fetch_add(1, std::memory_order_relaxed);
         std::this_thread::sleep_for(
             std::chrono::milliseconds(1 + aux % 20));
         return sendAll(fd, frame, n);
     }
     edge += gRates.resetPm;
     if (roll < edge) {
-        gResets.fetch_add(1, std::memory_order_relaxed);
         sendAll(fd, frame, n); // frame arrives, then the line dies
         killConnection(fd);
         return false;

@@ -44,21 +44,9 @@
 namespace fh::dist::chaos
 {
 
-/** Per-action event counts since the last reload(). */
-struct Stats
-{
-    u64 frames = 0; ///< frames that passed through the interposer
-    u64 drops = 0;
-    u64 truncs = 0;
-    u64 flips = 0;
-    u64 dups = 0;
-    u64 delays = 0;
-    u64 resets = 0;
-};
-
 /**
- * Re-read FH_CHAOS from the environment and reset the frame ordinal
- * and stats. Called by the coordinator constructor and runWorker() so
+ * Re-read FH_CHAOS from the environment and reset the frame ordinal.
+ * Called by the coordinator constructor and runWorker() so
  * each fabric process arms itself exactly once per run; tests call it
  * after setenv/unsetenv to flip chaos on and off mid-process.
  */
@@ -66,9 +54,6 @@ void reload();
 
 /** True when FH_CHAOS is armed for this process. */
 bool enabled();
-
-/** Snapshot of the interposer's event counts. */
-Stats stats();
 
 /**
  * Chaos-mediated frame transmission (called by sendFrame when

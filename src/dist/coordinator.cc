@@ -12,7 +12,6 @@
 #include "dist/chaos.hh"
 #include "dist/messages.hh"
 #include "exec/interrupt.hh"
-#include "exec/progress.hh"
 #include "sim/logging.hh"
 
 namespace fh::dist
@@ -20,8 +19,7 @@ namespace fh::dist
 
 Coordinator::Coordinator(const CampaignSpec &spec,
                          const CoordinatorOptions &opts)
-    : spec_(spec), opts_(opts), listen_(opts.listen),
-      strata_(spec.campaign.mix)
+    : spec_(spec), opts_(opts), listen_(opts.listen)
 {
     chaos::reload();
     std::string error;
@@ -29,7 +27,6 @@ Coordinator::Coordinator(const CampaignSpec &spec,
     if (listenFd_ < 0)
         fh_fatal("coordinator: %s", error.c_str());
     ::fcntl(listenFd_, F_SETFL, O_NONBLOCK);
-    effectiveEnd_ = spec_.campaign.injections;
 }
 
 Coordinator::~Coordinator()
@@ -52,7 +49,7 @@ Coordinator::addChild(pid_t pid)
 void
 Coordinator::requeue(Range r)
 {
-    r.end = std::min(r.end, effectiveEnd_);
+    r.end = std::min(r.end, merge_->end());
     if (r.begin >= r.end)
         return;
     // Keep the queue sorted by begin so leases are handed out lowest
@@ -65,16 +62,15 @@ Coordinator::requeue(Range r)
 }
 
 void
-Coordinator::applyHalt(u64 haltTrial)
+Coordinator::trimQueue()
 {
-    // The workload ran out at haltTrial: deterministically, no process
-    // can produce a trial at or past it. Shrink the campaign.
-    if (haltTrial >= effectiveEnd_)
-        return;
-    effectiveEnd_ = haltTrial;
+    // The merge's end shrank (a halt or the adaptive stop): no trial at
+    // or past it is merged, so queued chunks past it are dropped;
+    // in-flight leases resolve normally (their stashed records beyond
+    // the end are discarded at the end of run()).
     std::deque<Range> kept;
     for (Range r : queue_) {
-        r.end = std::min(r.end, effectiveEnd_);
+        r.end = std::min(r.end, merge_->end());
         if (r.begin < r.end)
             kept.push_back(r);
     }
@@ -82,62 +78,23 @@ Coordinator::applyHalt(u64 haltTrial)
 }
 
 void
-Coordinator::drainStash(fault::TrialJournal *journal)
+Coordinator::drainStash()
 {
-    auto it = stash_.find(mergedNext_);
-    while (it != stash_.end() && it->first == mergedNext_ &&
-           mergedNext_ < effectiveEnd_) {
-        result_ += it->second.delta;
-        result_.profile.addTrial(it->second.delta, it->second.meta);
-        if (journal)
-            journal->record(mergedNext_, it->second.delta,
-                            it->second.meta);
-        if (opts_.progress)
-            opts_.progress->tick();
+    fault::CampaignMerge &merge = *merge_;
+    const u64 endBefore = merge.end();
+    auto it = stash_.find(merge.next());
+    while (it != stash_.end() && it->first == merge.next() &&
+           merge.next() < merge.end()) {
+        merge.add(it->first, it->second.delta, it->second.meta);
         ++stats_.trialsMerged;
         it = stash_.erase(it);
-        ++mergedNext_;
-        // Adaptive wave barrier: the stop rule fires only on the
-        // merged contiguous prefix at a wave boundary — the identical
-        // decision point a single-process run evaluates — so further
-        // stashed records (from leases already in flight) are simply
-        // never merged.
-        maybeCiStop();
     }
+    if (merge.end() != endBefore)
+        trimQueue();
     if (opts_.stopAfterMerged && !shuttingDown_ &&
         stats_.trialsMerged >= opts_.stopAfterMerged) {
         beginShutdown();
     }
-}
-
-void
-Coordinator::maybeCiStop()
-{
-    const fault::CampaignConfig &cc = spec_.campaign;
-    if (cc.ciTarget <= 0.0 || result_.ciStopped ||
-        mergedNext_ >= effectiveEnd_ || mergedNext_ == 0) {
-        return;
-    }
-    const u64 wave = std::max<u64>(cc.ciWave, 1);
-    if (mergedNext_ % wave != 0)
-        return;
-    if (fault::pooledSdcHalfWidth(result_.profile, strata_) >
-        cc.ciTarget) {
-        return;
-    }
-    // Same shrink-and-truncate as a halt report: no trial at or past
-    // the boundary is merged, queued chunks past it are dropped, and
-    // in-flight leases resolve normally (their stashed records beyond
-    // the boundary are discarded at the end).
-    result_.ciStopped = true;
-    effectiveEnd_ = mergedNext_;
-    std::deque<Range> kept;
-    for (Range r : queue_) {
-        r.end = std::min(r.end, effectiveEnd_);
-        if (r.begin < r.end)
-            kept.push_back(r);
-    }
-    queue_.swap(kept);
 }
 
 void
@@ -255,7 +212,8 @@ Coordinator::handleFrame(Conn &c, const Frame &f)
             if (done.nextTrial > c.leaseNext)
                 return false;
             c.hasLease = false;
-            applyHalt(done.nextTrial);
+            merge_->halt(done.nextTrial);
+            trimQueue();
             return true;
         }
         if (done.nextTrial != c.leaseNext) {
@@ -379,69 +337,37 @@ Coordinator::issueLeases()
 /**
  * Dead-fleet fallback: execute the unmerged tail in-process. Because
  * each trial is a pure function of (spec, trial index), the local
- * session produces the same records a worker would have streamed —
- * counters, journal bytes and the adaptive stop point are identical
- * to both the distributed and the single-process run. Everything the
- * fleet left behind (queued chunks, stashed out-of-order records) is
- * discarded first: the local session regenerates it from mergedNext_.
+ * session produces the same records a worker would have streamed, and
+ * runLocal feeds them to the same merge — counters, journal bytes and
+ * the adaptive stop point are identical to both the distributed and
+ * the single-process run. Everything the fleet left behind (queued
+ * chunks, stashed out-of-order records) is discarded first: the local
+ * session regenerates it from the merged prefix.
  */
 void
-Coordinator::runDegradedTail(fault::TrialJournal *journal)
+Coordinator::runDegradedTail()
 {
+    fault::CampaignMerge &merge = *merge_;
     stats_.degraded = true;
     fh_warn("coordinator: no live workers for %llu ms; degrading to "
             "in-process execution of %llu remaining trial(s)",
             static_cast<unsigned long long>(opts_.noWorkerTimeoutMs),
-            static_cast<unsigned long long>(effectiveEnd_ -
-                                            mergedNext_));
+            static_cast<unsigned long long>(merge.end() - merge.next()));
     queue_.clear();
     stash_.clear();
 
     const isa::Program prog = spec_.buildProgram();
-    const pipeline::CoreParams params = spec_.buildParams();
-    fault::CampaignConfig ccfg = spec_.campaign;
-    ccfg.journalPath.clear(); // the coordinator's journal, fed below
-    ccfg.progress = nullptr;
-    fault::CampaignSession session(params, &prog, ccfg);
-
-    const u64 wave = std::max<u64>(ccfg.ciWave, 1);
-    while (mergedNext_ < effectiveEnd_ && !exec::shutdownRequested()) {
-        // Adaptive campaigns evaluate the stop rule only at wave
-        // boundaries on the merged prefix; chunking each runRange at
-        // the next boundary keeps the overshoot within one wave, the
-        // same bound the lease path has.
-        u64 end = effectiveEnd_;
-        if (ccfg.ciTarget > 0.0)
-            end = std::min(end, ((mergedNext_ / wave) + 1) * wave);
-        const fault::RangeOutcome out = session.runRange(
-            mergedNext_, end,
-            [&](u64 trial, const fault::CampaignResult &delta,
-                const fault::TrialMeta &meta) {
-                if (trial != mergedNext_ || trial >= effectiveEnd_)
-                    return;
-                result_ += delta;
-                result_.profile.addTrial(delta, meta);
-                if (journal)
-                    journal->record(trial, delta, meta);
-                if (opts_.progress)
-                    opts_.progress->tick();
-                ++stats_.trialsMerged;
-                ++mergedNext_;
-                maybeCiStop();
-            });
-        if (out.halted) {
-            applyHalt(out.nextTrial);
-            break;
-        }
-        if (out.stopped)
-            break;
-    }
+    fault::CampaignSession session(spec_.buildParams(), &prog,
+                                   spec_.campaign);
+    const u64 merged = merge.next();
+    fault::runLocal(session, merge);
+    stats_.trialsMerged += merge.next() - merged;
 }
 
 bool
 Coordinator::outstandingWork() const
 {
-    if (mergedNext_ < effectiveEnd_)
+    if (merge_->next() < merge_->end())
         return true;
     for (const auto &c : conns_)
         if (c.fd >= 0 && c.hasLease)
@@ -452,37 +378,25 @@ Coordinator::outstandingWork() const
 fault::CampaignResult
 Coordinator::run(fault::TrialJournal *journal)
 {
-    // Replay the journaled prefix upfront, exactly like runCampaign:
-    // those trials' gaps are skip-advanced by whichever worker draws
-    // the first unjournaled range.
-    if (journal) {
-        for (u64 t = 0; t < journal->replayCount(); ++t) {
-            result_ += journal->replayed(t);
-            result_.profile.addTrial(journal->replayed(t),
-                                     journal->replayedMeta(t));
-            ++result_.replayedTrials;
-            if (opts_.progress)
-                opts_.progress->tick();
-        }
-        mergedNext_ = journal->replayCount();
-        // A resumed adaptive campaign whose journaled prefix already
-        // satisfies the stop rule must stop at the same wave instead
-        // of leasing more work.
-        maybeCiStop();
-    }
+    // The merge replays the journaled prefix upfront, exactly like
+    // runCampaign's (those trials' gaps are skip-advanced by whichever
+    // worker draws the first unjournaled range), and a resumed
+    // adaptive campaign whose prefix already satisfies the stop rule
+    // leases nothing.
+    merge_.emplace(spec_.campaign, journal, opts_.progress);
+    const fault::CampaignMerge &merge = *merge_;
 
     // Chunking: ~4 leases per expected worker bounds both the lost
     // work on a death (one chunk) and the skip-advance overhead (a
     // worker's next lease starts near where its last one ended).
-    if (mergedNext_ < effectiveEnd_) {
-        const u64 total = effectiveEnd_ - mergedNext_;
+    if (merge.next() < merge.end()) {
+        const u64 total = merge.end() - merge.next();
         u64 chunk = opts_.chunk;
         if (chunk == 0)
             chunk = std::max<u64>(
                 1, total / std::max<u64>(1, u64{opts_.workers} * 4));
-        for (u64 b = mergedNext_; b < effectiveEnd_; b += chunk)
-            queue_.push_back(
-                {b, std::min(b + chunk, effectiveEnd_)});
+        for (u64 b = merge.next(); b < merge.end(); b += chunk)
+            queue_.push_back({b, std::min(b + chunk, merge.end())});
     }
 
     auto lastWorkerSeen = Clock::now();
@@ -512,7 +426,7 @@ Coordinator::run(fault::TrialJournal *journal)
         for (auto &c : conns_)
             if (c.fd >= 0)
                 readFrom(c);
-        drainStash(journal);
+        drainStash();
 
         // Lease timeouts: heartbeat silence, not slow trials.
         const auto now = Clock::now();
@@ -526,7 +440,7 @@ Coordinator::run(fault::TrialJournal *journal)
             if (silentMs > opts_.leaseTimeoutMs)
                 dropConn(c, "lease timeout");
         }
-        drainStash(journal);
+        drainStash();
 
         if (!shuttingDown_)
             issueLeases();
@@ -543,7 +457,7 @@ Coordinator::run(fault::TrialJournal *journal)
                          std::chrono::milliseconds>(now -
                                                     lastWorkerSeen)
                          .count()) > opts_.noWorkerTimeoutMs)
-            runDegradedTail(journal);
+            runDegradedTail();
     }
 
     // Completion (or drained shutdown): release every worker.
@@ -565,8 +479,7 @@ Coordinator::run(fault::TrialJournal *journal)
     // were never merged (the stash beyond the contiguous prefix is
     // discarded, keeping the journal a resumable clean prefix).
     stash_.clear();
-    result_.partial = mergedNext_ < effectiveEnd_;
-    return result_;
+    return merge.result();
 }
 
 } // namespace fh::dist

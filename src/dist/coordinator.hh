@@ -9,12 +9,16 @@
  * of (spec, trial index) — see fault::CampaignSession — so the merge
  * only has to restore trial order. Within one lease, records arrive in
  * order on one TCP stream; across leases, a stash holds early records
- * until the contiguous prefix reaches them. Counters, journal bytes
- * and FH_JSON classification counts therefore equal a single-process
- * run's for any worker count, any chunk size, and any interleaving —
- * including across worker deaths, because a lease's acknowledged
- * prefix is exactly what was merged and the re-issued remainder
- * re-executes trials whose records were never ingested.
+ * until the contiguous prefix reaches them, and the prefix feeds the
+ * same fault::CampaignMerge runCampaign uses — one journal replay, one
+ * fold, one adaptive stop rule. If every worker is gone, the
+ * dead-fleet tail drives that merge with fault::runLocal, as
+ * runCampaign does. Counters, journal bytes, the stop wave and FH_JSON
+ * classification counts therefore equal a single-process run's for any
+ * worker count, any chunk size, and any interleaving — including
+ * across worker deaths, because a lease's acknowledged prefix is
+ * exactly what was merged and the re-issued remainder re-executes
+ * trials whose records were never ingested.
  *
  * Elasticity: leases are granted from a sorted queue of chunks,
  * lowest first, one outstanding lease per worker. A worker death
@@ -31,6 +35,7 @@
 #include <chrono>
 #include <deque>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "dist/spec.hh"
@@ -109,11 +114,12 @@ class Coordinator
 
     /**
      * Drive the campaign to completion (or to a drained shutdown —
-     * the result is then marked partial). journal may be null; when
-     * set, merged records are appended in trial order and the
-     * journaled prefix is replayed upfront, exactly like a
-     * single-process runCampaign. Call once: on return the endpoint
-     * no longer accepts connections.
+     * the result is then marked partial) through a fault::CampaignMerge
+     * built here over journal, which may be null. When set, its
+     * journaled prefix is replayed upfront and merged records append
+     * in trial order, exactly as in a single-process runCampaign; a
+     * journal that covers the campaign issues no lease. Call once: on
+     * return the endpoint no longer accepts connections.
      */
     fault::CampaignResult run(fault::TrialJournal *journal);
 
@@ -145,13 +151,12 @@ class Coordinator
     bool handleFrame(Conn &c, const Frame &f);
     void dropConn(Conn &c, const char *why);
     void requeue(Range r);
+    void trimQueue();
     void issueLeases();
-    void applyHalt(u64 haltTrial);
-    void drainStash(fault::TrialJournal *journal);
-    void maybeCiStop();
+    void drainStash();
     void beginShutdown();
     bool outstandingWork() const;
-    void runDegradedTail(fault::TrialJournal *journal);
+    void runDegradedTail();
 
     CampaignSpec spec_;
     CoordinatorOptions opts_;
@@ -178,14 +183,9 @@ class Coordinator
 
     std::deque<Range> queue_; ///< sorted by begin, non-overlapping
     std::map<u64, MergedTrial> stash_;
-    u64 mergedNext_ = 0;
-    u64 effectiveEnd_ = 0; ///< injections, shrunk by halt or CI stop
+    /** The merged prefix, built by run(); its end() bounds the queue. */
+    std::optional<fault::CampaignMerge> merge_;
     bool shuttingDown_ = false;
-    /** The campaign's stratification — the same analytic weights every
-     *  worker uses, so the coordinator's CI stop rule is the exact
-     *  rule a single process applies to the same merged prefix. */
-    fault::StratumSpace strata_;
-    fault::CampaignResult result_;
     DistStats stats_;
 };
 

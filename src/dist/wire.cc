@@ -44,15 +44,6 @@ putU64(std::vector<u8> &buf, u64 v)
 }
 
 void
-putDouble(std::vector<u8> &buf, double v)
-{
-    u64 bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU64(buf, bits);
-}
-
-void
 putString(std::vector<u8> &buf, const std::string &s)
 {
     // Grow once, then store. push_back followed by a range insert is
@@ -108,15 +99,6 @@ Cursor::u64v()
     u64 v = 0;
     for (int i = 0; i < 8; ++i)
         v |= static_cast<u64>(p[i]) << (8 * i);
-    return v;
-}
-
-double
-Cursor::doublev()
-{
-    const u64 bits = u64v();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
     return v;
 }
 

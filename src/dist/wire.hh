@@ -76,7 +76,6 @@ struct Frame
 void putU8(std::vector<u8> &buf, u8 v);
 void putU32(std::vector<u8> &buf, u32 v);
 void putU64(std::vector<u8> &buf, u64 v);
-void putDouble(std::vector<u8> &buf, double v); ///< bit pattern, LE
 /** u32 length + raw bytes. */
 void putString(std::vector<u8> &buf, const std::string &s);
 
@@ -98,7 +97,6 @@ class Cursor
     u8 u8v();
     u32 u32v();
     u64 u64v();
-    double doublev();
     std::string stringv();
 
     bool fail() const { return fail_; }

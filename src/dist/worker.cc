@@ -271,8 +271,6 @@ runConnection(const WorkerOptions &opts, u32 reconnect,
             params = spec.buildParams();
             ccfg = spec.campaign;
             ccfg.threads = opts.jobs;
-            ccfg.journalPath.clear();
-            ccfg.progress = nullptr;
             ccfg.abortFlag = &st.connDead;
             haveSpec = true;
             progressed = true;

@@ -197,11 +197,4 @@ ThreadPool::parallelFor(u64 n, u64 grain,
     }
 }
 
-void
-parallelFor(unsigned threads, u64 n, const std::function<void(u64)> &body)
-{
-    ThreadPool pool(threads);
-    pool.parallelFor(n, body);
-}
-
 } // namespace fh::exec

@@ -116,10 +116,6 @@ class ThreadPool
     u64 lastSkipped_ = 0;          ///< see lastSkipped()
 };
 
-/** One-shot parallelFor on a transient pool. */
-void parallelFor(unsigned threads, u64 n,
-                 const std::function<void(u64)> &body);
-
 } // namespace fh::exec
 
 #endif // FH_EXEC_THREAD_POOL_HH

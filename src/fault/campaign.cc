@@ -696,8 +696,6 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
                     return runTrial(params, cfg, *w.trial, *w.golden,
                                     fs, dl);
                 });
-            if (cfg.progress)
-                cfg.progress->tick();
         });
     });
 
@@ -901,95 +899,131 @@ CampaignSession::runRange(u64 begin, u64 end, const TrialSink &sink)
     return impl_->runRange(begin, end, sink);
 }
 
+CampaignMerge::CampaignMerge(const CampaignConfig &cfg,
+                             TrialJournal *journal,
+                             exec::ProgressMeter *progress)
+    : journal_(journal),
+      progress_(progress),
+      injections_(cfg.injections),
+      ciTarget_(cfg.ciTarget),
+      wave_(std::max<u64>(cfg.ciWave, 1)),
+      strata_(cfg.mix),
+      end_(cfg.injections)
+{
+    if (journal_) {
+        // A journaled trial's outcome is already known: fold it as an
+        // uninterrupted run did, without executing it.
+        for (; next_ < journal_->replayCount(); ++next_) {
+            fold(journal_->replayed(next_), journal_->replayedMeta(next_));
+            ++result_.replayedTrials;
+        }
+    }
+    applyStopRule();
+}
+
+void
+CampaignMerge::fold(const CampaignResult &delta, const TrialMeta &meta)
+{
+    result_ += delta;
+    result_.profile.addTrial(delta, meta);
+    if (progress_)
+        progress_->tick();
+}
+
+void
+CampaignMerge::add(u64 trial, const CampaignResult &delta,
+                   const TrialMeta &meta)
+{
+    fh_assert(trial == next_ && next_ < end_,
+              "campaign merge got trial %llu; expected %llu below %llu",
+              static_cast<unsigned long long>(trial),
+              static_cast<unsigned long long>(next_),
+              static_cast<unsigned long long>(end_));
+    if (journal_)
+        journal_->record(trial, delta, meta);
+    fold(delta, meta);
+    ++next_;
+    applyStopRule();
+}
+
+void
+CampaignMerge::applyStopRule()
+{
+    // Bounded by injections, not end_: a halt must not suppress the
+    // rule (see the class comment).
+    if (ciTarget_ <= 0.0 || next_ == 0 || next_ >= injections_ ||
+        next_ % wave_ != 0 ||
+        pooledSdcHalfWidth(result_.profile, strata_) > ciTarget_) {
+        return;
+    }
+    result_.ciStopped = true;
+    end_ = next_;
+}
+
+void
+CampaignMerge::halt(u64 at)
+{
+    end_ = std::min(end_, at);
+}
+
+void
+CampaignMerge::addProducerCost(const RangeOutcome &out)
+{
+    result_.phases += out.phases;
+    result_.sched += out.sched;
+}
+
+u64
+CampaignMerge::rangeEnd() const
+{
+    if (ciTarget_ <= 0.0)
+        return end_;
+    return std::min(end_, (next_ / wave_ + 1) * wave_);
+}
+
+CampaignResult
+CampaignMerge::result() const
+{
+    CampaignResult r = result_;
+    r.partial = next_ < end_;
+    return r;
+}
+
+void
+runLocal(CampaignSession &session, CampaignMerge &merge)
+{
+    const TrialSink sink = [&merge](u64 trial, const CampaignResult &delta,
+                                    const TrialMeta &meta) {
+        merge.add(trial, delta, meta);
+    };
+    while (merge.next() < merge.end()) {
+        const RangeOutcome out =
+            session.runRange(merge.next(), merge.rangeEnd(), sink);
+        merge.addProducerCost(out);
+        if (out.halted)
+            merge.halt(out.nextTrial);
+        if (out.stopped)
+            return;
+    }
+}
+
 CampaignResult
 runCampaign(const pipeline::CoreParams &params, const isa::Program *prog,
             const CampaignConfig &cfg)
 {
     // The session runs warmup; a workload that halts inside it is
-    // fatal before any journal is touched, exactly as before.
+    // fatal before any journal is touched. The journal's header pins
+    // the configuration, so a resumed run either continues
+    // bit-identically or refuses.
     CampaignSession session(params, prog, cfg);
-
-    // Durable progress: open (and replay) the trial journal before
-    // the first injection point. The header pins the configuration,
-    // so a resumed run either continues bit-identically or refuses.
-    CampaignResult result;
-    u64 start = 0;
     std::unique_ptr<TrialJournal> journal;
-    if (!cfg.journalPath.empty()) {
+    if (!cfg.journalPath.empty())
         journal = std::make_unique<TrialJournal>(
             cfg.journalPath, cfg,
             filters::to_string(params.detector.scheme));
-        if (journal->replayCount() > 0)
-            fh_inform("journal '%s': replaying %llu completed trial(s)",
-                      cfg.journalPath.c_str(),
-                      static_cast<unsigned long long>(
-                          journal->replayCount()));
-        // A journaled trial's outcome is already known; the session
-        // skip-advances the master over its gap (same schedule as the
-        // original run), so only the counters are added here. The
-        // profile rebuilds from the journaled (delta, meta) pairs —
-        // the same fold an uninterrupted run performs in its sink.
-        for (u64 t = 0; t < journal->replayCount(); ++t) {
-            const CampaignResult &delta = journal->replayed(t);
-            result += delta;
-            result.profile.addTrial(delta, journal->replayedMeta(t));
-            ++result.replayedTrials;
-            if (cfg.progress)
-                cfg.progress->tick();
-        }
-        start = journal->replayCount();
-    }
-
-    const TrialSink sink = [&](u64 trial, const CampaignResult &delta,
-                               const TrialMeta &meta) {
-        result += delta;
-        result.profile.addTrial(delta, meta);
-        if (journal)
-            journal->record(trial, delta, meta);
-    };
-
-    bool stopped = false;
-    if (cfg.ciTarget <= 0.0) {
-        // Fixed-count legacy mode: one range covers the whole
-        // campaign, bit-identical to previous revisions.
-        RangeOutcome out = session.runRange(start, cfg.injections, sink);
-        stopped = out.stopped;
-        result.phases += out.phases;
-        result.sched += out.sched;
-    } else {
-        // Adaptive mode: drive the session one wave at a time and
-        // evaluate the pooled CI half-width only at wave boundaries,
-        // on counters merged in trial order. The stop decision is a
-        // pure function of the merged trial prefix, so every thread
-        // count — and a journal resume, which rebuilds the same
-        // prefix above — stops at the same wave; the dist coordinator
-        // applies the identical rule to its merged stream.
-        const StratumSpace &space = session.strata();
-        const u64 wave = std::max<u64>(cfg.ciWave, 1);
-        u64 pos = start;
-        while (pos < cfg.injections) {
-            if (pos > 0 && pos % wave == 0 &&
-                pooledSdcHalfWidth(result.profile, space) <=
-                    cfg.ciTarget) {
-                result.ciStopped = true;
-                break;
-            }
-            const u64 waveEnd =
-                std::min((pos / wave + 1) * wave, cfg.injections);
-            RangeOutcome out = session.runRange(pos, waveEnd, sink);
-            result.phases += out.phases;
-            result.sched += out.sched;
-            pos = out.nextTrial;
-            if (out.halted)
-                break;
-            if (out.stopped) {
-                stopped = true;
-                break;
-            }
-        }
-    }
-    result.partial = stopped;
-    return result;
+    CampaignMerge merge(cfg, journal.get(), cfg.progress);
+    runLocal(session, merge);
+    return merge.result();
 }
 
 } // namespace fh::fault

@@ -17,9 +17,16 @@
  * between injection points, each point is snapshotted into a trial
  * descriptor with its own Rng::stream(seed, trial_index), and a
  * fork-executor thread runs completed trials' forks in waves on an
- * exec::ThreadPool while the master produces the next wave. Per-trial
- * results reduce into CampaignResult in trial order, on the calling
- * thread, so the outcome is bit-identical for 1 and N fork threads.
+ * exec::ThreadPool while the master produces the next wave.
+ *
+ * Every campaign runs through one CampaignMerge: it replays a
+ * journal's prefix, folds each trial in index order on the calling
+ * thread (journal record, counters, profile, progress tick) and
+ * applies the adaptive stop rule. runCampaign is a CampaignSession, a
+ * TrialJournal and a CampaignMerge joined by runLocal; the dist
+ * coordinator feeds its workers' records into the same merge. The
+ * outcome is therefore bit-identical for 1 and N fork threads, for
+ * any worker count, and across journal resume.
  */
 
 #ifndef FH_FAULT_CAMPAIGN_HH
@@ -79,15 +86,17 @@ struct CampaignConfig
      * core's SMT threads (see `window`).
      */
     unsigned threads = 0;
-    /** Optional meter ticked once per completed trial (may be null). */
+    /** Optional meter (may be null) runCampaign's merge ticks once per
+     *  merged trial, replayed ones included, on the calling thread. */
     exec::ProgressMeter *progress = nullptr;
 
     /**
      * Trial journal path (`journal=` in fhsim); empty = no journal.
      * Completed trials are appended (and flushed) in trial order; a
-     * restarted campaign with the same configuration replays the
-     * journaled prefix through the serial master advance and skips
-     * its forks, producing counters and SDC bins bit-identical to an
+     * restarted campaign with the same configuration folds the
+     * journaled prefix without executing it (the master skip-advances
+     * over its gaps; a journal that covers the campaign executes
+     * nothing), producing counters and SDC bins bit-identical to an
      * uninterrupted run. See fault/journal.hh.
      */
     std::string journalPath;
@@ -322,7 +331,7 @@ struct CampaignResult
     CampaignPhases phases; ///< busy time per phase (not a count)
     SchedCounters sched;   ///< scheduler observability (not journaled)
     /** Per-site vulnerability profile; empty on per-trial deltas
-     *  (producers fold deltas + meta via VulnProfile::addTrial). */
+     *  (CampaignMerge folds deltas + meta via VulnProfile::addTrial). */
     VulnProfile profile;
 
     u64 covered() const { return recovered + detected; }
@@ -378,9 +387,9 @@ CampaignResult runCampaign(const pipeline::CoreParams &params,
  * Per-trial result consumer: called once per executed trial, in trial
  * order, with the trial's counter deltas and its sampling metadata
  * (stratum, site, attribution — see TrialMeta). This is the journal's
- * record stream generalized — runCampaign's sink appends to the
- * TrialJournal and folds the profile, a distributed worker's sink
- * frames the same deltas + meta onto a socket.
+ * record stream generalized — runLocal's sink hands each trial to a
+ * CampaignMerge, a distributed worker's sink frames the same deltas +
+ * meta onto a socket.
  */
 using TrialSink = std::function<void(
     u64 trial, const CampaignResult &delta, const TrialMeta &meta)>;
@@ -421,8 +430,9 @@ class CampaignSession
 {
   public:
     /** Builds the master and runs warmup (fatal if the workload halts
-     *  during it, as runCampaign always was). cfg.journalPath is
-     *  ignored here — journaling belongs to the caller's sink. */
+     *  during it, as runCampaign always was). cfg.journalPath and
+     *  cfg.progress are ignored here: journaling and progress belong
+     *  to the caller's merge. */
     CampaignSession(const pipeline::CoreParams &params,
                     const isa::Program *prog, const CampaignConfig &cfg);
     ~CampaignSession();
@@ -468,6 +478,85 @@ class CampaignSession
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };
+
+class TrialJournal; // fault/journal.hh
+
+/**
+ * The trial-order merge shared by every way to run a campaign —
+ * runCampaign, the dist coordinator's lease merge and its dead-fleet
+ * tail. It replays a journal's prefix, then folds each trial in index
+ * order (journal record, counters, vulnerability profile, progress
+ * tick).
+ *
+ * Adaptive stop rule (cfg.ciTarget > 0), evaluated after the replay
+ * and after every fold, nowhere else: it fires when the merged prefix
+ * next() is nonempty, lies on a wave boundary (a multiple of
+ * max(ciWave, 1)) below cfg.injections, and the pooled SDC-rate
+ * half-width is <= ciTarget; ciStopped is then set and end() shrinks
+ * to next(). The decision is a pure function of the merged prefix, so
+ * every thread count, worker count and resume point stops at the same
+ * wave. A halt never suppresses it: the prefix cannot pass the halt
+ * point, and a single process does not learn of the halt until it
+ * tries to produce the trial there — so the coordinator, which may
+ * hear of a halt first, still decides as a single process does.
+ */
+class CampaignMerge
+{
+  public:
+    /** journal and progress may be null. The journal's replayed
+     *  prefix is folded (and ticked) here, before any trial runs. */
+    CampaignMerge(const CampaignConfig &cfg, TrialJournal *journal,
+                  exec::ProgressMeter *progress);
+
+    /** Fold one trial; trial must be next(), below end(). */
+    void add(u64 trial, const CampaignResult &delta,
+             const TrialMeta &meta);
+
+    /** The master halted before producing trial `at`: no trial at or
+     *  past it exists, so end() shrinks to it. */
+    void halt(u64 at);
+
+    /** Add one runRange call's producer-side cost: busy time and
+     *  master scheduler counters (host-local, never journaled). */
+    void addProducerCost(const RangeOutcome &out);
+
+    /** Trials merged so far: the contiguous prefix [0, next()). */
+    u64 next() const { return next_; }
+
+    /** cfg.injections, shrunk by a halt or the adaptive stop. */
+    u64 end() const { return end_; }
+
+    /** End of the next range to run: end(), or in adaptive mode the
+     *  next wave boundary before it (the stop rule's next chance). */
+    u64 rangeEnd() const;
+
+    /** The merged counters, profile and markers; partial when the
+     *  prefix stopped short of end() (a shutdown). */
+    CampaignResult result() const;
+
+  private:
+    void fold(const CampaignResult &delta, const TrialMeta &meta);
+    void applyStopRule();
+
+    TrialJournal *journal_;
+    exec::ProgressMeter *progress_;
+    u64 injections_;
+    double ciTarget_;
+    u64 wave_;
+    StratumSpace strata_;
+    CampaignResult result_;
+    u64 next_ = 0;
+    u64 end_;
+};
+
+/**
+ * Drive session over merge's remaining ranges until merge.next()
+ * reaches merge.end() (a halt or the adaptive stop shrinks it) or a
+ * shutdown request drains a range early. The session's position must
+ * not be past merge.next(). A merge that already covers the campaign
+ * (a finished journal) runs no range at all.
+ */
+void runLocal(CampaignSession &session, CampaignMerge &merge);
 
 } // namespace fh::fault
 

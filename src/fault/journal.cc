@@ -303,6 +303,9 @@ TrialJournal::TrialJournal(const std::string &path,
         in.close();
     }
     nextTrial_ = replayed_.size();
+    if (nextTrial_ > 0)
+        fh_inform("journal '%s': replaying %llu completed trial(s)",
+                  path_.c_str(), static_cast<unsigned long long>(nextTrial_));
 
     // Rewrite header + the validated prefix rather than appending
     // after a possibly torn tail line, so the file is always

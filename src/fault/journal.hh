@@ -18,14 +18,14 @@
  * Resume is deterministic by construction: everything downstream of
  * the master's advance is a pure function of (seed, trial index), and
  * the master's advance itself is a pure function of the gap schedule
- * (gapRng is seeded). A restarted campaign therefore replays only the
- * serial master advance over the journaled prefix — same gaps, same
- * ticks, bit-identical machine — skips the forks of journaled
- * trials (their deltas are added straight from the journal), and
- * executes the remainder exactly as the uninterrupted run would have.
- * The final CampaignResult counters and SDC bins equal an
- * uninterrupted run's exactly (phase timing excepted — it was never
- * deterministic).
+ * (gapRng is seeded). A restarted campaign's CampaignMerge therefore
+ * folds the journaled prefix straight from the records, the master
+ * skip-advances over those trials' gaps — same gaps, same ticks,
+ * bit-identical machine — without snapshotting or forking them, and
+ * the remainder executes exactly as the uninterrupted run would have;
+ * a journal that already covers the campaign executes nothing. The
+ * final CampaignResult counters and SDC bins equal an uninterrupted
+ * run's exactly (phase timing excepted — it was never deterministic).
  *
  * The header line pins the campaign identity (seed, injections,
  * window, schedule, mix, scheme); resuming against a journal written
@@ -89,7 +89,8 @@ class TrialJournal
      * Open (or create) the journal at path for the campaign described
      * by cfg/scheme. An existing journal must carry a matching header
      * (else fh_fatal); its well-formed prefix of trial records is
-     * loaded for replay and subsequent records append after it.
+     * loaded for replay (announced on stderr) and subsequent records
+     * append after it.
      */
     TrialJournal(const std::string &path, const CampaignConfig &cfg,
                  const std::string &scheme);

@@ -149,10 +149,9 @@ struct StratumCounts
  * per-structure × bit-position SDC counts, SDCs by faulting
  * instruction PC (CFA-style root-cause attribution), and SDCs by
  * injection-cycle bucket. Built per trial from (counter delta, meta)
- * by every producer — worker sinks, journal replay, the dist
- * coordinator's merge — through the same addTrial, so any two
- * processes that saw the same record stream hold byte-identical
- * profiles.
+ * by CampaignMerge, the one merge every campaign runs through (journal
+ * replay, in-process runs, the dist coordinator), so any two processes
+ * that saw the same record stream hold byte-identical profiles.
  */
 struct VulnProfile
 {

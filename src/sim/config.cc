@@ -192,6 +192,16 @@ Config::getDouble(const std::string &key, double def) const
     return has(key) ? parseOrDie(getString(key), parseDouble, key) : def;
 }
 
+double
+Config::getDouble(const std::string &key, double def, double lo,
+                  double hi) const
+{
+    const double v = getDouble(key, def);
+    if (!(v >= lo && v <= hi))
+        fh_fatal("%s=%g is out of range [%g, %g]", key.c_str(), v, lo, hi);
+    return v;
+}
+
 bool
 Config::getBool(const std::string &key, bool def) const
 {

@@ -46,6 +46,10 @@ class Config
      *  is fatal, naming the key and the range. */
     u64 getU64(const std::string &key, u64 def, u64 lo, u64 hi) const;
     double getDouble(const std::string &key, double def = 0.0) const;
+    /** getDouble whose value must also lie in [lo, hi] (NaN never
+     *  does); one outside it is fatal, naming the key and the range. */
+    double getDouble(const std::string &key, double def, double lo,
+                     double hi) const;
     bool getBool(const std::string &key, bool def = false) const;
 
     /**

@@ -353,6 +353,58 @@ TEST(Chaos, DeadFleetDegradesToInProcessIdentically)
     std::remove(journal.c_str());
 }
 
+/**
+ * An adaptive campaign on a dead fleet: the tail runs it in-process
+ * wave by wave through the coordinator's merge and must stop where a
+ * single process stops, journal bytes included. A coordinator resumed
+ * over that journal replays the prefix, sees the stop already reached
+ * and issues no lease.
+ */
+TEST(Chaos, AdaptiveDeadFleetStopsAtTheSameWave)
+{
+    ::unsetenv("FH_CHAOS");
+    dist::chaos::reload();
+    dist::CampaignSpec spec = testSpec();
+    spec.campaign.injections = 400;
+    spec.campaign.seed = 1234;
+    spec.campaign.ciTarget = 0.12;
+    spec.campaign.ciWave = 32;
+    const std::string refJournal = tempPath("adaptive_ref.fhj");
+    const fault::CampaignResult ref = singleProcess(spec, refJournal);
+    ASSERT_TRUE(ref.ciStopped) << "the adaptive stop never fired";
+    ASSERT_LT(ref.injected, spec.campaign.injections);
+
+    dist::CoordinatorOptions opts;
+    opts.workers = 2;
+    opts.noWorkerTimeoutMs = 200; // nobody is coming
+    const std::string journal = tempPath("adaptive_degraded.fhj");
+    {
+        dist::Coordinator coord(spec, opts);
+        fault::TrialJournal j(journal, spec.campaign, schemeName(spec));
+        const fault::CampaignResult r = coord.run(&j);
+        EXPECT_TRUE(coord.stats().degraded);
+        EXPECT_TRUE(r.ciStopped);
+        EXPECT_FALSE(r.partial);
+        expectIdentical(ref, r);
+    }
+    EXPECT_EQ(fileBytes(refJournal), fileBytes(journal));
+
+    {
+        dist::Coordinator coord(spec, opts);
+        fault::TrialJournal j(journal, spec.campaign, schemeName(spec));
+        const fault::CampaignResult r = coord.run(&j);
+        EXPECT_EQ(coord.stats().rangesIssued, 0u);
+        EXPECT_FALSE(coord.stats().degraded);
+        EXPECT_EQ(r.replayedTrials, ref.injected);
+        EXPECT_TRUE(r.ciStopped);
+        EXPECT_FALSE(r.partial);
+        expectIdentical(ref, r);
+    }
+    EXPECT_EQ(fileBytes(refJournal), fileBytes(journal));
+    std::remove(refJournal.c_str());
+    std::remove(journal.c_str());
+}
+
 // ---------------------------------------------------------------------
 // Quarantine: a pid that keeps failing leases stops getting them.
 // ---------------------------------------------------------------------

@@ -87,6 +87,23 @@ TEST(ConfigDeathTest, AboveRangeValueIsFatalNamingTheKeyAndRange)
                 "jobs=100000 is out of range \\[0, 1024\\]");
 }
 
+TEST(ConfigDeathTest, OutOfRangeDoubleIsFatalNamingTheKeyAndRange)
+{
+    Config cfg;
+    cfg.set("ci_target=7");
+    cfg.set("below=-0.25");
+    cfg.set("nan=nan");
+    EXPECT_EXIT(cfg.getDouble("ci_target", 0.0, 0.0, 0.5),
+                testing::ExitedWithCode(1),
+                "ci_target=7 is out of range \\[0, 0.5\\]");
+    EXPECT_EXIT(cfg.getDouble("below", 0.0, 0.0, 0.5),
+                testing::ExitedWithCode(1),
+                "below=-0.25 is out of range \\[0, 0.5\\]");
+    // NaN compares false against both bounds; it must not slip through.
+    EXPECT_EXIT(cfg.getDouble("nan", 0.0, 0.0, 0.5),
+                testing::ExitedWithCode(1), "nan=nan is out of range");
+}
+
 TEST(ConfigDeathTest, MalformedEnvValueIsFatalNamingTheVariable)
 {
     EXPECT_EXIT(
@@ -247,6 +264,9 @@ TEST(Config, RangedAccessorTakesBoundsAndDefaults)
     EXPECT_EQ(cfg.getU64("threads", 2, 1, 8), 8u);
     EXPECT_EQ(cfg.getU64("jobs", 1, 0, 1024), 0u);
     EXPECT_EQ(cfg.getU64("worker_jobs", 1, 0, 1024), 1u);
+    cfg.set("ci_target=0.5");
+    EXPECT_EQ(cfg.getDouble("ci_target", 0.0, 0.0, 0.5), 0.5);
+    EXPECT_EQ(cfg.getDouble("missing_target", 0.125, 0.0, 0.5), 0.125);
 }
 
 TEST(Config, UnknownKeysTracksUndeclaredUnreadKeys)

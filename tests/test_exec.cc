@@ -164,13 +164,6 @@ TEST(ThreadPool, SerialExceptionReportsSkipped)
     EXPECT_EQ(pool.lastSkipped(), 6u);
 }
 
-TEST(ThreadPool, OneShotHelper)
-{
-    std::atomic<u64> sum{0};
-    exec::parallelFor(4, 1000, [&](u64 i) { sum.fetch_add(i); });
-    EXPECT_EQ(sum.load(), 999u * 1000u / 2);
-}
-
 TEST(ThreadPool, NestedPoolIndexesItsCallerAsZero)
 {
     // Each outer index waits until all four outer threads hold one, so

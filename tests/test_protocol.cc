@@ -30,7 +30,6 @@ TEST(Wire, PrimitivesRoundTrip)
     putU8(buf, 0xab);
     putU32(buf, 0xdeadbeefu);
     putU64(buf, 0x0123456789abcdefULL);
-    putDouble(buf, 0.85);
     putString(buf, "hello world");
     putString(buf, "");
 
@@ -38,7 +37,6 @@ TEST(Wire, PrimitivesRoundTrip)
     EXPECT_EQ(c.u8v(), 0xab);
     EXPECT_EQ(c.u32v(), 0xdeadbeefu);
     EXPECT_EQ(c.u64v(), 0x0123456789abcdefULL);
-    EXPECT_EQ(c.doublev(), 0.85);
     EXPECT_EQ(c.stringv(), "hello world");
     EXPECT_EQ(c.stringv(), "");
     EXPECT_TRUE(c.done());

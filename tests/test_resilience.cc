@@ -332,6 +332,10 @@ TEST(Journal, CompletedJournalShortCircuitsTheCampaign)
     const auto second = fault::runCampaign(params, &program, cfg);
     EXPECT_EQ(second.replayedTrials, cfg.injections);
     expectIdentical(first, second);
+    // The journal covers the campaign, so no range runs: the master
+    // never advances past warmup to skip over the journaled gaps.
+    EXPECT_EQ(second.sched.issueEvals, 0u);
+    EXPECT_EQ(second.phases.goldenNs, 0u);
     std::remove(cfg.journalPath.c_str());
 }
 

@@ -353,6 +353,55 @@ TEST(Adaptive, DistributedMatchesSingleProcess)
     EXPECT_EQ(merged.profile, solo.profile);
 }
 
+/**
+ * The coordinator may hear of a halt before its merged prefix reaches
+ * the halt point, while a single process learns of it only when it
+ * tries to produce the trial there — after the stop rule has seen the
+ * prefix. The stop rule ignores the halt, so both orders stop at the
+ * same wave with the same marker.
+ */
+TEST(CampaignMerge, HaltHeardFirstStopsAtTheSameWave)
+{
+    fault::CampaignConfig cfg;
+    cfg.injections = 1000;
+    cfg.ciWave = fault::StratumSpace::kCount;
+    const u64 at = 3 * cfg.ciWave;
+    auto meta = [](u64 t) {
+        fault::TrialMeta m;
+        m.stratum = static_cast<u32>(t % fault::StratumSpace::kCount);
+        return m;
+    };
+    fault::CampaignResult masked;
+    masked.injected = 1;
+    masked.masked = 1;
+    // One masked trial per stratum per wave: the pooled half-width
+    // shrinks every wave, so a target equal to its value at `at`
+    // fires there and at no earlier boundary.
+    fault::VulnProfile profile;
+    for (u64 t = 0; t < at; ++t)
+        profile.addTrial(masked, meta(t));
+    cfg.ciTarget = fault::pooledSdcHalfWidth(
+        profile, fault::StratumSpace(cfg.mix));
+
+    fault::CampaignMerge unaware(cfg, nullptr, nullptr);
+    fault::CampaignMerge warned(cfg, nullptr, nullptr);
+    warned.halt(at);
+    for (u64 t = 0; t < at; ++t) {
+        EXPECT_EQ(unaware.rangeEnd(), (t / cfg.ciWave + 1) * cfg.ciWave);
+        unaware.add(t, masked, meta(t));
+        warned.add(t, masked, meta(t));
+    }
+    for (const fault::CampaignMerge *m : {&unaware, &warned}) {
+        EXPECT_EQ(m->next(), at);
+        EXPECT_EQ(m->end(), at);
+        const fault::CampaignResult r = m->result();
+        EXPECT_TRUE(r.ciStopped);
+        EXPECT_FALSE(r.partial);
+        EXPECT_EQ(r.injected, at);
+        EXPECT_EQ(r.profile, profile);
+    }
+}
+
 /** ciTarget = 0 is the fixed-count legacy: no stop, full count, and
  *  the stratum labels are post-hoc only (schedule unchanged — pinned
  *  counts are guarded by test_campaign_pinned; here we check the cap
