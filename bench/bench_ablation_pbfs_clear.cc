@@ -17,7 +17,7 @@ int
 main()
 {
     auto cfg = bench::campaignConfig();
-    const u64 budget = envU64("FH_INSTS", 100000);
+    const u64 budget = bench::envInsts(100000);
     const std::vector<u64> intervals = {1000, 5000, 10000, 50000};
     auto benchmarks = bench::selectedBenchmarks();
 

@@ -17,7 +17,7 @@ int
 main()
 {
     auto cfg = bench::campaignConfig();
-    const u64 budget = envU64("FH_INSTS", 100000);
+    const u64 budget = bench::envInsts(100000);
 
     struct Variant
     {

@@ -16,7 +16,7 @@ int
 main()
 {
     auto cfg = bench::campaignConfig();
-    const u64 budget = envU64("FH_INSTS", 100000);
+    const u64 budget = bench::envInsts(100000);
     const std::vector<unsigned> sizes = {8, 16, 32, 64};
 
     TextTable table({"benchmark", "8", "16", "32", "64"});

@@ -38,7 +38,7 @@ backendVariant(bool clustering, bool second_level, bool replay,
 int
 main()
 {
-    const u64 budget = envU64("FH_INSTS", 120000);
+    const u64 budget = bench::envInsts(120000);
     auto cfg = bench::campaignConfig();
     auto benchmarks = bench::selectedBenchmarks();
 

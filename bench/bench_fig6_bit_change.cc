@@ -18,7 +18,7 @@ using namespace fh;
 int
 main()
 {
-    const u64 budget = envU64("FH_INSTS", 150000);
+    const u64 budget = bench::envInsts(150000);
 
     std::array<std::array<u64, wordBits>, 3> changes{};
     std::array<u64, 3> samples{};

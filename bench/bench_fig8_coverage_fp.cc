@@ -21,7 +21,7 @@ int
 main()
 {
     auto cfg = bench::campaignConfig();
-    const u64 fp_budget = envU64("FH_INSTS", 120000);
+    const u64 fp_budget = bench::envInsts(120000);
     auto schemes = bench::fig8Schemes();
     auto benchmarks = bench::selectedBenchmarks();
 

@@ -44,7 +44,7 @@ srtCycles(const workload::BenchmarkInfo &info, u64 budget,
 int
 main()
 {
-    const u64 budget = envU64("FH_INSTS", 150000);
+    const u64 budget = bench::envInsts(150000);
     const double srt_coverage = 0.75; // FaultHound's coverage level
 
     TextTable table({"benchmark", "PBFS", "PBFS-biased", "FH-backend",

@@ -14,7 +14,7 @@ using namespace fh;
 int
 main()
 {
-    const u64 budget = envU64("FH_INSTS", 100000);
+    const u64 budget = bench::envInsts(100000);
     TextTable table({"benchmark", "suite", "archetype", "KB/thread",
                      "loads", "stores", "branches", "mispred"});
 

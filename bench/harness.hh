@@ -3,22 +3,28 @@
  * Shared helpers for the experiment harnesses (one binary per paper
  * table/figure). Every harness honors these environment knobs, read
  * with the FH_* readers of sim/config.hh: unset or empty gives the
- * default, and a malformed value exits naming the variable.
+ * default, and a malformed value, or one outside the range of the
+ * matching fhsim key (the bounds in dist/spec.hh), exits naming the
+ * variable.
  *
  *   FH_BENCH       run only the named benchmark (default: all 14; an
  *                  unknown name exits listing the valid ones)
- *   FH_INSTS       instruction budget of timing runs
- *   FH_INJECTIONS  fault injections per campaign
- *   FH_WINDOW      run-window length (instructions, paper: 1000)
+ *   FH_INSTS       instruction budget of timing runs, 1 to 10^15
+ *   FH_INJECTIONS  fault injections per campaign, at least 1
+ *   FH_WINDOW      run-window length (instructions, paper: 1000),
+ *                  at least 1
  *   FH_SEED        master seed
- *   FH_THREADS     host fork threads (default: all hardware
- *                  threads; each campaign also runs its producer
- *                  thread; results are bit-identical for any value)
- *   FH_TRIAL_TIMEOUT_MS  per-trial wall-clock budget; overruns are
- *                  isolated and counted as trial errors
+ *   FH_THREADS     host fork threads, 0-1024 (default 0: all
+ *                  hardware threads; each campaign also runs its
+ *                  producer thread; results are bit-identical for
+ *                  any value)
+ *   FH_TRIAL_TIMEOUT_MS  per-trial wall-clock budget, up to one day
+ *                  (86400000); overruns are isolated and counted as
+ *                  trial errors
  *   FH_CI_TARGET   adaptive stop: pooled SDC-rate Wilson CI
- *                  half-width target (default 0 = fixed-count)
- *   FH_CI_WAVE     adaptive stop wave size in trials (default 64)
+ *                  half-width target, 0-0.5 (default 0 = fixed-count)
+ *   FH_CI_WAVE     adaptive stop wave size in trials, at least 1
+ *                  (default 64)
  *
  * The library's own FH_STRICT (sim/error.hh: an in-trial panic aborts
  * instead of counting as a trial error) reaches every harness too.
@@ -38,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "dist/spec.hh"
 #include "exec/thread_pool.hh"
 #include "fault/campaign.hh"
 #include "filters/detector.hh"
@@ -49,12 +56,25 @@
 namespace fh::bench
 {
 
+/** FH_THREADS as CampaignConfig::threads (0 = all hardware). */
+inline unsigned
+envThreadCount()
+{
+    return static_cast<unsigned>(envU64("FH_THREADS", 0, 0, dist::kMaxJobs));
+}
+
 /** Worker-thread budget from FH_THREADS (unset/0 = all hardware). */
 inline unsigned
 envThreads()
 {
-    return exec::resolveThreads(
-        static_cast<unsigned>(envU64("FH_THREADS", 0)));
+    return exec::resolveThreads(envThreadCount());
+}
+
+/** Instruction budget of timing runs from FH_INSTS. */
+inline u64
+envInsts(u64 def)
+{
+    return envU64("FH_INSTS", def, 1, dist::kMaxInsts);
 }
 
 /**
@@ -205,13 +225,15 @@ inline fault::CampaignConfig
 campaignConfig()
 {
     fault::CampaignConfig cfg;
-    cfg.injections = envU64("FH_INJECTIONS", 120);
-    cfg.window = envU64("FH_WINDOW", 1000);
+    cfg.injections = envU64("FH_INJECTIONS", 120, 1, dist::kAnyU64);
+    cfg.window = envU64("FH_WINDOW", 1000, 1, dist::kAnyU64);
     cfg.seed = envU64("FH_SEED", 1);
-    cfg.threads = static_cast<unsigned>(envU64("FH_THREADS", 0));
-    cfg.trialTimeoutMs = envU64("FH_TRIAL_TIMEOUT_MS", 0);
-    cfg.ciTarget = envDouble("FH_CI_TARGET", 0.0);
-    cfg.ciWave = envU64("FH_CI_WAVE", 64);
+    cfg.threads = envThreadCount();
+    cfg.trialTimeoutMs =
+        envU64("FH_TRIAL_TIMEOUT_MS", 0, 0, dist::kMaxMs);
+    cfg.ciTarget =
+        envDouble("FH_CI_TARGET", 0.0, 0.0, dist::kMaxCiTarget);
+    cfg.ciWave = envU64("FH_CI_WAVE", 64, 1, dist::kAnyU64);
     return cfg;
 }
 

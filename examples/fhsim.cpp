@@ -65,17 +65,6 @@ using namespace fh;
 namespace
 {
 
-// Upper bounds of the ranged keys; each key's help line gives the
-// reason for its bound.
-constexpr u64 kMaxSmtThreads = 8;   ///< `threads`: pipeline::Core's SMT
-constexpr u64 kMaxJobs = 1024;      ///< `jobs`, `worker_jobs`, `workers`
-constexpr u64 kMaxInsts = 1'000'000'000'000'000; ///< `insts`
-constexpr u64 kMaxTcamEntries = 1024;            ///< `tcam.entries`
-constexpr u64 kMaxTcamThreshold = 64;            ///< `tcam.threshold`
-constexpr u64 kMaxMs = 86'400'000;  ///< the `*_ms` keys: one day
-constexpr double kMaxCiTarget = 0.5; ///< `ci_target`
-constexpr u64 kAnyU64 = ~u64{0};     ///< no bound but the type's
-
 /**
  * The full option registry: every key any fhsim mode reads, with its
  * help line. Declaring them all up front serves both masters — the
@@ -225,23 +214,24 @@ specFromConfig(const Config &cfg)
     spec.bench = cfg.getString("bench", "400.perl");
     spec.scheme = cfg.getString("scheme", "faulthound");
     spec.coreThreads = static_cast<unsigned>(
-        cfg.getU64("threads", 2, 1, kMaxSmtThreads));
+        cfg.getU64("threads", 2, 1, dist::kMaxSmtThreads));
     spec.workload.maxThreads = std::max(2u, spec.coreThreads);
     spec.workload.seed = cfg.getU64("seed", 0x5eedULL);
     spec.tcamEntries = static_cast<unsigned>(
-        cfg.getU64("tcam.entries", 0, 0, kMaxTcamEntries));
+        cfg.getU64("tcam.entries", 0, 0, dist::kMaxTcamEntries));
     spec.tcamThreshold = static_cast<unsigned>(
-        cfg.getU64("tcam.threshold", 0, 0, kMaxTcamThreshold));
-    spec.delayBuffer = static_cast<unsigned>(cfg.getU64(
-        "delay_buffer", 0, 0, pipeline::CoreParams{}.robSize));
-    spec.campaign.injections = cfg.getU64("injections", 300, 1, kAnyU64);
-    spec.campaign.window = cfg.getU64("window", 1000, 1, kAnyU64);
+        cfg.getU64("tcam.threshold", 0, 0, dist::kMaxTcamThreshold));
+    spec.delayBuffer = static_cast<unsigned>(
+        cfg.getU64("delay_buffer", 0, 0, dist::kMaxDelayBuffer));
+    spec.campaign.injections =
+        cfg.getU64("injections", 300, 1, dist::kAnyU64);
+    spec.campaign.window = cfg.getU64("window", 1000, 1, dist::kAnyU64);
     spec.campaign.seed = cfg.getU64("seed", 1);
     spec.campaign.trialTimeoutMs =
-        cfg.getU64("trial_timeout_ms", 0, 0, kMaxMs);
+        cfg.getU64("trial_timeout_ms", 0, 0, dist::kMaxMs);
     spec.campaign.ciTarget =
-        cfg.getDouble("ci_target", 0.0, 0.0, kMaxCiTarget);
-    spec.campaign.ciWave = cfg.getU64("ci_wave", 64, 1, kAnyU64);
+        cfg.getDouble("ci_target", 0.0, 0.0, dist::kMaxCiTarget);
+    spec.campaign.ciWave = cfg.getU64("ci_wave", 64, 1, dist::kAnyU64);
     return spec;
 }
 
@@ -260,8 +250,8 @@ coordinatorOptions(const Config &cfg, const dist::CampaignSpec &spec,
     }
     copts.workers = workers;
     copts.chunk = cfg.getU64("chunk", 0, 0, spec.campaign.injections);
-    copts.leaseTimeoutMs =
-        cfg.getU64("lease_timeout_ms", copts.leaseTimeoutMs, 1, kMaxMs);
+    copts.leaseTimeoutMs = cfg.getU64("lease_timeout_ms",
+                                      copts.leaseTimeoutMs, 1, dist::kMaxMs);
     copts.progress = &meter;
     return true;
 }
@@ -274,7 +264,7 @@ emitCampaignOutputs(const Config &cfg, const std::string &bench,
                     unsigned workers,
                     const fault::CampaignConfig &ccfg,
                     const fault::CampaignResult &r, double seconds,
-                    const fault::FabricHealth *fabric = nullptr)
+                    const dist::DistStats *fabric = nullptr)
 {
     std::printf("%-34s%-16.4f# fraction of injections\n",
                 "campaign.masked", r.maskedFrac());
@@ -310,9 +300,17 @@ emitCampaignOutputs(const Config &cfg, const std::string &bench,
                 "campaign.ci_stopped", r.ciStopped ? 1 : 0);
     // Timing goes to stderr with the other diagnostics: stdout stays
     // byte-identical across runs and worker counts (the determinism
-    // suite diffs it). The phases are busy time summed over the
-    // producer and the fork threads, which run at once, so their sum
-    // exceeds the wall time whenever the two overlap.
+    // suite diffs it). The rate is FH_JSON's "trials_per_second". The
+    // phases are busy time summed over the producer and the fork
+    // threads, which run at once, so their sum exceeds the wall time
+    // whenever the two overlap.
+    auto ull = [](u64 v) { return static_cast<unsigned long long>(v); };
+    std::fprintf(stderr,
+                 "fhsim: campaign %llu trials, %llu executed in %.1fs "
+                 "(%.1f trials/s), %llu replayed from the journal\n",
+                 ull(r.injected), ull(r.injected - r.replayedTrials),
+                 seconds, fault::executedTrialsPerSecond(r, seconds),
+                 ull(r.replayedTrials));
     const fault::CampaignPhases &p = r.phases;
     const double total =
         static_cast<double>(p.totalNs() ? p.totalNs() : 1);
@@ -331,7 +329,6 @@ emitCampaignOutputs(const Config &cfg, const std::string &bench,
     // Distributed runs count only a degraded tail's master here (the
     // wire carries classification counters only).
     const fault::SchedCounters &s = r.sched;
-    auto ull = [](u64 v) { return static_cast<unsigned long long>(v); };
     std::fprintf(stderr,
                  "fhsim: scheduler — wakeup hits %llu, overflow "
                  "parks %llu, overflow rescans %llu, issue occupancy "
@@ -441,17 +438,8 @@ runCoordinator(const Config &cfg, dist::Coordinator &coord,
                  static_cast<unsigned long long>(ds.reconnects),
                  static_cast<unsigned long long>(ds.quarantined),
                  ds.degraded ? ", DEGRADED to in-process tail" : "");
-    fault::FabricHealth health;
-    health.workersJoined = ds.workersJoined;
-    health.workersDied = ds.workersDied;
-    health.crcErrors = ds.crcErrors;
-    health.reconnects = ds.reconnects;
-    health.rangesIssued = ds.rangesIssued;
-    health.rangesReissued = ds.rangesReissued;
-    health.quarantined = ds.quarantined;
-    health.degraded = ds.degraded;
     return emitCampaignOutputs(cfg, spec.bench, workers, spec.campaign,
-                               r, seconds, &health);
+                               r, seconds, &ds);
 }
 
 int
@@ -470,8 +458,9 @@ cmdDispatch(int argc, char **argv)
 
     const dist::CampaignSpec spec = specFromConfig(cfg);
     const unsigned jobs = static_cast<unsigned>(
-        std::max<u64>(1, cfg.getU64("jobs", 1, 0, kMaxJobs)));
-    const u64 workerJobs = cfg.getU64("worker_jobs", 1, 0, kMaxJobs);
+        std::max<u64>(1, cfg.getU64("jobs", 1, 0, dist::kMaxJobs)));
+    const u64 workerJobs =
+        cfg.getU64("worker_jobs", 1, 0, dist::kMaxJobs);
 
     exec::installShutdownHandlers();
     exec::ProgressMeter meter("fhsim dispatch",
@@ -480,8 +469,9 @@ cmdDispatch(int argc, char **argv)
     dist::CoordinatorOptions copts;
     if (!coordinatorOptions(cfg, spec, jobs, meter, copts))
         return 1;
-    const u64 heartbeatMs = cfg.getU64(
-        "heartbeat_ms", dist::WorkerOptions{}.heartbeatMs, 1, kMaxMs);
+    const u64 heartbeatMs =
+        cfg.getU64("heartbeat_ms", dist::WorkerOptions{}.heartbeatMs, 1,
+                   dist::kMaxMs);
     dist::Coordinator coord(spec, copts);
 
     const std::string exe = dist::selfExe();
@@ -515,7 +505,6 @@ cmdDispatch(int argc, char **argv)
                  jobs, coord.endpoint().str().c_str());
 
     const int rc = runCoordinator(cfg, coord, spec, jobs);
-    meter.finish();
     // The coordinator closed every socket; workers exit on their own.
     // Reap them all — dispatch never leaves orphans.
     for (pid_t pid : pids) {
@@ -544,8 +533,8 @@ cmdServe(int argc, char **argv)
     exec::ProgressMeter meter("fhsim serve",
                               spec.campaign.injections);
 
-    const unsigned workers =
-        static_cast<unsigned>(cfg.getU64("workers", 1, 1, kMaxJobs));
+    const unsigned workers = static_cast<unsigned>(
+        cfg.getU64("workers", 1, 1, dist::kMaxJobs));
     dist::CoordinatorOptions copts;
     if (!coordinatorOptions(cfg, spec, workers, meter, copts))
         return 1;
@@ -558,9 +547,7 @@ cmdServe(int argc, char **argv)
                  coord.endpoint().str().c_str(),
                  coord.endpoint().str().c_str());
 
-    const int rc = runCoordinator(cfg, coord, spec, copts.workers);
-    meter.finish();
-    return rc;
+    return runCoordinator(cfg, coord, spec, copts.workers);
 }
 
 int
@@ -585,9 +572,9 @@ cmdWorker(int argc, char **argv)
         return 1;
     }
     wopts.jobs =
-        static_cast<unsigned>(cfg.getU64("jobs", 1, 0, kMaxJobs));
+        static_cast<unsigned>(cfg.getU64("jobs", 1, 0, dist::kMaxJobs));
     wopts.heartbeatMs =
-        cfg.getU64("heartbeat_ms", wopts.heartbeatMs, 1, kMaxMs);
+        cfg.getU64("heartbeat_ms", wopts.heartbeatMs, 1, dist::kMaxMs);
     return dist::runWorker(wopts);
 }
 
@@ -613,7 +600,7 @@ runSim(const Config &cfg)
     isa::Program prog = spec.buildProgram();
     const pipeline::CoreParams params = spec.buildParams();
 
-    const u64 insts = cfg.getU64("insts", 100000, 1, kMaxInsts);
+    const u64 insts = cfg.getU64("insts", 100000, 1, dist::kMaxInsts);
     std::fprintf(stderr,
                  "fhsim: %s, scheme %s, %llu insts/thread, %u "
                  "threads\n",
@@ -634,8 +621,8 @@ runSim(const Config &cfg)
 
     if (cfg.getBool("campaign", false)) {
         fault::CampaignConfig ccfg = spec.campaign;
-        ccfg.threads =
-            static_cast<unsigned>(cfg.getU64("jobs", 0, 0, kMaxJobs));
+        ccfg.threads = static_cast<unsigned>(
+            cfg.getU64("jobs", 0, 0, dist::kMaxJobs));
         ccfg.journalPath = cfg.getString("journal", "");
         exec::installShutdownHandlers();
         exec::ProgressMeter meter("fhsim campaign", ccfg.injections);
@@ -651,7 +638,6 @@ runSim(const Config &cfg)
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - t0)
                 .count();
-        meter.finish();
         return emitCampaignOutputs(cfg, bench,
                                    exec::resolveThreads(ccfg.threads),
                                    ccfg, r, seconds);

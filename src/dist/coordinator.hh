@@ -41,6 +41,7 @@
 #include "dist/spec.hh"
 #include "dist/wire.hh"
 #include "fault/campaign.hh"
+#include "fault/campaign_json.hh"
 #include "fault/journal.hh"
 
 namespace fh::exec
@@ -82,18 +83,9 @@ struct CoordinatorOptions
     u64 quarantineCooloffMs = 2000;
 };
 
-struct DistStats
-{
-    unsigned workersJoined = 0;
-    unsigned workersDied = 0; ///< EOF, protocol violation, or timeout
-    u64 rangesIssued = 0;
-    u64 rangesReissued = 0;
-    u64 trialsMerged = 0;
-    u64 crcErrors = 0;   ///< frames rejected by the CRC trailer
-    u64 reconnects = 0;  ///< Hellos carrying a nonzero reconnect ordinal
-    u64 quarantined = 0; ///< quarantine episodes (not distinct pids)
-    bool degraded = false; ///< tail ran in-process, fleet was dead
-};
+/** The fabric's health counters, which FH_JSON's "fabric" block
+ *  prints. */
+using DistStats = fault::FabricHealth;
 
 class Coordinator
 {

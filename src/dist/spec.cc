@@ -1,5 +1,8 @@
 #include "dist/spec.hh"
 
+#include <algorithm>
+#include <limits>
+
 #include "sim/config.hh"
 #include "sim/logging.hh"
 
@@ -79,43 +82,48 @@ CampaignSpec::decode(const std::string &text, CampaignSpec &out,
     if (!cfg.parse(text, error))
         return false;
 
+    // Every number is read with its range (fhsim's bound where fhsim
+    // has the key), so a spec no fhsim run could build is refused
+    // here, naming the key, instead of dying deeper in the worker.
     CampaignSpec s;
+    fault::CampaignConfig &c = s.campaign;
     s.bench = cfg.getString("bench", s.bench);
     s.scheme = cfg.getString("scheme", s.scheme);
     s.coreThreads = static_cast<unsigned>(
-        cfg.getU64("core_threads", s.coreThreads));
+        cfg.getU64("core_threads", s.coreThreads, 1, kMaxSmtThreads));
+    // Loaded into a signed register by the kernels.
     s.workload.iterations =
-        cfg.getU64("workload_iterations", s.workload.iterations);
+        cfg.getU64("workload_iterations", s.workload.iterations, 1,
+                   static_cast<u64>(std::numeric_limits<i64>::max()));
     s.workload.seed = cfg.getU64("workload_seed", s.workload.seed);
-    s.workload.footprintDivider =
-        cfg.getU64("footprint_divider", s.workload.footprintDivider);
+    s.workload.footprintDivider = cfg.getU64(
+        "footprint_divider", s.workload.footprintDivider, 1, kAnyU64);
     s.workload.maxThreads = std::max(2u, s.coreThreads);
-    s.tcamEntries =
-        static_cast<unsigned>(cfg.getU64("tcam_entries", 0));
-    s.tcamThreshold =
-        static_cast<unsigned>(cfg.getU64("tcam_threshold", 0));
-    s.delayBuffer =
-        static_cast<unsigned>(cfg.getU64("delay_buffer", 0));
-    s.campaign.injections =
-        cfg.getU64("injections", s.campaign.injections);
-    s.campaign.window = cfg.getU64("window", s.campaign.window);
-    s.campaign.warmupInsts =
-        cfg.getU64("warmup", s.campaign.warmupInsts);
-    s.campaign.minGap = cfg.getU64("min_gap", s.campaign.minGap);
-    s.campaign.maxGap = cfg.getU64("max_gap", s.campaign.maxGap);
-    s.campaign.forkMaxCycles =
-        cfg.getU64("fork_max_cycles", s.campaign.forkMaxCycles);
-    s.campaign.seed = cfg.getU64("seed", s.campaign.seed);
-    s.campaign.mix.renameFrac =
-        cfg.getDouble("rename_frac", s.campaign.mix.renameFrac);
-    s.campaign.mix.lsqFrac =
-        cfg.getDouble("lsq_frac", s.campaign.mix.lsqFrac);
-    s.campaign.mix.inflightFrac =
-        cfg.getDouble("inflight_frac", s.campaign.mix.inflightFrac);
-    s.campaign.trialTimeoutMs = cfg.getU64("trial_timeout_ms", 0);
-    s.campaign.ciTarget =
-        cfg.getDouble("ci_target", s.campaign.ciTarget);
-    s.campaign.ciWave = cfg.getU64("ci_wave", s.campaign.ciWave);
+    s.tcamEntries = static_cast<unsigned>(
+        cfg.getU64("tcam_entries", 0, 0, kMaxTcamEntries));
+    s.tcamThreshold = static_cast<unsigned>(
+        cfg.getU64("tcam_threshold", 0, 0, kMaxTcamThreshold));
+    s.delayBuffer = static_cast<unsigned>(
+        cfg.getU64("delay_buffer", 0, 0, kMaxDelayBuffer));
+    c.injections = cfg.getU64("injections", c.injections, 1, kAnyU64);
+    c.window = cfg.getU64("window", c.window, 1, kAnyU64);
+    c.warmupInsts = cfg.getU64("warmup", c.warmupInsts);
+    c.minGap = cfg.getU64("min_gap", c.minGap);
+    c.maxGap = cfg.getU64("max_gap", c.maxGap, c.minGap, kAnyU64);
+    c.forkMaxCycles =
+        cfg.getU64("fork_max_cycles", c.forkMaxCycles, 1, kAnyU64);
+    c.seed = cfg.getU64("seed", c.seed);
+    c.mix.renameFrac = cfg.getDouble("rename_frac", c.mix.renameFrac, 0, 1);
+    c.mix.lsqFrac = cfg.getDouble("lsq_frac", c.mix.lsqFrac, 0, 1);
+    c.mix.inflightFrac =
+        cfg.getDouble("inflight_frac", c.mix.inflightFrac, 0, 1);
+    // The register file gets what the rename and LSQ shares leave.
+    if (c.mix.renameFrac + c.mix.lsqFrac > 1)
+        fh_fatal("rename_frac=%g plus lsq_frac=%g exceeds 1",
+                 c.mix.renameFrac, c.mix.lsqFrac);
+    c.trialTimeoutMs = cfg.getU64("trial_timeout_ms", 0, 0, kMaxMs);
+    c.ciTarget = cfg.getDouble("ci_target", c.ciTarget, 0, kMaxCiTarget);
+    c.ciWave = cfg.getU64("ci_wave", c.ciWave, 1, kAnyU64);
 
     // A key this decoder does not read means the peer speaks a newer
     // spec; running with it silently dropped would break the

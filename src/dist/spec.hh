@@ -30,6 +30,21 @@
 namespace fh::dist
 {
 
+// Bounds of the ranged campaign inputs, each written once: fhsim's
+// keys, CampaignSpec::decode and the harnesses' FH_* variables read
+// through them. fhsim's help line for each key gives the reason.
+constexpr u64 kMaxSmtThreads = 8; ///< `threads`: pipeline::Core's SMT
+/** `jobs`, `worker_jobs`, `workers` and FH_THREADS. */
+constexpr u64 kMaxJobs = 1024;
+constexpr u64 kMaxInsts = 1'000'000'000'000'000; ///< `insts`, FH_INSTS
+constexpr u64 kMaxTcamEntries = 1024;            ///< `tcam.entries`
+constexpr u64 kMaxTcamThreshold = 64;            ///< `tcam.threshold`
+constexpr u64 kMaxMs = 86'400'000;   ///< the `*_ms` keys: one day
+constexpr double kMaxCiTarget = 0.5; ///< `ci_target`, FH_CI_TARGET
+constexpr u64 kAnyU64 = ~u64{0};     ///< no bound but the type's
+/** `delay_buffer`: it holds ROB slots. */
+inline const u64 kMaxDelayBuffer = pipeline::CoreParams{}.robSize;
+
 /** Map a scheme name (none|pbfs|pbfs-biased|fh-backend|faulthound)
  *  to its DetectorParams preset; false on unknown names. */
 bool schemeByName(const std::string &name, filters::DetectorParams &out);
@@ -55,8 +70,9 @@ struct CampaignSpec
     /** Canonical key=value text (the Spec frame payload). */
     std::string encode() const;
 
-    /** Parse encode()'s text (a malformed value is fatal); false, with
-     *  error, on a bad line, unknown key, or unknown bench/scheme. */
+    /** Parse encode()'s text (a malformed or out-of-range value is
+     *  fatal, naming the key); false, with error, on a bad line,
+     *  unknown key, or unknown bench/scheme. */
     static bool decode(const std::string &text, CampaignSpec &out,
                        std::string &error);
 

@@ -1,6 +1,7 @@
 #include "exec/thread_pool.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -23,20 +24,6 @@ resolveThreads(unsigned requested)
 namespace
 {
 thread_local unsigned tlsWorkerIndex = 0;
-
-/** Makes the calling thread index 0 of the pool it is calling into,
- *  restoring its index in an outer pool on every exit. */
-class CallerIndexScope
-{
-  public:
-    CallerIndexScope() : saved_(tlsWorkerIndex) { tlsWorkerIndex = 0; }
-    ~CallerIndexScope() { tlsWorkerIndex = saved_; }
-    CallerIndexScope(const CallerIndexScope &) = delete;
-    CallerIndexScope &operator=(const CallerIndexScope &) = delete;
-
-  private:
-    unsigned saved_;
-};
 } // namespace
 
 unsigned
@@ -46,10 +33,10 @@ ThreadPool::currentWorker()
 }
 
 ThreadPool::ThreadPool(unsigned threads)
-    : nthreads_(std::max(1u, resolveThreads(threads)))
 {
-    workers_.reserve(nthreads_ - 1);
-    for (unsigned i = 1; i < nthreads_; ++i)
+    const unsigned n = std::max(1u, resolveThreads(threads));
+    workers_.reserve(n);
+    for (unsigned i = 0; i < n; ++i)
         workers_.emplace_back([this, i] {
             tlsWorkerIndex = i;
             workerLoop();
@@ -59,7 +46,8 @@ ThreadPool::ThreadPool(unsigned threads)
 ThreadPool::~ThreadPool()
 {
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::unique_lock<std::mutex> lock(mutex_);
+        done_.wait(lock, [&] { return running_ == 0; });
         stop_ = true;
     }
     wake_.notify_all();
@@ -68,133 +56,74 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::runChunks(Job &job)
-{
-    for (;;) {
-        const u64 begin =
-            job.next.fetch_add(job.grain, std::memory_order_relaxed);
-        if (begin >= job.n)
-            return;
-        const u64 end = std::min(job.n, begin + job.grain);
-        if (job.aborted.load(std::memory_order_acquire)) {
-            // A body already failed: drain the remaining index space
-            // without executing it, but account for it as skipped —
-            // not silently "done" — so the caller can report how much
-            // of the loop never ran.
-            job.skipped.fetch_add(end - begin,
-                                  std::memory_order_relaxed);
-        } else {
-            u64 i = begin;
-            try {
-                for (; i < end; ++i)
-                    (*job.body)(i);
-            } catch (...) {
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    if (!job.error)
-                        job.error = std::current_exception();
-                }
-                // The rest of this chunk is abandoned too (the index
-                // that threw counts as executed, not skipped).
-                job.skipped.fetch_add(end - i - 1,
-                                      std::memory_order_relaxed);
-                job.aborted.store(true, std::memory_order_release);
-            }
-        }
-        if (job.done.fetch_add(end - begin) + (end - begin) >= job.n) {
-            // Last chunk: wake the caller blocked in parallelFor.
-            std::lock_guard<std::mutex> lock(mutex_);
-            idle_.notify_all();
-        }
-    }
-}
-
-void
 ThreadPool::workerLoop()
 {
     u64 seen = 0;
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        wake_.wait(lock,
-                   [&] { return stop_ || (job_ && generation_ != seen); });
+        wake_.wait(lock, [&] { return stop_ || generation_ != seen; });
         if (stop_)
             return;
         seen = generation_;
-        Job &job = *job_;
-        ++busy_;
         lock.unlock();
-        runChunks(job);
+        for (;;) {
+            const u64 i = next_++;
+            if (failed_ || i >= n_)
+                break;
+            try {
+                body_(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> guard(mutex_);
+                if (!error_)
+                    error_ = std::current_exception();
+                failed_ = true;
+            }
+        }
         lock.lock();
-        if (--busy_ == 0)
-            idle_.notify_all();
+        if (--running_ == 0)
+            done_.notify_all();
     }
 }
 
 void
-ThreadPool::parallelFor(u64 n, u64 grain,
-                        const std::function<void(u64)> &body)
+ThreadPool::post(u64 n, std::function<void(u64)> body)
 {
-    if (n == 0)
-        return;
-    // A body may itself call parallelFor on another pool (a campaign
-    // run on an outer pool's worker): inside that call this thread is
-    // the inner pool's caller, so scratch indexed by currentWorker()
-    // stays below the inner pool's size.
-    CallerIndexScope caller;
-    lastSkipped_ = 0;
-    grain = std::max<u64>(1, grain);
-    if (nthreads_ == 1 || n == 1) {
-        // Inline path: an exception propagates directly; the indices
-        // after it were never claimed, which is the same "skipped"
-        // accounting the pooled path reports.
-        u64 i = 0;
-        try {
-            for (; i < n; ++i)
-                body(i);
-        } catch (...) {
-            lastSkipped_ = n - i - 1;
-            if (lastSkipped_)
-                fh_warn("parallelFor aborted by an exception: %llu of "
-                        "%llu indices skipped",
-                        static_cast<unsigned long long>(lastSkipped_),
-                        static_cast<unsigned long long>(n));
-            throw;
-        }
-        return;
-    }
-
-    Job job;
-    job.n = n;
-    job.grain = grain;
-    job.body = &body;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        job_ = &job;
+        fh_assert(!posted_, "ThreadPool::post before the previous loop "
+                            "was waited for");
+        posted_ = true;
+        if (n == 0)
+            return;
+        body_ = std::move(body);
+        n_ = n;
+        next_ = 0;
+        failed_ = false;
+        running_ = size();
         ++generation_;
     }
     wake_.notify_all();
+}
 
-    runChunks(job); // the caller is a worker too
+bool
+ThreadPool::idle() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return running_ == 0;
+}
 
-    // job lives on this stack frame: wait until every index ran AND
-    // every worker has stepped out of runChunks before retiring it.
+void
+ThreadPool::wait()
+{
+    std::exception_ptr error;
     {
         std::unique_lock<std::mutex> lock(mutex_);
-        idle_.wait(lock, [&] {
-            return job.done.load() >= job.n && busy_ == 0;
-        });
-        job_ = nullptr;
+        done_.wait(lock, [&] { return running_ == 0; });
+        posted_ = false;
+        error = std::exchange(error_, nullptr);
     }
-
-    if (job.error) {
-        lastSkipped_ = job.skipped.load(std::memory_order_relaxed);
-        if (lastSkipped_)
-            fh_warn("parallelFor aborted by an exception: %llu of %llu "
-                    "indices skipped",
-                    static_cast<unsigned long long>(lastSkipped_),
-                    static_cast<unsigned long long>(job.n));
-        std::rethrow_exception(job.error);
-    }
+    if (error)
+        std::rethrow_exception(error);
 }
 
 } // namespace fh::exec

@@ -1,17 +1,19 @@
 /**
  * @file
- * Work-sharing thread-pool runtime. A pool of persistent workers
- * executes chunked parallel-for loops: indices of [0, n) are handed
- * out through an atomic cursor, so threads that finish their chunk
- * early keep stealing the remaining ones (dynamic load balancing),
- * and the calling thread participates as a worker — a 1-thread pool
- * therefore runs everything inline with zero synchronization.
+ * Work-sharing thread-pool runtime. A pool of persistent workers runs
+ * one parallel loop at a time: post() hands the loop over and returns
+ * at once, the workers claim indices of [0, n) one at a time through
+ * an atomic cursor (so a worker that finishes early keeps taking the
+ * remaining ones), and wait() blocks until the loop is done. The
+ * posting thread never runs a body, so it is free to do other work
+ * between post() and wait() — a campaign's producer advances the
+ * master while the pool runs the previous wave of forks.
  *
- * Determinism contract: parallelFor imposes no execution order.
- * Callers get bit-identical results across thread counts only when
- * every index's work is independent and writes to its own output
- * slot, with any reduction done serially afterwards — the pattern
- * fault::runCampaign uses for sharded injection campaigns.
+ * Determinism contract: a loop imposes no execution order. Callers
+ * get bit-identical results across thread counts only when every
+ * index's work is independent and writes to its own output slot, with
+ * any reduction done serially afterwards — the pattern
+ * fault::CampaignSession uses for its waves of trials.
  */
 
 #ifndef FH_EXEC_THREAD_POOL_HH
@@ -39,81 +41,67 @@ unsigned resolveThreads(unsigned requested);
 class ThreadPool
 {
   public:
-    /**
-     * threads counts the calling thread too: ThreadPool(4) spawns 3
-     * workers and parallelFor adds the caller. 0 = all hardware.
-     */
+    /** Start `threads` workers; 0 = one per hardware thread. */
     explicit ThreadPool(unsigned threads = 0);
+    /** Lets a posted loop finish, then joins the workers. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    unsigned size() const { return nthreads_; }
+    unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
     /**
-     * Stable identity of the executing thread within its pool, for
-     * per-worker scratch indexing: the pool's caller thread is 0 and
-     * spawned workers are 1..size()-1, so any thread inside a
-     * parallelFor body may index a caller-owned array of size()
-     * entries without synchronization. A thread calling parallelFor
-     * is 0 for the duration of the call, even when it is a worker of
-     * an outer pool, and gets its outer index back afterwards.
-     * Threads that never entered a pool report 0 (they are somebody's
-     * caller).
+     * Index of the executing worker within its pool, 0..size()-1,
+     * fixed when the worker starts: a body may index a caller-owned
+     * array of size() entries without synchronization, whichever
+     * thread posted the loop. Threads that are no pool's worker
+     * report 0.
      */
     static unsigned currentWorker();
 
     /**
-     * Run body(i) for every i in [0, n), handing out chunks of grain
-     * consecutive indices; blocks until the loop is fully drained.
-     * The first exception thrown by any body is rethrown here. Once a
-     * failure is latched no further index runs: workers fast-forward
-     * through the remaining chunks, counting them as skipped rather
-     * than silently "done" — the count is reported via lastSkipped()
-     * (and a warning) alongside the rethrown exception, so a caller
-     * knows exactly how much of the loop never executed.
+     * Start running body(i) for every i in [0, n) on the workers and
+     * return at once. The previous loop must have been waited for.
+     * The first exception a body throws is latched, the indices not
+     * yet claimed are abandoned, and wait() rethrows it.
      */
-    void parallelFor(u64 n, u64 grain,
-                     const std::function<void(u64)> &body);
-    void parallelFor(u64 n, const std::function<void(u64)> &body)
-    {
-        parallelFor(n, 1, body);
-    }
+    void post(u64 n, std::function<void(u64)> body);
+
+    /** No loop is running: none was posted, or the last one is done. */
+    bool idle() const;
 
     /**
-     * Indices of the most recent parallelFor that were abandoned
-     * because an earlier body threw (0 after a clean loop).
+     * Block until the posted loop (if any) is done, then rethrow the
+     * first exception one of its bodies threw. The pool then accepts
+     * the next loop.
      */
-    u64 lastSkipped() const { return lastSkipped_; }
+    void wait();
+
+    /** post() followed by wait(). */
+    void parallelFor(u64 n, std::function<void(u64)> body)
+    {
+        post(n, std::move(body));
+        wait();
+    }
 
   private:
-    struct Job
-    {
-        std::atomic<u64> next{0}; ///< first unclaimed index
-        std::atomic<u64> done{0}; ///< indices executed or skipped
-        std::atomic<u64> skipped{0};      ///< abandoned after a failure
-        std::atomic<bool> aborted{false}; ///< a body threw; stop work
-        u64 n = 0;
-        u64 grain = 1;
-        const std::function<void(u64)> *body = nullptr;
-        std::exception_ptr error; ///< first failure; guarded by mutex_
-    };
-
     void workerLoop();
-    void runChunks(Job &job);
 
-    unsigned nthreads_;
     std::vector<std::thread> workers_;
 
-    std::mutex mutex_;
-    std::condition_variable wake_; ///< workers: a new job was posted
-    std::condition_variable idle_; ///< caller: job drained, workers out
-    Job *job_ = nullptr;           ///< currently posted job
-    u64 generation_ = 0;           ///< bumped once per posted job
-    unsigned busy_ = 0;            ///< workers inside runChunks
+    mutable std::mutex mutex_;
+    std::condition_variable wake_; ///< workers: a loop was posted
+    std::condition_variable done_; ///< waiters: every worker is out
+    std::function<void(u64)> body_;
+    u64 n_ = 0;
+    std::atomic<u64> next_{0};         ///< first unclaimed index
+    std::atomic<bool> failed_{false};  ///< a body threw; claim no more
+    std::exception_ptr error_;         ///< first failure
+    u64 generation_ = 0; ///< bumped once per posted loop
+    unsigned running_ = 0; ///< workers not yet out of the posted loop
+    bool posted_ = false;  ///< posted and not yet waited for
     bool stop_ = false;
-    u64 lastSkipped_ = 0;          ///< see lastSkipped()
 };
 
 } // namespace fh::exec

@@ -2,15 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <cstdlib>
 #include <deque>
-#include <exception>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -374,100 +368,6 @@ runTrialGuarded(const CampaignConfig &cfg, const Trial &t,
     }
 }
 
-/**
- * The fork-executor thread of one runRange call. It runs each posted
- * wave (on the session's pool) while the calling thread advances the
- * master and fills the next wave. One wave is in flight at a time:
- * post() hands it over, collect() waits for it and rethrows whatever
- * escaped it. The destructor joins the thread — after the in-flight
- * wave, if any, finishes — so the thread never outlives the call.
- * Every member but the thread's own loop belongs to the caller.
- */
-class WaveExecutor
-{
-  public:
-    explicit WaveExecutor(std::function<void()> run_wave)
-        : runWave_(std::move(run_wave)), thread_([this] { loop(); })
-    {
-    }
-
-    ~WaveExecutor()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            quit_ = true;
-        }
-        cv_.notify_all();
-        thread_.join();
-    }
-
-    WaveExecutor(const WaveExecutor &) = delete;
-    WaveExecutor &operator=(const WaveExecutor &) = delete;
-
-    /** No wave is running: none was posted, or it is done. */
-    bool idle()
-    {
-        if (!busy_)
-            return true;
-        std::lock_guard<std::mutex> lock(mutex_);
-        return !pending_;
-    }
-
-    void post()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            pending_ = true;
-        }
-        busy_ = true;
-        cv_.notify_all();
-    }
-
-    /** Wait for the posted wave, if any; its results are then the
-     *  caller's. */
-    void collect()
-    {
-        if (!busy_)
-            return;
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait(lock, [&] { return !pending_; });
-        busy_ = false;
-        if (error_)
-            std::rethrow_exception(std::exchange(error_, nullptr));
-    }
-
-  private:
-    void loop()
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        for (;;) {
-            cv_.wait(lock, [&] { return quit_ || pending_; });
-            if (quit_)
-                return;
-            lock.unlock();
-            std::exception_ptr error;
-            try {
-                runWave_();
-            } catch (...) {
-                error = std::current_exception();
-            }
-            lock.lock();
-            error_ = error;
-            pending_ = false;
-            cv_.notify_all();
-        }
-    }
-
-    std::function<void()> runWave_;
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    bool pending_ = false; ///< posted, not yet run to the end
-    bool quit_ = false;
-    std::exception_ptr error_;
-    bool busy_ = false; ///< posted, not yet collected
-    std::thread thread_; ///< last: starts once the rest is built
-};
-
 } // namespace
 
 /**
@@ -484,7 +384,7 @@ struct CampaignSession::Impl
 
     /**
      * One trial of a wave. The producer fills in everything but the
-     * result when the trial's ledger entry completes; the executor
+     * result when the trial's ledger entry completes; a pool worker
      * reads the trial and entry through the pointers (never through
      * trialPool or the ledger, which the producer keeps mutating) and
      * writes the result.
@@ -505,8 +405,8 @@ struct CampaignSession::Impl
           master(params_in, prog),
           gapRng(cfg_in.seed),
           threads(exec::resolveThreads(cfg_in.threads)),
-          pool(threads),
-          waveCap(std::max<u64>(u64{threads} * 2, 4))
+          waveCap(std::max<u64>(u64{threads} * 2, 4)),
+          pool(threads)
     {
         if (!GoldenLedger::supports(master, *prog))
             fh_fatal("program '%s' does not give each SMT thread a "
@@ -601,7 +501,6 @@ struct CampaignSession::Impl
     pipeline::Core master;
     Rng gapRng;
     unsigned threads;
-    exec::ThreadPool pool;
     /** Largest wave. The executing and the filling wave together
      *  hold at most 2 * waveCap = max(4 * threads, 8) trials, the
      *  budget of the single blocking wave the overlap replaced. */
@@ -613,21 +512,25 @@ struct CampaignSession::Impl
     bool halted = false;
 
     // Per-worker reusable fork machines, indexed by
-    // ThreadPool::currentWorker() (the executor = 0, workers
-    // 1..threads-1).
+    // ThreadPool::currentWorker() (0..threads-1).
     std::vector<ForkScratch> scratch;
     // Reusable trial slots: a retired slot's snapshot is overwritten
     // in place (a flat arena memcpy plus COW memory/filter copies),
-    // with no per-trial reallocation churn. A deque so the trials the
-    // executor holds stay put while the producer appends new slots.
+    // with no per-trial reallocation churn. A deque so the trials a
+    // running wave holds stay put while the producer appends new slots.
     std::deque<Trial> trialPool;
     std::vector<u32> freeTrials;
     // Produced trials whose windows the master has not fully crossed
     // yet; bounded by window/minGap in practice.
     std::deque<Pending> inflight;
     std::vector<WaveTrial> filling; ///< completed, not yet posted
-    std::vector<WaveTrial> posted;  ///< the executor's wave
+    std::vector<WaveTrial> posted;  ///< the pool's wave
     std::unique_ptr<pipeline::Core> warmSnapshot;
+    // Last, so it is destroyed first: a wave can still be running when
+    // runRange unwinds from a producer-side exception, and the pool's
+    // destructor lets it finish before the trial slots, ledger entries
+    // and fork scratch it reads go away.
+    exec::ThreadPool pool;
 };
 
 /**
@@ -662,9 +565,9 @@ CampaignSession::Impl::rewind()
  * function of the seed. A produced trial waits in a FIFO until the
  * master's own advance crosses all its commit targets (completing its
  * ledger entry, usually within the next trial or two's gaps);
- * completed trials fill a wave, which goes to the fork executor when
- * it is full or the executor is idle, and the master fills the next
- * one while the executor runs it. Windows still open at the end of
+ * completed trials fill a wave, which is posted to the session's pool
+ * when it is full or the pool is idle, and the master fills the next
+ * one while the pool's workers run it. Windows still open at the end of
  * the range are closed by extra "drain" ticks — on the real master
  * when nothing further depends on its cycle position (final range,
  * halt, or shutdown), and otherwise on a scratch copy, so a later
@@ -673,10 +576,10 @@ CampaignSession::Impl::rewind()
  * same sampled state: that is the ledger's master-as-golden argument.
  *
  * Only this (the calling) thread touches the master, the ledger, the
- * trial slots and the sink; the executor sees a posted wave's trials
- * and complete entries, which stay untouched until the wave is
- * collected. Every trial produced here is merged before the call
- * returns, and the executor is joined on every exit.
+ * trial slots and the sink; the pool's workers see a posted wave's
+ * trials and complete entries, which stay untouched until wait()
+ * collects the wave. Every trial produced here is merged before the
+ * call returns.
  */
 RangeOutcome
 CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
@@ -685,19 +588,6 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
     CampaignPhases produced;
     const pipeline::CoreStats masterBase = master.stats();
     bool stopped = false;
-
-    WaveExecutor executor([&] {
-        pool.parallelFor(posted.size(), [&](u64 k) {
-            ForkScratch &fs =
-                scratch[exec::ThreadPool::currentWorker()];
-            WaveTrial &w = posted[k];
-            w.result = runTrialGuarded(
-                cfg, *w.trial, [&](const ForkDeadline *dl) {
-                    return runTrial(params, cfg, *w.trial, *w.golden,
-                                    fs, dl);
-                });
-        });
-    });
 
     auto promote = [&] {
         // Entries complete in production order: per-thread targets are
@@ -711,7 +601,7 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
         }
     };
     auto collect = [&] {
-        executor.collect();
+        pool.wait();
         // Merge — and sink — in trial (production) order:
         // bit-identical for any worker count. Ledger slots and trial
         // slots both free up for the next opens.
@@ -727,7 +617,15 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
         if (filling.empty())
             return;
         std::swap(filling, posted);
-        executor.post();
+        pool.post(posted.size(), [this](u64 k) {
+            ForkScratch &fs = scratch[exec::ThreadPool::currentWorker()];
+            WaveTrial &w = posted[k];
+            w.result = runTrialGuarded(
+                cfg, *w.trial, [&](const ForkDeadline *dl) {
+                    return runTrial(params, cfg, *w.trial, *w.golden,
+                                    fs, dl);
+                });
+        });
     };
 
     while (trial < end && !halted) {
@@ -796,11 +694,11 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
         ++executed;
 
         // Hand the wave over once it is full, or as soon as the
-        // executor runs dry: then it waits at most one trial's
+        // pool runs dry: then it waits at most one trial's
         // production for work, never a whole wave's.
         promote();
         if (filling.size() >= waveCap ||
-            (!filling.empty() && executor.idle()))
+            (!filling.empty() && pool.idle()))
             handOff();
     }
 

@@ -15,9 +15,9 @@
  *
  * Execution is sharded and overlapped: the master advances serially
  * between injection points, each point is snapshotted into a trial
- * descriptor with its own Rng::stream(seed, trial_index), and a
- * fork-executor thread runs completed trials' forks in waves on an
- * exec::ThreadPool while the master produces the next wave.
+ * descriptor with its own Rng::stream(seed, trial_index), and
+ * completed trials' forks run in waves on the workers of the
+ * session's exec::ThreadPool while the master produces the next wave.
  *
  * Every campaign runs through one CampaignMerge: it replays a
  * journal's prefix, folds each trial in index order on the calling
@@ -445,12 +445,13 @@ class CampaignSession
      * cfg.injections)), calling sink in trial order; trials below
      * begin are skip-advanced. A non-terminal range closes its last
      * windows on a scratch copy of the master, so the schedule seen
-     * by later ranges is untouched. The forks run on a fork-executor
-     * thread that lives only inside this call; sink runs on the
-     * calling thread, and every call to it happens before runRange
-     * returns. An exception from sink, or one that escaped a trial,
-     * propagates after the executor is joined; the session can then
-     * only be destroyed.
+     * by later ranges is untouched. The forks run on the session's
+     * pool workers, which live as long as the session; no thread
+     * starts per call. sink runs on the calling thread, and every
+     * call to it happens before runRange returns. An exception from
+     * sink, or one that escaped a trial, propagates at once; the
+     * session can then only be destroyed, which lets a still-running
+     * wave finish first.
      */
     RangeOutcome runRange(u64 begin, u64 end, const TrialSink &sink);
 

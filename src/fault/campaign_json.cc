@@ -7,6 +7,14 @@
 namespace fh::fault
 {
 
+double
+executedTrialsPerSecond(const CampaignResult &r, double seconds)
+{
+    return seconds > 0
+               ? static_cast<double>(r.injected - r.replayedTrials) / seconds
+               : 0.0;
+}
+
 bool
 writeCampaignJson(const std::string &path, const std::string &bench,
                   unsigned workers, const CampaignConfig &cfg,
@@ -36,15 +44,14 @@ writeCampaignJson(const std::string &path, const std::string &bench,
     // pooled Wilson half-width on the SDC rate reached ci_target.
     std::fprintf(out, "  \"ci_stopped\": %s,\n",
                  r.ciStopped ? "true" : "false");
+    // The pooled half-width the stop rule compares with ci_target.
+    std::fprintf(out, "  \"ci_half_width\": %.17g,\n",
+                 pooledSdcHalfWidth(r.profile, StratumSpace(cfg.mix)));
     std::fprintf(out, "  \"replayed_trials\": %llu,\n",
                  u(r.replayedTrials));
     std::fprintf(out, "  \"elapsed_seconds\": %.3f,\n", seconds);
-    // Executed trials only: journal-replayed ones cost no wall time.
     std::fprintf(out, "  \"trials_per_second\": %.1f,\n",
-                 seconds > 0 ? static_cast<double>(r.injected -
-                                                   r.replayedTrials) /
-                                   seconds
-                             : 0.0);
+                 executedTrialsPerSecond(r, seconds));
     std::fprintf(out, "  \"classification\": {\n");
     std::fprintf(out, "    \"injected\": %llu,\n", u(r.injected));
     std::fprintf(out, "    \"masked\": %llu,\n", u(r.masked));

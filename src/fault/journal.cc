@@ -234,8 +234,7 @@ TrialJournal::TrialJournal(const std::string &path,
                          "journal= elsewhere\n  file: %s\n  want: %s",
                          path_.c_str(), line.c_str(), header.c_str());
             }
-            u64 d[kTrialCounters];
-            u64 m[kTrialMetaFields];
+            Record rec;
             u64 trial = 0;
             u64 crc = 0;
             u64 lineNo = 1; // the header
@@ -243,19 +242,19 @@ TrialJournal::TrialJournal(const std::string &path,
             u64 badLine = 0;
             while (std::getline(in, line)) {
                 ++lineNo;
-                if (!parseRecord(line, trial, d, m, crc)) {
+                if (!parseRecord(line, trial, rec.d, rec.m, crc)) {
                     badWhy = "malformed record";
                     badLine = lineNo;
                     break;
                 }
-                if (static_cast<u32>(crc) != recordCrc(trial, d, m)) {
+                if (static_cast<u32>(crc) != recordCrc(trial, rec.d, rec.m)) {
                     badWhy = csprintf(
                         "record checksum mismatch (trial %llu: stored "
                         "%llu, computed %lu)",
                         static_cast<unsigned long long>(trial),
                         static_cast<unsigned long long>(crc),
                         static_cast<unsigned long>(
-                            recordCrc(trial, d, m)));
+                            recordCrc(trial, rec.d, rec.m)));
                     badLine = lineNo;
                     break;
                 }
@@ -268,8 +267,7 @@ TrialJournal::TrialJournal(const std::string &path,
                     badLine = lineNo;
                     break;
                 }
-                replayed_.push_back(unpackTrialCounters(d));
-                replayedMeta_.push_back(unpackTrialMeta(m));
+                replayed_.push_back(rec);
             }
             if (badLine != 0) {
                 // Torn tail or corrupt body? A crash truncates the
@@ -280,9 +278,9 @@ TrialJournal::TrialJournal(const std::string &path,
                 // campaign's history.
                 bool laterValid = false;
                 while (std::getline(in, line)) {
-                    if (parseRecord(line, trial, d, m, crc) &&
+                    if (parseRecord(line, trial, rec.d, rec.m, crc) &&
                         static_cast<u32>(crc) ==
-                            recordCrc(trial, d, m)) {
+                            recordCrc(trial, rec.d, rec.m)) {
                         laterValid = true;
                         break;
                     }
@@ -314,13 +312,8 @@ TrialJournal::TrialJournal(const std::string &path,
     if (!out_)
         fh_fatal("cannot open journal '%s' for writing", path_.c_str());
     std::fprintf(out_, "%s\n", header.c_str());
-    for (u64 t = 0; t < replayed_.size(); ++t) {
-        u64 d[kTrialCounters];
-        u64 m[kTrialMetaFields];
-        packTrialCounters(replayed_[t], d);
-        packTrialMeta(replayedMeta_[t], m);
-        writeRecord(out_, t, d, m);
-    }
+    for (u64 t = 0; t < replayed_.size(); ++t)
+        writeRecord(out_, t, replayed_[t].d, replayed_[t].m);
     std::fflush(out_);
 }
 

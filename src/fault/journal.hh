@@ -106,15 +106,15 @@ class TrialJournal
     u64 replayCount() const { return replayed_.size(); }
 
     /** Counter deltas of a journaled trial (trial < replayCount()). */
-    const CampaignResult &replayed(u64 trial) const
+    CampaignResult replayed(u64 trial) const
     {
-        return replayed_[trial];
+        return unpackTrialCounters(replayed_[trial].d);
     }
 
     /** Sampling metadata of a journaled trial (trial < replayCount()). */
-    const TrialMeta &replayedMeta(u64 trial) const
+    TrialMeta replayedMeta(u64 trial) const
     {
-        return replayedMeta_[trial];
+        return unpackTrialMeta(replayed_[trial].m);
     }
 
     /**
@@ -126,11 +126,18 @@ class TrialJournal
                 const TrialMeta &meta);
 
   private:
+    /** One journaled trial as its record arrays: 208 bytes, where an
+     *  unpacked CampaignResult carries a 2 KiB empty VulnProfile. */
+    struct Record
+    {
+        u64 d[kTrialCounters];
+        u64 m[kTrialMetaFields];
+    };
+
     std::string path_;
     std::FILE *out_ = nullptr;
     u64 nextTrial_ = 0;
-    std::vector<CampaignResult> replayed_;
-    std::vector<TrialMeta> replayedMeta_;
+    std::vector<Record> replayed_;
 };
 
 } // namespace fh::fault

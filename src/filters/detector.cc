@@ -236,15 +236,4 @@ to_string(Scheme scheme)
     return "?";
 }
 
-std::string
-to_string(StreamKind kind)
-{
-    switch (kind) {
-      case StreamKind::LoadAddr: return "load-addr";
-      case StreamKind::StoreAddr: return "store-addr";
-      case StreamKind::StoreValue: return "store-value";
-    }
-    return "?";
-}
-
 } // namespace fh::filters

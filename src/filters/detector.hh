@@ -198,7 +198,6 @@ class Detector
 };
 
 std::string to_string(Scheme scheme);
-std::string to_string(StreamKind kind);
 
 } // namespace fh::filters
 

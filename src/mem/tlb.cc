@@ -48,11 +48,4 @@ Tlb::access(Addr addr)
     return false;
 }
 
-void
-Tlb::flush()
-{
-    for (auto &entry : entries_)
-        entry.valid = false;
-}
-
 } // namespace fh::mem

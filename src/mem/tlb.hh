@@ -35,8 +35,6 @@ class Tlb
     /** Touch the page of addr; returns true on hit. */
     bool access(Addr addr);
 
-    void flush();
-
     /** The MRU hint is a pure accelerator, not TLB state. */
     bool operator==(const Tlb &other) const
     {

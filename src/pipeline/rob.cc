@@ -85,13 +85,4 @@ Rob::popTail()
     --count_;
 }
 
-void
-Rob::clear()
-{
-    for (unsigned i = 0; i < cap_; ++i)
-        hot_[i].valid = false;
-    head_ = 0;
-    count_ = 0;
-}
-
 } // namespace fh::pipeline

@@ -155,8 +155,6 @@ class Rob
     /** The youngest valid entry's slot (rob must be non-empty). */
     unsigned tailSlot() const { return slotAt(count_ - 1); }
 
-    void clear();
-
   private:
     RobHot *hot_ = nullptr;
     RobCold *cold_ = nullptr;

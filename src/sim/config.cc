@@ -40,6 +40,27 @@ parseOrDie(const std::string &text,
     return out;
 }
 
+/** v, or fail naming what (a key or variable) and the range. */
+u64
+inRange(u64 v, const std::string &what, u64 lo, u64 hi)
+{
+    if (v < lo || v > hi)
+        fh_fatal("%s=%llu is out of range [%llu, %llu]", what.c_str(),
+                 static_cast<unsigned long long>(v),
+                 static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi));
+    return v;
+}
+
+double
+inRange(double v, const std::string &what, double lo, double hi)
+{
+    if (!(v >= lo && v <= hi)) // NaN never is
+        fh_fatal("%s=%g is out of range [%g, %g]", what.c_str(), v, lo,
+                 hi);
+    return v;
+}
+
 } // namespace
 
 bool
@@ -88,11 +109,23 @@ envU64(const char *name, u64 def)
     return v.empty() ? def : parseOrDie(v, parseU64, name);
 }
 
+u64
+envU64(const char *name, u64 def, u64 lo, u64 hi)
+{
+    return inRange(envU64(name, def), name, lo, hi);
+}
+
 double
 envDouble(const char *name, double def)
 {
     const std::string v = envString(name);
     return v.empty() ? def : parseOrDie(v, parseDouble, name);
+}
+
+double
+envDouble(const char *name, double def, double lo, double hi)
+{
+    return inRange(envDouble(name, def), name, lo, hi);
 }
 
 bool
@@ -177,13 +210,7 @@ Config::getU64(const std::string &key, u64 def) const
 u64
 Config::getU64(const std::string &key, u64 def, u64 lo, u64 hi) const
 {
-    const u64 v = getU64(key, def);
-    if (v < lo || v > hi)
-        fh_fatal("%s=%llu is out of range [%llu, %llu]", key.c_str(),
-                 static_cast<unsigned long long>(v),
-                 static_cast<unsigned long long>(lo),
-                 static_cast<unsigned long long>(hi));
-    return v;
+    return inRange(getU64(key, def), key, lo, hi);
 }
 
 double
@@ -196,10 +223,7 @@ double
 Config::getDouble(const std::string &key, double def, double lo,
                   double hi) const
 {
-    const double v = getDouble(key, def);
-    if (!(v >= lo && v <= hi))
-        fh_fatal("%s=%g is out of range [%g, %g]", key.c_str(), v, lo, hi);
-    return v;
+    return inRange(getDouble(key, def), key, lo, hi);
 }
 
 bool

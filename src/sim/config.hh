@@ -100,7 +100,12 @@ bool parseBool(const std::string &text, bool &out);
  *  (envString: ""); a malformed value is fatal, naming the variable. */
 std::string envString(const char *name);
 u64 envU64(const char *name, u64 def);
+/** envU64 whose value must also lie in [lo, hi], as Config::getU64. */
+u64 envU64(const char *name, u64 def, u64 lo, u64 hi);
 double envDouble(const char *name, double def);
+/** envDouble whose value must also lie in [lo, hi], as
+ *  Config::getDouble. */
+double envDouble(const char *name, double def, double lo, double hi);
 bool envBool(const char *name, bool def);
 
 } // namespace fh

@@ -2,7 +2,8 @@
  * @file
  * Config: the key=value parser behind the fhsim CLI, and the strict
  * value parsers and FH_* environment readers it shares with the
- * harnesses and FH_STRICT.
+ * harnesses and FH_STRICT; each harness variable keeps the range of
+ * its fhsim key.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "../bench/harness.hh"
 #include "sim/config.hh"
 #include "sim/error.hh"
 
@@ -124,6 +126,74 @@ TEST(ConfigDeathTest, MalformedEnvValueIsFatalNamingTheVariable)
             envBool(kUnreadVar, true);
         },
         testing::ExitedWithCode(1), "FH_TEST_UNREAD='maybe'");
+}
+
+TEST(ConfigDeathTest, OutOfRangeEnvValueIsFatalNamingTheVariable)
+{
+    EXPECT_EXIT(
+        {
+            setenv(kUnreadVar, "0", 1);
+            envU64(kUnreadVar, 1, 1, 10);
+        },
+        testing::ExitedWithCode(1),
+        "FH_TEST_UNREAD=0 is out of range \\[1, 10\\]");
+    EXPECT_EXIT(
+        {
+            setenv(kUnreadVar, "nan", 1);
+            envDouble(kUnreadVar, 0.0, 0.0, 0.5);
+        },
+        testing::ExitedWithCode(1), "FH_TEST_UNREAD=nan is out of range");
+}
+
+TEST(ConfigDeathTest, HarnessVariablesKeepTheirFhsimRanges)
+{
+    // Each reader fails before a harness builds anything: FH_THREADS
+    // in particular is refused before any pool exists.
+    EXPECT_EXIT(
+        {
+            setenv("FH_WINDOW", "0", 1);
+            bench::campaignConfig();
+        },
+        testing::ExitedWithCode(1), "FH_WINDOW=0 is out of range");
+    EXPECT_EXIT(
+        {
+            setenv("FH_INJECTIONS", "0", 1);
+            bench::campaignConfig();
+        },
+        testing::ExitedWithCode(1), "FH_INJECTIONS=0 is out of range");
+    EXPECT_EXIT(
+        {
+            setenv("FH_CI_WAVE", "0", 1);
+            bench::campaignConfig();
+        },
+        testing::ExitedWithCode(1), "FH_CI_WAVE=0 is out of range");
+    EXPECT_EXIT(
+        {
+            setenv("FH_CI_TARGET", "7", 1);
+            bench::campaignConfig();
+        },
+        testing::ExitedWithCode(1),
+        "FH_CI_TARGET=7 is out of range \\[0, 0.5\\]");
+    EXPECT_EXIT(
+        {
+            setenv("FH_TRIAL_TIMEOUT_MS", "86400001", 1);
+            bench::campaignConfig();
+        },
+        testing::ExitedWithCode(1),
+        "FH_TRIAL_TIMEOUT_MS=86400001 is out of range \\[0, 86400000\\]");
+    EXPECT_EXIT(
+        {
+            setenv("FH_THREADS", "100000", 1);
+            bench::envThreads();
+        },
+        testing::ExitedWithCode(1),
+        "FH_THREADS=100000 is out of range \\[0, 1024\\]");
+    EXPECT_EXIT(
+        {
+            setenv("FH_INSTS", "0", 1);
+            bench::envInsts(1000);
+        },
+        testing::ExitedWithCode(1), "FH_INSTS=0 is out of range");
 }
 
 TEST(ConfigParse, NumbersMustBeTheWholeToken)
