@@ -119,9 +119,9 @@ provablyMasked(const pipeline::Core &master, const InjectionPlan &plan,
 /**
  * Per-worker reusable fork machines. The first trial a worker executes
  * allocates them (one machine per fork kind); every later fork
- * restores into the same flat buffers via runForkInto, so the
- * campaign's steady state performs zero fork-path allocations — a
- * bare fork is one arena memcpy plus the COW memory/filter copies.
+ * restores into the same flat buffers via runForkInto — one arena
+ * memcpy plus the copy-on-write memory/filter copies — so a fork then
+ * allocates only the page tables and 4 KiB pages its stores copy.
  */
 struct ForkScratch
 {
@@ -515,9 +515,11 @@ struct CampaignSession::Impl
     // ThreadPool::currentWorker() (0..threads-1).
     std::vector<ForkScratch> scratch;
     // Reusable trial slots: a retired slot's snapshot is overwritten
-    // in place (a flat arena memcpy plus COW memory/filter copies),
-    // with no per-trial reallocation churn. A deque so the trials a
-    // running wave holds stay put while the producer appends new slots.
+    // in place (a flat arena memcpy plus copy-on-write memory/filter
+    // copies); memory pages only the old snapshot held are freed, and
+    // the master's first store to a page it shares with a snapshot
+    // copies the page. A deque so the trials a running wave holds
+    // stay put while the producer appends new slots.
     std::deque<Trial> trialPool;
     std::vector<u32> freeTrials;
     // Produced trials whose windows the master has not fully crossed

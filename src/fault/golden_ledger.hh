@@ -143,8 +143,8 @@ class GoldenLedger final : public pipeline::CommitObserver
     /**
      * Does a frozen fork match this golden checkpoint? Per-thread
      * arch-digest equality plus per-segment memory-digest equality —
-     * the digest-based replacement for archEquals' full-memory sweep
-     * and full-ArchState compare. Digest equality is taken as content
+     * the digest-based replacement for a full-memory sweep and a
+     * full-ArchState compare. Digest equality is taken as content
      * equality (a collision needs ~2^64 trials; see DESIGN.md).
      */
     static bool matches(const Entry &e, const pipeline::Core &fork);

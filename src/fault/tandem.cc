@@ -156,16 +156,4 @@ runForkInto(ForkOutcome &out, pipeline::Core &&base,
                 deadline, arm_regfile_watch);
 }
 
-bool
-archEquals(const pipeline::Core &x, const pipeline::Core &y)
-{
-    if (x.numThreads() != y.numThreads())
-        return false;
-    for (unsigned tid = 0; tid < x.numThreads(); ++tid) {
-        if (x.archState(tid) != y.archState(tid))
-            return false;
-    }
-    return x.memory().sameContents(y.memory());
-}
-
 } // namespace fh::fault

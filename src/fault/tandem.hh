@@ -107,12 +107,6 @@ void runForkInto(ForkOutcome &out, pipeline::Core &&base,
                  const ForkDeadline *deadline = nullptr,
                  bool arm_regfile_watch = false);
 
-/**
- * Architectural equivalence: per-thread registers, commit PCs, halt
- * flags, and full memory contents.
- */
-bool archEquals(const pipeline::Core &x, const pipeline::Core &y);
-
 } // namespace fh::fault
 
 #endif // FH_FAULT_TANDEM_HH

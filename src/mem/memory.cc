@@ -5,31 +5,6 @@
 namespace fh::mem
 {
 
-Memory &
-Memory::operator=(const Memory &other)
-{
-    if (this == &other)
-        return *this;
-    if (backings_.size() != other.backings_.size()) {
-        backings_ = other.backings_;
-        lastHit_ = other.lastHit_;
-        return *this;
-    }
-    for (size_t i = 0; i < backings_.size(); ++i) {
-        Backing &dst = backings_[i];
-        const Backing &src = other.backings_[i];
-        dst.seg = src.seg;
-        dst.digest = src.digest;
-        if (dst.words == src.words)
-            continue; // already sharing: nothing to copy
-        if (dst.words && dst.words.use_count() == 1)
-            dst.spare = std::move(dst.words); // recycle, don't free
-        dst.words = src.words; // COW-share; detach on first write
-    }
-    lastHit_ = other.lastHit_;
-    return *this;
-}
-
 void
 Memory::addSegment(Addr base, u64 size)
 {
@@ -40,9 +15,13 @@ Memory::addSegment(Addr base, u64 size)
                         b.seg.base + b.seg.size <= base;
         fh_assert(disjoint, "overlapping segments");
     }
+    // Every fresh page is the one zero page; it is never written in
+    // place, since this reference keeps it shared.
+    static const auto zero = std::make_shared<Page>();
     Backing b;
     b.seg = {base, size};
-    b.words = std::make_shared<std::vector<u64>>(size / 8, 0);
+    b.pages = std::make_shared<PageTable>(
+        (size / 8 + kPageWords - 1) / kPageWords, zero);
     backings_.push_back(std::move(b));
 }
 
@@ -95,7 +74,8 @@ Memory::read(Addr a, u64 &value) const
     const Backing *b = find(a);
     if (!b)
         return AccessResult::Unmapped;
-    value = (*b->words)[(a - b->seg.base) / 8];
+    const u64 w = (a - b->seg.base) / 8;
+    value = (*(*b->pages)[w / kPageWords])[w % kPageWords];
     return AccessResult::Ok;
 }
 
@@ -107,30 +87,12 @@ Memory::write(Addr a, u64 value)
     Backing *b = find(a);
     if (!b)
         return AccessResult::Unmapped;
-    detach(*b);
-    u64 &w = (*b->words)[(a - b->seg.base) / 8];
-    b->digest ^= wordHash(a, w) ^ wordHash(a, value);
-    w = value;
+    const u64 w = (a - b->seg.base) / 8;
+    PageTable &table = exclusive(b->pages);
+    u64 &word = exclusive(table[w / kPageWords])[w % kPageWords];
+    b->digest ^= wordHash(a, word) ^ wordHash(a, value);
+    word = value;
     return AccessResult::Ok;
-}
-
-u64
-Memory::peek(Addr a) const
-{
-    const Backing *b = a % 8 == 0 ? find(a) : nullptr;
-    return b ? (*b->words)[(a - b->seg.base) / 8] : 0;
-}
-
-void
-Memory::poke(Addr a, u64 value)
-{
-    Backing *b = a % 8 == 0 ? find(a) : nullptr;
-    if (b) {
-        detach(*b);
-        u64 &w = (*b->words)[(a - b->seg.base) / 8];
-        b->digest ^= wordHash(a, w) ^ wordHash(a, value);
-        w = value;
-    }
 }
 
 size_t
@@ -138,28 +100,8 @@ Memory::footprintWords() const
 {
     size_t n = 0;
     for (const auto &b : backings_)
-        n += b.words->size();
+        n += b.seg.size / 8;
     return n;
-}
-
-bool
-Memory::sameContents(const Memory &other) const
-{
-    if (backings_.size() != other.backings_.size())
-        return false;
-    for (size_t i = 0; i < backings_.size(); ++i) {
-        const Backing &a = backings_[i];
-        const Backing &b = other.backings_[i];
-        if (a.seg != b.seg)
-            return false;
-        if (a.words == b.words)
-            continue; // still sharing storage: trivially equal
-        if (a.digest != b.digest)
-            return false; // digests are content-determined
-        if (*a.words != *b.words)
-            return false;
-    }
-    return true;
 }
 
 } // namespace fh::mem

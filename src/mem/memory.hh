@@ -7,17 +7,20 @@
  * fault, which the tandem fault classifier uses to bin "noisy" faults
  * (fault-induced exceptions) exactly as the paper does.
  *
- * Storage is dense per segment (flat vectors) behind copy-on-write
- * backings: copying a Memory — which the tandem fault framework does
- * several times per injection trial, whole-Core copies included —
- * only bumps a reference count per segment, and the first write
- * through a shared backing detaches a private copy. A fork that never
- * writes a segment never pays for it.
+ * Each segment is stored as 4 KiB pages behind a page table, and both
+ * levels are copy-on-write: copying a Memory — which the tandem fault
+ * framework does several times per injection trial, whole-Core copies
+ * included — only bumps a reference count per segment. The first
+ * write through a shared table copies the table (one pointer per
+ * page), and the first write to a shared page copies that page. A
+ * fork that writes a few words of a large segment pays for a table
+ * and those pages, never for the segment. A fresh segment's table
+ * points every entry at one shared zero page.
  *
- * Each backing also carries an incremental content digest: an XOR
+ * Each segment also carries an incremental content digest: an XOR
  * multiset hash over (address, word) pairs of the nonzero words, kept
  * up to date in O(1) per write. The digest is a pure function of the
- * segment contents — independent of write order and of COW sharing —
+ * segment contents — independent of write order and of page sharing —
  * so two segments with different digests provably differ, and the
  * tandem classifier can compare whole memories against a recorded
  * golden checkpoint in O(segments) without sweeping any words.
@@ -26,6 +29,7 @@
 #ifndef FH_MEM_MEMORY_HH
 #define FH_MEM_MEMORY_HH
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <memory>
@@ -55,26 +59,12 @@ enum class AccessResult : u8
     Misaligned ///< address not 8-byte aligned
 };
 
-/** Word-granular memory backed by dense per-segment COW storage. */
+/** Word-granular memory: per-segment copy-on-write pages. */
 class Memory
 {
   public:
-    Memory() = default;
-    Memory(const Memory &) = default;
-    Memory(Memory &&) = default;
-    Memory &operator=(Memory &&) = default;
-
-    /**
-     * Copy assignment recycles storage: a backing whose target-side
-     * buffer is exclusively owned (a scratch fork's privately
-     * detached segment) is stashed as a spare instead of freed, and
-     * the next detach copies into the spare rather than allocating.
-     * A reused fork thus COWs exactly as before — only written
-     * segments are ever copied — but with no allocation or page
-     * churn in the steady state. Contents and digests are identical
-     * either way.
-     */
-    Memory &operator=(const Memory &other);
+    /** Words per copy-on-write page (4 KiB). */
+    static constexpr u64 kPageWords = 512;
 
     /** Declare a valid segment (zero-filled). May not overlap. */
     void addSegment(Addr base, u64 size);
@@ -89,11 +79,6 @@ class Memory
     /** Write the 64-bit word at a. */
     AccessResult write(Addr a, u64 value);
 
-    /** Backdoor read; returns 0 outside declared segments. */
-    u64 peek(Addr a) const;
-    /** Backdoor write; ignored outside declared segments. */
-    void poke(Addr a, u64 value);
-
     /** Total words across all declared segments. */
     size_t footprintWords() const;
 
@@ -104,18 +89,9 @@ class Memory
      * Content digest of segment i (declaration order): XOR over the
      * segment's nonzero words of wordHash(addr, word). Equal contents
      * always give equal digests; unequal digests prove unequal
-     * contents. Maintained incrementally by write()/poke().
+     * contents. Maintained incrementally by write().
      */
     u64 segmentDigest(size_t i) const { return backings_[i].digest; }
-
-    /** True if all segment contents match the other memory. */
-    bool sameContents(const Memory &other) const;
-
-    /** Same segments and same contents (COW sharing is invisible). */
-    bool operator==(const Memory &other) const
-    {
-        return sameContents(other);
-    }
 
     /**
      * Hash contribution of one (address, word) pair to a segment
@@ -142,49 +118,46 @@ class Memory
         return x;
     }
 
+    using Page = std::array<u64, kPageWords>;
+    /** One entry per page; a segment's last page may be partial. */
+    using PageTable = std::vector<std::shared_ptr<Page>>;
+
     struct Backing
     {
         Segment seg;
         /** Shared until the first write after a copy; read-mostly
-         *  forks of one machine state alias the same storage. */
-        std::shared_ptr<std::vector<u64>> words;
+         *  forks of one machine state alias the same table and pages. */
+        std::shared_ptr<PageTable> pages;
         /** XOR-multiset content digest; travels with the value (a
-         *  copied Memory keeps the digest even while sharing words). */
+         *  copied Memory keeps the digest while sharing pages). */
         u64 digest = 0;
-        /** Retired private buffer awaiting reuse by detach(). Only
-         *  consumed while exclusively held, so sharing it around via
-         *  backing copies is safe, just unproductive. */
-        std::shared_ptr<std::vector<u64>> spare;
     };
 
     const Backing *find(Addr a) const;
     Backing *find(Addr a);
 
     /**
-     * Give b private storage before a write lands in it. Safe when
-     * other threads hold references to the old storage: they only read
-     * it, and a stale use_count over-estimate merely causes a harmless
-     * extra copy. A count of 1 means the last other owner has dropped
-     * its reference, possibly on another thread (a campaign's fork
-     * executor releasing a snapshot that still shares a buffer with
-     * the master). use_count() is a relaxed load, so the acquire fence
-     * pairs with that owner's release decrement: its reads of the
-     * buffer happen before the write this thread is about to make.
+     * Make p exclusively owned before a write lands in it: a page
+     * table or a page is written in place only when this owner is its
+     * last one, and copied otherwise. Safe when other threads hold
+     * references to the old object: they only read it, and a stale
+     * use_count over-estimate merely causes a harmless extra copy. A
+     * count of 1 means the last other owner has dropped its reference,
+     * possibly on another thread (a campaign's pool worker restoring
+     * its fork scratch, which still shared a table or a page with the
+     * master). use_count() is a relaxed load, so the acquire fence
+     * pairs with that owner's release decrement: its reads happen
+     * before the write this thread is about to make. The argument
+     * holds at both levels, since a page's other owners are tables.
      */
-    static void detach(Backing &b)
+    template <class T>
+    static T &exclusive(std::shared_ptr<T> &p)
     {
-        if (b.words.use_count() <= 1) {
+        if (p.use_count() == 1)
             std::atomic_thread_fence(std::memory_order_acquire);
-            return;
-        }
-        if (b.spare && b.spare.use_count() == 1 &&
-            b.spare->size() == b.words->size()) {
-            std::atomic_thread_fence(std::memory_order_acquire);
-            *b.spare = *b.words; // same-size copy: no allocation
-            b.words = std::move(b.spare);
-        } else {
-            b.words = std::make_shared<std::vector<u64>>(*b.words);
-        }
+        else
+            p = std::make_shared<T>(*p);
+        return *p;
     }
 
     std::vector<Backing> backings_;

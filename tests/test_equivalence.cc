@@ -14,6 +14,7 @@
 #include "filters/detector.hh"
 #include "isa/functional.hh"
 #include "pipeline/core.hh"
+#include "reference_memory.hh"
 #include "workload/workload.hh"
 
 using namespace fh;
@@ -117,7 +118,7 @@ TEST_P(EquivalenceTest, TimingMatchesFunctional)
         }
         EXPECT_TRUE(got.halted);
     }
-    EXPECT_TRUE(core.memory().sameContents(ref_mem))
+    EXPECT_TRUE(sameContents(core.memory(), ref_mem))
         << "memory contents diverged";
 }
 

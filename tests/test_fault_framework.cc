@@ -9,6 +9,7 @@
 #include "fault/campaign.hh"
 #include "fault/injector.hh"
 #include "fault/tandem.hh"
+#include "reference_memory.hh"
 #include "workload/workload.hh"
 
 using namespace fh;

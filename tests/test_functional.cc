@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "isa/functional.hh"
+#include "reference_memory.hh"
 
 using namespace fh;
 using namespace fh::isa;
@@ -59,7 +60,7 @@ TEST(Functional, StoresReachMemory)
     Functional f(&p, &m);
     f.run(100000);
     // i=10 stored sum(1..10)=55 at slot 10.
-    EXPECT_EQ(m.peek(0x1000 + 10 * 8), 55u);
+    EXPECT_EQ(peek(m, 0x1000 + 10 * 8), 55u);
 }
 
 TEST(Functional, LoadsSeeEarlierStores)
@@ -146,5 +147,5 @@ TEST(Functional, StepArchMatchesFunctionalObject)
         stepArch(p, m2, s);
     }
     EXPECT_TRUE(s == f.state());
-    EXPECT_TRUE(m1.sameContents(m2));
+    EXPECT_TRUE(sameContents(m1, m2));
 }

@@ -21,6 +21,7 @@
 #include "fault/tandem.hh"
 #include "isa/functional.hh"
 #include "pipeline/core.hh"
+#include "reference_memory.hh"
 #include "sim/rng.hh"
 #include "workload/workload.hh"
 
@@ -176,7 +177,7 @@ TEST_P(FuzzEquivalence, TimingMatchesFunctional)
             EXPECT_EQ(got.regs[r], s.regs[r])
                 << "seed " << c.seed << " tid " << tid << " r" << r;
     }
-    EXPECT_TRUE(core.memory().sameContents(ref)) << "seed " << c.seed;
+    EXPECT_TRUE(sameContents(core.memory(), ref)) << "seed " << c.seed;
 }
 
 namespace

@@ -33,6 +33,7 @@
 #include "fault/golden_ledger.hh"
 #include "fault/tandem.hh"
 #include "oracle_modes.hh"
+#include "reference_memory.hh"
 #include "sim/rng.hh"
 #include "workload/workload.hh"
 

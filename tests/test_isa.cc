@@ -11,6 +11,7 @@
 #include "isa/functional.hh"
 #include "isa/instruction.hh"
 #include "isa/program.hh"
+#include "reference_memory.hh"
 
 using namespace fh;
 using namespace fh::isa;
@@ -134,7 +135,7 @@ TEST(Program, LoadRegistersSegmentsAndData)
     Program p = b.take();
     mem::Memory m;
     p.load(m);
-    EXPECT_EQ(m.peek(0x1008), 42u);
+    EXPECT_EQ(peek(m, 0x1008), 42u);
     EXPECT_EQ(m.check(0x1000), mem::AccessResult::Ok);
     EXPECT_EQ(m.check(0x2000), mem::AccessResult::Unmapped);
 }

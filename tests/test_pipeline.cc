@@ -12,6 +12,7 @@
 #include "pipeline/regfile.hh"
 #include "pipeline/rename.hh"
 #include "pipeline/rob.hh"
+#include "reference_memory.hh"
 #include "workload/workload.hh"
 
 using namespace fh;
@@ -298,7 +299,7 @@ TEST(Core, DisabledDetectorKeepsArchitectureIdentical)
     ASSERT_TRUE(off.allHalted());
     for (unsigned t = 0; t < 2; ++t)
         EXPECT_TRUE(on.archState(t) == off.archState(t));
-    EXPECT_TRUE(on.memory().sameContents(off.memory()));
+    EXPECT_TRUE(sameContents(on.memory(), off.memory()));
 }
 
 TEST(Core, InflightDestPregsAreRecentCompletions)

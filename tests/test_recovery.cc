@@ -12,6 +12,7 @@
 #include "fault/tandem.hh"
 #include "isa/program.hh"
 #include "pipeline/core.hh"
+#include "reference_memory.hh"
 #include "sim/rng.hh"
 
 using namespace fh;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "redundancy/srt.hh"
+#include "reference_memory.hh"
 #include "workload/workload.hh"
 
 using namespace fh;
@@ -107,7 +108,7 @@ TEST(Srt, TrailingThreadsComputeCorrectResults)
             EXPECT_EQ(got.regs[r], s.regs[r])
                 << "thread " << t << " r" << r;
     }
-    EXPECT_TRUE(core.memory().sameContents(ref));
+    EXPECT_TRUE(sameContents(core.memory(), ref));
 }
 
 TEST(Srt, FullRedundancySlowsTheLeads)
