@@ -430,13 +430,11 @@ runCoordinator(const Config &cfg, dist::Coordinator &coord,
     std::fprintf(stderr,
                  "fhsim: fabric — %u worker(s) joined, %u died, "
                  "%llu lease(s) issued, %llu re-issued, %llu crc "
-                 "error(s), %llu reconnect(s), %llu quarantine(s)%s\n",
+                 "error(s)%s\n",
                  ds.workersJoined, ds.workersDied,
                  static_cast<unsigned long long>(ds.rangesIssued),
                  static_cast<unsigned long long>(ds.rangesReissued),
                  static_cast<unsigned long long>(ds.crcErrors),
-                 static_cast<unsigned long long>(ds.reconnects),
-                 static_cast<unsigned long long>(ds.quarantined),
                  ds.degraded ? ", DEGRADED to in-process tail" : "");
     return emitCampaignOutputs(cfg, spec.bench, workers, spec.campaign,
                                r, seconds, &ds);

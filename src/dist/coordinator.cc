@@ -9,7 +9,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "dist/chaos.hh"
 #include "dist/messages.hh"
 #include "exec/interrupt.hh"
 #include "sim/logging.hh"
@@ -21,7 +20,6 @@ Coordinator::Coordinator(const CampaignSpec &spec,
                          const CoordinatorOptions &opts)
     : spec_(spec), opts_(opts), listen_(opts.listen)
 {
-    chaos::reload();
     std::string error;
     listenFd_ = listenOn(listen_, error);
     if (listenFd_ < 0)
@@ -135,22 +133,6 @@ Coordinator::dropConn(Conn &c, const char *why)
         if (!shuttingDown_) {
             requeue({c.leaseNext, c.lease.end});
             ++stats_.rangesReissued;
-            // Strike the pid, not the connection: a worker that keeps
-            // losing leases (flapping link, sick host) gets benched so
-            // healthy workers stop paying the re-execution tax.
-            Strikes &q = quarantine_[c.pid];
-            if (++q.strikes >= opts_.quarantineStrikes) {
-                q.strikes = 0;
-                q.until = Clock::now() +
-                          std::chrono::milliseconds(
-                              opts_.quarantineCooloffMs);
-                ++stats_.quarantined;
-                fh_warn("coordinator: worker %llu quarantined for "
-                        "%llu ms after repeated lease failures",
-                        static_cast<unsigned long long>(c.pid),
-                        static_cast<unsigned long long>(
-                            opts_.quarantineCooloffMs));
-            }
         }
     }
 }
@@ -178,8 +160,6 @@ Coordinator::handleFrame(Conn &c, const Frame &f)
         c.helloed = true;
         c.pid = hello.pid;
         ++stats_.workersJoined;
-        if (hello.reconnect > 0)
-            ++stats_.reconnects;
         SpecMsg spec;
         spec.text = spec_.encode();
         if (!sendFrame(c.fd, MsgType::Spec, spec.encode()))
@@ -204,7 +184,6 @@ Coordinator::handleFrame(Conn &c, const Frame &f)
         RangeDoneMsg done;
         if (!RangeDoneMsg::decode(f.payload, done) || !c.hasLease)
             return false;
-        quarantine_.erase(c.pid); // a finished lease clears strikes
         if (done.halted) {
             // The workload can run out during the skip-advance before
             // the lease's first trial, so the halt point may land
@@ -295,42 +274,23 @@ void
 Coordinator::issueLeases()
 {
     const auto now = Clock::now();
-    // Pass 0 leases only to non-quarantined workers. Pass 1 is the
-    // starvation fallback: if work remains, nothing is in flight, and
-    // every idle worker is benched, a quarantined worker is still
-    // better than stalling until the no-worker timeout degrades the
-    // run — at worst it fails the lease again and the range requeues.
-    for (int pass = 0; pass < 2; ++pass) {
+    for (auto &c : conns_) {
         if (queue_.empty())
             return;
-        if (pass == 1) {
-            for (const auto &c : conns_)
-                if (c.fd >= 0 && c.hasLease)
-                    return;
-        }
-        for (auto &c : conns_) {
-            if (queue_.empty())
-                return;
-            if (c.fd < 0 || !c.helloed || c.hasLease)
-                continue;
-            if (pass == 0) {
-                const auto it = quarantine_.find(c.pid);
-                if (it != quarantine_.end() && now < it->second.until)
-                    continue;
-            }
-            Range r = queue_.front();
-            queue_.pop_front();
-            c.hasLease = true;
-            c.lease = r;
-            c.leaseNext = r.begin;
-            c.lastHeard = now;
-            ++stats_.rangesIssued;
-            AssignMsg a;
-            a.begin = r.begin;
-            a.end = r.end;
-            if (!sendFrame(c.fd, MsgType::Assign, a.encode()))
-                dropConn(c, "send failed");
-        }
+        if (c.fd < 0 || !c.helloed || c.hasLease)
+            continue;
+        Range r = queue_.front();
+        queue_.pop_front();
+        c.hasLease = true;
+        c.lease = r;
+        c.leaseNext = r.begin;
+        c.lastHeard = now;
+        ++stats_.rangesIssued;
+        AssignMsg a;
+        a.begin = r.begin;
+        a.end = r.end;
+        if (!sendFrame(c.fd, MsgType::Assign, a.encode()))
+            dropConn(c, "send failed");
     }
 }
 
@@ -468,10 +428,9 @@ Coordinator::run(fault::TrialJournal *journal)
             c.fd = -1;
         }
     }
-    // Stop listening too. A worker that missed its Shutdown (a reset
-    // or a lost frame) is then refused on reconnect and gives up after
-    // its backoff, instead of filling the accept backlog with
-    // connections nobody accepts and blocking in connect() for minutes.
+    // Stop listening too. A worker that connects late (spawned after
+    // the campaign finished) is then refused at once and exits,
+    // instead of sitting in an accept backlog nobody drains.
     closeFabricFd(listenFd_);
     listenFd_ = -1;
 

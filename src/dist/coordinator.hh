@@ -74,13 +74,6 @@ struct CoordinatorOptions
     /** Test hook: behave as if SIGTERM arrived once this many trials
      *  have been merged; 0 = never. */
     u64 stopAfterMerged = 0;
-
-    /** Lease failures (death/timeout/corruption with a lease held)
-     *  before a worker pid is quarantined — its Hello is still
-     *  welcome, but it gets no leases until the cool-off expires. A
-     *  successful lease clears the strike count. */
-    unsigned quarantineStrikes = 3;
-    u64 quarantineCooloffMs = 2000;
 };
 
 /** The fabric's health counters, which FH_JSON's "fabric" block
@@ -163,15 +156,6 @@ class Coordinator
         fault::CampaignResult delta;
         fault::TrialMeta meta;
     };
-
-    /** Lease-failure strikes per worker pid; survives reconnects (the
-     *  pid, not the connection, is what keeps failing). */
-    struct Strikes
-    {
-        unsigned strikes = 0;
-        Clock::time_point until{}; ///< quarantined while now < until
-    };
-    std::map<u64, Strikes> quarantine_;
 
     std::deque<Range> queue_; ///< sorted by begin, non-overlapping
     std::map<u64, MergedTrial> stash_;

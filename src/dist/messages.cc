@@ -9,7 +9,6 @@ HelloMsg::encode() const
     std::vector<u8> p;
     putU32(p, version);
     putU64(p, pid);
-    putU32(p, reconnect);
     return p;
 }
 
@@ -19,7 +18,6 @@ HelloMsg::decode(const std::vector<u8> &payload, HelloMsg &out)
     Cursor c(payload);
     out.version = c.u32v();
     out.pid = c.u64v();
-    out.reconnect = c.u32v();
     return c.done();
 }
 

@@ -34,26 +34,24 @@ namespace fh::dist
  *  v3: every frame carries a CRC32C trailer, Hello carries the
  *  worker's reconnect ordinal, and the coordinator answers Hello with
  *  an explicit HelloAck version verdict instead of silently dropping
- *  mismatched workers. */
-constexpr u32 kProtocolVersion = 3;
+ *  mismatched workers.
+ *  v4: Hello drops the reconnect ordinal; a worker serves one
+ *  connection and never re-dials. */
+constexpr u32 kProtocolVersion = 4;
 
-/** Worker -> coordinator, once, immediately after connecting.
- *  reconnect is 0 on the first connection and counts up on each
- *  re-dial, letting the coordinator tell a flapping worker from a
- *  fresh fleet member in its fabric health stats. */
+/** Worker -> coordinator, once, immediately after connecting. */
 struct HelloMsg
 {
     u32 version = kProtocolVersion;
     u64 pid = 0;
-    u32 reconnect = 0;
 
     std::vector<u8> encode() const;
     static bool decode(const std::vector<u8> &payload, HelloMsg &out);
 };
 
 /** Coordinator -> worker: explicit version verdict for the Hello.
- *  accepted=false means the worker must exit (its protocol is wrong
- *  for this coordinator); reconnecting would never succeed. */
+ *  accepted=false means the worker must exit: its protocol is wrong
+ *  for this coordinator. */
 struct HelloAckMsg
 {
     u32 version = kProtocolVersion;

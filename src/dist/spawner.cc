@@ -72,13 +72,6 @@ spawnFn(const std::function<int()> &fn)
     _exit(fn());
 }
 
-bool
-reapIfExited(pid_t pid, int &status)
-{
-    const pid_t r = ::waitpid(pid, &status, WNOHANG);
-    return r == pid;
-}
-
 int
 reap(pid_t pid)
 {

@@ -30,9 +30,6 @@ pid_t spawnExec(const std::vector<std::string> &argv);
  *  Returns the child pid, or -1 on failure. */
 pid_t spawnFn(const std::function<int()> &fn);
 
-/** Non-blocking reap: true if the child has exited (status filled). */
-bool reapIfExited(pid_t pid, int &status);
-
 /** Blocking reap; returns the exit status (or -1 on waitpid error). */
 int reap(pid_t pid);
 

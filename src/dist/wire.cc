@@ -5,7 +5,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "dist/chaos.hh"
 #include "sim/crc32c.hh"
 
 #include <arpa/inet.h>
@@ -398,12 +397,23 @@ sendAll(int fd, const void *data, size_t n)
     return true;
 }
 
+namespace
+{
+SendHook gSendHook = nullptr;
+} // namespace
+
+void
+setSendHook(SendHook hook)
+{
+    gSendHook = hook;
+}
+
 bool
 sendFrame(int fd, MsgType type, const std::vector<u8> &payload)
 {
     const std::vector<u8> frame = encodeFrame(type, payload);
-    if (chaos::enabled())
-        return chaos::send(fd, frame.data(), frame.size());
+    if (gSendHook)
+        return gSendHook(fd, frame.data(), frame.size());
     return sendAll(fd, frame.data(), frame.size());
 }
 

@@ -19,9 +19,10 @@
  * yields the complete prefix and nothing else. An impossible length
  * (shorter than type + CRC, or beyond kMaxFrame) or a CRC mismatch
  * marks the stream corrupt, at which point the peer is treated as
- * dead; reconnection, not in-stream resync, is the recovery path —
- * on a byte stream there is no reliable way to find the next frame
- * boundary after corruption.
+ * dead and the connection dropped: on a byte stream there is no
+ * reliable way to find the next frame boundary after corruption, so
+ * there is no in-stream resync. The dropped worker exits and the
+ * coordinator re-issues its lease.
  *
  * Endpoints are `host:port` TCP (IPv4) or `unix:/path` domain
  * sockets. All sockets are used blocking on the worker side; the
@@ -199,9 +200,20 @@ void closeFabricFdsInChild();
  *  turns into a hung process. */
 bool sendAll(int fd, const void *data, size_t n);
 
-/** encodeFrame + sendAll — routed through the chaos interposer when
- *  FH_CHAOS is armed (see dist/chaos.hh); false once the peer is gone
- *  or chaos deliberately killed the connection. */
+/**
+ * Transmits one encoded frame in place of sendAll; false when the
+ * frame was not (fully) delivered. A test seam: the chaos suite
+ * installs its network-fault interposer here, and the workers it
+ * forks inherit it. Production never sets one.
+ */
+using SendHook = bool (*)(int fd, const u8 *frame, size_t n);
+
+/** Install hook for every later sendFrame in this process; nullptr
+ *  restores plain sendAll. Set it while no fabric thread runs. */
+void setSendHook(SendHook hook);
+
+/** encodeFrame + sendAll (or the send hook, when one is set); false
+ *  once the peer is gone. */
 bool sendFrame(int fd, MsgType type, const std::vector<u8> &payload);
 
 } // namespace fh::dist

@@ -4,23 +4,22 @@
  * spec, and executes leased trial ranges through a CampaignSession,
  * streaming each completed trial's counter deltas back in trial order.
  *
- * Threads (per connection): the main thread runs the session (and owns
- * the socket for ordered sends); a receiver thread polls the socket so
- * a Shutdown frame latches the process shutdown flag even mid-range —
- * the session's own stop checks then drain the range; a heartbeat
- * thread proves liveness independently of trial completion, so a
- * worker grinding one slow fork is distinguishable from a hung one.
- * All sends go through one mutex: frames never interleave.
+ * Threads: the main thread runs the session (and owns the socket for
+ * ordered sends); a receiver thread polls the socket so a Shutdown
+ * frame latches the process shutdown flag even mid-range — the
+ * session's own stop checks then drain the range; a heartbeat thread
+ * proves liveness independently of trial completion, so a worker
+ * grinding one slow fork is distinguishable from a hung one. All
+ * sends go through one mutex: frames never interleave.
  *
- * Connection loss is not fatal: EOF, a corrupt/CRC-failed stream, or a
- * stalled partial frame kill only the *session* (via
- * CampaignConfig::abortFlag), and the worker re-dials the coordinator
- * with exponentially backed-off, decorrelated-jitter delays, starting
- * a fresh session on the new connection. Because every trial is a pure
- * function of (spec, trial index), re-executing a lease after a
- * reconnect is harmless — the coordinator's merge discards duplicates.
- * Only a Shutdown frame, a local signal, or an explicit version
- * rejection (HelloAck) ends the worker.
+ * A worker serves exactly one connection. When it dies — EOF, a
+ * corrupt or CRC-failed stream, a stalled partial frame, a failed
+ * send, or the coordinator dropping it — the worker latches the same
+ * process shutdown flag, drains its range and exits; the coordinator
+ * re-issues the unacknowledged rest of its lease to a live worker, as
+ * it does for a killed one. Because the flag is process-wide,
+ * runWorker must run in a process of its own: fhsim's `worker` mode
+ * and every spawnFn child do.
  */
 
 #ifndef FH_DIST_WORKER_HH
@@ -48,22 +47,13 @@ struct WorkerOptions
      * timeout on the coordinator side can see.
      */
     u64 stallTimeoutMs = 2000;
-
-    /** Consecutive failed (re)connection attempts before giving up;
-     *  the counter resets whenever a connection makes progress (a
-     *  spec or lease arrives). */
-    unsigned maxReconnects = 8;
-    /** Decorrelated-jitter backoff: sleep ~ uniform(base, prev*3),
-     *  capped. */
-    u64 backoffBaseMs = 50;
-    u64 backoffCapMs = 1000;
 };
 
 /**
- * Run a worker to completion (coordinator sent Shutdown, or a local
- * SIGINT/SIGTERM drained it). Returns a process exit code: 0 on a
- * clean drain, 1 on protocol failure / version rejection / reconnect
- * budget exhausted.
+ * Run a worker to completion in this process (see the file comment).
+ * Returns a process exit code: 0 after a Shutdown frame or a local
+ * SIGINT/SIGTERM, 1 otherwise (connection refused or lost, protocol
+ * failure, version rejection, bad spec).
  */
 int runWorker(const WorkerOptions &opts);
 

@@ -8,7 +8,8 @@
  * to the default disposition (immediate kill) for a wedged run.
  *
  * The flag can also be set programmatically (requestShutdown), which
- * the resilience tests use to simulate a kill at a chosen trial.
+ * the resilience tests use to simulate a kill at a chosen trial and a
+ * dist worker uses to drain when it loses its coordinator.
  */
 
 #ifndef FH_EXEC_INTERRUPT_HH

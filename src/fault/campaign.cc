@@ -424,11 +424,6 @@ struct CampaignSession::Impl
                      "increase its iteration count",
                      prog->name.c_str());
 
-        // Retained post-warmup snapshot: rewind() restores the master
-        // from it by buffer-reusing assignment instead of re-running
-        // warmup (see CampaignSession::rewind).
-        warmSnapshot = std::make_unique<pipeline::Core>(master);
-
         ledger = std::make_unique<GoldenLedger>(master);
         master.setCommitObserver(ledger.get());
         filling.reserve(waveCap + 8);
@@ -439,8 +434,6 @@ struct CampaignSession::Impl
     bool stopRequested() const
     {
         return exec::shutdownRequested() ||
-               (cfg.abortFlag &&
-                cfg.abortFlag->load(std::memory_order_relaxed)) ||
                (cfg.stopAfterTrials && executed >= cfg.stopAfterTrials);
     }
 
@@ -493,7 +486,6 @@ struct CampaignSession::Impl
     }
 
     RangeOutcome runRange(u64 begin, u64 end, const TrialSink &sink);
-    void rewind();
 
     pipeline::CoreParams params;
     CampaignConfig cfg;
@@ -527,39 +519,12 @@ struct CampaignSession::Impl
     std::deque<Pending> inflight;
     std::vector<WaveTrial> filling; ///< completed, not yet posted
     std::vector<WaveTrial> posted;  ///< the pool's wave
-    std::unique_ptr<pipeline::Core> warmSnapshot;
     // Last, so it is destroyed first: a wave can still be running when
     // runRange unwinds from a producer-side exception, and the pool's
     // destructor lets it finish before the trial slots, ledger entries
     // and fork scratch it reads go away.
     exec::ThreadPool pool;
 };
-
-/**
- * Reset the session to its post-warmup state: position() back to 0,
- * master restored from the retained warm snapshot by buffer-reusing
- * assignment, the gap schedule restarted from cfg.seed, and the
- * ledger rebuilt empty. Every downstream quantity is a pure function
- * of (config, trial index), so re-executed trials are bit-identical
- * to the first pass.
- */
-void
-CampaignSession::Impl::rewind()
-{
-    master = *warmSnapshot; // also detaches the old ledger
-    gapRng = Rng(cfg.seed);
-    trial = 0;
-    executed = 0;
-    halted = false;
-    inflight.clear();
-    filling.clear();
-    posted.clear();
-    freeTrials.clear();
-    for (u32 i = 0; i < trialPool.size(); ++i)
-        freeTrials.push_back(i);
-    ledger = std::make_unique<GoldenLedger>(master);
-    master.setCommitObserver(ledger.get());
-}
 
 /**
  * Produce and execute one range. The master advances gap by gap (no
@@ -767,12 +732,6 @@ u64
 CampaignSession::position() const
 {
     return impl_->trial;
-}
-
-void
-CampaignSession::rewind()
-{
-    impl_->rewind();
 }
 
 const StratumSpace &

@@ -32,7 +32,6 @@
 #ifndef FH_FAULT_CAMPAIGN_HH
 #define FH_FAULT_CAMPAIGN_HH
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -159,18 +158,6 @@ struct CampaignConfig
     /** Adaptive wave size in trials (FH_CI_WAVE, `ci_wave=`): the stop
      *  condition is evaluated only at multiples of this. */
     u64 ciWave = 64;
-
-    /**
-     * Host-local abort line (never part of a campaign spec, like
-     * threads/progress): when non-null and set, the campaign behaves
-     * exactly as if a shutdown signal arrived — drain in-flight
-     * trials, flush, return a partial result. The dist worker points
-     * this at its per-connection "connection lost" latch so losing the
-     * coordinator aborts only the current session, not the process
-     * (the global exec::requestShutdown latch would preclude
-     * reconnecting).
-     */
-    const std::atomic<bool> *abortFlag = nullptr;
 };
 
 /**
@@ -457,19 +444,6 @@ class CampaignSession
 
     /** Next producible trial index (monotonic across runRange calls). */
     u64 position() const;
-
-    /**
-     * Reset the session to its post-warmup state (position() == 0), so
-     * a re-issued earlier range can be served without rebuilding the
-     * session — and in particular without re-running warmup, which
-     * dominates session construction. The master machine is restored
-     * from a retained warm snapshot by buffer-reusing assignment, the
-     * gap schedule restarts from cfg.seed, and the golden ledger is
-     * rebuilt empty; everything downstream is a pure function
-     * of (config, trial index), so trials re-executed after a rewind
-     * are bit-identical to their first execution.
-     */
-    void rewind();
 
     /** The stratification of this campaign's injection mix (labels in
      *  fixed mode, draw constraints + CI weights in adaptive mode). */

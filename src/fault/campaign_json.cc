@@ -135,13 +135,11 @@ writeCampaignJson(const std::string &path, const std::string &bench,
             out,
             "  \"fabric\": { \"workers_joined\": %u, "
             "\"workers_died\": %u, \"crc_errors\": %llu, "
-            "\"reconnects\": %llu, \"ranges_issued\": %llu, "
-            "\"ranges_reissued\": %llu, \"quarantined\": %llu, "
+            "\"ranges_issued\": %llu, \"ranges_reissued\": %llu, "
             "\"degraded\": %s },\n",
             fabric->workersJoined, fabric->workersDied,
-            u(fabric->crcErrors), u(fabric->reconnects),
-            u(fabric->rangesIssued), u(fabric->rangesReissued),
-            u(fabric->quarantined),
+            u(fabric->crcErrors), u(fabric->rangesIssued),
+            u(fabric->rangesReissued),
             fabric->degraded ? "true" : "false");
     }
     // Event-driven scheduler counters over every core the campaign ran

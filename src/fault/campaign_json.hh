@@ -34,9 +34,7 @@ struct FabricHealth
     u64 rangesIssued = 0;
     u64 rangesReissued = 0;
     u64 trialsMerged = 0;
-    u64 crcErrors = 0;   ///< frames rejected by the CRC trailer
-    u64 reconnects = 0;  ///< Hellos carrying a nonzero reconnect ordinal
-    u64 quarantined = 0; ///< quarantine episodes (not distinct pids)
+    u64 crcErrors = 0;     ///< frames rejected by the CRC trailer
     bool degraded = false; ///< tail ran in-process, fleet was dead
 };
 

@@ -1,12 +1,12 @@
 /**
  * @file
  * Chaos hardening for the distributed fabric, oracle-checked against
- * PR 5's guarantee: under ANY seeded FH_CHAOS schedule (frame drops,
- * truncations, bit flips, duplications, delays, connection resets),
- * after a coordinator SIGKILL + restart, and with a fully dead fleet,
- * a dispatched campaign's counters, profile, and journal BYTES must
- * equal the clean single-process run. Also covers: quarantine of a
- * repeatedly-failing worker pid, record-level journal corruption
+ * its bit-identity guarantee: under ANY seeded network-fault schedule
+ * (frame drops, truncations, bit flips, duplications, delays, connection
+ * resets; tests/chaos_interposer.hh), after a coordinator SIGKILL +
+ * restart, and with a fully dead fleet, a dispatched campaign's
+ * counters, profile, and journal BYTES must equal the clean
+ * single-process run. Also covers record-level journal corruption
  * (every single-bit flip either heals as a torn tail or refuses with
  * a precise error — never silently continues), and ChildGuard's
  * no-orphans promise on the fh_fatal / abort death paths.
@@ -30,7 +30,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "dist/chaos.hh"
+#include "chaos_interposer.hh"
 #include "dist/coordinator.hh"
 #include "dist/messages.hh"
 #include "dist/spawner.hh"
@@ -122,21 +122,26 @@ schemeName(const dist::CampaignSpec &spec)
     return filters::to_string(spec.buildParams().detector.scheme);
 }
 
-/** A worker tuned for a hostile wire: fast heartbeats, fast stall
- *  detection, and enough cheap reconnect attempts to outlast any
- *  schedule the chaos engine throws at it. */
+/** A worker tuned for a hostile wire: fast heartbeats and fast stall
+ *  detection. It inherits the storm's send hook and re-arms it under
+ *  a seed of its own, so the fleet's workers do not all fail on the
+ *  same frame ordinal. It sleeps delayMs before dialing. */
 pid_t
-spawnChaosWorker(const dist::Endpoint &ep)
+spawnChaosWorker(const dist::Endpoint &ep,
+                 const dist::chaos::Schedule &storm, unsigned index,
+                 unsigned delayMs)
 {
-    return dist::spawnFn([ep] {
+    return dist::spawnFn([ep, storm, index, delayMs] {
+        if (delayMs)
+            ::usleep(delayMs * 1000);
+        dist::chaos::Schedule own = storm;
+        own.seed ^= u64{index + 1} << 32;
+        dist::chaos::arm(own);
         dist::WorkerOptions opts;
         opts.endpoint = ep;
         opts.jobs = 1;
-        opts.heartbeatMs = 25;
+        opts.heartbeatMs = 100;
         opts.stallTimeoutMs = 500;
-        opts.maxReconnects = 50;
-        opts.backoffBaseMs = 5;
-        opts.backoffCapMs = 50;
         return dist::runWorker(opts);
     });
 }
@@ -155,20 +160,11 @@ spawnRealWorker(const dist::Endpoint &ep, unsigned delayMs = 0)
     });
 }
 
-/** Blocking read of the next frame (child-side helper). */
+/** Non-blocking reap: true if the child has exited (status filled). */
 bool
-recvFrame(int fd, dist::FrameReader &reader, dist::Frame &out)
+reapIfExited(pid_t pid, int &status)
 {
-    while (!reader.next(out)) {
-        if (reader.corrupt())
-            return false;
-        u8 buf[4096];
-        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-        if (n <= 0)
-            return false;
-        reader.feed(buf, static_cast<size_t>(n));
-    }
-    return true;
+    return ::waitpid(pid, &status, WNOHANG) == pid;
 }
 
 // ---------------------------------------------------------------------
@@ -177,7 +173,6 @@ recvFrame(int fd, dist::FrameReader &reader, dist::Frame &out)
 
 TEST(Chaos, AnyScheduleYieldsBitIdenticalResults)
 {
-    ::unsetenv("FH_CHAOS");
     const dist::CampaignSpec spec = testSpec();
     const std::string refJournal = tempPath("chaos_ref.fhj");
     const fault::CampaignResult ref = singleProcess(spec, refJournal);
@@ -185,25 +180,41 @@ TEST(Chaos, AnyScheduleYieldsBitIdenticalResults)
     const std::string refBytes = fileBytes(refJournal);
 
     // Four very different storms: CRC-caught corruption, connection
-    // churn, vanished/torn frames, and the default mixed schedule.
-    const char *schedules[] = {
-        "101:flip=60,dup=60",
-        "202:reset=40,delay=20",
-        "303:drop=25,trunc=25",
-        "404",
+    // churn, vanished/torn frames, and a mild mix of all six.
+    const dist::chaos::Schedule schedules[] = {
+        {.seed = 101, .flipPm = 60, .dupPm = 60},
+        {.seed = 202, .delayPm = 20, .resetPm = 40},
+        {.seed = 303, .dropPm = 25, .truncPm = 25},
+        {.seed = 404,
+         .dropPm = 2,
+         .truncPm = 2,
+         .flipPm = 4,
+         .dupPm = 4,
+         .delayPm = 8,
+         .resetPm = 2},
     };
+    // A disrupted worker exits and nothing replaces it, so the fleet
+    // is two workers up front plus late joiners, one every
+    // kJoinGapMs: the coordinator welcomes them and re-issues the
+    // leases the storm took from their predecessors.
+    constexpr unsigned kFleet = 12;
+    constexpr unsigned kJoinGapMs = 150;
     u64 disruption = 0;
-    for (const char *schedule : schedules) {
-        ::setenv("FH_CHAOS", schedule, 1);
+    u64 reissued = 0;
+    unsigned finishedByFleet = 0;
+    for (const dist::chaos::Schedule &schedule : schedules) {
+        const dist::chaos::Storm storm(schedule);
         dist::CoordinatorOptions opts;
         opts.workers = 2;
         opts.chunk = 6;
         opts.leaseTimeoutMs = 700;
         opts.noWorkerTimeoutMs = 2500; // degraded tail beats hanging
-        dist::Coordinator coord(spec, opts); // re-arms chaos from env
+        dist::Coordinator coord(spec, opts);
         std::vector<pid_t> pids;
-        for (unsigned i = 0; i < 2; ++i)
-            pids.push_back(spawnChaosWorker(coord.endpoint()));
+        for (unsigned i = 0; i < kFleet; ++i)
+            pids.push_back(spawnChaosWorker(
+                coord.endpoint(), schedule, i,
+                i < 2 ? 0 : (i - 1) * kJoinGapMs));
 
         const std::string journal = tempPath("chaos_run.fhj");
         fault::CampaignResult r;
@@ -212,34 +223,68 @@ TEST(Chaos, AnyScheduleYieldsBitIdenticalResults)
                                   schemeName(spec));
             r = coord.run(&j);
         }
-        for (pid_t pid : pids)
+        // The campaign is over; stop whoever is still waiting to join.
+        for (pid_t pid : pids) {
+            ::kill(pid, SIGKILL);
             dist::reap(pid);
+        }
 
         expectIdentical(ref, r);
-        EXPECT_FALSE(r.partial) << "schedule " << schedule;
+        EXPECT_FALSE(r.partial) << "schedule " << schedule.seed;
         EXPECT_EQ(refBytes, fileBytes(journal))
-            << "journal diverged under schedule " << schedule;
+            << "journal diverged under schedule " << schedule.seed;
         const dist::DistStats &ds = coord.stats();
-        disruption += ds.crcErrors + ds.reconnects + ds.workersDied +
+        disruption += ds.crcErrors + ds.workersDied +
                       ds.rangesReissued + (ds.degraded ? 1 : 0);
+        reissued += ds.rangesReissued;
+        if (!ds.degraded)
+            ++finishedByFleet;
         std::remove(journal.c_str());
     }
     // The storms must actually have hit something, or this test is
-    // vacuously passing on a clean wire.
+    // vacuously passing on a clean wire; they must have made the
+    // coordinator re-issue leases; and the workers, not only the
+    // degraded tail, must have finished at least one campaign.
     EXPECT_GT(disruption, 0u);
-    ::unsetenv("FH_CHAOS");
-    dist::chaos::reload();
+    EXPECT_GT(reissued, 0u);
+    EXPECT_GT(finishedByFleet, 0u);
     std::remove(refJournal.c_str());
 }
 
-TEST(Chaos, ChaosSpecParsesAndArms)
+/** The storm reaches the wire while armed and is gone once disarmed. */
+TEST(Chaos, StormInstallsAndClearsTheSendHook)
 {
-    ::setenv("FH_CHAOS", "7:flip=1000", 1);
-    dist::chaos::reload();
-    EXPECT_TRUE(dist::chaos::enabled());
-    ::unsetenv("FH_CHAOS");
-    dist::chaos::reload();
-    EXPECT_FALSE(dist::chaos::enabled());
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    dist::HeartbeatMsg hb;
+    hb.position = 42;
+    const size_t frameBytes =
+        dist::encodeFrame(dist::MsgType::Heartbeat, hb.encode()).size();
+    // Send one heartbeat and report whether it arrived intact.
+    const auto roundTrip = [&] {
+        EXPECT_TRUE(dist::sendFrame(sv[0], dist::MsgType::Heartbeat,
+                                    hb.encode()));
+        std::vector<u8> bytes(frameBytes);
+        size_t got = 0;
+        while (got < frameBytes) {
+            const ssize_t n =
+                ::recv(sv[1], bytes.data() + got, frameBytes - got, 0);
+            if (n <= 0)
+                return false;
+            got += static_cast<size_t>(n);
+        }
+        dist::FrameReader reader;
+        reader.feed(bytes.data(), bytes.size());
+        dist::Frame f;
+        return reader.next(f);
+    };
+    {
+        const dist::chaos::Storm storm({.seed = 7, .flipPm = 1000});
+        EXPECT_FALSE(roundTrip()) << "the storm never reached the wire";
+    }
+    EXPECT_TRUE(roundTrip()) << "the storm outlived its scope";
+    ::close(sv[0]);
+    ::close(sv[1]);
 }
 
 // ---------------------------------------------------------------------
@@ -248,8 +293,6 @@ TEST(Chaos, ChaosSpecParsesAndArms)
 
 TEST(Chaos, CoordinatorSigkillRestartResumesBitIdentically)
 {
-    ::unsetenv("FH_CHAOS");
-    dist::chaos::reload();
     dist::CampaignSpec spec = testSpec();
     spec.campaign.injections = 48;
     const std::string refJournal = tempPath("crash_ref.fhj");
@@ -288,7 +331,7 @@ TEST(Chaos, CoordinatorSigkillRestartResumesBitIdentically)
         if (lines >= 9)
             break;
         int status;
-        if (dist::reapIfExited(coordPid, status))
+        if (reapIfExited(coordPid, status))
             break; // finished before we could kill it — still valid
         ::usleep(2000);
     }
@@ -324,8 +367,6 @@ TEST(Chaos, CoordinatorSigkillRestartResumesBitIdentically)
 
 TEST(Chaos, DeadFleetDegradesToInProcessIdentically)
 {
-    ::unsetenv("FH_CHAOS");
-    dist::chaos::reload();
     const dist::CampaignSpec spec = testSpec();
     const std::string refJournal = tempPath("degraded_ref.fhj");
     const fault::CampaignResult ref = singleProcess(spec, refJournal);
@@ -362,8 +403,6 @@ TEST(Chaos, DeadFleetDegradesToInProcessIdentically)
  */
 TEST(Chaos, AdaptiveDeadFleetStopsAtTheSameWave)
 {
-    ::unsetenv("FH_CHAOS");
-    dist::chaos::reload();
     dist::CampaignSpec spec = testSpec();
     spec.campaign.injections = 400;
     spec.campaign.seed = 1234;
@@ -403,60 +442,6 @@ TEST(Chaos, AdaptiveDeadFleetStopsAtTheSameWave)
     EXPECT_EQ(fileBytes(refJournal), fileBytes(journal));
     std::remove(refJournal.c_str());
     std::remove(journal.c_str());
-}
-
-// ---------------------------------------------------------------------
-// Quarantine: a pid that keeps failing leases stops getting them.
-// ---------------------------------------------------------------------
-
-/** Takes a lease, then vanishes — one lease failure per connection. */
-pid_t
-spawnLeaseDropper(const dist::Endpoint &ep)
-{
-    return dist::spawnFn([ep]() -> int {
-        std::string error;
-        const int fd = dist::connectTo(ep, error);
-        if (fd < 0)
-            return 1;
-        dist::HelloMsg hello;
-        hello.pid = static_cast<u64>(::getpid());
-        dist::sendFrame(fd, dist::MsgType::Hello, hello.encode());
-        dist::FrameReader reader;
-        dist::Frame f;
-        while (recvFrame(fd, reader, f)) {
-            if (static_cast<dist::MsgType>(f.type) ==
-                dist::MsgType::Assign) {
-                ::close(fd);
-                return 0;
-            }
-        }
-        return 0;
-    });
-}
-
-TEST(Chaos, RepeatedLeaseFailureQuarantinesWorker)
-{
-    ::unsetenv("FH_CHAOS");
-    dist::chaos::reload();
-    const dist::CampaignSpec spec = testSpec();
-    const fault::CampaignResult ref = singleProcess(spec);
-
-    dist::CoordinatorOptions opts;
-    opts.workers = 2;
-    opts.chunk = 12;
-    opts.quarantineStrikes = 1; // first failure quarantines
-    dist::Coordinator coord(spec, opts);
-    const pid_t bad = spawnLeaseDropper(coord.endpoint());
-    const pid_t good = spawnRealWorker(coord.endpoint(), 100);
-
-    const fault::CampaignResult r = coord.run(nullptr);
-    dist::reap(bad);
-    dist::reap(good);
-
-    expectIdentical(ref, r);
-    EXPECT_FALSE(r.partial);
-    EXPECT_GE(coord.stats().quarantined, 1u);
-    EXPECT_GE(coord.stats().rangesReissued, 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -6,7 +6,10 @@
  * elastic re-issue after a worker is SIGKILLed mid-lease (with a torn
  * trial frame on the wire), lease-timeout revocation of a hung
  * worker, deterministic early-halt agreement, and the shutdown-drain
- * -> journal-resume contract.
+ * -> journal-resume contract. A scripted coordinator drives a real
+ * worker through the two paths a lost lease takes on the worker side:
+ * losing the connection (it exits, never re-dials) and serving a
+ * re-issued lease below its session's position (bit-identical).
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +22,9 @@
 #include <string>
 #include <vector>
 
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -406,6 +411,164 @@ TEST(Dist, ShutdownDrainsPartialAndJournalResumes)
     EXPECT_EQ(second.result.replayedTrials, first.result.injected);
     expectIdentical(ref, second.result);
     std::remove(journal.c_str());
+}
+
+// ---------------------------------------------------------------------
+// A real worker against a scripted coordinator.
+// ---------------------------------------------------------------------
+
+/** Accept one connection within timeoutMs, or -1. Its reads time out
+ *  after 20 s, so a silent worker fails the test instead of hanging
+ *  it. */
+int
+acceptWithin(int listenFd, int timeoutMs)
+{
+    pollfd pfd{listenFd, POLLIN, 0};
+    if (::poll(&pfd, 1, timeoutMs) <= 0)
+        return -1;
+    const int fd = ::accept(listenFd, nullptr, nullptr);
+    if (fd >= 0) {
+        timeval tv{20, 0};
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    }
+    return fd;
+}
+
+/** The child's wait status once it exits within timeoutMs; otherwise
+ *  -1, after killing it. */
+int
+exitStatusWithin(pid_t pid, int timeoutMs)
+{
+    for (int waited = 0; waited < timeoutMs; waited += 10) {
+        int status;
+        if (::waitpid(pid, &status, WNOHANG) == pid)
+            return status;
+        ::usleep(10000);
+    }
+    ::kill(pid, SIGKILL);
+    dist::reap(pid);
+    return -1;
+}
+
+/** The coordinator's side of the handshake: take the worker's Hello,
+ *  accept its version and send the campaign spec. */
+bool
+greet(int fd, dist::FrameReader &reader, const dist::CampaignSpec &spec)
+{
+    dist::Frame f;
+    if (!recvFrame(fd, reader, f) ||
+        static_cast<dist::MsgType>(f.type) != dist::MsgType::Hello)
+        return false;
+    dist::HelloAckMsg ack;
+    ack.accepted = true;
+    dist::SpecMsg sm;
+    sm.text = spec.encode();
+    return dist::sendFrame(fd, dist::MsgType::HelloAck, ack.encode()) &&
+           dist::sendFrame(fd, dist::MsgType::Spec, sm.encode());
+}
+
+TEST(Dist, WorkerThatLosesItsCoordinatorExits)
+{
+    dist::Endpoint ep{false, "127.0.0.1", 0};
+    std::string error;
+    const int listenFd = dist::listenOn(ep, error);
+    ASSERT_GE(listenFd, 0) << error;
+    const pid_t worker = spawnRealWorker(ep);
+
+    const int fd = acceptWithin(listenFd, 5000);
+    EXPECT_GE(fd, 0);
+    if (fd >= 0) {
+        dist::FrameReader reader;
+        EXPECT_TRUE(greet(fd, reader, testSpec()));
+        ::close(fd);
+    }
+
+    // Not released by a Shutdown frame: the worker drains and exits 1,
+    // and it does not dial the coordinator again.
+    const int status = exitStatusWithin(worker, 5000);
+    EXPECT_TRUE(status != -1 && WIFEXITED(status))
+        << "the worker outlived its coordinator by 5 s";
+    if (status != -1 && WIFEXITED(status)) {
+        EXPECT_EQ(WEXITSTATUS(status), 1);
+    }
+    pollfd pfd{listenFd, POLLIN, 0};
+    EXPECT_EQ(::poll(&pfd, 1, 0), 0) << "the worker dialed again";
+    dist::closeFabricFd(listenFd);
+}
+
+TEST(Dist, LeaseBelowSessionPositionIsServedBitIdentically)
+{
+    const dist::CampaignSpec spec = testSpec();
+    // The single-process records, encoded as Trial payloads.
+    std::vector<std::vector<u8>> want;
+    {
+        isa::Program prog = spec.buildProgram();
+        fault::CampaignConfig cfg = spec.campaign;
+        cfg.threads = 1;
+        fault::CampaignSession session(spec.buildParams(), &prog, cfg);
+        session.runRange(
+            0, spec.campaign.injections,
+            [&](u64 trial, const fault::CampaignResult &delta,
+                const fault::TrialMeta &meta) {
+                dist::TrialMsg t;
+                t.trial = trial;
+                fault::packTrialCounters(delta, t.d);
+                fault::packTrialMeta(meta, t.m);
+                want.push_back(t.encode());
+            });
+    }
+    ASSERT_EQ(want.size(), 24u);
+
+    dist::Endpoint ep{false, "127.0.0.1", 0};
+    std::string error;
+    const int listenFd = dist::listenOn(ep, error);
+    ASSERT_GE(listenFd, 0) << error;
+    const pid_t worker = spawnRealWorker(ep);
+
+    // Lease [12, 24), then [0, 12): the second lies below the position
+    // the first leaves the worker's session at.
+    std::vector<dist::TrialMsg> got;
+    const int fd = acceptWithin(listenFd, 5000);
+    EXPECT_GE(fd, 0);
+    if (fd >= 0) {
+        dist::FrameReader reader;
+        EXPECT_TRUE(greet(fd, reader, spec));
+        for (const dist::AssignMsg a :
+             {dist::AssignMsg{12, 24}, dist::AssignMsg{0, 12}})
+            EXPECT_TRUE(
+                dist::sendFrame(fd, dist::MsgType::Assign, a.encode()));
+        unsigned resolved = 0;
+        dist::Frame f;
+        while (resolved < 2 && recvFrame(fd, reader, f)) {
+            const auto type = static_cast<dist::MsgType>(f.type);
+            if (type == dist::MsgType::Trial) {
+                dist::TrialMsg t;
+                EXPECT_TRUE(dist::TrialMsg::decode(f.payload, t));
+                got.push_back(t);
+            } else if (type == dist::MsgType::RangeDone) {
+                dist::RangeDoneMsg d;
+                EXPECT_TRUE(dist::RangeDoneMsg::decode(f.payload, d));
+                EXPECT_FALSE(d.stopped || d.halted);
+                ++resolved;
+            }
+        }
+        EXPECT_EQ(resolved, 2u);
+        dist::sendFrame(fd, dist::MsgType::Shutdown, {});
+    }
+    const int status = exitStatusWithin(worker, 10000);
+    if (fd >= 0)
+        ::close(fd);
+    dist::closeFabricFd(listenFd);
+    EXPECT_TRUE(status != -1 && WIFEXITED(status) &&
+                WEXITSTATUS(status) == 0)
+        << "a released worker exits 0";
+
+    ASSERT_EQ(got.size(), 24u);
+    for (size_t k = 0; k < got.size(); ++k) {
+        const u64 trial = k < 12 ? k + 12 : k - 12;
+        EXPECT_EQ(got[k].trial, trial);
+        EXPECT_EQ(got[k].encode(), want[trial]) << "trial " << trial;
+    }
 }
 
 } // namespace

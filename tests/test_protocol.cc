@@ -205,12 +205,10 @@ TEST(Messages, RoundTrips)
 {
     HelloMsg hello;
     hello.pid = 4242;
-    hello.reconnect = 3;
     HelloMsg hello2;
     ASSERT_TRUE(HelloMsg::decode(hello.encode(), hello2));
     EXPECT_EQ(hello2.version, kProtocolVersion);
     EXPECT_EQ(hello2.pid, 4242u);
-    EXPECT_EQ(hello2.reconnect, 3u);
 
     HelloAckMsg ack;
     ack.accepted = true;
