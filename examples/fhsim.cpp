@@ -332,13 +332,15 @@ emitCampaignOutputs(const Config &cfg, const std::string &bench,
     std::fprintf(stderr,
                  "fhsim: scheduler — wakeup hits %llu, overflow "
                  "parks %llu, overflow rescans %llu, issue occupancy "
-                 "%.2f (%llu candidates / %llu evals)\n",
+                 "%.2f (%llu candidates / %llu evals), cycles %llu "
+                 "(%llu skipped quiet)\n",
                  ull(s.wakeupHits), ull(s.overflowParks),
                  ull(s.overflowRescans),
                  s.issueEvals ? static_cast<double>(s.issueCandidates) /
                                     static_cast<double>(s.issueEvals)
                               : 0.0,
-                 ull(s.issueCandidates), ull(s.issueEvals));
+                 ull(s.issueCandidates), ull(s.issueEvals),
+                 ull(s.cycles), ull(s.skippedCycles));
     // Per-site vulnerability profile (stderr diagnostics; the full
     // machine-readable block rides FH_JSON). Stratum rows with no
     // trials are elided.

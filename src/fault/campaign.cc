@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -417,7 +418,7 @@ struct CampaignSession::Impl
         // Warm up caches, predictors and filters.
         while (master.committedTotal() < cfg.warmupInsts &&
                !master.allHalted()) {
-            master.tick();
+            master.step(std::numeric_limits<Cycle>::max());
         }
         if (master.allHalted())
             fh_fatal("workload '%s' halted during warmup; "
@@ -693,8 +694,7 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
         Cycle drained = 0;
         while (!ledger->complete(inflight.back().slot) &&
                !drainee->allHalted() && drained < cfg.forkMaxCycles) {
-            drainee->tick();
-            ++drained;
+            drained += drainee->step(cfg.forkMaxCycles - drained);
         }
         if (!ledger->complete(inflight.back().slot))
             ledger->forceFinalizeAll(); // hung master; see GoldenLedger

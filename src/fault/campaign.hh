@@ -210,6 +210,8 @@ struct SchedCounters
     u64 overflowRescans = 0; ///< overflow refs examined by the slow path
     u64 issueEvals = 0;      ///< cycles the issue stage examined refs
     u64 issueCandidates = 0; ///< ready candidates across those cycles
+    u64 cycles = 0;          ///< simulated cycles, skipped ones included
+    u64 skippedCycles = 0;   ///< quiet cycles jumped (Core::step)
 
     SchedCounters &operator+=(const SchedCounters &o)
     {
@@ -218,6 +220,8 @@ struct SchedCounters
         overflowRescans += o.overflowRescans;
         issueEvals += o.issueEvals;
         issueCandidates += o.issueCandidates;
+        cycles += o.cycles;
+        skippedCycles += o.skippedCycles;
         return *this;
     }
 
@@ -231,6 +235,8 @@ struct SchedCounters
         d.overflowRescans = now.overflowRescans - base.overflowRescans;
         d.issueEvals = now.issueEvals - base.issueEvals;
         d.issueCandidates = now.issueCandidates - base.issueCandidates;
+        d.cycles = now.cycles - base.cycles;
+        d.skippedCycles = now.skippedCycles - base.skippedCycles;
         return d;
     }
 };

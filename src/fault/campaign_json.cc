@@ -148,10 +148,11 @@ writeCampaignJson(const std::string &path, const std::string &bench,
     std::fprintf(out,
                  "  \"scheduler\": { \"wakeup_hits\": %llu, "
                  "\"overflow_parks\": %llu, \"overflow_rescans\": %llu, "
-                 "\"issue_evals\": %llu, \"issue_candidates\": %llu },\n",
+                 "\"issue_evals\": %llu, \"issue_candidates\": %llu, "
+                 "\"cycles\": %llu, \"skipped_cycles\": %llu },\n",
                  u(s.wakeupHits), u(s.overflowParks),
                  u(s.overflowRescans), u(s.issueEvals),
-                 u(s.issueCandidates));
+                 u(s.issueCandidates), u(s.cycles), u(s.skippedCycles));
     // Busy time per phase, summed over threads (CampaignPhases):
     // master advance + golden checkpoint ledger, snapshot copies, the
     // two faulty forks, and the arch/digest comparisons.

@@ -52,25 +52,15 @@ Detector::Detector(const DetectorParams &params)
       addrSecond_(params.secondLevelStates),
       valueSecond_(params.secondLevelStates),
       addrSquash_(params.tcam.entries, BiasedNState(params.squashStates)),
-      valueSquash_(params.tcam.entries, BiasedNState(params.squashStates)),
-      loadAddrTable_(params.pbfs),
-      storeAddrTable_(params.pbfs),
-      storeValueTable_(params.pbfs)
+      valueSquash_(params.tcam.entries, BiasedNState(params.squashStates))
 {
-}
-
-PbfsTable &
-Detector::pbfsFor(StreamKind kind)
-{
-    switch (kind) {
-      case StreamKind::LoadAddr:
-        return loadAddrTable_;
-      case StreamKind::StoreAddr:
-        return storeAddrTable_;
-      case StreamKind::StoreValue:
-        return storeValueTable_;
-    }
-    fh_panic("bad stream kind");
+    // Exactly the schemes checkComplete routes to checkPbfs.
+    const bool pc_indexed =
+        params_.scheme == Scheme::Pbfs ||
+        params_.scheme == Scheme::PbfsBiased ||
+        (params_.scheme == Scheme::FaultHound && !params_.clustering);
+    if (pc_indexed)
+        pbfs_.assign(3, PbfsTable(params_.pbfs)); // one per StreamKind
 }
 
 CompleteAction
@@ -219,9 +209,11 @@ Detector::onReexecCompare(bool mismatch)
 u64
 Detector::filterAccesses() const
 {
-    return addrTcam_.accesses() + valueTcam_.accesses() +
-           loadAddrTable_.accesses() + storeAddrTable_.accesses() +
-           storeValueTable_.accesses() + stats_.commitChecks;
+    u64 n = addrTcam_.accesses() + valueTcam_.accesses() +
+            stats_.commitChecks;
+    for (const PbfsTable &table : pbfs_)
+        n += table.accesses();
+    return n;
 }
 
 std::string

@@ -150,6 +150,9 @@ class Detector
 
     const CountingTcam &addrTcam() const { return addrTcam_; }
     const CountingTcam &valueTcam() const { return valueTcam_; }
+    /** PC-indexed first-level tables, one per StreamKind; empty unless
+     *  the scheme reads them (PBFS, PBFS-biased, FH-nocluster). */
+    const std::vector<PbfsTable> &pbfsTables() const { return pbfs_; }
 
     bool operator==(const Detector &other) const = default;
 
@@ -175,7 +178,10 @@ class Detector
     {
         return kind == StreamKind::StoreValue ? valueSquash_ : addrSquash_;
     }
-    PbfsTable &pbfsFor(StreamKind kind);
+    PbfsTable &pbfsFor(StreamKind kind)
+    {
+        return pbfs_[static_cast<size_t>(kind)];
+    }
 
     DetectorParams params_;
 
@@ -189,10 +195,9 @@ class Detector
     std::vector<BiasedNState> valueSquash_;
 
     // PBFS (and FH-nocluster) first level: PC-indexed tables, one per
-    // stream.
-    PbfsTable loadAddrTable_;
-    PbfsTable storeAddrTable_;
-    PbfsTable storeValueTable_;
+    // stream. Only those schemes get them: three 2K-entry tables are
+    // most of a detector's bytes, and every machine copy pays for them.
+    std::vector<PbfsTable> pbfs_;
 
     DetectorStats stats_;
 };

@@ -1,6 +1,7 @@
 #include "pipeline/core.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "isa/exec.hh"
 #include "sim/logging.hh"
@@ -23,6 +24,9 @@ namespace
  * memcpy against overflow rescans.
  */
 constexpr u32 kWakeRowCap = 6;
+
+/** No timed threshold pending: a quiet machine stays quiet. */
+constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
 
 } // namespace
 
@@ -175,6 +179,7 @@ Core::Core(const Core &other)
       prog_(other.prog_),
       cycle_(other.cycle_),
       nextSeq_(other.nextSeq_),
+      acted_(other.acted_),
       memory_(other.memory_),
       hier_(other.hier_),
       predictor_(other.predictor_),
@@ -214,6 +219,7 @@ Core::operator=(const Core &other)
     prog_ = other.prog_;
     cycle_ = other.cycle_;
     nextSeq_ = other.nextSeq_;
+    acted_ = other.acted_;
     memory_ = other.memory_;
     hier_ = other.hier_;
     predictor_ = other.predictor_;
@@ -320,32 +326,11 @@ Core::sortBySeq(RefList<SeqRef> &v)
     }
 }
 
-unsigned
-Core::computeIqOccupancy() const
-{
-    unsigned n = 0;
-    for (const Rob &rob : robs_)
-        for (unsigned i = 0; i < rob.size(); ++i)
-            n += occupiesIq(rob.hot(rob.slotAt(i))) ? 1 : 0;
-    return n;
-}
-
-unsigned
-Core::computeLsqOccupancy() const
-{
-    unsigned n = 0;
-    for (const Rob &rob : robs_)
-        for (unsigned i = 0; i < rob.size(); ++i) {
-            const RobHot &h = rob.hot(rob.slotAt(i));
-            n += (h.valid && (h.isLoad || h.isStore)) ? 1 : 0;
-        }
-    return n;
-}
-
 void
 Core::tick()
 {
     ++cycle_;
+    acted_ = false;
     commitStage();
     completeStage();
     issueStage();
@@ -354,10 +339,68 @@ Core::tick()
     ++stats_.cycles;
 }
 
-void
-Core::run(Cycle max_cycles)
+Cycle
+Core::step(Cycle max_cycles)
 {
-    advance(max_cycles);
+    tick();
+    if (acted_ || max_cycles < 2)
+        return 1;
+    Cycle to = nextThreshold() - 1;
+    if (to - cycle_ > max_cycles - 1)
+        to = cycle_ + (max_cycles - 1);
+    const u64 k = to - cycle_;
+    // issueBlockedUntil_ is a threshold, so the issue stage is blocked
+    // across the whole span or across none of it. When it runs, a
+    // quiet tick has no candidate and drops no ref: it counts one eval
+    // if it examined a pooled or parked ref (every cycle in scan mode)
+    // and rescans every overflow ref. No other counter moves.
+    if (issueBlockedUntil_ <= cycle_) {
+        bool examined = params_.scanIssue;
+        u64 parked = 0;
+        for (unsigned tid = 0; tid < numThreads(); ++tid) {
+            examined = examined || !readyPools_[tid].empty() ||
+                       !overflowLists_[tid].empty();
+            parked += overflowLists_[tid].size();
+        }
+        if (examined)
+            stats_.issueEvals += k;
+        stats_.overflowRescans += k * parked;
+    }
+    cycle_ = to;
+    stats_.cycles += k;
+    stats_.skippedCycles += k;
+    return 1 + k;
+}
+
+Cycle
+Core::nextThreshold() const
+{
+    // Every cycle comparison a quiet tick makes has the form
+    // "threshold > cycle_"; each flips once, at its threshold, so the
+    // earliest threshold past cycle_ is the first tick that can differ.
+    // Thresholds that cannot fire (a frozen thread's head, a
+    // non-completed head's stale commitReadyAt) only shorten the skip.
+    // A due issued ref in a quiet tick is a store waiting for its data
+    // operand, whose ready bit only a stage action can set.
+    Cycle next = kNever;
+    auto consider = [&](Cycle at) {
+        if (at > cycle_ && at < next)
+            next = at;
+    };
+    consider(issueBlockedUntil_);
+    for (unsigned tid = 0; tid < numThreads(); ++tid) {
+        const RefList<FinishRef> &il = issuedLists_[tid];
+        for (u32 i = 0; i < il.size(); ++i)
+            consider(il[i].finish);
+        const Rob &rob = robs_[tid];
+        if (!rob.empty())
+            consider(rob.cold(rob.headSlot()).commitReadyAt);
+        const ThreadState &ts = threads_[tid];
+        if (!ts.fetchQ.empty())
+            consider(ts.fetchQ.front().availAt);
+        consider(ts.fetchStallUntil);
+    }
+    return next;
 }
 
 void
@@ -365,7 +408,7 @@ Core::advance(Cycle cycles)
 {
     const Cycle end = cycle_ + cycles;
     while (cycle_ < end && !allHalted())
-        tick();
+        step(end - cycle_);
 }
 
 bool
@@ -403,7 +446,7 @@ Core::runUntilCommitted(const std::vector<u64> &targets, Cycle max_cycles)
             return done(); // frozen short of a target: hung, bail now
         if (cycle_ >= end)
             return done();
-        tick();
+        step(end - cycle_);
     }
 }
 
@@ -481,6 +524,7 @@ Core::tryCommitHead(unsigned tid)
         return false;
     if (e.commitReadyAt > cycle_)
         return false;
+    acted_ = true;
 
     // Commit-time LSQ check + singleton re-execute (Section 3.5).
     if ((h.isLoad || h.isStore) && !e.reexecDone && detectorEnabled_ &&
@@ -668,9 +712,9 @@ Core::completeStage()
             const RobHot &h = rob.hot(ref.slot);
             if (!h.valid || h.seq != ref.seq ||
                 h.state != EntryState::Issued) {
+                acted_ = true;
                 continue;
             }
-            ref.finish = h.finishCycle; // re-sync a deferred store
             il[keep++] = ref;
             if (h.finishCycle <= cycle_)
                 pending.push_back({ref.seq, ref.tid, ref.slot});
@@ -692,13 +736,14 @@ Core::completeStage()
             if (!e.dataValid) {
                 // Split store-data: capture the data operand when it
                 // becomes ready; completion defers until then.
+                // Until then it stays due and waits unchanged: only a
+                // stage action can make the operand ready.
                 if (h.src2Preg != invalidPreg &&
                     regfile_.ready(h.src2Preg)) {
                     e.storeData = regfile_.read(h.src2Preg);
                     ++stats_.regReads;
                     e.dataValid = true;
                 } else {
-                    h.finishCycle = cycle_ + 1;
                     continue;
                 }
             }
@@ -715,6 +760,7 @@ Core::completeEntry(unsigned tid, unsigned slot)
     Rob &rob = robs_[tid];
     RobHot &h = rob.hot(slot);
     RobCold &e = rob.cold(slot);
+    acted_ = true;
 
     const bool was_replay = e.inReplay;
     const bool first_completion = !e.completedOnce;
@@ -979,6 +1025,8 @@ Core::issueStage()
         collectCandidatesWakeup();
     sortBySeq(scanScratch_);
     stats_.issueCandidates += scanScratch_.size();
+    // The first candidate always issues, so a quiet tick has none.
+    acted_ = acted_ || !scanScratch_.empty();
     issueCandidates();
     scanScratch_.clear();
 }
@@ -1003,6 +1051,7 @@ Core::collectCandidatesScan()
             const RobHot &h = rob.hot(ref.slot);
             if (!h.valid || h.seq != ref.seq ||
                 h.state != EntryState::Dispatched) {
+                acted_ = true;
                 continue;
             }
             if (keep != i)
@@ -1053,6 +1102,7 @@ Core::collectCandidatesWakeup()
             const RobHot &h = rob.hot(ref.slot);
             if (!h.valid || h.seq != ref.seq ||
                 h.state != EntryState::Dispatched) {
+                acted_ = true;
                 continue; // stale: squashed, issued, or slot reused
             }
             ovfl[keep++] = ref;
@@ -1090,6 +1140,7 @@ Core::collectCandidatesWakeup()
             const RobHot &h = rob.hot(ref.slot);
             if (!h.valid || h.seq != ref.seq ||
                 h.state != EntryState::Dispatched) {
+                acted_ = true;
                 continue; // stale ref, drop
             }
             if (h.src1Preg != invalidPreg &&
@@ -1197,6 +1248,7 @@ Core::enqueueForIssue(unsigned tid, unsigned slot, const RobHot &h)
 void
 Core::subscribeWaiter(unsigned preg, const SeqRef &ref)
 {
+    acted_ = true;
     RefList<SeqRef> &row = wakeRows_[preg];
     if (row.full()) {
         // One row can hold waiters from several threads (dangling
@@ -1331,6 +1383,7 @@ Core::dispatchStage()
             ts.fetchQ.pop_front();
             ++stats_.dispatched;
             --budget;
+            acted_ = true;
         }
     }
 }
@@ -1397,6 +1450,7 @@ Core::fetchStage()
         }
         if (ts.fetchQ.size() >= 4 * params_.fetchWidth)
             continue;
+        acted_ = true; // a fetchBlocked latch or a cache access
         if (ts.fetchPc >= prog_->text.size()) {
             ts.fetchBlocked = true;
             continue;

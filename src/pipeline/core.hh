@@ -76,6 +76,11 @@ struct CoreStats
     u64 issueEvals = 0;      ///< cycles the issue stage examined refs
     u64 issueCandidates = 0; ///< ready candidates across those cycles
 
+    /// Quiet cycles step() jumped instead of ticking (also counted in
+    /// `cycles`). The one field that differs between a tick()-driven
+    /// core and a step()-driven one.
+    u64 skippedCycles = 0;
+
     bool operator==(const CoreStats &other) const = default;
 };
 
@@ -164,20 +169,38 @@ class Core
     Core(Core &&other) = default;
     Core &operator=(Core &&other) = default;
 
-    /** Advance one cycle. */
+    /**
+     * Advance exactly one cycle. The reference semantics: every other
+     * driver below must leave the core in the state a loop of tick()
+     * calls would, cycle for cycle, stats().skippedCycles aside
+     * (test_quiet_skip checks this).
+     */
     void tick();
 
-    /** Advance exactly `cycles` cycles (or until every thread halts).
-     *  The campaign's inter-injection gaps run through this. */
-    void advance(Cycle cycles);
+    /**
+     * Advance at least one and at most max_cycles (>= 1) cycles; return
+     * how many. One tick(); if no pipeline stage acted in it, every
+     * following tick is the same no-op until a timed threshold (an
+     * execution finish, a commit delay, a fetch-queue arrival, a fetch
+     * stall, the issue block) fires, so jump to the cycle before the
+     * earliest one and credit the skipped cycles to the counters as
+     * ticking would have (DESIGN.md "Quiet-cycle skip"). Nothing but a
+     * stage's action can commit, halt or touch the fault watch, so a
+     * loop that tests those between calls sees what it would between
+     * ticks.
+     */
+    Cycle step(Cycle max_cycles);
 
-    /** Run until every thread halted or max_cycles elapse. */
-    void run(Cycle max_cycles);
+    /** Advance exactly `cycles` cycles (or until every thread halts),
+     *  through step(). The campaign's inter-injection gaps run through
+     *  this. */
+    void advance(Cycle cycles);
 
     /**
      * Run until every active thread has committed at least the given
-     * per-thread totals (or halted/trapped), bounded by max_cycles.
-     * Returns false on the cycle bound (hung).
+     * per-thread totals (or halted/trapped), bounded by max_cycles;
+     * the reference loop ticks, this one steps. Returns false on the
+     * cycle bound (hung).
      */
     bool runUntilCommitted(const std::vector<u64> &targets,
                            Cycle max_cycles);
@@ -330,12 +353,9 @@ class Core
     /** Read-only ROB access for tests and debugging probes. */
     const Rob &rob(unsigned tid) const { return robs_[tid]; }
 
-    /** Recount issue-queue occupancy from scratch (test invariant:
-     *  must always equal the incrementally-tracked count). */
-    unsigned computeIqOccupancy() const;
+    /** Incrementally tracked occupancies (tests recount them from
+     *  rob()). */
     unsigned iqOccupancy() const { return iqCount_; }
-    /** Recount LSQ occupancy from scratch (test invariant). */
-    unsigned computeLsqOccupancy() const;
     unsigned lsqOccupancy() const
     {
         unsigned n = 0;
@@ -390,8 +410,9 @@ class Core
      * touches the ROB header once the key is due, so in-flight
      * long-latency entries cost one word read per cycle instead of a
      * header load. The key never exceeds the entry's live finishCycle
-     * (equal at push; deferral only pushes the live value later), so
-     * "key in the future" proves "not completing this cycle".
+     * (equal at push; only a replay's re-issue, which pushes a ref of
+     * its own, moves the live value later), so "key in the future"
+     * proves "not completing this cycle".
      */
     struct FinishRef
     {
@@ -473,6 +494,10 @@ class Core
     /** Fix every arena view pointer after a member-wise copy. */
     void rebindViews(const Core &other);
 
+    /** Earliest cycle after cycle_ at which a timed threshold can make
+     *  a stage act (the largest Cycle if none can); see step(). */
+    Cycle nextThreshold() const;
+
     /**
      * Memory-ordering check for a load about to issue at addr: blocked
      * while any older store's address is unknown, or an older store to
@@ -487,6 +512,9 @@ class Core
 
     Cycle cycle_ = 0;
     SeqNum nextSeq_ = 1;
+    /// Set by every stage action that changes machine state beyond
+    /// cycle_ and the per-cycle counters; tick() clears it first.
+    bool acted_ = false;
 
     mem::Memory memory_;
     mem::Hierarchy hier_;

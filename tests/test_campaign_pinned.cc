@@ -14,10 +14,18 @@
  * campaign runtime (pre-bit-sliced filters, pre-COW snapshots). Every
  * case runs in each oracle mode (oracle_modes.hh): the per-cycle issue
  * scan and full-window bare forks must reproduce the same counts.
+ *
+ * Each case also pins its work per oracle mode: the five scheduler
+ * counters and the sum of the trials' bare-fork exit cycles. They
+ * were recorded (with the 429.mcf case, whose memory-bound master and
+ * forks skip the most quiet cycles) on the commit before the
+ * quiet-cycle skip, so they hold the skip to the cycle-exact machine
+ * that ticking gives.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <ostream>
 
 #include "fault/campaign.hh"
@@ -30,9 +38,21 @@ namespace
 using namespace fh;
 using test::OracleMode;
 
+/** Recorded work of one oracle mode. */
+struct WorkPin
+{
+    u64 wakeupHits;
+    u64 overflowParks;
+    u64 overflowRescans;
+    u64 issueEvals;
+    u64 issueCandidates;
+    u64 exitCycles; ///< sum of TrialMeta::exitCycle over the trials
+};
+
 struct PinnedCase
 {
     const char *label;
+    const char *bench;
     filters::DetectorParams detector;
     u64 seed;
     u64 injections;
@@ -51,6 +71,8 @@ struct PinnedCase
     u64 renameUncovered;
     u64 noTrigger;
     u64 other;
+    // Recorded work, indexed by OracleMode (wake, scan, full_window).
+    std::array<WorkPin, 3> work;
 };
 
 /** Name the case in gtest output instead of raw bytes. */
@@ -72,7 +94,7 @@ TEST_P(CampaignPinned, ResultsMatchRecordedCounts)
     workload::WorkloadSpec spec;
     spec.maxThreads = 2;
     spec.footprintDivider = 64;
-    isa::Program program = workload::build("ocean", spec);
+    isa::Program program = workload::build(c.bench, spec);
 
     pipeline::CoreParams params;
     params.detector = c.detector;
@@ -91,8 +113,24 @@ TEST_P(CampaignPinned, ResultsMatchRecordedCounts)
         SCOPED_TRACE(testing::Message() << "threads=" << threads);
         cfg.threads = threads;
 
-        const fault::CampaignResult r =
-            fault::runCampaign(params, &program, cfg);
+        // runCampaign's loop (runLocal), with a sink that also sums
+        // the trials' exit cycles.
+        fault::CampaignSession session(params, &program, cfg);
+        fault::CampaignMerge merge(cfg, nullptr, nullptr);
+        u64 exit_cycles = 0;
+        const fault::TrialSink sink =
+            [&](u64 trial, const fault::CampaignResult &delta,
+                const fault::TrialMeta &meta) {
+                exit_cycles += meta.exitCycle;
+                merge.add(trial, delta, meta);
+            };
+        while (merge.next() < merge.end()) {
+            const fault::RangeOutcome out =
+                session.runRange(merge.next(), merge.rangeEnd(), sink);
+            merge.addProducerCost(out);
+            ASSERT_FALSE(out.halted || out.stopped);
+        }
+        const fault::CampaignResult r = merge.result();
 
         EXPECT_EQ(r.injected, c.injections);
         EXPECT_EQ(r.masked, c.masked);
@@ -109,36 +147,70 @@ TEST_P(CampaignPinned, ResultsMatchRecordedCounts)
         EXPECT_EQ(r.bins.noTrigger, c.noTrigger);
         EXPECT_EQ(r.bins.other, c.other);
         test::expectOracleModeTookEffect(mode, r);
+
+        const WorkPin &w = c.work[static_cast<size_t>(mode)];
+        EXPECT_EQ(r.sched.wakeupHits, w.wakeupHits);
+        EXPECT_EQ(r.sched.overflowParks, w.overflowParks);
+        EXPECT_EQ(r.sched.overflowRescans, w.overflowRescans);
+        EXPECT_EQ(r.sched.issueEvals, w.issueEvals);
+        EXPECT_EQ(r.sched.issueCandidates, w.issueCandidates);
+        EXPECT_EQ(exit_cycles, w.exitCycles);
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, CampaignPinned,
     testing::Combine(testing::Values(
-        PinnedCase{"faulthound", filters::DetectorParams::faultHound(),
+        PinnedCase{"faulthound", "ocean",
+                   filters::DetectorParams::faultHound(),
                    1234, 48,
                    /*masked*/ 37, /*noisy*/ 3, /*sdc*/ 8,
                    /*recovered*/ 2, /*detected*/ 0, /*uncovered*/ 6,
                    /*covered*/ 2, /*slm*/ 0, /*creg*/ 4, /*areg*/ 1,
-                   /*ren*/ 2, /*notrig*/ 0, /*other*/ 0},
-        PinnedCase{"pbfs_biased", filters::DetectorParams::pbfsBiased(),
+                   /*ren*/ 2, /*notrig*/ 0, /*other*/ 0,
+                   {{{75980, 9, 54, 23387, 149984, 871808},
+                     {0, 0, 0, 23861, 149984, 871808},
+                     {84429, 9, 54, 26535, 162830, 874957}}}},
+        PinnedCase{"pbfs_biased", "ocean",
+                   filters::DetectorParams::pbfsBiased(),
                    99, 32,
                    /*masked*/ 24, /*noisy*/ 6, /*sdc*/ 2,
                    /*recovered*/ 0, /*detected*/ 0, /*uncovered*/ 2,
                    /*covered*/ 0, /*slm*/ 0, /*creg*/ 1, /*areg*/ 0,
-                   /*ren*/ 1, /*notrig*/ 0, /*other*/ 0},
-        PinnedCase{"pbfs_sticky", filters::DetectorParams::pbfsSticky(),
+                   /*ren*/ 1, /*notrig*/ 0, /*other*/ 0,
+                   {{{35033, 0, 0, 16458, 47507, 753619},
+                     {0, 0, 0, 17204, 47507, 753619},
+                     {41600, 0, 0, 18985, 56846, 756146}}}},
+        PinnedCase{"pbfs_sticky", "ocean",
+                   filters::DetectorParams::pbfsSticky(),
                    7, 32,
                    /*masked*/ 32, /*noisy*/ 0, /*sdc*/ 0,
                    /*recovered*/ 0, /*detected*/ 0, /*uncovered*/ 0,
                    /*covered*/ 0, /*slm*/ 0, /*creg*/ 0, /*areg*/ 0,
-                   /*ren*/ 0, /*notrig*/ 0, /*other*/ 0},
-        PinnedCase{"unprotected", filters::DetectorParams::none(),
+                   /*ren*/ 0, /*notrig*/ 0, /*other*/ 0,
+                   {{{33480, 0, 0, 12667, 50754, 420502},
+                     {0, 0, 0, 12667, 50754, 420502},
+                     {43435, 0, 0, 16431, 65840, 424266}}}},
+        PinnedCase{"unprotected", "ocean",
+                   filters::DetectorParams::none(),
                    42, 32,
                    /*masked*/ 28, /*noisy*/ 2, /*sdc*/ 2,
                    /*recovered*/ 0, /*detected*/ 0, /*uncovered*/ 2,
                    /*covered*/ 0, /*slm*/ 0, /*creg*/ 0, /*areg*/ 0,
-                   /*ren*/ 0, /*notrig*/ 0, /*other*/ 2}),
+                   /*ren*/ 0, /*notrig*/ 0, /*other*/ 2,
+                   {{{33292, 0, 0, 12721, 50312, 405959},
+                     {0, 0, 0, 12819, 50312, 405959},
+                     {41988, 0, 0, 16012, 63461, 409250}}}},
+        PinnedCase{"mcf", "429.mcf",
+                   filters::DetectorParams::faultHound(),
+                   5, 32,
+                   /*masked*/ 29, /*noisy*/ 1, /*sdc*/ 2,
+                   /*recovered*/ 1, /*detected*/ 0, /*uncovered*/ 1,
+                   /*covered*/ 1, /*slm*/ 0, /*creg*/ 0, /*areg*/ 0,
+                   /*ren*/ 1, /*notrig*/ 0, /*other*/ 0,
+                   {{{8749, 0, 0, 52133, 13459, 1330892},
+                     {0, 0, 0, 52137, 13459, 1330892},
+                     {9592, 0, 0, 58404, 14650, 1337163}}}}),
                      test::oracleModes()),
     test::oracleCaseName<PinnedCase>);
 

@@ -38,6 +38,38 @@ TEST(Detector, NoneSchemeNeverActs)
     EXPECT_EQ(det.stats().checks, 0u);
 }
 
+TEST(Detector, PbfsTablesOnlyForSchemesThatReadThem)
+{
+    EXPECT_TRUE(Detector(DetectorParams::none()).pbfsTables().empty());
+    EXPECT_TRUE(Detector(DetectorParams::faultHound()).pbfsTables().empty());
+    EXPECT_TRUE(
+        Detector(DetectorParams::faultHoundBackend()).pbfsTables().empty());
+    EXPECT_EQ(Detector(DetectorParams::pbfsSticky()).pbfsTables().size(),
+              3u);
+    EXPECT_EQ(Detector(DetectorParams::pbfsBiased()).pbfsTables().size(),
+              3u);
+
+    // The FH-nocluster ablation checks through PC-indexed tables, and
+    // they train: a stable stream installs, then a far bit flip
+    // triggers.
+    DetectorParams nocluster = DetectorParams::faultHound();
+    nocluster.clustering = false;
+    Detector det(nocluster);
+    ASSERT_EQ(det.pbfsTables().size(), 3u);
+    train(det, StreamKind::StoreValue, 0x40);
+    const auto &tables = det.pbfsTables();
+    EXPECT_EQ(tables[static_cast<size_t>(StreamKind::StoreValue)].accesses(),
+              300u);
+    EXPECT_EQ(tables[static_cast<size_t>(StreamKind::LoadAddr)].accesses(),
+              0u);
+    EXPECT_EQ(det.valueTcam().accesses(), 0u);
+    EXPECT_EQ(det.filterAccesses(), 300u);
+    const u64 triggers = det.stats().triggers;
+    det.checkComplete(StreamKind::StoreValue, 5, 0x40 ^ (1ULL << 40),
+                      false);
+    EXPECT_EQ(det.stats().triggers, triggers + 1);
+}
+
 TEST(Detector, PbfsTriggersFullRollback)
 {
     Detector det(DetectorParams::pbfsSticky());

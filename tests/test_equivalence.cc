@@ -102,7 +102,7 @@ TEST_P(EquivalenceTest, TimingMatchesFunctional)
     }
 
     pipeline::Core core(params, &prog);
-    core.run(30'000'000);
+    core.advance(30'000'000);
     ASSERT_TRUE(core.allHalted()) << "timing run did not finish";
     ASSERT_FALSE(core.anyTrap());
 

@@ -93,7 +93,7 @@ TEST(Srt, TrailingThreadsComputeCorrectResults)
         core.threadOptions(t).oracleFetch = true;
         core.threadOptions(t).perfectDcache = true;
     }
-    core.run(30'000'000);
+    core.advance(30'000'000);
     ASSERT_TRUE(core.allHalted());
     ASSERT_FALSE(core.anyTrap());
 
