@@ -18,9 +18,6 @@
  *                  hardware threads; each campaign also runs its
  *                  producer thread; results are bit-identical for
  *                  any value)
- *   FH_TRIAL_TIMEOUT_MS  per-trial wall-clock budget, up to one day
- *                  (86400000); overruns are isolated and counted as
- *                  trial errors
  *   FH_CI_TARGET   adaptive stop: pooled SDC-rate Wilson CI
  *                  half-width target, 0-0.5 (default 0 = fixed-count)
  *   FH_CI_WAVE     adaptive stop wave size in trials, at least 1
@@ -28,6 +25,9 @@
  *
  * The library's own FH_STRICT (sim/error.hh: an in-trial panic aborts
  * instead of counting as a trial error) reaches every harness too.
+ * No variable bounds a trial's wall time: each fork stops after
+ * CampaignConfig::forkMaxCycles cycles, so a cell's counts never
+ * depend on host load.
  *
  * The campaign-heavy harnesses additionally parallelize across their
  * independent scheme/size/benchmark cells, splitting the FH_THREADS
@@ -229,8 +229,6 @@ campaignConfig()
     cfg.window = envU64("FH_WINDOW", 1000, 1, dist::kAnyU64);
     cfg.seed = envU64("FH_SEED", 1);
     cfg.threads = envThreadCount();
-    cfg.trialTimeoutMs =
-        envU64("FH_TRIAL_TIMEOUT_MS", 0, 0, dist::kMaxMs);
     cfg.ciTarget =
         envDouble("FH_CI_TARGET", 0.0, 0.0, dist::kMaxCiTarget);
     cfg.ciWave = envU64("FH_CI_WAVE", 64, 1, dist::kAnyU64);

@@ -110,10 +110,6 @@ declareAllKeys(const Config &cfg)
                    "0 = all hardware threads");
     cfg.declareKey("journal",
                    "trial-journal path for checkpoint/resume");
-    cfg.declareKey("trial_timeout_ms",
-                   "wall-clock budget per trial, 0 to 86400000 ms (a "
-                   "budget past a day watches nothing); overruns "
-                   "become trial errors (0 = off)");
     cfg.declareKey("ci_target",
                    "adaptive stop: pooled SDC-rate CI half-width "
                    "target, 0-0.5: 0 = fixed-count campaign; a "
@@ -227,8 +223,6 @@ specFromConfig(const Config &cfg)
         cfg.getU64("injections", 300, 1, dist::kAnyU64);
     spec.campaign.window = cfg.getU64("window", 1000, 1, dist::kAnyU64);
     spec.campaign.seed = cfg.getU64("seed", 1);
-    spec.campaign.trialTimeoutMs =
-        cfg.getU64("trial_timeout_ms", 0, 0, dist::kMaxMs);
     spec.campaign.ciTarget =
         cfg.getDouble("ci_target", 0.0, 0.0, dist::kMaxCiTarget);
     spec.campaign.ciWave = cfg.getU64("ci_wave", 64, 1, dist::kAnyU64);

@@ -36,8 +36,10 @@ namespace fh::dist
  *  an explicit HelloAck version verdict instead of silently dropping
  *  mismatched workers.
  *  v4: Hello drops the reconnect ordinal; a worker serves one
- *  connection and never re-dials. */
-constexpr u32 kProtocolVersion = 4;
+ *  connection and never re-dials.
+ *  v5: the Spec text drops the wall-clock trial budget key, so a v4
+ *  peer is refused at Hello rather than at spec decode. */
+constexpr u32 kProtocolVersion = 5;
 
 /** Worker -> coordinator, once, immediately after connecting. */
 struct HelloMsg

@@ -53,7 +53,6 @@ CampaignSpec::encode() const
         "rename_frac = %.17g\n"
         "lsq_frac = %.17g\n"
         "inflight_frac = %.17g\n"
-        "trial_timeout_ms = %llu\n"
         "ci_target = %.17g\n"
         "ci_wave = %llu\n",
         bench.c_str(), scheme.c_str(), coreThreads,
@@ -69,9 +68,8 @@ CampaignSpec::encode() const
         static_cast<unsigned long long>(campaign.forkMaxCycles),
         static_cast<unsigned long long>(campaign.seed),
         campaign.mix.renameFrac, campaign.mix.lsqFrac,
-        campaign.mix.inflightFrac,
-        static_cast<unsigned long long>(campaign.trialTimeoutMs),
-        campaign.ciTarget, static_cast<unsigned long long>(campaign.ciWave));
+        campaign.mix.inflightFrac, campaign.ciTarget,
+        static_cast<unsigned long long>(campaign.ciWave));
 }
 
 bool
@@ -121,7 +119,6 @@ CampaignSpec::decode(const std::string &text, CampaignSpec &out,
     if (c.mix.renameFrac + c.mix.lsqFrac > 1)
         fh_fatal("rename_frac=%g plus lsq_frac=%g exceeds 1",
                  c.mix.renameFrac, c.mix.lsqFrac);
-    c.trialTimeoutMs = cfg.getU64("trial_timeout_ms", 0, 0, kMaxMs);
     c.ciTarget = cfg.getDouble("ci_target", c.ciTarget, 0, kMaxCiTarget);
     c.ciWave = cfg.getU64("ci_wave", c.ciWave, 1, kAnyU64);
 

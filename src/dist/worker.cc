@@ -32,7 +32,10 @@ struct WorkerState
     int fd = -1;
     std::mutex sendMu; ///< trial/heartbeat/done frames never interleave
     std::atomic<u64> position{0};
+    /** The session loop is over; set under doneMu (see finish). */
     std::atomic<bool> done{false};
+    std::mutex doneMu;
+    std::condition_variable doneCv; ///< wakes the heartbeat at done
     /** A Shutdown frame arrived: the coordinator released this worker,
      *  as opposed to the connection dying under it. */
     std::atomic<bool> released{false};
@@ -60,6 +63,17 @@ struct WorkerState
             exec::requestShutdown();
         }
         qCv.notify_all();
+    }
+
+    /** The session loop is over: end the heartbeat's wait at once,
+     *  so a released worker does not sit out the rest of its period. */
+    void finish()
+    {
+        {
+            std::lock_guard<std::mutex> lk(doneMu);
+            done.store(true, std::memory_order_relaxed);
+        }
+        doneCv.notify_all();
     }
 
     /** Send one frame; a failed send loses the connection. */
@@ -154,8 +168,10 @@ heartbeatLoop(WorkerState &st, u64 periodMs)
         hb.position = st.position.load(std::memory_order_relaxed);
         if (!st.send(MsgType::Heartbeat, hb.encode()))
             break;
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(periodMs));
+        std::unique_lock<std::mutex> lk(st.doneMu);
+        st.doneCv.wait_for(lk, std::chrono::milliseconds(periodMs), [&st] {
+            return st.done.load(std::memory_order_relaxed);
+        });
     }
 }
 
@@ -285,7 +301,7 @@ serve(int fd, const WorkerOptions &opts)
         }
     }
 
-    st.done.store(true, std::memory_order_relaxed);
+    st.finish();
     // Unblock the receiver's poll/recv and stop further sends.
     ::shutdown(st.fd, SHUT_RDWR);
     receiver.join();

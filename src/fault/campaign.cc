@@ -134,30 +134,31 @@ ForkOutcome &
 forkInto(std::optional<ForkOutcome> &slot, const pipeline::Core &base,
          const InjectionPlan *plan, bool detector_enabled,
          const std::vector<u64> &targets, Cycle max_cycles,
-         const ForkDeadline *deadline, bool arm_regfile_watch = false)
+         bool arm_regfile_watch = false)
 {
     if (!slot)
         slot.emplace(runFork(base, plan, detector_enabled, targets,
-                             max_cycles, deadline, arm_regfile_watch));
+                             max_cycles, arm_regfile_watch));
     else
         runForkInto(*slot, base, plan, detector_enabled, targets,
-                    max_cycles, deadline, arm_regfile_watch);
+                    max_cycles, arm_regfile_watch);
     return *slot;
 }
 
+/** Consuming flavor: swaps the snapshot into the scratch. A worker's
+ *  first fork of each kind has no scratch yet and copies instead,
+ *  once per worker and fork kind per session. */
 ForkOutcome &
 forkInto(std::optional<ForkOutcome> &slot, pipeline::Core &&base,
          const InjectionPlan *plan, bool detector_enabled,
          const std::vector<u64> &targets, Cycle max_cycles,
-         const ForkDeadline *deadline, bool arm_regfile_watch = false)
+         bool arm_regfile_watch = false)
 {
     if (!slot)
-        slot.emplace(runFork(std::move(base), plan, detector_enabled,
-                             targets, max_cycles, deadline,
-                             arm_regfile_watch));
-    else
-        runForkInto(*slot, std::move(base), plan, detector_enabled,
-                    targets, max_cycles, deadline, arm_regfile_watch);
+        return forkInto(slot, base, plan, detector_enabled, targets,
+                        max_cycles, arm_regfile_watch);
+    runForkInto(*slot, std::move(base), plan, detector_enabled, targets,
+                max_cycles, arm_regfile_watch);
     return *slot;
 }
 
@@ -222,8 +223,7 @@ classifyProtected(CampaignResult &r, const Trial &t,
  */
 CampaignResult
 runTrial(const pipeline::CoreParams &params, const CampaignConfig &cfg,
-         Trial &t, const GoldenLedger::Entry &g, ForkScratch &fs,
-         const ForkDeadline *deadline)
+         Trial &t, const GoldenLedger::Entry &g, ForkScratch &fs)
 {
     CampaignResult r;
     ++r.injected;
@@ -261,9 +261,9 @@ runTrial(const pipeline::CoreParams &params, const CampaignConfig &cfg,
     ForkOutcome &bare =
         bare_is_last
             ? forkInto(fs.bare, std::move(t.master), &t.plan, false,
-                       t.targets, cfg.forkMaxCycles, deadline, arm)
+                       t.targets, cfg.forkMaxCycles, arm)
             : forkInto(fs.bare, t.master, &t.plan, false, t.targets,
-                       cfg.forkMaxCycles, deadline, arm);
+                       cfg.forkMaxCycles, arm);
     r.phases.bareNs += nsSince(t0);
     r.sched += SchedCounters::delta(bare.core.stats(), snapStats);
     t.meta.exitCycle = bare.exitCycle;
@@ -307,7 +307,7 @@ runTrial(const pipeline::CoreParams &params, const CampaignConfig &cfg,
     t0 = PhaseClock::now();
     ForkOutcome &prot =
         forkInto(fs.prot, std::move(t.master), &t.plan, true, t.targets,
-                 cfg.forkMaxCycles, deadline);
+                 cfg.forkMaxCycles);
     r.phases.protectedNs += nsSince(t0);
     r.sched += SchedCounters::delta(prot.core.stats(), snapStats);
 
@@ -323,34 +323,25 @@ runTrial(const pipeline::CoreParams &params, const CampaignConfig &cfg,
 
 /**
  * Trial fault isolation: execute one trial's forks inside a
- * PanicScope with the trial's wall-clock watchdog armed. An fh_panic
- * or fh_assert raised by the (deliberately corrupted) forked machine
- * — or a watchdog expiry — surfaces here as a SimError; the trial is
+ * PanicScope. An fh_panic or fh_assert raised by the (deliberately
+ * corrupted) forked machine surfaces here as a SimError; the trial is
  * counted in trialErrors with its injection plan logged for offline
  * reproduction, and the campaign keeps running. Under FH_STRICT=1
- * (the CI default) panics abort the process exactly as before the
- * resilience layer existed; only the explicitly opted-in watchdog
- * still throws. The guard is scoped to this worker's trial: a panic
- * on the producer thread (the master) still aborts.
+ * (the CI default) panics abort the process instead. The guard is
+ * scoped to this worker's trial: a panic on the producer thread (the
+ * master) still aborts.
  */
-template <typename RunTrial>
 CampaignResult
-runTrialGuarded(const CampaignConfig &cfg, const Trial &t,
-                RunTrial &&run_trial)
+runTrialGuarded(const pipeline::CoreParams &params,
+                const CampaignConfig &cfg, Trial &t,
+                const GoldenLedger::Entry &g, ForkScratch &fs)
 {
-    ForkDeadline deadline;
-    const ForkDeadline *dl = nullptr;
-    if (cfg.trialTimeoutMs) {
-        deadline.at = std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(cfg.trialTimeoutMs);
-        dl = &deadline;
-    }
     try {
         PanicScope guard;
         if (t.index == cfg.panicAtTrial)
             fh_panic("campaign debug hook: forced panic in trial %llu",
                      static_cast<unsigned long long>(t.index));
-        return run_trial(dl);
+        return runTrial(params, cfg, t, g, fs);
     } catch (const SimError &e) {
         CampaignResult r;
         ++r.injected;
@@ -588,11 +579,8 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
         pool.post(posted.size(), [this](u64 k) {
             ForkScratch &fs = scratch[exec::ThreadPool::currentWorker()];
             WaveTrial &w = posted[k];
-            w.result = runTrialGuarded(
-                cfg, *w.trial, [&](const ForkDeadline *dl) {
-                    return runTrial(params, cfg, *w.trial, *w.golden,
-                                    fs, dl);
-                });
+            w.result =
+                runTrialGuarded(params, cfg, *w.trial, *w.golden, fs);
         });
     };
 

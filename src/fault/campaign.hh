@@ -66,7 +66,9 @@ struct CampaignConfig
     /** Master cycles between injection points. */
     Cycle minGap = 100;
     Cycle maxGap = 600;
-    /** Fork cycle budget (safety bound for hung runs). */
+    /** Fork cycle budget: the one bound on a trial's forks, so a hung
+     *  fork ends at the same cycle on any host (hungBare and
+     *  hungProtected count them). */
     Cycle forkMaxCycles = 400000;
     u64 seed = 1;
     InjectionMix mix{};
@@ -99,18 +101,6 @@ struct CampaignConfig
      * uninterrupted run. See fault/journal.hh.
      */
     std::string journalPath;
-
-    /**
-     * Per-trial wall-clock budget in milliseconds, complementing the
-     * cycle-count bound forkMaxCycles (FH_TRIAL_TIMEOUT_MS in the
-     * bench harnesses, `trial_timeout_ms=` in fhsim). A trial whose
-     * forks exceed it is classified into trialErrors — with its
-     * injection plan logged for offline repro — instead of wedging a
-     * worker for the rest of the run. 0 = no watchdog (the default:
-     * wall time is nondeterministic, so only long unattended runs
-     * should opt in).
-     */
-    u64 trialTimeoutMs = 0;
 
     /**
      * Debug/test hook: behave as if a shutdown signal arrived once
@@ -279,9 +269,9 @@ struct CampaignResult
 
     /**
      * Trials whose execution was cut short by an isolated in-fork
-     * panic or a trialTimeoutMs watchdog expiry (non-strict mode
-     * only). Counted in injected but in none of masked/noisy/sdc;
-     * each one's injection plan is logged for offline reproduction.
+     * panic (non-strict mode only). Counted in injected but in none
+     * of masked/noisy/sdc; each one's injection plan is logged for
+     * offline reproduction.
      */
     u64 trialErrors = 0;
 

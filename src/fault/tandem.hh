@@ -10,7 +10,6 @@
 #ifndef FH_FAULT_TANDEM_HH
 #define FH_FAULT_TANDEM_HH
 
-#include <chrono>
 #include <vector>
 
 #include "fault/injector.hh"
@@ -35,22 +34,6 @@ struct ForkOutcome
     Cycle exitCycle = 0; ///< core cycle when the fork run ended
 };
 
-/**
- * Wall-clock watchdog for a trial's fork executions (the campaign's
- * trialTimeoutMs, complementing the cycle-count bound max_cycles).
- * One deadline spans all of a trial's forks; when a fork's tick loop
- * crosses it, runFork throws a SimError that the campaign's trial
- * guard converts into a trialErrors entry instead of wedging the
- * worker. Wall time is nondeterministic, so an expiring watchdog
- * trades bit-exact reproducibility for forward progress — the expired
- * trial is journaled, and a resumed run replays the journal rather
- * than re-racing the clock.
- */
-struct ForkDeadline
-{
-    std::chrono::steady_clock::time_point at;
-};
-
 /** Per-thread commit targets for a run window starting at base. */
 std::vector<u64> windowTargets(const pipeline::Core &base, u64 window);
 
@@ -60,27 +43,17 @@ void windowTargetsInto(std::vector<u64> &out, const pipeline::Core &base,
 
 /**
  * Copy base, optionally inject plan, optionally enable the detector,
- * and run until the per-thread targets (bounded by max_cycles, and by
- * deadline when non-null). When arm_regfile_watch is set and the plan
- * is a register-file flip, a fault watch is armed on the flipped
- * register so the run ends (out.earlyMasked) as soon as the fault is
- * provably erased — only sound for classification forks whose golden
- * reference reached its targets without trapping (see DESIGN.md).
+ * and run until the per-thread targets, bounded by max_cycles — the
+ * one bound on a fork, so its outcome is a pure function of its
+ * inputs. When arm_regfile_watch is set and the plan is a
+ * register-file flip, a fault watch is armed on the flipped register
+ * so the run ends (out.earlyMasked) as soon as the fault is provably
+ * erased — only sound for classification forks whose golden reference
+ * reached its targets without trapping (see DESIGN.md).
  */
 ForkOutcome runFork(const pipeline::Core &base, const InjectionPlan *plan,
                     bool detector_enabled, const std::vector<u64> &targets,
-                    Cycle max_cycles, const ForkDeadline *deadline = nullptr,
-                    bool arm_regfile_watch = false);
-
-/**
- * As above, but consume base instead of copying it: the last fork of
- * a trial can take the snapshot by move, saving one whole-machine
- * copy per trial.
- */
-ForkOutcome runFork(pipeline::Core &&base, const InjectionPlan *plan,
-                    bool detector_enabled, const std::vector<u64> &targets,
-                    Cycle max_cycles, const ForkDeadline *deadline = nullptr,
-                    bool arm_regfile_watch = false);
+                    Cycle max_cycles, bool arm_regfile_watch = false);
 
 /**
  * As runFork, but restore the fork state into a caller-owned scratch
@@ -92,7 +65,6 @@ ForkOutcome runFork(pipeline::Core &&base, const InjectionPlan *plan,
 void runForkInto(ForkOutcome &out, const pipeline::Core &base,
                  const InjectionPlan *plan, bool detector_enabled,
                  const std::vector<u64> &targets, Cycle max_cycles,
-                 const ForkDeadline *deadline = nullptr,
                  bool arm_regfile_watch = false);
 
 /**
@@ -104,7 +76,6 @@ void runForkInto(ForkOutcome &out, const pipeline::Core &base,
 void runForkInto(ForkOutcome &out, pipeline::Core &&base,
                  const InjectionPlan *plan, bool detector_enabled,
                  const std::vector<u64> &targets, Cycle max_cycles,
-                 const ForkDeadline *deadline = nullptr,
                  bool arm_regfile_watch = false);
 
 } // namespace fh::fault

@@ -4,56 +4,6 @@ namespace fh::filters
 {
 
 bool
-StickyBit::observe(bool changed)
-{
-    if (!changed)
-        return false;
-    bool alarm = !changing_;
-    changing_ = true;
-    return alarm;
-}
-
-bool
-BiasedTwoBit::observe(bool changed)
-{
-    if (changed) {
-        bool alarm = (state_ == U);
-        // A change jumps two states deeper (saturating at C3), so at
-        // least two no-changes are needed to re-enter U.
-        state_ = state_ == U ? C2 : C3;
-        return alarm;
-    }
-    switch (state_) {
-      case C3:
-        state_ = C2;
-        break;
-      case C2:
-        state_ = C1;
-        break;
-      case C1:
-        state_ = U;
-        break;
-      case U:
-        break;
-    }
-    return false;
-}
-
-bool
-StandardTwoBit::observe(bool changed)
-{
-    if (changed) {
-        bool alarm = (count_ == 0);
-        if (count_ < 3)
-            ++count_;
-        return alarm;
-    }
-    if (count_ > 0)
-        --count_;
-    return false;
-}
-
-bool
 BiasedNState::record(bool event)
 {
     if (event) {

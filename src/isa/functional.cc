@@ -1,7 +1,5 @@
 #include "isa/functional.hh"
 
-#include "sim/logging.hh"
-
 namespace fh::isa
 {
 
@@ -88,39 +86,6 @@ stepArch(const Program &prog, mem::Memory &memory, ArchState &state)
     if (!state.halted)
         state.pc = next_pc;
     return Trap::None;
-}
-
-Functional::Functional(const Program *prog, mem::Memory *memory)
-    : prog_(prog), memory_(memory)
-{
-    fh_assert(prog_ && memory_, "null program/memory");
-    state_ = initialState(*prog_, 0);
-}
-
-Trap
-Functional::step()
-{
-    if (state_.halted)
-        return Trap::None;
-    Trap t = stepArch(*prog_, *memory_, state_);
-    if (t != Trap::None) {
-        trap_ = t;
-        return t;
-    }
-    ++retired_;
-    return Trap::None;
-}
-
-u64
-Functional::run(u64 max_insts)
-{
-    u64 n = 0;
-    while (n < max_insts && !state_.halted) {
-        if (step() != Trap::None)
-            break;
-        ++n;
-    }
-    return n;
 }
 
 } // namespace fh::isa

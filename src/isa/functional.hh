@@ -1,9 +1,10 @@
 /**
  * @file
- * Functional (architecture-level) executor. Runs a Program one
- * instruction at a time against a Memory; the tandem fault framework
- * uses it as the golden oracle, and the timing pipeline's final
- * architectural state is property-tested against it.
+ * Architecture-level FH-RISC semantics: stepArch executes one
+ * instruction against an ArchState and a Memory. The timing core's
+ * oracle fetch calls it, the golden ledger compares ArchStates and
+ * their digests, and the tests' reference executor
+ * (tests/reference_functional.hh) loops over it.
  */
 
 #ifndef FH_ISA_FUNCTIONAL_HH
@@ -91,44 +92,10 @@ archStateDigest(const ArchState &s)
 
 /**
  * Execute one instruction of prog against state/memory. This is the
- * single source of truth for FH-RISC semantics: the Functional
- * executor and the timing core's oracle threads both call it.
+ * single source of truth for FH-RISC semantics: the timing core's
+ * oracle threads and the tests' reference executor both call it.
  */
 Trap stepArch(const Program &prog, mem::Memory &memory, ArchState &state);
-
-/**
- * Single-stepping functional executor. Copyable; holds a pointer to the
- * program (immutable, shared) and a reference-wrapped memory.
- */
-class Functional
-{
-  public:
-    Functional(const Program *prog, mem::Memory *memory);
-
-    /** Execute one instruction. Returns the trap raised, if any. */
-    Trap step();
-
-    /** Execute up to maxInsts instructions or until halt/trap. Returns
-     *  the number of instructions retired. */
-    u64 run(u64 max_insts);
-
-    const ArchState &state() const { return state_; }
-    ArchState &state() { return state_; }
-
-    bool halted() const { return state_.halted; }
-    u64 retired() const { return retired_; }
-    Trap lastTrap() const { return trap_; }
-
-    const Program &program() const { return *prog_; }
-    mem::Memory &memory() { return *memory_; }
-
-  private:
-    const Program *prog_;
-    mem::Memory *memory_;
-    ArchState state_;
-    u64 retired_ = 0;
-    Trap trap_ = Trap::None;
-};
 
 } // namespace fh::isa
 

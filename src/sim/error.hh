@@ -33,7 +33,7 @@
 namespace fh
 {
 
-/** A panic (or trial watchdog expiry) converted into an exception. */
+/** A panic converted into an exception (inside a PanicScope). */
 class SimError : public std::runtime_error
 {
   public:

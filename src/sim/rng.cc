@@ -1,7 +1,5 @@
 #include "sim/rng.hh"
 
-#include <cmath>
-
 #include "sim/logging.hh"
 
 namespace fh
@@ -74,18 +72,6 @@ double
 Rng::uniform()
 {
     return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-u64
-Rng::geometric(double p)
-{
-    fh_assert(p > 0.0 && p <= 1.0, "geometric p out of range");
-    if (p >= 1.0)
-        return 1;
-    double u = uniform();
-    if (u <= 0.0)
-        u = 0x1.0p-53;
-    return 1 + static_cast<u64>(std::log(u) / std::log1p(-p));
 }
 
 Rng

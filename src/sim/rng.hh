@@ -45,9 +45,6 @@ class Rng
     /** Bernoulli draw with probability p of true. */
     bool chance(double p) { return uniform() < p; }
 
-    /** Geometric-ish draw: number of trials until success at prob p. */
-    u64 geometric(double p);
-
     /** Derive an independent child stream (seed mixing). */
     Rng fork();
 

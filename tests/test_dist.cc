@@ -9,7 +9,9 @@
  * -> journal-resume contract. A scripted coordinator drives a real
  * worker through the two paths a lost lease takes on the worker side:
  * losing the connection (it exits, never re-dials) and serving a
- * re-issued lease below its session's position (bit-identical).
+ * re-issued lease below its session's position (bit-identical), and
+ * checks that a released worker exits at once, whatever its heartbeat
+ * period.
  */
 
 #include <gtest/gtest.h>
@@ -117,15 +119,16 @@ fileBytes(const std::string &path)
 }
 
 pid_t
-spawnRealWorker(const dist::Endpoint &ep, unsigned delayMs = 0)
+spawnRealWorker(const dist::Endpoint &ep, unsigned delayMs = 0,
+                u64 heartbeatMs = 50)
 {
-    return dist::spawnFn([ep, delayMs] {
+    return dist::spawnFn([ep, delayMs, heartbeatMs] {
         if (delayMs)
             ::usleep(delayMs * 1000);
         dist::WorkerOptions opts;
         opts.endpoint = ep;
         opts.jobs = 1;
-        opts.heartbeatMs = 50;
+        opts.heartbeatMs = heartbeatMs;
         return dist::runWorker(opts);
     });
 }
@@ -494,6 +497,32 @@ TEST(Dist, WorkerThatLosesItsCoordinatorExits)
     pollfd pfd{listenFd, POLLIN, 0};
     EXPECT_EQ(::poll(&pfd, 1, 0), 0) << "the worker dialed again";
     dist::closeFabricFd(listenFd);
+}
+
+TEST(Dist, ReleasedWorkerExitsWithoutSittingOutItsHeartbeat)
+{
+    dist::Endpoint ep{false, "127.0.0.1", 0};
+    std::string error;
+    const int listenFd = dist::listenOn(ep, error);
+    ASSERT_GE(listenFd, 0) << error;
+    // A heartbeat period far longer than the exit may take.
+    const pid_t worker = spawnRealWorker(ep, 0, 5000);
+
+    const int fd = acceptWithin(listenFd, 5000);
+    EXPECT_GE(fd, 0);
+    if (fd >= 0) {
+        dist::FrameReader reader;
+        EXPECT_TRUE(greet(fd, reader, testSpec()));
+        EXPECT_TRUE(dist::sendFrame(fd, dist::MsgType::Shutdown, {}));
+    }
+    const int status = exitStatusWithin(worker, 1000);
+    if (fd >= 0)
+        ::close(fd);
+    dist::closeFabricFd(listenFd);
+    EXPECT_TRUE(status != -1 && WIFEXITED(status) &&
+                WEXITSTATUS(status) == 0)
+        << "a released worker at heartbeat_ms=5000 did not exit 0 "
+           "within 1 s";
 }
 
 TEST(Dist, LeaseBelowSessionPositionIsServedBitIdentically)

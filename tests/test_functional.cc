@@ -1,13 +1,15 @@
 /**
  * @file
- * The functional executor: small programs with loops, memory traffic,
- * and trap behavior. This model is the golden oracle of every tandem
- * experiment, so its semantics are pinned here in detail.
+ * The functional executor (tests/reference_functional.hh over
+ * isa::stepArch): small programs with loops, memory traffic, and trap
+ * behavior. stepArch is the semantics the timing core's oracle fetch
+ * runs, so they are pinned here in detail.
  */
 
 #include <gtest/gtest.h>
 
 #include "isa/functional.hh"
+#include "reference_functional.hh"
 #include "reference_memory.hh"
 
 using namespace fh;

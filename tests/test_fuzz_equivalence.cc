@@ -214,14 +214,15 @@ TEST_P(ForkEquivalence, ScratchForkMatchesFreshFork)
         expectSameOutcome(fresh, *sc.bare, k, "bare");
 
         // Protected fork (detector on): fresh copy vs the consuming
-        // swap flavor fed a throwaway copy of the snapshot.
+        // swap flavor fed a throwaway copy of the snapshot (a worker's
+        // first fork of a kind copies, as the campaign's does).
         fault::ForkOutcome freshProt = fault::runFork(
             s.core, &s.plan, true, s.targets, kMaxCycles);
-        pipeline::Core doomed(s.core);
         if (!sc.prot) {
-            sc.prot.emplace(fault::runFork(std::move(doomed), &s.plan,
-                                           true, s.targets, kMaxCycles));
+            sc.prot.emplace(fault::runFork(s.core, &s.plan, true,
+                                           s.targets, kMaxCycles));
         } else {
+            pipeline::Core doomed(s.core);
             fault::runForkInto(*sc.prot, std::move(doomed), &s.plan,
                                true, s.targets, kMaxCycles);
         }

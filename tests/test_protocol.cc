@@ -4,8 +4,8 @@
  * message round-trips, incremental/torn-frame parsing (a worker
  * killed mid-write must never yield a phantom frame), corrupt-length
  * detection, CRC32C trailer verification (every single-byte flip in a
- * frame is caught), endpoint parsing, and the CampaignSpec text
- * round-trip.
+ * frame is caught), endpoint parsing, the CampaignSpec text
+ * round-trip, and the refusal of a previous protocol version's peer.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,9 @@
 #include <string>
 #include <vector>
 
+#include <sys/socket.h>
+
+#include "dist/coordinator.hh"
 #include "dist/messages.hh"
 #include "dist/spec.hh"
 #include "dist/wire.hh"
@@ -339,7 +342,6 @@ TEST(CampaignSpec, RoundTrip)
     spec.campaign.window = 456;
     spec.campaign.seed = 789;
     spec.campaign.mix.renameFrac = 0.25;
-    spec.campaign.trialTimeoutMs = 1500;
     spec.campaign.ciTarget = 0.015625;
     spec.campaign.ciWave = 96;
 
@@ -357,7 +359,6 @@ TEST(CampaignSpec, RoundTrip)
     EXPECT_EQ(out.campaign.window, 456u);
     EXPECT_EQ(out.campaign.seed, 789u);
     EXPECT_EQ(out.campaign.mix.renameFrac, 0.25);
-    EXPECT_EQ(out.campaign.trialTimeoutMs, 1500u);
     EXPECT_EQ(out.campaign.ciTarget, 0.015625);
     EXPECT_EQ(out.campaign.ciWave, 96u);
     // Canonical: re-encoding the decoded spec reproduces the text.
@@ -373,12 +374,14 @@ TEST(CampaignSpec, RejectsUnknownKeysAndBadNames)
         spec.encode() + "future_knob = 1\n", out, error));
     EXPECT_NE(error.find("future_knob"), std::string::npos);
     // Retired keys are refused too: a spec from a peer that still
-    // sends the removed golden-fork switch or the early-stop oracle
-    // switch must not run with it silently ignored.
-    for (const char *retired : {"golden_fork = 0\n", "early_stop = 0\n"}) {
-        EXPECT_FALSE(
-            CampaignSpec::decode(spec.encode() + retired, out, error));
-        EXPECT_NE(error.find("unknown spec key"), std::string::npos);
+    // sends the removed golden-fork switch, the early-stop oracle
+    // switch or the wall-clock trial budget (forkMaxCycles is the one
+    // trial bound) must not run with it silently ignored.
+    for (const std::string retired :
+         {"golden_fork", "early_stop", "trial_timeout_ms"}) {
+        EXPECT_FALSE(CampaignSpec::decode(
+            spec.encode() + retired + " = 100\n", out, error));
+        EXPECT_EQ(error, "unknown spec key '" + retired + "'");
     }
 
     spec.bench = "no-such-bench";
@@ -386,6 +389,50 @@ TEST(CampaignSpec, RejectsUnknownKeysAndBadNames)
     spec.bench = "ocean";
     spec.scheme = "no-such-scheme";
     EXPECT_FALSE(CampaignSpec::decode(spec.encode(), out, error));
+}
+
+TEST(Coordinator, RefusesAVersion4Hello)
+{
+    // A v4 peer could still send the retired key in its spec; the
+    // version verdict refuses it before any spec is sent.
+    CampaignSpec spec;
+    spec.bench = "ocean";
+    spec.workload.footprintDivider = 64;
+    spec.campaign.injections = 2;
+    spec.campaign.window = 300;
+    spec.campaign.threads = 1;
+    CoordinatorOptions opts;
+    // With the only peer refused, the campaign runs in-process.
+    opts.noWorkerTimeoutMs = 200;
+    Coordinator coord(spec, opts);
+
+    std::string error;
+    const int fd = connectTo(coord.endpoint(), error);
+    ASSERT_GE(fd, 0) << error;
+    HelloMsg hello;
+    hello.version = 4;
+    ASSERT_TRUE(sendFrame(fd, MsgType::Hello, hello.encode()));
+    coord.run(nullptr);
+    EXPECT_EQ(coord.stats().workersJoined, 0u);
+
+    // The verdict waits in the socket; the coordinator closed it after.
+    FrameReader reader;
+    Frame f;
+    bool got = false;
+    while (!(got = reader.next(f)) && !reader.corrupt()) {
+        u8 buf[256];
+        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        if (n <= 0)
+            break;
+        reader.feed(buf, static_cast<size_t>(n));
+    }
+    closeFabricFd(fd);
+    ASSERT_TRUE(got);
+    ASSERT_EQ(static_cast<MsgType>(f.type), MsgType::HelloAck);
+    HelloAckMsg ack;
+    ASSERT_TRUE(HelloAckMsg::decode(f.payload, ack));
+    EXPECT_FALSE(ack.accepted);
+    EXPECT_EQ(ack.version, kProtocolVersion);
 }
 
 TEST(CampaignSpecDeathTest, OutOfRangeValueIsFatalNamingTheKey)
@@ -416,8 +463,6 @@ TEST(CampaignSpecDeathTest, OutOfRangeValueIsFatalNamingTheKey)
         {"inflight_frac = 1.5", "inflight_frac=1.5 is out of range"},
         {"rename_frac = 0.6\nlsq_frac = 0.6",
          "rename_frac=0.6 plus lsq_frac=0.6 exceeds 1"},
-        {"trial_timeout_ms = 86400001",
-         "trial_timeout_ms=86400001 is out of range"},
         {"ci_target = 7", "ci_target=7 is out of range \\[0, 0.5\\]"},
         {"ci_wave = 0", "ci_wave=0 is out of range"},
     };

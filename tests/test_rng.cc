@@ -91,16 +91,6 @@ TEST(Rng, ChanceRespectsProbability)
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.25, 0.02);
 }
 
-TEST(Rng, GeometricMeanMatches)
-{
-    Rng rng(19);
-    double sum = 0.0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i)
-        sum += static_cast<double>(rng.geometric(0.2));
-    EXPECT_NEAR(sum / n, 5.0, 0.3); // mean of geometric(p) = 1/p
-}
-
 TEST(Rng, ForkedStreamsAreIndependent)
 {
     Rng parent(23);

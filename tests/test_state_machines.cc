@@ -1,9 +1,8 @@
 /**
  * @file
- * Exact transition behavior of the filter state machines: PBFS's
- * sticky bit, the biased two-bit machine of Figure 2(b), the standard
- * counter of Figure 2(a), and the generalized N-state machine used by
- * the second-level filter and the squash machines.
+ * Exact transition behavior of the generalized N-state machine used by
+ * the second-level filter and the squash machines. The Figure 2
+ * machines are checked through BitFilter (test_bit_filter.cc).
  */
 
 #include <gtest/gtest.h>
@@ -11,82 +10,6 @@
 #include "filters/state_machine.hh"
 
 using namespace fh::filters;
-
-TEST(StickyBit, FirstChangeAlarmsThenSaturates)
-{
-    StickyBit bit;
-    EXPECT_TRUE(bit.unchanging());
-    EXPECT_FALSE(bit.observe(false));
-    EXPECT_TRUE(bit.observe(true)); // first change alarms
-    EXPECT_FALSE(bit.unchanging());
-    // Saturated: further changes are silent.
-    EXPECT_FALSE(bit.observe(true));
-    EXPECT_FALSE(bit.observe(false));
-    EXPECT_FALSE(bit.observe(true));
-}
-
-TEST(StickyBit, ClearRearmsDetection)
-{
-    StickyBit bit;
-    EXPECT_TRUE(bit.observe(true));
-    bit.clear();
-    EXPECT_TRUE(bit.unchanging());
-    EXPECT_TRUE(bit.observe(true)); // detects again after flash clear
-}
-
-TEST(BiasedTwoBit, RequiresTwoNoChangesAfterAChange)
-{
-    BiasedTwoBit sm;
-    EXPECT_TRUE(sm.unchanging());
-    EXPECT_TRUE(sm.observe(true)); // change in U alarms, lands in C2
-    EXPECT_EQ(sm.state(), BiasedTwoBit::C2);
-    EXPECT_FALSE(sm.observe(false)); // C2 -> C1
-    EXPECT_EQ(sm.state(), BiasedTwoBit::C1);
-    EXPECT_FALSE(sm.observe(false)); // C1 -> U: two no-changes needed
-    EXPECT_TRUE(sm.unchanging());
-}
-
-TEST(BiasedTwoBit, ChangeInIntermediateStateDoesNotAlarm)
-{
-    BiasedTwoBit sm;
-    sm.observe(true);  // U -> C2 (alarm)
-    sm.observe(false); // C2 -> C1
-    // Change in C1: no alarm (the bias's coverage cost, Section 3).
-    EXPECT_FALSE(sm.observe(true));
-    EXPECT_EQ(sm.state(), BiasedTwoBit::C3);
-}
-
-TEST(BiasedTwoBit, SaturatesAtC3)
-{
-    BiasedTwoBit sm;
-    sm.observe(true);
-    sm.observe(true); // C2 -> C3
-    EXPECT_EQ(sm.state(), BiasedTwoBit::C3);
-    sm.observe(true);
-    EXPECT_EQ(sm.state(), BiasedTwoBit::C3);
-    // Three no-changes to return to U from saturation.
-    sm.observe(false);
-    sm.observe(false);
-    EXPECT_FALSE(sm.unchanging());
-    sm.observe(false);
-    EXPECT_TRUE(sm.unchanging());
-}
-
-TEST(StandardTwoBit, DirectTransitionsBothWays)
-{
-    StandardTwoBit sm;
-    EXPECT_TRUE(sm.unchanging());
-    EXPECT_TRUE(sm.observe(true)); // U -> C1, alarm
-    EXPECT_FALSE(sm.unchanging());
-    EXPECT_FALSE(sm.observe(false)); // C1 -> U directly (no bias)
-    EXPECT_TRUE(sm.unchanging());
-    // The unbiased machine re-alarms on every alternation: this is
-    // exactly why PBFS with standard counters has unacceptable
-    // false-positive rates (Section 1).
-    EXPECT_TRUE(sm.observe(true));
-    EXPECT_FALSE(sm.observe(false));
-    EXPECT_TRUE(sm.observe(true));
-}
 
 TEST(BiasedNState, NeedsNMinusOneQuietObservations)
 {
