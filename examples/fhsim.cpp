@@ -41,7 +41,6 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "dist/coordinator.hh"
@@ -292,103 +291,11 @@ emitCampaignOutputs(const Config &cfg, const std::string &bench,
                 static_cast<unsigned long long>(r.earlyTerminated));
     std::printf("%-34s%-16d# 1 = adaptive CI stop fired\n",
                 "campaign.ci_stopped", r.ciStopped ? 1 : 0);
-    // Timing goes to stderr with the other diagnostics: stdout stays
-    // byte-identical across runs and worker counts (the determinism
-    // suite diffs it). The rate is FH_JSON's "trials_per_second". The
-    // phases are busy time summed over the producer and the fork
-    // threads, which run at once, so their sum exceeds the wall time
-    // whenever the two overlap.
-    auto ull = [](u64 v) { return static_cast<unsigned long long>(v); };
-    std::fprintf(stderr,
-                 "fhsim: campaign %llu trials, %llu executed in %.1fs "
-                 "(%.1f trials/s), %llu replayed from the journal\n",
-                 ull(r.injected), ull(r.injected - r.replayedTrials),
-                 seconds, fault::executedTrialsPerSecond(r, seconds),
-                 ull(r.replayedTrials));
-    const fault::CampaignPhases &p = r.phases;
-    const double total =
-        static_cast<double>(p.totalNs() ? p.totalNs() : 1);
-    auto pct = [&](u64 ns) {
-        return 100.0 * static_cast<double>(ns) / total;
-    };
-    std::fprintf(stderr,
-                 "fhsim: campaign wall %.2fs, busy %.2fs summed over "
-                 "threads — snapshot %.1f%%, golden-ledger %.1f%%, "
-                 "bare %.1f%%, protected %.1f%%, compare %.1f%%\n",
-                 seconds, static_cast<double>(p.totalNs()) * 1e-9,
-                 pct(p.snapshotNs), pct(p.goldenNs), pct(p.bareNs),
-                 pct(p.protectedNs), pct(p.compareNs));
-    // Scheduler observability (stderr for the same reason): how the
-    // event-driven issue stage spent the campaign's window execution.
-    // Distributed runs count only a degraded tail's master here (the
-    // wire carries classification counters only).
-    const fault::SchedCounters &s = r.sched;
-    std::fprintf(stderr,
-                 "fhsim: scheduler — wakeup hits %llu, overflow "
-                 "parks %llu, overflow rescans %llu, issue occupancy "
-                 "%.2f (%llu candidates / %llu evals), cycles %llu "
-                 "(%llu skipped quiet)\n",
-                 ull(s.wakeupHits), ull(s.overflowParks),
-                 ull(s.overflowRescans),
-                 s.issueEvals ? static_cast<double>(s.issueCandidates) /
-                                    static_cast<double>(s.issueEvals)
-                              : 0.0,
-                 ull(s.issueCandidates), ull(s.issueEvals),
-                 ull(s.cycles), ull(s.skippedCycles));
-    // Per-site vulnerability profile (stderr diagnostics; the full
-    // machine-readable block rides FH_JSON). Stratum rows with no
-    // trials are elided.
-    auto stratumName = [](unsigned si) -> std::string {
-        if (si == 0)
-            return "rename";
-        const unsigned group =
-            (si - 1) % fault::StratumSpace::kBitGroups;
-        const unsigned lo = group * fault::StratumSpace::kGroupBits;
-        const unsigned hi = lo + fault::StratumSpace::kGroupBits - 1;
-        const char *kind =
-            si < 1 + fault::StratumSpace::kBitGroups ? "lsq"
-            : si < 1 + 2 * fault::StratumSpace::kBitGroups
-                ? "reg-inflight"
-                : "reg-static";
-        return csprintf("%s[b%u-%u]", kind, lo, hi);
-    };
-    std::fprintf(stderr,
-                 "fhsim: vulnerability profile — %-14s%8s%8s%8s%8s\n",
-                 "stratum", "trials", "masked", "sdc", "covered");
-    for (unsigned si = 0; si < fault::StratumSpace::kCount; ++si) {
-        const fault::StratumCounts &sc = r.profile.strata[si];
-        if (sc.trials == 0)
-            continue;
-        std::fprintf(stderr,
-                     "fhsim:   %-32s%8llu%8llu%8llu%8llu\n",
-                     stratumName(si).c_str(), ull(sc.trials),
-                     ull(sc.masked), ull(sc.sdc), ull(sc.covered));
-    }
-    {
-        const fault::StratumSpace space(ccfg.mix);
-        std::fprintf(stderr,
-                     "fhsim: pooled SDC-rate CI half-width %.5f "
-                     "(target %.5f%s)\n",
-                     fault::pooledSdcHalfWidth(r.profile, space),
-                     ccfg.ciTarget,
-                     ccfg.ciTarget > 0.0
-                         ? r.ciStopped ? ", reached" : ", not reached"
-                         : ", fixed-count");
-        // Root-cause attribution: the workload instructions whose
-        // values produced the most SDCs.
-        std::vector<std::pair<u64, u64>> pcs(r.profile.sdcPcs.begin(),
-                                             r.profile.sdcPcs.end());
-        std::sort(pcs.begin(), pcs.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.second != b.second ? a.second > b.second
-                                                  : a.first < b.first;
-                  });
-        for (size_t i = 0; i < pcs.size() && i < 5; ++i)
-            std::fprintf(stderr,
-                         "fhsim:   sdc source pc 0x%llx — %llu "
-                         "SDC(s)\n",
-                         ull(pcs[i].first), ull(pcs[i].second));
-    }
+    // Timing and the other diagnostics go to stderr, as FH_JSON's key
+    // names and values: stdout stays byte-identical across runs and
+    // worker counts (the determinism suite diffs it).
+    fault::printCampaignSummary(stderr, "fhsim", bench, workers, ccfg, r,
+                                seconds, fabric);
     const std::string json = cfg.getString("json", "");
     if (!json.empty())
         fault::writeCampaignJson(json, bench, workers, ccfg, r,
@@ -422,18 +329,8 @@ runCoordinator(const Config &cfg, dist::Coordinator &coord,
                                std::chrono::steady_clock::now() - t0)
                                .count();
 
-    const dist::DistStats &ds = coord.stats();
-    std::fprintf(stderr,
-                 "fhsim: fabric — %u worker(s) joined, %u died, "
-                 "%llu lease(s) issued, %llu re-issued, %llu crc "
-                 "error(s)%s\n",
-                 ds.workersJoined, ds.workersDied,
-                 static_cast<unsigned long long>(ds.rangesIssued),
-                 static_cast<unsigned long long>(ds.rangesReissued),
-                 static_cast<unsigned long long>(ds.crcErrors),
-                 ds.degraded ? ", DEGRADED to in-process tail" : "");
     return emitCampaignOutputs(cfg, spec.bench, workers, spec.campaign,
-                               r, seconds, &ds);
+                               r, seconds, &coord.stats());
 }
 
 int

@@ -120,10 +120,16 @@ Coordinator::dropConn(Conn &c, const char *why)
     if (c.fd < 0)
         return;
     stats_.crcErrors += c.reader.crcErrors();
-    fh_warn("coordinator: worker %llu dropped (%s)",
-            static_cast<unsigned long long>(c.pid), why);
     closeFabricFd(c.fd);
     c.fd = -1;
+    if (!c.helloed) {
+        // Refused at Hello, or gone before sending one: it never
+        // joined, so it is no worker that died and it held no lease.
+        fh_warn("coordinator: peer dropped before joining (%s)", why);
+        return;
+    }
+    fh_warn("coordinator: worker %llu dropped (%s)",
+            static_cast<unsigned long long>(c.pid), why);
     ++stats_.workersDied;
     if (c.hasLease) {
         c.hasLease = false;
@@ -153,7 +159,8 @@ Coordinator::handleFrame(Conn &c, const Frame &f)
         if (!sendFrame(c.fd, MsgType::HelloAck, ack.encode()))
             return false;
         if (!ack.accepted) {
-            fh_warn("coordinator: worker speaks protocol %u, want %u",
+            fh_warn("coordinator: refused a peer speaking protocol %u, "
+                    "want %u",
                     hello.version, kProtocolVersion);
             return false;
         }

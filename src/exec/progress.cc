@@ -45,7 +45,10 @@ ProgressMeter::tick(u64 n)
         !nextLogMs_.compare_exchange_strong(next, now + intervalMs_))
         return;
     const double secs = std::max(1e-3, now / 1000.0);
-    const double rate = static_cast<double>(done) / secs;
+    // Replayed items cost no wall time: the rate counts executed ones.
+    const u64 executed =
+        done - std::min(done, replayed_.load(std::memory_order_relaxed));
+    const double rate = static_cast<double>(executed) / secs;
     if (total_ && rate > 0.0) {
         const u64 left = total_ - std::min(done, total_);
         fh_inform("%s: %llu/%llu trials (%.1f%%) | %.1f trials/s | "
@@ -58,6 +61,13 @@ ProgressMeter::tick(u64 n)
         fh_inform("%s: %llu trials | %.1f trials/s", label_.c_str(),
                   ull(done), rate);
     }
+}
+
+void
+ProgressMeter::replayed(u64 n)
+{
+    replayed_.fetch_add(n, std::memory_order_relaxed);
+    done_.fetch_add(n, std::memory_order_relaxed);
 }
 
 } // namespace fh::exec

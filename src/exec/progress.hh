@@ -1,10 +1,11 @@
 /**
  * @file
  * Thread-safe campaign progress reporting: counts completed work items
- * and periodically logs throughput (items/s) and an ETA through
- * sim/logging. Built for ticks arriving from many pool workers at
- * once — the hot path is a single relaxed atomic increment, and only
- * the one thread that crosses the reporting interval formats a line.
+ * and periodically logs throughput (executed items/s) and an ETA
+ * through sim/logging. Built for ticks arriving from many pool workers
+ * at once — the hot path is a single relaxed atomic increment, and
+ * only the one thread that crosses the reporting interval formats a
+ * line.
  */
 
 #ifndef FH_EXEC_PROGRESS_HH
@@ -32,6 +33,11 @@ class ProgressMeter
     /** Record n completed items; may emit one log line. */
     void tick(u64 n = 1);
 
+    /** Record n items completed before this run (a journal's replayed
+     *  trials): they count in done() and the done/total figure, but
+     *  not in the rate or the ETA, which cost no wall time. */
+    void replayed(u64 n);
+
     u64 done() const { return done_.load(std::memory_order_relaxed); }
     u64 total() const { return total_; }
 
@@ -45,6 +51,7 @@ class ProgressMeter
     u64 intervalMs_;
     Clock::time_point start_;
     std::atomic<u64> done_{0};
+    std::atomic<u64> replayed_{0};
     std::atomic<u64> nextLogMs_;
 };
 

@@ -760,10 +760,11 @@ CampaignMerge::CampaignMerge(const CampaignConfig &cfg,
     if (journal_) {
         // A journaled trial's outcome is already known: fold it as an
         // uninterrupted run did, without executing it.
-        for (; next_ < journal_->replayCount(); ++next_) {
+        for (; next_ < journal_->replayCount(); ++next_)
             fold(journal_->replayed(next_), journal_->replayedMeta(next_));
-            ++result_.replayedTrials;
-        }
+        result_.replayedTrials = next_;
+        if (progress_)
+            progress_->replayed(next_);
     }
     applyStopRule();
 }
@@ -773,8 +774,6 @@ CampaignMerge::fold(const CampaignResult &delta, const TrialMeta &meta)
 {
     result_ += delta;
     result_.profile.addTrial(delta, meta);
-    if (progress_)
-        progress_->tick();
 }
 
 void
@@ -789,6 +788,8 @@ CampaignMerge::add(u64 trial, const CampaignResult &delta,
     if (journal_)
         journal_->record(trial, delta, meta);
     fold(delta, meta);
+    if (progress_)
+        progress_->tick();
     ++next_;
     applyStopRule();
 }

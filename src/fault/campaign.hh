@@ -36,6 +36,7 @@
 #include <memory>
 #include <string>
 
+#include "fault/fields.hh"
 #include "fault/injector.hh"
 #include "fault/sampling.hh"
 #include "fault/tandem.hh"
@@ -88,7 +89,8 @@ struct CampaignConfig
      */
     unsigned threads = 0;
     /** Optional meter (may be null) runCampaign's merge ticks once per
-     *  merged trial, replayed ones included, on the calling thread. */
+     *  executed trial on the calling thread; journal-replayed trials
+     *  count in its done() but not in its rate. */
     exec::ProgressMeter *progress = nullptr;
 
     /**
@@ -168,19 +170,27 @@ struct CampaignPhases
     u64 protectedNs = 0; ///< protected faulty forks
     u64 compareNs = 0;   ///< arch/digest comparisons
 
+    /** FH_JSON "phases_ns" and "phases_pct" keys. */
+    static constexpr auto fields()
+    {
+        using P = CampaignPhases;
+        return std::to_array<Field<P, u64>>(
+            {{"snapshot", &P::snapshotNs}, {"golden", &P::goldenNs},
+             {"bare", &P::bareNs}, {"protected", &P::protectedNs},
+             {"compare", &P::compareNs}});
+    }
+
     u64 totalNs() const
     {
-        return snapshotNs + goldenNs + bareNs + protectedNs + compareNs;
+        u64 sum = 0;
+        for (const auto &f : fields())
+            sum += this->*f.member;
+        return sum;
     }
 
     CampaignPhases &operator+=(const CampaignPhases &o)
     {
-        snapshotNs += o.snapshotNs;
-        goldenNs += o.goldenNs;
-        bareNs += o.bareNs;
-        protectedNs += o.protectedNs;
-        compareNs += o.compareNs;
-        return *this;
+        return addFields(*this, o);
     }
 };
 
@@ -203,16 +213,33 @@ struct SchedCounters
     u64 cycles = 0;          ///< simulated cycles, skipped ones included
     u64 skippedCycles = 0;   ///< quiet cycles jumped (Core::step)
 
+    /** A member, its FH_JSON "scheduler" key and the CoreStats
+     *  counter it counts. */
+    struct SchedField
+    {
+        const char *key;
+        u64 SchedCounters::*member;
+        u64 pipeline::CoreStats::*stat;
+    };
+
+    static constexpr auto fields()
+    {
+        using S = SchedCounters;
+        using C = pipeline::CoreStats;
+        return std::to_array<SchedField>({
+            {"wakeup_hits", &S::wakeupHits, &C::wakeupHits},
+            {"overflow_parks", &S::overflowParks, &C::overflowParks},
+            {"overflow_rescans", &S::overflowRescans, &C::overflowRescans},
+            {"issue_evals", &S::issueEvals, &C::issueEvals},
+            {"issue_candidates", &S::issueCandidates, &C::issueCandidates},
+            {"cycles", &S::cycles, &C::cycles},
+            {"skipped_cycles", &S::skippedCycles, &C::skippedCycles},
+        });
+    }
+
     SchedCounters &operator+=(const SchedCounters &o)
     {
-        wakeupHits += o.wakeupHits;
-        overflowParks += o.overflowParks;
-        overflowRescans += o.overflowRescans;
-        issueEvals += o.issueEvals;
-        issueCandidates += o.issueCandidates;
-        cycles += o.cycles;
-        skippedCycles += o.skippedCycles;
-        return *this;
+        return addFields(*this, o);
     }
 
     /** Counter deltas between two CoreStats snapshots of one core. */
@@ -220,13 +247,8 @@ struct SchedCounters
                                const pipeline::CoreStats &base)
     {
         SchedCounters d;
-        d.wakeupHits = now.wakeupHits - base.wakeupHits;
-        d.overflowParks = now.overflowParks - base.overflowParks;
-        d.overflowRescans = now.overflowRescans - base.overflowRescans;
-        d.issueEvals = now.issueEvals - base.issueEvals;
-        d.issueCandidates = now.issueCandidates - base.issueCandidates;
-        d.cycles = now.cycles - base.cycles;
-        d.skippedCycles = now.skippedCycles - base.skippedCycles;
+        for (const auto &f : fields())
+            d.*f.member = now.*f.stat - base.*f.stat;
         return d;
     }
 };
@@ -243,17 +265,22 @@ struct SdcBins
     u64 noTrigger = 0;         ///< the fault never tripped a filter
     u64 other = 0;
 
-    SdcBins &operator+=(const SdcBins &o)
+    /** FH_JSON "bins" keys, in journal order. */
+    static constexpr auto fields()
     {
-        covered += o.covered;
-        secondLevelMasked += o.secondLevelMasked;
-        completedReg += o.completedReg;
-        archReg += o.archReg;
-        renameUncovered += o.renameUncovered;
-        noTrigger += o.noTrigger;
-        other += o.other;
-        return *this;
+        using B = SdcBins;
+        return std::to_array<Field<B, u64>>({
+            {"covered", &B::covered},
+            {"second_level_masked", &B::secondLevelMasked},
+            {"completed_reg", &B::completedReg},
+            {"arch_reg", &B::archReg},
+            {"rename_uncovered", &B::renameUncovered},
+            {"no_trigger", &B::noTrigger},
+            {"other", &B::other},
+        });
     }
+
+    SdcBins &operator+=(const SdcBins &o) { return addFields(*this, o); }
 };
 
 struct CampaignResult
@@ -314,8 +341,34 @@ struct CampaignResult
     CampaignPhases phases; ///< busy time per phase (not a count)
     SchedCounters sched;   ///< scheduler observability (not journaled)
     /** Per-site vulnerability profile; empty on per-trial deltas
-     *  (CampaignMerge folds deltas + meta via VulnProfile::addTrial). */
+     *  (CampaignMerge folds deltas + meta via VulnProfile::addTrial),
+     *  so += leaves it alone. */
     VulnProfile profile;
+
+    /**
+     * The per-trial counters outside bins, with their FH_JSON
+     * "classification" keys. These and the bins are the 19 counters
+     * a trial journals (fault/journal.hh); everything else here
+     * describes a run or a host, not a trial.
+     */
+    static constexpr auto fields()
+    {
+        using R = CampaignResult;
+        return std::to_array<Field<R, u64>>({
+            {"injected", &R::injected},
+            {"masked", &R::masked},
+            {"noisy", &R::noisy},
+            {"sdc", &R::sdc},
+            {"recovered", &R::recovered},
+            {"detected", &R::detected},
+            {"uncovered", &R::uncovered},
+            {"trial_errors", &R::trialErrors},
+            {"hung_bare", &R::hungBare},
+            {"hung_protected", &R::hungProtected},
+            {"skipped_provably_masked", &R::skippedProvablyMasked},
+            {"early_terminated", &R::earlyTerminated},
+        });
+    }
 
     u64 covered() const { return recovered + detected; }
     double coverage() const
@@ -338,25 +391,13 @@ struct CampaignResult
     /** Merge another shard's counters (u64 adds, order-insensitive). */
     CampaignResult &operator+=(const CampaignResult &o)
     {
-        injected += o.injected;
-        masked += o.masked;
-        noisy += o.noisy;
-        sdc += o.sdc;
-        recovered += o.recovered;
-        detected += o.detected;
-        uncovered += o.uncovered;
-        trialErrors += o.trialErrors;
-        hungBare += o.hungBare;
-        hungProtected += o.hungProtected;
-        skippedProvablyMasked += o.skippedProvablyMasked;
-        earlyTerminated += o.earlyTerminated;
-        partial = partial || o.partial;
-        ciStopped = ciStopped || o.ciStopped;
-        replayedTrials += o.replayedTrials;
+        addFields(*this, o);
         bins += o.bins;
         phases += o.phases;
         sched += o.sched;
-        profile += o.profile;
+        partial = partial || o.partial;
+        ciStopped = ciStopped || o.ciStopped;
+        replayedTrials += o.replayedTrials;
         return *this;
     }
 };
@@ -475,7 +516,8 @@ class CampaignMerge
 {
   public:
     /** journal and progress may be null. The journal's replayed
-     *  prefix is folded (and ticked) here, before any trial runs. */
+     *  prefix is folded (and reported to progress as replayed) here,
+     *  before any trial runs. */
     CampaignMerge(const CampaignConfig &cfg, TrialJournal *journal,
                   exec::ProgressMeter *progress);
 

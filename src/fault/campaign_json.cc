@@ -1,19 +1,195 @@
 #include "fault/campaign_json.hh"
 
-#include <cstdio>
+#include <algorithm>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "sim/logging.hh"
 
 namespace fh::fault
 {
 
-double
-executedTrialsPerSecond(const CampaignResult &r, double seconds)
+namespace
 {
-    return seconds > 0
-               ? static_cast<double>(r.injected - r.replayedTrials) / seconds
-               : 0.0;
+
+/** (FH_JSON key, value text) pairs, in record order. */
+using Pairs = std::vector<std::pair<std::string, std::string>>;
+
+struct Block
+{
+    const char *name;
+    Pairs pairs;
+};
+
+/**
+ * The FH_JSON record but its profile: the top-level pairs, the
+ * deterministic count blocks (written one key per line) and the
+ * host-local observability blocks (written one block per line).
+ */
+struct Record
+{
+    Pairs top;
+    std::vector<Block> counts;
+    std::vector<Block> host;
+};
+
+template <class T>
+std::string
+text(T v)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        return v ? "true" : "false";
+    else
+        return std::to_string(v);
 }
+
+template <class S>
+Pairs
+pairsOf(const S &s)
+{
+    Pairs p;
+    forEachField(S::fields(), [&](const auto &f) {
+        p.emplace_back(f.key, text(s.*f.member));
+    });
+    return p;
+}
+
+Record
+makeRecord(const std::string &bench, unsigned workers,
+           const CampaignConfig &cfg, const CampaignResult &r,
+           double seconds, const FabricHealth *fabric)
+{
+    // Journal-replayed trials cost no wall time, so the rate counts
+    // executed trials only.
+    const double rate =
+        seconds > 0
+            ? static_cast<double>(r.injected - r.replayedTrials) / seconds
+            : 0.0;
+    Record rec;
+    rec.top = {
+        {"benchmark", "\"" + bench + "\""},
+        {"seed", text(cfg.seed)},
+        {"injections", text(cfg.injections)},
+        {"window", text(cfg.window)},
+        {"worker_threads", text(workers)},
+        // Interrupted-and-drained runs are flagged, never passed off
+        // as complete: the counts cover only injected trials.
+        {"partial", text(r.partial)},
+        {"ci_target", csprintf("%.17g", cfg.ciTarget)},
+        {"ci_wave", text(cfg.ciWave)},
+        // Adaptive campaigns: stopped at a wave boundary because the
+        // pooled Wilson half-width on the SDC rate (ci_half_width, the
+        // value the stop rule compares) reached ci_target.
+        {"ci_stopped", text(r.ciStopped)},
+        {"ci_half_width",
+         csprintf("%.17g",
+                  pooledSdcHalfWidth(r.profile, StratumSpace(cfg.mix)))},
+        {"replayed_trials", text(r.replayedTrials)},
+        {"elapsed_seconds", csprintf("%.3f", seconds)},
+        {"trials_per_second", csprintf("%.1f", rate)},
+    };
+    rec.counts = {{"classification", pairsOf(r)}, {"bins", pairsOf(r.bins)}};
+    // Fabric health (coordinator runs only), scheduler counters over
+    // every core the campaign ran, and busy time per phase summed over
+    // threads: observational, never classification.
+    if (fabric)
+        rec.host.push_back({"fabric", pairsOf(*fabric)});
+    rec.host.push_back({"scheduler", pairsOf(r.sched)});
+    rec.host.push_back({"phases_ns", pairsOf(r.phases)});
+    const double total =
+        static_cast<double>(std::max<u64>(r.phases.totalNs(), 1));
+    Pairs pct;
+    for (const auto &f : CampaignPhases::fields()) {
+        const double ns = static_cast<double>(r.phases.*f.member);
+        pct.emplace_back(f.key, csprintf("%.1f", 100.0 * ns / total));
+    }
+    rec.host.push_back({"phases_pct", std::move(pct)});
+    return rec;
+}
+
+/** `{ "key": value, ... }` */
+std::string
+inlineObject(const Pairs &pairs)
+{
+    std::string s = "{";
+    for (const auto &[key, value] : pairs) {
+        s += s.size() > 1 ? ", \"" : " \"";
+        s += key + "\": " + value;
+    }
+    return s + " }";
+}
+
+/** One "profile.strata" row: the stratum index, then its counts. */
+Pairs
+stratumPairs(const VulnProfile &profile, unsigned si)
+{
+    Pairs p = pairsOf(profile.strata[si]);
+    p.insert(p.begin(), {"stratum", text(si)});
+    return p;
+}
+
+/** `a, b, c` */
+template <class Counts>
+std::string
+joined(const Counts &counts)
+{
+    std::string s;
+    for (const u64 n : counts) {
+        if (!s.empty())
+            s += ", ";
+        s += std::to_string(n);
+    }
+    return s;
+}
+
+/** Per-site vulnerability profile: pure counter folds over the trial
+ *  record stream (deterministic bytes for any thread/worker count —
+ *  the dist identity check diffs this block verbatim). */
+void
+writeProfile(std::FILE *out, const VulnProfile &profile)
+{
+    std::fprintf(out, "  \"profile\": {\n    \"strata\": [\n");
+    for (unsigned si = 0; si < StratumSpace::kCount; ++si)
+        std::fprintf(out, "      %s%s\n",
+                     inlineObject(stratumPairs(profile, si)).c_str(),
+                     si + 1 < StratumSpace::kCount ? "," : "");
+    std::fprintf(out, "    ],\n    \"sdc_bits\": {\n");
+    static const char *kStructureNames[VulnProfile::kStructures] = {
+        "regfile", "lsq", "rename"};
+    for (unsigned st = 0; st < VulnProfile::kStructures; ++st)
+        std::fprintf(out, "      \"%s\": [%s]%s\n", kStructureNames[st],
+                     joined(profile.sdcBits[st]).c_str(),
+                     st + 1 < VulnProfile::kStructures ? "," : "");
+    std::fprintf(out, "    },\n    \"sdc_pcs\": [");
+    bool first = true;
+    for (const auto &[pc, n] : profile.sdcPcs) {
+        std::fprintf(out, "%s{ \"pc\": \"0x%llx\", \"sdc\": %llu }",
+                     first ? "" : ", ", static_cast<unsigned long long>(pc),
+                     static_cast<unsigned long long>(n));
+        first = false;
+    }
+    std::fprintf(out, "],\n    \"sdc_cycle_buckets\": [%s]\n  },\n",
+                 joined(profile.sdcCycleBuckets).c_str());
+}
+
+/** Human name of stratum si, e.g. "lsq[b16-31]". */
+std::string
+stratumName(unsigned si)
+{
+    if (si == 0)
+        return "rename";
+    const unsigned lo =
+        (si - 1) % StratumSpace::kBitGroups * StratumSpace::kGroupBits;
+    const char *kind = si < 1 + StratumSpace::kBitGroups ? "lsq"
+                       : si < 1 + 2 * StratumSpace::kBitGroups
+                           ? "reg-inflight"
+                           : "reg-static";
+    return csprintf("%s[b%u-%u]", kind, lo,
+                    lo + StratumSpace::kGroupBits - 1);
+}
+
+} // namespace
 
 bool
 writeCampaignJson(const std::string &path, const std::string &bench,
@@ -27,157 +203,66 @@ writeCampaignJson(const std::string &path, const std::string &bench,
         fh_warn("cannot write FH_JSON file %s", path.c_str());
         return false;
     }
-    auto u = [](u64 v) { return static_cast<unsigned long long>(v); };
+    const Record rec = makeRecord(bench, workers, cfg, r, seconds, fabric);
     std::fprintf(out, "{\n");
-    std::fprintf(out, "  \"benchmark\": \"%s\",\n", bench.c_str());
-    std::fprintf(out, "  \"seed\": %llu,\n", u(cfg.seed));
-    std::fprintf(out, "  \"injections\": %llu,\n", u(cfg.injections));
-    std::fprintf(out, "  \"window\": %llu,\n", u(cfg.window));
-    std::fprintf(out, "  \"worker_threads\": %u,\n", workers);
-    // Interrupted-and-drained runs are flagged, never passed off as
-    // complete: the classification below covers only injected trials.
-    std::fprintf(out, "  \"partial\": %s,\n",
-                 r.partial ? "true" : "false");
-    std::fprintf(out, "  \"ci_target\": %.17g,\n", cfg.ciTarget);
-    std::fprintf(out, "  \"ci_wave\": %llu,\n", u(cfg.ciWave));
-    // Adaptive campaigns: stopped at a wave boundary because the
-    // pooled Wilson half-width on the SDC rate reached ci_target.
-    std::fprintf(out, "  \"ci_stopped\": %s,\n",
-                 r.ciStopped ? "true" : "false");
-    // The pooled half-width the stop rule compares with ci_target.
-    std::fprintf(out, "  \"ci_half_width\": %.17g,\n",
-                 pooledSdcHalfWidth(r.profile, StratumSpace(cfg.mix)));
-    std::fprintf(out, "  \"replayed_trials\": %llu,\n",
-                 u(r.replayedTrials));
-    std::fprintf(out, "  \"elapsed_seconds\": %.3f,\n", seconds);
-    std::fprintf(out, "  \"trials_per_second\": %.1f,\n",
-                 executedTrialsPerSecond(r, seconds));
-    std::fprintf(out, "  \"classification\": {\n");
-    std::fprintf(out, "    \"injected\": %llu,\n", u(r.injected));
-    std::fprintf(out, "    \"masked\": %llu,\n", u(r.masked));
-    std::fprintf(out, "    \"noisy\": %llu,\n", u(r.noisy));
-    std::fprintf(out, "    \"sdc\": %llu,\n", u(r.sdc));
-    std::fprintf(out, "    \"recovered\": %llu,\n", u(r.recovered));
-    std::fprintf(out, "    \"detected\": %llu,\n", u(r.detected));
-    std::fprintf(out, "    \"uncovered\": %llu,\n", u(r.uncovered));
-    std::fprintf(out, "    \"trial_errors\": %llu,\n", u(r.trialErrors));
-    std::fprintf(out, "    \"hung_bare\": %llu,\n", u(r.hungBare));
-    std::fprintf(out, "    \"hung_protected\": %llu,\n",
-                 u(r.hungProtected));
-    std::fprintf(out, "    \"skipped_provably_masked\": %llu,\n",
-                 u(r.skippedProvablyMasked));
-    std::fprintf(out, "    \"early_terminated\": %llu\n",
-                 u(r.earlyTerminated));
-    std::fprintf(out, "  },\n");
-    std::fprintf(out, "  \"bins\": {\n");
-    std::fprintf(out, "    \"covered\": %llu,\n", u(r.bins.covered));
-    std::fprintf(out, "    \"second_level_masked\": %llu,\n",
-                 u(r.bins.secondLevelMasked));
-    std::fprintf(out, "    \"completed_reg\": %llu,\n",
-                 u(r.bins.completedReg));
-    std::fprintf(out, "    \"arch_reg\": %llu,\n", u(r.bins.archReg));
-    std::fprintf(out, "    \"rename_uncovered\": %llu,\n",
-                 u(r.bins.renameUncovered));
-    std::fprintf(out, "    \"no_trigger\": %llu,\n", u(r.bins.noTrigger));
-    std::fprintf(out, "    \"other\": %llu\n", u(r.bins.other));
-    std::fprintf(out, "  },\n");
-    // Per-site vulnerability profile: pure counter folds over the
-    // trial record stream (deterministic bytes for any thread/worker
-    // count — the dist identity check diffs this block verbatim).
-    std::fprintf(out, "  \"profile\": {\n");
-    std::fprintf(out, "    \"strata\": [\n");
-    for (unsigned si = 0; si < StratumSpace::kCount; ++si) {
-        const StratumCounts &sc = r.profile.strata[si];
-        std::fprintf(out,
-                     "      { \"stratum\": %u, \"trials\": %llu, "
-                     "\"masked\": %llu, \"noisy\": %llu, \"sdc\": %llu, "
-                     "\"covered\": %llu, \"skipped_provably_masked\": "
-                     "%llu, \"early_terminated\": %llu }%s\n",
-                     si, u(sc.trials), u(sc.masked), u(sc.noisy),
-                     u(sc.sdc), u(sc.covered),
-                     u(sc.skippedProvablyMasked), u(sc.earlyTerminated),
-                     si + 1 < StratumSpace::kCount ? "," : "");
+    for (const auto &[key, value] : rec.top)
+        std::fprintf(out, "  \"%s\": %s,\n", key.c_str(), value.c_str());
+    for (const Block &b : rec.counts) {
+        std::fprintf(out, "  \"%s\": {\n", b.name);
+        for (size_t i = 0; i < b.pairs.size(); ++i)
+            std::fprintf(out, "    \"%s\": %s%s\n",
+                         b.pairs[i].first.c_str(),
+                         b.pairs[i].second.c_str(),
+                         i + 1 < b.pairs.size() ? "," : "");
+        std::fprintf(out, "  },\n");
     }
-    std::fprintf(out, "    ],\n");
-    static const char *kStructureNames[VulnProfile::kStructures] = {
-        "regfile", "lsq", "rename"};
-    std::fprintf(out, "    \"sdc_bits\": {\n");
-    for (unsigned st = 0; st < VulnProfile::kStructures; ++st) {
-        std::fprintf(out, "      \"%s\": [", kStructureNames[st]);
-        for (unsigned bit = 0; bit < wordBits; ++bit)
-            std::fprintf(out, "%s%llu", bit ? ", " : "",
-                         u(r.profile.sdcBits[st][bit]));
-        std::fprintf(out, "]%s\n",
-                     st + 1 < VulnProfile::kStructures ? "," : "");
-    }
-    std::fprintf(out, "    },\n");
-    std::fprintf(out, "    \"sdc_pcs\": [");
-    {
-        bool first = true;
-        for (const auto &[pc, n] : r.profile.sdcPcs) {
-            std::fprintf(out, "%s{ \"pc\": \"0x%llx\", \"sdc\": %llu }",
-                         first ? "" : ", ", u(pc), u(n));
-            first = false;
-        }
-    }
-    std::fprintf(out, "],\n");
-    std::fprintf(out, "    \"sdc_cycle_buckets\": [");
-    for (unsigned b = 0; b < VulnProfile::kCycleBuckets; ++b)
-        std::fprintf(out, "%s%llu", b ? ", " : "",
-                     u(r.profile.sdcCycleBuckets[b]));
-    std::fprintf(out, "]\n");
-    std::fprintf(out, "  },\n");
-    // Distributed-fabric health (coordinator runs only): how rough the
-    // network was and what the fabric absorbed. Observational — the
-    // classification above is identical whatever these counters say.
-    if (fabric) {
-        std::fprintf(
-            out,
-            "  \"fabric\": { \"workers_joined\": %u, "
-            "\"workers_died\": %u, \"crc_errors\": %llu, "
-            "\"ranges_issued\": %llu, \"ranges_reissued\": %llu, "
-            "\"degraded\": %s },\n",
-            fabric->workersJoined, fabric->workersDied,
-            u(fabric->crcErrors), u(fabric->rangesIssued),
-            u(fabric->rangesReissued),
-            fabric->degraded ? "true" : "false");
-    }
-    // Event-driven scheduler counters over every core the campaign ran
-    // (master + forks): purely observational, never classification.
-    const SchedCounters &s = r.sched;
-    std::fprintf(out,
-                 "  \"scheduler\": { \"wakeup_hits\": %llu, "
-                 "\"overflow_parks\": %llu, \"overflow_rescans\": %llu, "
-                 "\"issue_evals\": %llu, \"issue_candidates\": %llu, "
-                 "\"cycles\": %llu, \"skipped_cycles\": %llu },\n",
-                 u(s.wakeupHits), u(s.overflowParks),
-                 u(s.overflowRescans), u(s.issueEvals),
-                 u(s.issueCandidates), u(s.cycles), u(s.skippedCycles));
-    // Busy time per phase, summed over threads (CampaignPhases):
-    // master advance + golden checkpoint ledger, snapshot copies, the
-    // two faulty forks, and the arch/digest comparisons.
-    const CampaignPhases &p = r.phases;
-    const double total =
-        static_cast<double>(p.totalNs() ? p.totalNs() : 1);
-    auto pct = [&](u64 ns) {
-        return 100.0 * static_cast<double>(ns) / total;
-    };
-    std::fprintf(out,
-                 "  \"phases_ns\": { \"snapshot\": %llu, \"golden\": "
-                 "%llu, \"bare\": %llu, \"protected\": %llu, "
-                 "\"compare\": %llu },\n",
-                 u(p.snapshotNs), u(p.goldenNs), u(p.bareNs),
-                 u(p.protectedNs), u(p.compareNs));
-    std::fprintf(out,
-                 "  \"phases_pct\": { \"snapshot\": %.1f, \"golden\": "
-                 "%.1f, \"bare\": %.1f, \"protected\": %.1f, "
-                 "\"compare\": %.1f }\n",
-                 pct(p.snapshotNs), pct(p.goldenNs), pct(p.bareNs),
-                 pct(p.protectedNs), pct(p.compareNs));
+    writeProfile(out, r.profile);
+    for (size_t i = 0; i < rec.host.size(); ++i)
+        std::fprintf(out, "  \"%s\": %s%s\n", rec.host[i].name,
+                     inlineObject(rec.host[i].pairs).c_str(),
+                     i + 1 < rec.host.size() ? "," : "");
     std::fprintf(out, "}\n");
     if (out != stdout)
         std::fclose(out);
     return true;
+}
+
+void
+printCampaignSummary(std::FILE *out, const char *label,
+                     const std::string &bench, unsigned workers,
+                     const CampaignConfig &cfg, const CampaignResult &r,
+                     double seconds, const FabricHealth *fabric)
+{
+    auto line = [&](const std::string &name, const Pairs &pairs) {
+        std::fprintf(out, "%s: %s", label, name.c_str());
+        for (const auto &[key, value] : pairs)
+            std::fprintf(out, " %s=%s", key.c_str(), value.c_str());
+        std::fprintf(out, "\n");
+    };
+    const Record rec = makeRecord(bench, workers, cfg, r, seconds, fabric);
+    line("campaign", rec.top);
+    for (const Block &b : rec.counts)
+        line(b.name, b.pairs);
+    for (const Block &b : rec.host)
+        line(b.name, b.pairs);
+    for (unsigned si = 0; si < StratumSpace::kCount; ++si)
+        if (r.profile.strata[si].trials != 0)
+            line("profile " + stratumName(si), stratumPairs(r.profile, si));
+    // Root-cause attribution: the five workload instructions whose
+    // values produced the most SDCs.
+    std::vector<std::pair<u64, u64>> pcs(r.profile.sdcPcs.begin(),
+                                         r.profile.sdcPcs.end());
+    std::stable_sort(pcs.begin(), pcs.end(), [](const auto &a,
+                                                const auto &b) {
+        return a.second > b.second;
+    });
+    Pairs top;
+    for (size_t i = 0; i < pcs.size() && i < 5; ++i)
+        top.emplace_back(csprintf("0x%llx", static_cast<unsigned long long>(
+                                                pcs[i].first)),
+                         text(pcs[i].second));
+    if (!top.empty())
+        line("sdc_pcs", top);
 }
 
 } // namespace fh::fault

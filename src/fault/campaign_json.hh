@@ -7,12 +7,13 @@
  * the pooled half-width the adaptive stop compares with ci_target,
  * busy time per phase, and a "partial" marker set when the
  * campaign was interrupted and drained instead of running to
- * completion.
+ * completion; and the stderr summary that prints the same pairs.
  */
 
 #ifndef FH_FAULT_CAMPAIGN_JSON_HH
 #define FH_FAULT_CAMPAIGN_JSON_HH
 
+#include <cstdio>
 #include <string>
 
 #include "fault/campaign.hh"
@@ -29,21 +30,26 @@ namespace fh::fault
  */
 struct FabricHealth
 {
-    unsigned workersJoined = 0;
-    unsigned workersDied = 0; ///< EOF, protocol violation, or timeout
+    u64 workersJoined = 0; ///< peers whose Hello was accepted
+    u64 workersDied = 0;   ///< joined workers lost: EOF, violation, timeout
     u64 rangesIssued = 0;
     u64 rangesReissued = 0;
-    u64 trialsMerged = 0;
+    u64 trialsMerged = 0;  ///< coordinator bookkeeping, not in FH_JSON
     u64 crcErrors = 0;     ///< frames rejected by the CRC trailer
     bool degraded = false; ///< tail ran in-process, fleet was dead
-};
 
-/**
- * Executed trials per second of the campaign wall time seconds:
- * journal-replayed trials cost no wall time, so they do not count.
- * FH_JSON's "trials_per_second" and fhsim's stderr rate both print it.
- */
-double executedTrialsPerSecond(const CampaignResult &r, double seconds);
+    /** FH_JSON "fabric" keys. */
+    static constexpr auto fields()
+    {
+        using F = FabricHealth;
+        return std::tuple{Field{"workers_joined", &F::workersJoined},
+                          Field{"workers_died", &F::workersDied},
+                          Field{"crc_errors", &F::crcErrors},
+                          Field{"ranges_issued", &F::rangesIssued},
+                          Field{"ranges_reissued", &F::rangesReissued},
+                          Field{"degraded", &F::degraded}};
+    }
+};
 
 /**
  * Write the campaign record to path ("-" = stdout). workers is the
@@ -55,6 +61,20 @@ bool writeCampaignJson(const std::string &path, const std::string &bench,
                        unsigned workers, const CampaignConfig &cfg,
                        const CampaignResult &r, double seconds,
                        const FabricHealth *fabric = nullptr);
+
+/**
+ * Print the same record as a human summary to out, each line starting
+ * with "label: ": one line per FH_JSON block — "campaign" for the top
+ * level, then "classification", "bins", "fabric", "scheduler",
+ * "phases_ns" and "phases_pct" — as `key=value` pairs with FH_JSON's
+ * keys and value text; then one line per profile stratum that saw a
+ * trial, and the five PCs with the most SDCs.
+ */
+void printCampaignSummary(std::FILE *out, const char *label,
+                          const std::string &bench, unsigned workers,
+                          const CampaignConfig &cfg,
+                          const CampaignResult &r, double seconds,
+                          const FabricHealth *fabric = nullptr);
 
 } // namespace fh::fault
 

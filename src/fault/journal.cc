@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <type_traits>
 
 #include "sim/crc32c.hh"
 #include "sim/logging.hh"
@@ -11,84 +12,23 @@
 namespace fh::fault
 {
 
-void
-packTrialCounters(const CampaignResult &r, u64 (&d)[kTrialCounters])
-{
-    d[0] = r.injected;
-    d[1] = r.masked;
-    d[2] = r.noisy;
-    d[3] = r.sdc;
-    d[4] = r.recovered;
-    d[5] = r.detected;
-    d[6] = r.uncovered;
-    d[7] = r.trialErrors;
-    d[8] = r.hungBare;
-    d[9] = r.hungProtected;
-    d[10] = r.bins.covered;
-    d[11] = r.bins.secondLevelMasked;
-    d[12] = r.bins.completedReg;
-    d[13] = r.bins.archReg;
-    d[14] = r.bins.renameUncovered;
-    d[15] = r.bins.noTrigger;
-    d[16] = r.bins.other;
-    d[17] = r.skippedProvablyMasked;
-    d[18] = r.earlyTerminated;
-}
-
-CampaignResult
-unpackTrialCounters(const u64 (&d)[kTrialCounters])
-{
-    CampaignResult r;
-    r.injected = d[0];
-    r.masked = d[1];
-    r.noisy = d[2];
-    r.sdc = d[3];
-    r.recovered = d[4];
-    r.detected = d[5];
-    r.uncovered = d[6];
-    r.trialErrors = d[7];
-    r.hungBare = d[8];
-    r.hungProtected = d[9];
-    r.bins.covered = d[10];
-    r.bins.secondLevelMasked = d[11];
-    r.bins.completedReg = d[12];
-    r.bins.archReg = d[13];
-    r.bins.renameUncovered = d[14];
-    r.bins.noTrigger = d[15];
-    r.bins.other = d[16];
-    r.skippedProvablyMasked = d[17];
-    r.earlyTerminated = d[18];
-    return r;
-}
-
-void
-packTrialMeta(const TrialMeta &m, u64 (&v)[kTrialMetaFields])
-{
-    v[0] = m.stratum;
-    v[1] = m.structure;
-    v[2] = m.bit;
-    v[3] = m.cycleBucket;
-    v[4] = m.flags;
-    v[5] = m.pc;
-    v[6] = m.exitCycle;
-}
-
-TrialMeta
-unpackTrialMeta(const u64 (&v)[kTrialMetaFields])
-{
-    TrialMeta m;
-    m.stratum = static_cast<u32>(v[0]);
-    m.structure = static_cast<u8>(v[1]);
-    m.bit = static_cast<u8>(v[2]);
-    m.cycleBucket = static_cast<u8>(v[3]);
-    m.flags = static_cast<u8>(v[4]);
-    m.pc = v[5];
-    m.exitCycle = v[6];
-    return m;
-}
-
 namespace
 {
+
+/** Call fn on each of r's per-trial counters in record-array order. */
+template <class R, class Fn>
+void
+forEachTrialCounter(R &r, Fn &&fn)
+{
+    constexpr size_t kBinsAt = 10; // after hung_protected
+    const auto counters = CampaignResult::fields();
+    for (size_t i = 0; i < counters.size(); ++i) {
+        if (i == kBinsAt)
+            for (const auto &b : SdcBins::fields())
+                fn(r.bins.*b.member);
+        fn(r.*counters[i].member);
+    }
+}
 
 /**
  * The header pins everything the trial outcomes are a function of:
@@ -216,6 +156,42 @@ writeRecord(std::FILE *out, u64 trial, const u64 (&d)[kTrialCounters],
 }
 
 } // namespace
+
+void
+packTrialCounters(const CampaignResult &r, u64 (&d)[kTrialCounters])
+{
+    size_t i = 0;
+    forEachTrialCounter(r, [&](u64 v) { d[i++] = v; });
+}
+
+CampaignResult
+unpackTrialCounters(const u64 (&d)[kTrialCounters])
+{
+    CampaignResult r;
+    size_t i = 0;
+    forEachTrialCounter(r, [&](u64 &v) { v = d[i++]; });
+    return r;
+}
+
+void
+packTrialMeta(const TrialMeta &m, u64 (&v)[kTrialMetaFields])
+{
+    size_t i = 0;
+    forEachField(TrialMeta::fields(),
+                 [&](const auto &f) { v[i++] = m.*f.member; });
+}
+
+TrialMeta
+unpackTrialMeta(const u64 (&v)[kTrialMetaFields])
+{
+    TrialMeta m;
+    size_t i = 0;
+    forEachField(TrialMeta::fields(), [&](const auto &f) {
+        using T = std::remove_reference_t<decltype(m.*f.member)>;
+        m.*f.member = static_cast<T>(v[i++]);
+    });
+    return m;
+}
 
 TrialJournal::TrialJournal(const std::string &path,
                            const CampaignConfig &cfg,

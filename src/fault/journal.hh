@@ -53,14 +53,17 @@ namespace fh::fault
 {
 
 /**
- * The counters serialized per completed trial, in record-array order:
- * the journal's JSONL "d" array and the distributed fabric's TRIAL
- * frames carry exactly this vector, so a coordinator can journal a
- * worker's records verbatim. The phase times and the
- * partial/replayed markers are deliberately absent: phases were never
- * deterministic, and the markers describe a run, not a trial.
+ * The counters serialized per completed trial: CampaignResult::fields()
+ * in order, with SdcBins::fields() spliced in after hung_protected
+ * (the last two counters were appended after the bins). The journal's
+ * JSONL "d" array and the distributed fabric's TRIAL frames carry
+ * exactly this vector, so a coordinator can journal a worker's records
+ * verbatim. The phase times and the partial/replayed markers are
+ * deliberately absent: phases were never deterministic, and the
+ * markers describe a run, not a trial.
  */
-constexpr size_t kTrialCounters = 19;
+constexpr size_t kTrialCounters =
+    CampaignResult::fields().size() + SdcBins::fields().size();
 
 /** Flatten one trial's counter deltas into record-array order. */
 void packTrialCounters(const CampaignResult &r,
@@ -70,11 +73,12 @@ void packTrialCounters(const CampaignResult &r,
 CampaignResult unpackTrialCounters(const u64 (&d)[kTrialCounters]);
 
 /**
- * The sampling metadata serialized per trial, in record-array order:
- * the journal's "m" array and the dist TRIAL frames carry exactly
- * this vector next to the counters.
+ * The sampling metadata serialized per trial, TrialMeta::fields() in
+ * order: the journal's "m" array and the dist TRIAL frames carry
+ * exactly this vector next to the counters.
  */
-constexpr size_t kTrialMetaFields = 7;
+constexpr size_t kTrialMetaFields =
+    std::tuple_size_v<decltype(TrialMeta::fields())>;
 
 /** Flatten one trial's TrialMeta into record-array order. */
 void packTrialMeta(const TrialMeta &m, u64 (&v)[kTrialMetaFields]);

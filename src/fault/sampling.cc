@@ -122,30 +122,6 @@ VulnProfile::addTrial(const CampaignResult &delta, const TrialMeta &meta)
     }
 }
 
-VulnProfile &
-VulnProfile::operator+=(const VulnProfile &other)
-{
-    for (unsigned s = 0; s < StratumSpace::kCount; ++s) {
-        StratumCounts &a = strata[s];
-        const StratumCounts &b = other.strata[s];
-        a.trials += b.trials;
-        a.masked += b.masked;
-        a.noisy += b.noisy;
-        a.sdc += b.sdc;
-        a.covered += b.covered;
-        a.skippedProvablyMasked += b.skippedProvablyMasked;
-        a.earlyTerminated += b.earlyTerminated;
-    }
-    for (unsigned st = 0; st < kStructures; ++st)
-        for (unsigned bit = 0; bit < wordBits; ++bit)
-            sdcBits[st][bit] += other.sdcBits[st][bit];
-    for (const auto &[pc, n] : other.sdcPcs)
-        sdcPcs[pc] += n;
-    for (unsigned b = 0; b < kCycleBuckets; ++b)
-        sdcCycleBuckets[b] += other.sdcCycleBuckets[b];
-    return *this;
-}
-
 double
 pooledSdcHalfWidth(const VulnProfile &profile, const StratumSpace &space,
                    double z)

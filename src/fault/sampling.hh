@@ -29,6 +29,7 @@
 #include <map>
 #include <vector>
 
+#include "fault/fields.hh"
 #include "fault/injector.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
@@ -72,6 +73,19 @@ struct TrialMeta
     u8 flags = 0;       ///< kMetaSkippedProvablyMasked | kMetaEarlyTerminated
     u64 pc = 0;         ///< faulting-instruction attribution (0 = none)
     u64 exitCycle = 0;  ///< bare-fork exit cycle (0 = no fork ran)
+
+    /** Members in the record order of the journal's "m" array and the
+     *  TRIAL frames, which widen each to u64. */
+    static constexpr auto fields()
+    {
+        using M = TrialMeta;
+        return std::tuple{Field{"stratum", &M::stratum},
+                          Field{"structure", &M::structure},
+                          Field{"bit", &M::bit},
+                          Field{"cycle_bucket", &M::cycleBucket},
+                          Field{"flags", &M::flags}, Field{"pc", &M::pc},
+                          Field{"exit_cycle", &M::exitCycle}};
+    }
 
     bool operator==(const TrialMeta &other) const = default;
 };
@@ -141,6 +155,21 @@ struct StratumCounts
     u64 skippedProvablyMasked = 0;
     u64 earlyTerminated = 0;
 
+    /** FH_JSON "profile.strata" keys. */
+    static constexpr auto fields()
+    {
+        using C = StratumCounts;
+        return std::to_array<Field<C, u64>>({
+            {"trials", &C::trials},
+            {"masked", &C::masked},
+            {"noisy", &C::noisy},
+            {"sdc", &C::sdc},
+            {"covered", &C::covered},
+            {"skipped_provably_masked", &C::skippedProvablyMasked},
+            {"early_terminated", &C::earlyTerminated},
+        });
+    }
+
     bool operator==(const StratumCounts &other) const = default;
 };
 
@@ -169,16 +198,6 @@ struct VulnProfile
 
     /** Fold one completed trial in (delta holds exactly one trial). */
     void addTrial(const CampaignResult &delta, const TrialMeta &meta);
-
-    VulnProfile &operator+=(const VulnProfile &other);
-
-    u64 trials() const
-    {
-        u64 n = 0;
-        for (const StratumCounts &s : strata)
-            n += s.trials;
-        return n;
-    }
 
     bool operator==(const VulnProfile &other) const = default;
 };

@@ -149,13 +149,4 @@ CountingTcam::probe(u64 value) const
     return res;
 }
 
-unsigned
-CountingTcam::validCount() const
-{
-    unsigned n = 0;
-    for (const auto &entry : entries_)
-        n += entry.valid ? 1 : 0;
-    return n;
-}
-
 } // namespace fh::filters

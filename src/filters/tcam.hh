@@ -65,7 +65,6 @@ class CountingTcam
     TcamResult probe(u64 value) const;
 
     unsigned size() const { return static_cast<unsigned>(entries_.size()); }
-    unsigned validCount() const;
     const TcamParams &params() const { return params_; }
 
     /** Total updating lookups, for the energy model. */

@@ -5,51 +5,6 @@
 namespace fh::isa
 {
 
-std::string
-disassemble(const Instruction &inst)
-{
-    const char *name = nameOf(inst.op).data();
-    switch (inst.op) {
-      case Op::Nop:
-      case Op::Halt:
-        return name;
-      case Op::Li:
-        return csprintf("%s r%u, %lld", name, inst.rd,
-                        static_cast<long long>(inst.imm));
-      case Op::Addi:
-      case Op::Andi:
-      case Op::Ori:
-      case Op::Xori:
-      case Op::Slli:
-      case Op::Srli:
-        return csprintf("%s r%u, r%u, %lld", name, inst.rd, inst.rs1,
-                        static_cast<long long>(inst.imm));
-      case Op::Ld:
-        return csprintf("%s r%u, [r%u + %lld]", name, inst.rd, inst.rs1,
-                        static_cast<long long>(inst.imm));
-      case Op::St:
-        return csprintf("%s [r%u + %lld], r%u", name, inst.rs1,
-                        static_cast<long long>(inst.imm), inst.rs2);
-      case Op::Beq:
-      case Op::Bne:
-      case Op::Blt:
-      case Op::Bge:
-        return csprintf("%s r%u, r%u, @%u", name, inst.rs1, inst.rs2,
-                        inst.target);
-      case Op::Jmp:
-        return csprintf("%s @%u", name, inst.target);
-      default:
-        return csprintf("%s r%u, r%u, r%u", name, inst.rd, inst.rs1,
-                        inst.rs2);
-    }
-}
-
-Instruction
-makeNop()
-{
-    return {};
-}
-
 Instruction
 makeHalt()
 {

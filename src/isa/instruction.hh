@@ -1,6 +1,7 @@
 /**
  * @file
- * Static instruction representation and disassembly.
+ * Static instruction representation and assembler-style
+ * constructors.
  */
 
 #ifndef FH_ISA_INSTRUCTION_HH
@@ -37,11 +38,7 @@ struct Instruction
     bool operator==(const Instruction &other) const = default;
 };
 
-/** Human-readable rendering, e.g. "add r3, r1, r2". */
-std::string disassemble(const Instruction &inst);
-
-// Assembler-style constructors.
-Instruction makeNop();
+// Assembler-style constructors (a default Instruction is a nop).
 Instruction makeHalt();
 Instruction makeRRR(Op op, u8 rd, u8 rs1, u8 rs2);
 Instruction makeRRI(Op op, u8 rd, u8 rs1, i64 imm);

@@ -85,25 +85,6 @@ Cache::install(Addr addr, Cycle now, Cycle ready_at)
     readyAt_[victim] = ready_at;
 }
 
-bool
-Cache::probe(Addr addr) const
-{
-    const unsigned set = setIndex(addr);
-    const Addr tag = tagOf(addr);
-    const size_t base = static_cast<size_t>(set) * params_.ways;
-    for (unsigned w = 0; w < params_.ways; ++w)
-        if (valid_[base + w] && tags_[base + w] == tag)
-            return true;
-    return false;
-}
-
-void
-Cache::flush()
-{
-    for (auto &v : valid_)
-        v = 0;
-}
-
 double
 Cache::missRate() const
 {

@@ -57,12 +57,6 @@ class Cache
     /** Allocate addr with its fill completing at ready_at. */
     void install(Addr addr, Cycle now, Cycle ready_at);
 
-    /** Look up addr without allocating or touching any state. */
-    bool probe(Addr addr) const;
-
-    /** Invalidate everything. */
-    void flush();
-
     Cycle hitLatency() const { return params_.hitLatency; }
     const CacheParams &params() const { return params_; }
 

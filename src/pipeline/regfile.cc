@@ -1,54 +1,9 @@
 #include "pipeline/regfile.hh"
 
-#include <cstdint>
-
 #include "sim/logging.hh"
 
 namespace fh::pipeline
 {
-
-PhysRegFile::PhysRegFile(unsigned num_regs)
-{
-    own_.resize(num_regs * (sizeof(u64) + sizeof(u32) + 2) +
-                alignof(u64));
-    const auto base = reinterpret_cast<std::uintptr_t>(own_.data());
-    const std::uintptr_t aligned =
-        (base + alignof(u64) - 1) & ~(alignof(u64) - 1);
-    auto *values = reinterpret_cast<u64 *>(aligned);
-    auto *stack = reinterpret_cast<u32 *>(values + num_regs);
-    auto *ready = reinterpret_cast<u8 *>(stack + num_regs);
-    auto *free_flags = ready + num_regs;
-    bind(values, ready, free_flags, stack, num_regs);
-    reset();
-}
-
-PhysRegFile &
-PhysRegFile::operator=(const PhysRegFile &other)
-{
-    if (this == &other)
-        return *this;
-    numRegs_ = other.numRegs_;
-    freeCount_ = other.freeCount_;
-    watchPreg_ = other.watchPreg_;
-    watchErased_ = other.watchErased_;
-    if (other.own_.empty()) {
-        // Arena mode: adopt the source pointers; the owning Core
-        // shifts them onto its own arena right after the member copy.
-        values_ = other.values_;
-        ready_ = other.ready_;
-        free_ = other.free_;
-        freeStack_ = other.freeStack_;
-        own_.clear();
-        return *this;
-    }
-    own_ = other.own_;
-    const std::ptrdiff_t delta = own_.data() - other.own_.data();
-    values_ = shiftPtr(other.values_, delta);
-    ready_ = shiftPtr(other.ready_, delta);
-    free_ = shiftPtr(other.free_, delta);
-    freeStack_ = shiftPtr(other.freeStack_, delta);
-    return *this;
-}
 
 void
 PhysRegFile::reset()

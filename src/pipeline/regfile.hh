@@ -8,9 +8,8 @@
  * Storage is four flat arrays (values / ready / free / free-stack) —
  * structure-of-arrays so the issue stage's wakeup checks stream the
  * one-byte ready bits without dragging values through the cache. The
- * arrays normally live in the owning core's arena (bind());
- * standalone construction with a register count allocates private
- * backing for the unit tests.
+ * arrays live in the owning core's arena (bind()), so a copy is a
+ * view of the same arrays until the owner shifts it (shiftBase()).
  */
 
 #ifndef FH_PIPELINE_REGFILE_HH
@@ -27,17 +26,7 @@ namespace fh::pipeline
 class PhysRegFile
 {
   public:
-    PhysRegFile() = default;
-
-    /** Standalone mode: allocate private backing for num_regs. */
-    explicit PhysRegFile(unsigned num_regs);
-
-    PhysRegFile(const PhysRegFile &other) { *this = other; }
-    PhysRegFile &operator=(const PhysRegFile &other);
-    PhysRegFile(PhysRegFile &&other) = default;
-    PhysRegFile &operator=(PhysRegFile &&other) = default;
-
-    /** Arena mode: adopt externally-laid-out arrays (no init). */
+    /** Adopt externally-laid-out arrays (no init). */
     void bind(u64 *values, u8 *ready, u8 *free_flags, u32 *free_stack,
               unsigned num_regs)
     {
@@ -156,7 +145,6 @@ class PhysRegFile
     /// can disarm on consumption with a single compare.
     mutable u32 watchPreg_ = kNoWatch;
     bool watchErased_ = false;
-    std::vector<std::byte> own_; ///< standalone-mode backing (else empty)
 };
 
 } // namespace fh::pipeline

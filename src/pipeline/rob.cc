@@ -1,49 +1,9 @@
 #include "pipeline/rob.hh"
 
-#include <cstdint>
-
 #include "sim/logging.hh"
 
 namespace fh::pipeline
 {
-
-Rob::Rob(unsigned capacity)
-{
-    fh_assert(capacity > 0, "ROB needs capacity");
-    own_.resize(capacity * (sizeof(RobHot) + sizeof(RobCold)) +
-                alignof(RobCold));
-    const auto base = reinterpret_cast<std::uintptr_t>(own_.data());
-    const std::uintptr_t aligned =
-        (base + alignof(RobCold) - 1) & ~(alignof(RobCold) - 1);
-    auto *cold = reinterpret_cast<RobCold *>(aligned);
-    auto *hot = reinterpret_cast<RobHot *>(cold + capacity);
-    bind(hot, cold, capacity);
-    reset();
-}
-
-Rob &
-Rob::operator=(const Rob &other)
-{
-    if (this == &other)
-        return *this;
-    head_ = other.head_;
-    count_ = other.count_;
-    cap_ = other.cap_;
-    if (other.own_.empty()) {
-        // Arena mode: adopt the source pointers; the owning Core
-        // shifts them onto its own arena right after the member copy.
-        hot_ = other.hot_;
-        cold_ = other.cold_;
-        own_.clear();
-        return *this;
-    }
-    // Standalone mode: deep-copy the private backing.
-    own_ = other.own_;
-    const std::ptrdiff_t delta = own_.data() - other.own_.data();
-    hot_ = shiftPtr(other.hot_, delta);
-    cold_ = shiftPtr(other.cold_, delta);
-    return *this;
-}
 
 void
 Rob::reset()

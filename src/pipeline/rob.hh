@@ -8,15 +8,13 @@
  * committed, so a scan sweeps four slots per pair of cache lines
  * instead of spanning lines entry by entry.
  *
- * Both arrays normally live in the owning core's arena (bind());
- * standalone construction with a capacity allocates private backing so
- * unit tests can exercise the circular mechanics directly.
+ * Both arrays live in the owning core's arena (bind()), so a copy is a
+ * view of the same arrays until the owner shifts it (shiftBase()).
  */
 
 #ifndef FH_PIPELINE_ROB_HH
 #define FH_PIPELINE_ROB_HH
 
-#include <vector>
 
 #include "isa/functional.hh"
 #include "isa/instruction.hh"
@@ -101,17 +99,7 @@ struct RobCold
 class Rob
 {
   public:
-    Rob() = default;
-
-    /** Standalone mode: allocate private backing for capacity slots. */
-    explicit Rob(unsigned capacity);
-
-    Rob(const Rob &other) { *this = other; }
-    Rob &operator=(const Rob &other);
-    Rob(Rob &&other) = default;
-    Rob &operator=(Rob &&other) = default;
-
-    /** Arena mode: adopt externally-laid-out arrays (no init). */
+    /** Adopt externally-laid-out arrays (no init). */
     void bind(RobHot *hot, RobCold *cold, unsigned capacity)
     {
         hot_ = hot;
@@ -161,7 +149,6 @@ class Rob
     unsigned cap_ = 0;
     unsigned head_ = 0;
     unsigned count_ = 0;
-    std::vector<std::byte> own_; ///< standalone-mode backing (else empty)
 };
 
 } // namespace fh::pipeline

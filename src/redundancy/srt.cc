@@ -39,13 +39,4 @@ configureSrt(pipeline::Core &core, unsigned lead_threads,
     }
 }
 
-u64
-redundantCommitted(const pipeline::Core &core, unsigned lead_threads)
-{
-    u64 n = 0;
-    for (unsigned t = lead_threads; t < core.numThreads(); ++t)
-        n += core.committed(t);
-    return n;
-}
-
 } // namespace fh::redundancy

@@ -40,9 +40,6 @@ pipeline::CoreParams srtParams(pipeline::CoreParams base);
 void configureSrt(pipeline::Core &core, unsigned lead_threads,
                   const SrtConfig &cfg, u64 lead_budget);
 
-/** Redundant (trailing-thread) instructions committed so far. */
-u64 redundantCommitted(const pipeline::Core &core, unsigned lead_threads);
-
 } // namespace fh::redundancy
 
 #endif // FH_REDUNDANCY_SRT_HH

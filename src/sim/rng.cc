@@ -75,12 +75,6 @@ Rng::uniform()
 }
 
 Rng
-Rng::fork()
-{
-    return Rng(next() ^ 0xd1b54a32d192ed03ULL);
-}
-
-Rng
 Rng::stream(u64 seed, u64 index)
 {
     // Whiten the seed, fold the stream index in, whiten again; the

@@ -45,12 +45,9 @@ class Rng
     /** Bernoulli draw with probability p of true. */
     bool chance(double p) { return uniform() < p; }
 
-    /** Derive an independent child stream (seed mixing). */
-    Rng fork();
-
     /**
      * Derive the index-th independent stream of a base seed via two
-     * splitmix64 mixing rounds. Unlike fork(), this does not touch any
+     * splitmix64 mixing rounds. This does not touch any
      * generator state, so stream(seed, i) is a pure function of its
      * arguments — campaign trial i draws from stream(cfg.seed, i) no
      * matter which worker thread executes it. Adjacent indices give

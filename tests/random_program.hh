@@ -69,7 +69,7 @@ emitBlock(ProgramBuilder &b, Rng &rng, unsigned len)
             break;
           }
           default:
-            b.emit(makeNop());
+            b.emit(Instruction{}); // nop
             break;
         }
     }
@@ -84,7 +84,7 @@ randomProgram(u64 seed, u64 iterations)
     ProgramBuilder b("fuzz");
     b.addSegment(segBase, segWords * 8);
     b.addSegment(segBase + 0x10000, segWords * 8);
-    Rng init_rng = rng.fork();
+    Rng init_rng(rng.next() ^ 0xd1b54a32d192ed03ULL); // child stream
     for (u64 w = 0; w < segWords; ++w) {
         u64 v = init_rng.next() & 0xffff;
         b.initWord(segBase + w * 8, v);

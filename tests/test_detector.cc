@@ -196,9 +196,9 @@ TEST(Detector, AddressesAndValuesUseSeparateTcams)
     Detector det(DetectorParams::faultHound());
     train(det, StreamKind::LoadAddr, 0x20000000);
     // The value TCAM is untouched by address training.
-    EXPECT_EQ(det.valueTcam().validCount(), 0u);
+    EXPECT_EQ(det.valueTcam().accesses(), 0u);
     train(det, StreamKind::StoreValue, 0x1234);
-    EXPECT_GT(det.valueTcam().validCount(), 0u);
+    EXPECT_GT(det.valueTcam().accesses(), 0u);
 }
 
 TEST(Detector, ReexecCompareCountsMismatches)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "pipeline/branch_predictor.hh"
 #include "pipeline/core.hh"
 #include "pipeline/regfile.hh"
@@ -63,11 +65,45 @@ recountLsq(const Core &core)
     return n;
 }
 
+/** A register file bound to arrays of its own, laid out as a core's
+ *  arena holds them. */
+struct RegFileArena
+{
+    explicit RegFileArena(unsigned n) : values(n), ready(n), free(n), stack(n)
+    {
+        rf.bind(values.data(), ready.data(), free.data(), stack.data(), n);
+        rf.reset();
+    }
+    RegFileArena(const RegFileArena &) = delete; // rf points in here
+
+    std::vector<u64> values;
+    std::vector<u8> ready;
+    std::vector<u8> free;
+    std::vector<u32> stack;
+    PhysRegFile rf;
+};
+
+/** A ROB partition bound to slot arrays of its own. */
+struct RobArena
+{
+    explicit RobArena(unsigned n) : hot(n), cold(n)
+    {
+        rob.bind(hot.data(), cold.data(), n);
+        rob.reset();
+    }
+    RobArena(const RobArena &) = delete; // rob points in here
+
+    std::vector<RobHot> hot;
+    std::vector<RobCold> cold;
+    Rob rob;
+};
+
 } // namespace
 
 TEST(PhysRegFile, AllocateReleaseCycle)
 {
-    PhysRegFile rf(8);
+    RegFileArena arena(8);
+    PhysRegFile &rf = arena.rf;
     EXPECT_EQ(rf.freeCount(), 8u);
     unsigned p = 0;
     ASSERT_TRUE(rf.allocate(p));
@@ -83,7 +119,8 @@ TEST(PhysRegFile, AllocateReleaseCycle)
 
 TEST(PhysRegFile, ExhaustionFailsGracefully)
 {
-    PhysRegFile rf(2);
+    RegFileArena arena(2);
+    PhysRegFile &rf = arena.rf;
     unsigned a = 0;
     unsigned b = 0;
     unsigned c = 0;
@@ -94,7 +131,8 @@ TEST(PhysRegFile, ExhaustionFailsGracefully)
 
 TEST(PhysRegFile, DoubleReleaseIsBenign)
 {
-    PhysRegFile rf(4);
+    RegFileArena arena(4);
+    PhysRegFile &rf = arena.rf;
     unsigned p = 0;
     rf.allocate(p);
     rf.release(p);
@@ -111,7 +149,8 @@ TEST(PhysRegFile, DoubleReleaseIsBenign)
 
 TEST(PhysRegFile, ResetFreeListFromLiveness)
 {
-    PhysRegFile rf(4);
+    RegFileArena arena(4);
+    PhysRegFile &rf = arena.rf;
     unsigned a = 0;
     unsigned b = 0;
     rf.allocate(a);
@@ -167,7 +206,8 @@ TEST(RenameMap, FlipSpecBitWrapsIntoRange)
 
 TEST(Rob, CircularAllocateCommitSquash)
 {
-    Rob rob(4);
+    RobArena arena(4);
+    Rob &rob = arena.rob;
     EXPECT_TRUE(rob.empty());
     unsigned s0 = rob.allocate();
     unsigned s1 = rob.allocate();

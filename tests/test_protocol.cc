@@ -414,6 +414,8 @@ TEST(Coordinator, RefusesAVersion4Hello)
     ASSERT_TRUE(sendFrame(fd, MsgType::Hello, hello.encode()));
     coord.run(nullptr);
     EXPECT_EQ(coord.stats().workersJoined, 0u);
+    // A refused peer never joined, so no worker died either.
+    EXPECT_EQ(coord.stats().workersDied, 0u);
 
     // The verdict waits in the socket; the coordinator closed it after.
     FrameReader reader;

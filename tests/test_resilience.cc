@@ -11,14 +11,18 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 
+#include "exec/progress.hh"
 #include "fault/campaign.hh"
 #include "fault/campaign_json.hh"
+#include "fault/journal.hh"
 #include "fault/tandem.hh"
 #include "isa/program.hh"
 #include "pipeline/core.hh"
@@ -359,6 +363,51 @@ TEST(Journal, ReplayedTrialsAddNoThroughput)
     EXPECT_NE(text.find("\"trials_per_second\": 0.0,"), std::string::npos)
         << text;
     std::remove(json.c_str());
+    std::remove(cfg.journalPath.c_str());
+}
+
+TEST(Journal, ResumedProgressRateCountsExecutedTrials)
+{
+    // A resume folds its journaled prefix at once; the progress line's
+    // rate and ETA must come from the trials executed since, as
+    // trials_per_second does, while its done/total still counts the
+    // replayed ones.
+    fault::CampaignConfig cfg = baseConfig();
+    cfg.injections = 2000;
+    cfg.journalPath = journalPath("progress.fhj");
+    fault::CampaignResult delta;
+    delta.injected = 1;
+    delta.masked = 1;
+    {
+        fault::TrialJournal journal(cfg.journalPath, cfg, "FaultHound");
+        for (u64 t = 0; t < 1000; ++t)
+            journal.record(t, delta, fault::TrialMeta{});
+    }
+    fault::TrialJournal journal(cfg.journalPath, cfg, "FaultHound");
+    exec::ProgressMeter meter("resume", cfg.injections,
+                              /*interval_ms=*/0); // a line per tick
+    testing::internal::CaptureStderr();
+    fault::CampaignMerge merge(cfg, &journal, &meter);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    merge.add(1000, delta, fault::TrialMeta{});
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(meter.done(), 1001u);
+
+    const size_t at = err.rfind("info: resume: ");
+    ASSERT_NE(at, std::string::npos) << err;
+    const std::string last = err.substr(at);
+    EXPECT_NE(last.find("1001/2000 trials"), std::string::npos) << last;
+    const size_t bar = last.find(" | ");
+    ASSERT_NE(bar, std::string::npos) << last;
+    double rate = 0.0;
+    double eta = 0.0;
+    ASSERT_EQ(std::sscanf(last.c_str() + bar, " | %lf trials/s | ETA %lfs",
+                          &rate, &eta),
+              2)
+        << last;
+    // One executed trial in at least 200 ms, 999 trials left.
+    EXPECT_LE(rate, 5.0) << last;
+    EXPECT_GE(eta, 199.0) << last;
     std::remove(cfg.journalPath.c_str());
 }
 

@@ -91,16 +91,6 @@ TEST(Rng, ChanceRespectsProbability)
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.25, 0.02);
 }
 
-TEST(Rng, ForkedStreamsAreIndependent)
-{
-    Rng parent(23);
-    Rng child = parent.fork();
-    int same = 0;
-    for (int i = 0; i < 100; ++i)
-        same += parent.next() == child.next() ? 1 : 0;
-    EXPECT_LT(same, 3);
-}
-
 TEST(Rng, StreamIsPureFunctionOfSeedAndIndex)
 {
     Rng a = Rng::stream(42, 7);

@@ -52,6 +52,16 @@ wilsonReference(u64 successes, u64 n, double z)
     return w;
 }
 
+/** Trials a profile folded, over all strata. */
+u64
+trialsOf(const fault::VulnProfile &profile)
+{
+    u64 n = 0;
+    for (const fault::StratumCounts &s : profile.strata)
+        n += s.trials;
+    return n;
+}
+
 } // namespace
 
 TEST(Wilson, ClosedForm)
@@ -200,14 +210,7 @@ TEST(VulnProfile, AttributesSdcTrials)
     EXPECT_EQ(p.strata[2].masked, 1u);
     EXPECT_EQ(p.strata[2].skippedProvablyMasked, 1u);
     EXPECT_EQ(p.sdcPcs.count(0x9999), 0u);
-
-    // Merging profiles is plain counter addition.
-    fault::VulnProfile q;
-    q.addTrial(delta, meta);
-    q += p;
-    EXPECT_EQ(q.strata[6].sdc, 2u);
-    EXPECT_EQ(q.sdcPcs.at(0x1234), 2u);
-    EXPECT_EQ(q.trials(), 3u);
+    EXPECT_EQ(trialsOf(p), 2u);
 }
 
 namespace
@@ -266,7 +269,7 @@ TEST(Adaptive, DeterministicAcrossThreadsAndResume)
     EXPECT_FALSE(one.partial);
     EXPECT_LT(one.injected, s.cfg.injections);
     EXPECT_EQ(one.injected % s.cfg.ciWave, 0u);
-    EXPECT_EQ(one.injected, one.profile.trials());
+    EXPECT_EQ(one.injected, trialsOf(one.profile));
 
     s.cfg.threads = 4;
     const fault::CampaignResult four =
@@ -416,5 +419,5 @@ TEST(Adaptive, ZeroTargetRunsFixedCount)
         fault::runCampaign(s.params, &s.prog, s.cfg);
     EXPECT_FALSE(r.ciStopped);
     EXPECT_EQ(r.injected, 48u);
-    EXPECT_EQ(r.profile.trials(), 48u);
+    EXPECT_EQ(trialsOf(r.profile), 48u);
 }

@@ -26,6 +26,16 @@ prog4(const std::string &name = "ocean")
     return workload::build(name, spec);
 }
 
+/** Redundant (trailing-thread) instructions committed so far. */
+u64
+redundantCommitted(const pipeline::Core &core, unsigned lead_threads)
+{
+    u64 n = 0;
+    for (unsigned t = lead_threads; t < core.numThreads(); ++t)
+        n += core.committed(t);
+    return n;
+}
+
 } // namespace
 
 TEST(Srt, ParamsDoubleThreadsAndDropDetector)
