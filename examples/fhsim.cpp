@@ -256,7 +256,7 @@ int
 emitCampaignOutputs(const Config &cfg, const std::string &bench,
                     unsigned workers,
                     const fault::CampaignConfig &ccfg,
-                    const fault::CampaignResult &r, double seconds,
+                    const fault::CampaignResult &r, fault::WallTime time,
                     const dist::DistStats *fabric = nullptr)
 {
     std::printf("%-34s%-16.4f# fraction of injections\n",
@@ -295,11 +295,11 @@ emitCampaignOutputs(const Config &cfg, const std::string &bench,
     // names and values: stdout stays byte-identical across runs and
     // worker counts (the determinism suite diffs it).
     fault::printCampaignSummary(stderr, "fhsim", bench, workers, ccfg, r,
-                                seconds, fabric);
+                                time, fabric);
     const std::string json = cfg.getString("json", "");
     if (!json.empty())
-        fault::writeCampaignJson(json, bench, workers, ccfg, r,
-                                 seconds, fabric);
+        fault::writeCampaignJson(json, bench, workers, ccfg, r, time,
+                                 fabric);
     if (r.partial) {
         std::fprintf(stderr,
                      "fhsim: campaign interrupted after %llu "
@@ -311,10 +311,12 @@ emitCampaignOutputs(const Config &cfg, const std::string &bench,
     return 0;
 }
 
-/** Coordinator driver shared by dispatch and serve. */
+/** Runs the coordinator for dispatch and serve; meter is the one it
+ *  ticks. */
 int
 runCoordinator(const Config &cfg, dist::Coordinator &coord,
-               const dist::CampaignSpec &spec, unsigned workers)
+               const dist::CampaignSpec &spec, unsigned workers,
+               const exec::ProgressMeter &meter)
 {
     const std::string journalPath = cfg.getString("journal", "");
     std::unique_ptr<fault::TrialJournal> journal;
@@ -330,7 +332,8 @@ runCoordinator(const Config &cfg, dist::Coordinator &coord,
                                .count();
 
     return emitCampaignOutputs(cfg, spec.bench, workers, spec.campaign,
-                               r, seconds, &coord.stats());
+                               r, {seconds, meter.executingSeconds()},
+                               &coord.stats());
 }
 
 int
@@ -395,7 +398,7 @@ cmdDispatch(int argc, char **argv)
                      spec.campaign.injections),
                  jobs, coord.endpoint().str().c_str());
 
-    const int rc = runCoordinator(cfg, coord, spec, jobs);
+    const int rc = runCoordinator(cfg, coord, spec, jobs, meter);
     // The coordinator closed every socket; workers exit on their own.
     // Reap them all — dispatch never leaves orphans.
     for (pid_t pid : pids) {
@@ -438,7 +441,7 @@ cmdServe(int argc, char **argv)
                  coord.endpoint().str().c_str(),
                  coord.endpoint().str().c_str());
 
-    return runCoordinator(cfg, coord, spec, copts.workers);
+    return runCoordinator(cfg, coord, spec, copts.workers, meter);
 }
 
 int
@@ -531,7 +534,8 @@ runSim(const Config &cfg)
                 .count();
         return emitCampaignOutputs(cfg, bench,
                                    exec::resolveThreads(ccfg.threads),
-                                   ccfg, r, seconds);
+                                   ccfg, r,
+                                   {seconds, meter.executingSeconds()});
     }
     return 0;
 }

@@ -593,6 +593,10 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
             stopped = true;
             break;
         }
+        // The rate clock starts with the first executed trial's gap,
+        // after the warmup and any skip-advance over replayed trials.
+        if (trial >= begin && cfg.progress)
+            cfg.progress->start();
         // Advance the master to the next injection point.
         auto t0 = PhaseClock::now();
         const bool ran = advanceGap();

@@ -90,7 +90,8 @@ struct CampaignConfig
     unsigned threads = 0;
     /** Optional meter (may be null) runCampaign's merge ticks once per
      *  executed trial on the calling thread; journal-replayed trials
-     *  count in its done() but not in its rate. */
+     *  count in its done() but not in its rate. The session starts its
+     *  rate clock when it begins the first trial it executes. */
     exec::ProgressMeter *progress = nullptr;
 
     /**

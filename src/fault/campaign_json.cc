@@ -58,13 +58,14 @@ pairsOf(const S &s)
 Record
 makeRecord(const std::string &bench, unsigned workers,
            const CampaignConfig &cfg, const CampaignResult &r,
-           double seconds, const FabricHealth *fabric)
+           WallTime time, const FabricHealth *fabric)
 {
     // Journal-replayed trials cost no wall time, so the rate counts
-    // executed trials only.
+    // executed trials only, over the time since the first of them.
     const double rate =
-        seconds > 0
-            ? static_cast<double>(r.injected - r.replayedTrials) / seconds
+        time.executing > 0
+            ? static_cast<double>(r.injected - r.replayedTrials) /
+                  time.executing
             : 0.0;
     Record rec;
     rec.top = {
@@ -86,7 +87,7 @@ makeRecord(const std::string &bench, unsigned workers,
          csprintf("%.17g",
                   pooledSdcHalfWidth(r.profile, StratumSpace(cfg.mix)))},
         {"replayed_trials", text(r.replayedTrials)},
-        {"elapsed_seconds", csprintf("%.3f", seconds)},
+        {"elapsed_seconds", csprintf("%.3f", time.elapsed)},
         {"trials_per_second", csprintf("%.1f", rate)},
     };
     rec.counts = {{"classification", pairsOf(r)}, {"bins", pairsOf(r.bins)}};
@@ -194,7 +195,7 @@ stratumName(unsigned si)
 bool
 writeCampaignJson(const std::string &path, const std::string &bench,
                   unsigned workers, const CampaignConfig &cfg,
-                  const CampaignResult &r, double seconds,
+                  const CampaignResult &r, WallTime time,
                   const FabricHealth *fabric)
 {
     std::FILE *out =
@@ -203,7 +204,7 @@ writeCampaignJson(const std::string &path, const std::string &bench,
         fh_warn("cannot write FH_JSON file %s", path.c_str());
         return false;
     }
-    const Record rec = makeRecord(bench, workers, cfg, r, seconds, fabric);
+    const Record rec = makeRecord(bench, workers, cfg, r, time, fabric);
     std::fprintf(out, "{\n");
     for (const auto &[key, value] : rec.top)
         std::fprintf(out, "  \"%s\": %s,\n", key.c_str(), value.c_str());
@@ -231,7 +232,7 @@ void
 printCampaignSummary(std::FILE *out, const char *label,
                      const std::string &bench, unsigned workers,
                      const CampaignConfig &cfg, const CampaignResult &r,
-                     double seconds, const FabricHealth *fabric)
+                     WallTime time, const FabricHealth *fabric)
 {
     auto line = [&](const std::string &name, const Pairs &pairs) {
         std::fprintf(out, "%s: %s", label, name.c_str());
@@ -239,7 +240,7 @@ printCampaignSummary(std::FILE *out, const char *label,
             std::fprintf(out, " %s=%s", key.c_str(), value.c_str());
         std::fprintf(out, "\n");
     };
-    const Record rec = makeRecord(bench, workers, cfg, r, seconds, fabric);
+    const Record rec = makeRecord(bench, workers, cfg, r, time, fabric);
     line("campaign", rec.top);
     for (const Block &b : rec.counts)
         line(b.name, b.pairs);

@@ -52,14 +52,26 @@ struct FabricHealth
 };
 
 /**
+ * A campaign's wall time in seconds: the whole run (FH_JSON
+ * elapsed_seconds), and the part since its first executed trial
+ * (exec::ProgressMeter::executingSeconds; the trials_per_second
+ * denominator, which warmup and a resume's skip-advance stay out of).
+ */
+struct WallTime
+{
+    double elapsed = 0.0;
+    double executing = 0.0;
+};
+
+/**
  * Write the campaign record to path ("-" = stdout). workers is the
- * resolved worker-thread count, seconds the campaign wall time.
- * fabric, when non-null, adds the distributed-run health block.
- * Returns false (with a warning) if the file cannot be opened.
+ * resolved worker-thread count. fabric, when non-null, adds the
+ * distributed-run health block. Returns false (with a warning) if the
+ * file cannot be opened.
  */
 bool writeCampaignJson(const std::string &path, const std::string &bench,
                        unsigned workers, const CampaignConfig &cfg,
-                       const CampaignResult &r, double seconds,
+                       const CampaignResult &r, WallTime time,
                        const FabricHealth *fabric = nullptr);
 
 /**
@@ -73,7 +85,7 @@ bool writeCampaignJson(const std::string &path, const std::string &bench,
 void printCampaignSummary(std::FILE *out, const char *label,
                           const std::string &bench, unsigned workers,
                           const CampaignConfig &cfg,
-                          const CampaignResult &r, double seconds,
+                          const CampaignResult &r, WallTime time,
                           const FabricHealth *fabric = nullptr);
 
 } // namespace fh::fault

@@ -1,51 +1,64 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "sim/logging.hh"
+#include "sim/popcount.hh"
 
 namespace fh::mem
 {
 
 Cache::Cache(const CacheParams &params) : params_(params)
 {
-    fh_assert(params_.lineBytes > 0 && params_.ways > 0, "bad cache params");
-    u64 lines = params_.sizeBytes / params_.lineBytes;
+    fh_assert(params_.lineBytes > 1 && hasSingleBit(params_.lineBytes),
+              "cache lines must be a power of two above one byte");
+    fh_assert(params_.ways > 0 && params_.ways <= 256,
+              "cache ways must fit a one-byte rank");
+    const u64 lines = params_.sizeBytes / params_.lineBytes;
     fh_assert(lines % params_.ways == 0, "size/ways mismatch");
-    numSets_ = static_cast<unsigned>(lines / params_.ways);
-    fh_assert(std::has_single_bit(static_cast<u64>(numSets_)),
-              "sets must be a power of two");
-    tags_.resize(lines, 0);
-    valid_.resize(lines, 0);
-    lastUse_.resize(lines, 0);
-    readyAt_.resize(lines, 0);
+    const u64 sets = lines / params_.ways;
+    fh_assert(hasSingleBit(sets), "sets must be a power of two");
+    lineShift_ = static_cast<unsigned>(std::countr_zero(
+        static_cast<u64>(params_.lineBytes)));
+    setShift_ = static_cast<unsigned>(std::countr_zero(sets));
+    setMask_ = sets - 1;
+    tags_.assign(lines, kInvalid);
+    ranks_.resize(lines);
+    for (size_t i = 0; i < lines; ++i)
+        ranks_[i] = static_cast<u8>(i % params_.ways);
 }
 
-unsigned
-Cache::setIndex(Addr addr) const
+void
+Cache::touch(size_t base, unsigned w)
 {
-    return static_cast<unsigned>((addr / params_.lineBytes) % numSets_);
+    const u8 r = ranks_[base + w];
+    for (unsigned v = 0; v < params_.ways; ++v)
+        ranks_[base + v] += ranks_[base + v] < r;
+    ranks_[base + w] = 0;
 }
 
-Addr
-Cache::tagOf(Addr addr) const
+Cycle
+Cache::fillReadyAt(size_t line) const
 {
-    return addr / params_.lineBytes / numSets_;
+    for (const Fill &f : fills_) {
+        if (f.line == line)
+            return f.readyAt;
+    }
+    return 0;
 }
 
 bool
 Cache::find(Addr addr, Cycle now, Cycle &ready_at)
 {
-    const unsigned set = setIndex(addr);
-    const Addr tag = tagOf(addr);
-    const size_t base = static_cast<size_t>(set) * params_.ways;
-    ++useClock_;
+    const Addr lineAddr = addr >> lineShift_;
+    const Addr tag = lineAddr >> setShift_;
+    const size_t base = (lineAddr & setMask_) * params_.ways;
 
     for (unsigned w = 0; w < params_.ways; ++w) {
-        const size_t i = base + w;
-        if (valid_[i] && tags_[i] == tag) {
-            lastUse_[i] = useClock_;
-            ready_at = readyAt_[i] > now ? readyAt_[i] : now;
+        if (tags_[base + w] == tag) {
+            touch(base, w);
+            ready_at = std::max(now, fillReadyAt(base + w));
             ++hits_;
             return true;
         }
@@ -58,31 +71,54 @@ void
 Cache::install(Addr addr, Cycle now, Cycle ready_at)
 {
     (void)now;
-    const unsigned set = setIndex(addr);
-    const Addr tag = tagOf(addr);
-    const size_t base = static_cast<size_t>(set) * params_.ways;
-    ++useClock_;
+    const Addr lineAddr = addr >> lineShift_;
+    const Addr tag = lineAddr >> setShift_;
+    const size_t base = (lineAddr & setMask_) * params_.ways;
 
-    // Victim preference: refill of an existing line, else the last
-    // invalid way, else true LRU.
-    size_t victim = base;
+    // A way never empties once filled, so filled ways hold the lowest
+    // ranks: once no way is empty, the LRU is the rank-(ways - 1) way.
+    unsigned victim = params_.ways; // no refill, no empty way yet
+    unsigned lru = 0;
     for (unsigned w = 0; w < params_.ways; ++w) {
-        const size_t i = base + w;
-        if (valid_[i] && tags_[i] == tag) {
-            victim = i; // refill of an existing line
+        const Addr t = tags_[base + w];
+        if (t == tag) {
+            victim = w; // refill of an existing line
             break;
         }
-        if (!valid_[i]) {
-            victim = i;
-        } else if (valid_[victim] && lastUse_[i] < lastUse_[victim]) {
-            victim = i;
+        if (t == kInvalid)
+            victim = w;
+        else if (ranks_[base + w] == params_.ways - 1)
+            lru = w;
+    }
+    if (victim == params_.ways)
+        victim = lru;
+
+    const size_t line = base + victim;
+    tags_[line] = tag;
+    touch(base, victim);
+    nextDue_ = std::min(nextDue_, ready_at);
+    for (Fill &f : fills_) {
+        if (f.line == line) {
+            f.readyAt = ready_at;
+            return;
         }
     }
+    fills_.push_back({ready_at, line});
+}
 
-    valid_[victim] = 1;
-    tags_[victim] = tag;
-    lastUse_[victim] = useClock_;
-    readyAt_[victim] = ready_at;
+void
+Cache::expireDue(Cycle floor)
+{
+    Cycle next = kNever;
+    size_t kept = 0;
+    for (const Fill &f : fills_) {
+        if (f.readyAt > floor) {
+            fills_[kept++] = f;
+            next = std::min(next, f.readyAt);
+        }
+    }
+    fills_.resize(kept);
+    nextDue_ = next;
 }
 
 double

@@ -5,22 +5,25 @@
  *
  * The cache tracks tags only: data always comes from the coherent
  * backing Memory (one core, SMT threads share the L1s), so the cache
- * model's job is purely latency classification. Each line records when
- * its fill completes; an access that arrives while the line is still
- * in flight pays the remaining fill time (an MSHR hit), which keeps
+ * model's job is purely latency classification. Each fill records
+ * when it completes; an access that arrives while the line is still in
+ * flight pays the remaining fill time (an MSHR hit), which keeps
  * squashed wrong-path and re-executed accesses from acting as free
  * prefetches.
  *
- * Line state is stored structure-of-arrays (tags / valid / lastUse /
- * readyAt), so the per-access way scan streams the tag array alone,
- * and a cache fork copies four flat vectors — 25 bytes per line
- * instead of a 32-byte padded struct — which matters at fork rates of
- * hundreds of copies per second on a megabyte-sized L2.
+ * A cache fork copies the line state, hundreds of times per second on
+ * a megabyte-sized L2, so a line costs 9 bytes: a 64-bit tag whose
+ * reserved value kInvalid marks an empty way, and a one-byte recency
+ * rank (a permutation of 0..ways-1 within each set, 0 = most recent).
+ * Fill completion times live in a short list holding only the fills
+ * that may still be in flight; expire() drops the ones complete by a
+ * time no later access can precede.
  */
 
 #ifndef FH_MEM_CACHE_HH
 #define FH_MEM_CACHE_HH
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -54,8 +57,20 @@ class Cache
      */
     bool find(Addr addr, Cycle now, Cycle &ready_at);
 
-    /** Allocate addr with its fill completing at ready_at. */
+    /** Allocate addr with its fill completing at ready_at. Victim: a
+     *  refill of addr's line, else the last empty way, else LRU. */
     void install(Addr addr, Cycle now, Cycle ready_at);
+
+    /**
+     * Forget every fill complete by floor. Every later find() and
+     * install() must pass now >= floor: a forgotten fill then reads
+     * as complete, as it would have. Free unless a fill is due.
+     */
+    void expire(Cycle floor)
+    {
+        if (floor >= nextDue_)
+            expireDue(floor);
+    }
 
     Cycle hitLatency() const { return params_.hitLatency; }
     const CacheParams &params() const { return params_; }
@@ -64,20 +79,40 @@ class Cache
     u64 misses() const { return misses_; }
     double missRate() const;
 
+    /** Representation equality: two caches fed the same calls compare
+     *  equal. */
     bool operator==(const Cache &other) const = default;
 
   private:
-    unsigned setIndex(Addr addr) const;
-    Addr tagOf(Addr addr) const;
+    /** The tag of an empty way; no address maps to it (lines are at
+     *  least two bytes, so a tag has a zero top bit). */
+    static constexpr Addr kInvalid = ~Addr{0};
+    static constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
+
+    /** A fill that may still be in flight: completion, line index. */
+    struct Fill
+    {
+        Cycle readyAt;
+        size_t line;
+
+        bool operator==(const Fill &other) const = default;
+    };
+
+    /** Make way w of the set at base the most recent. */
+    void touch(size_t base, unsigned w);
+    /** When line's last fill completes, or 0 if it is not listed. */
+    Cycle fillReadyAt(size_t line) const;
+    void expireDue(Cycle floor);
 
     CacheParams params_;
-    unsigned numSets_;
-    // numSets_ * ways entries each, set-major (parallel arrays).
-    std::vector<Addr> tags_;
-    std::vector<u8> valid_;
-    std::vector<u64> lastUse_;  ///< LRU timestamps
-    std::vector<Cycle> readyAt_; ///< fill completion times
-    u64 useClock_ = 0;
+    unsigned lineShift_; ///< log2(lineBytes)
+    unsigned setShift_;  ///< log2(sets)
+    Addr setMask_;       ///< sets - 1
+    // sets * ways entries each, set-major (parallel arrays).
+    std::vector<Addr> tags_; ///< kInvalid = empty way
+    std::vector<u8> ranks_;  ///< recency within the set, 0 = MRU
+    std::vector<Fill> fills_;
+    Cycle nextDue_ = kNever; ///< <= every readyAt in fills_
     u64 hits_ = 0;
     u64 misses_ = 0;
 };

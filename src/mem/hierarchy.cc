@@ -20,6 +20,9 @@ Hierarchy::timed(Cache &l1, Tlb &tlb, Addr addr, Cycle now)
     t.tlbHit = tlb.access(addr);
     Cycle start = now + (t.tlbHit ? 0 : tlb.walkLatency());
 
+    // A fill complete by now is complete for every later access: now
+    // never decreases, while start runs up to a walk ahead of it.
+    l1.expire(now);
     Cycle l1_ready = 0;
     t.l1Hit = l1.find(addr, start, l1_ready);
     if (t.l1Hit) {
@@ -27,6 +30,7 @@ Hierarchy::timed(Cache &l1, Tlb &tlb, Addr addr, Cycle now)
         return t;
     }
 
+    l2_.expire(now);
     Cycle l2_ready = 0;
     t.l2Hit = l2_.find(addr, start, l2_ready);
     Cycle data_at;

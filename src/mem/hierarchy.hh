@@ -43,7 +43,8 @@ class Hierarchy
   public:
     explicit Hierarchy(const HierarchyParams &params = {});
 
-    /** Timed instruction fetch of addr issued at cycle now. */
+    /** Timed instruction fetch of addr at cycle now. Across fetch()
+     *  and data() calls, now must never decrease. */
     AccessTiming fetch(Addr addr, Cycle now);
     /** Timed data access (loads and stores share the port model). */
     AccessTiming data(Addr addr, Cycle now);

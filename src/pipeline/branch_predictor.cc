@@ -1,8 +1,7 @@
 #include "pipeline/branch_predictor.hh"
 
-#include <bit>
-
 #include "sim/logging.hh"
+#include "sim/popcount.hh"
 
 namespace fh::pipeline
 {
@@ -10,7 +9,7 @@ namespace fh::pipeline
 BranchPredictor::BranchPredictor(unsigned entries)
     : counters_(entries, 2), history_(8, 0)
 {
-    fh_assert(std::has_single_bit(static_cast<u64>(entries)),
+    fh_assert(hasSingleBit(entries),
               "predictor entries must be a power of two");
 }
 

@@ -6,7 +6,9 @@
  * used only where it compiles to an instruction — x86-64 built with
  * POPCNT enabled, and AArch64 — and everywhere else an inline SWAR
  * reduction gives identical results without the call and without an
- * ISA-gating compile flag.
+ * ISA-gating compile flag. The same holds for std::has_single_bit,
+ * which libstdc++ builds on the population count: hasSingleBit is a
+ * bit test instead.
  */
 
 #ifndef FH_SIM_POPCOUNT_HH
@@ -30,6 +32,13 @@ popcount64(u64 x)
     x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
     return static_cast<unsigned>((x * 0x0101010101010101ULL) >> 56);
 #endif
+}
+
+/** x is a power of two. */
+constexpr bool
+hasSingleBit(u64 x)
+{
+    return x != 0 && (x & (x - 1)) == 0;
 }
 
 } // namespace fh

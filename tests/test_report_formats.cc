@@ -245,13 +245,13 @@ TEST(ReportFormats, FhJsonBytesArePinned)
     const fault::FabricHealth fabric = pinnedFabric();
     const std::string path = tempPath("pinned.json");
     ASSERT_TRUE(fault::writeCampaignJson(path, "ocean", 3, pinnedConfig(),
-                                         pinnedResult(), 2.5, &fabric));
+                                         pinnedResult(), {2.5, 2.5}, &fabric));
     EXPECT_EQ(slurp(path), pinnedJson());
 
     // Without fabric health (every single-process run) the block is
     // absent and nothing else moves.
     ASSERT_TRUE(fault::writeCampaignJson(path, "ocean", 3, pinnedConfig(),
-                                         pinnedResult(), 2.5));
+                                         pinnedResult(), {2.5, 2.5}));
     std::string plain = pinnedJson();
     plain.erase(plain.find(kFabricLine), std::string(kFabricLine).size());
     EXPECT_EQ(slurp(path), plain);
@@ -318,19 +318,36 @@ jsonPairs(const SummaryLine &l, const std::string &sep)
     return s;
 }
 
+TEST(ReportFormats, RateCountsOnlyTheExecutingTime)
+{
+    // elapsed_seconds is the whole run; trials_per_second divides the
+    // executed trials by the time since the first of them, which
+    // warmup and a resume's skip-advance come before.
+    const std::string path = tempPath("rate.json");
+    ASSERT_TRUE(fault::writeCampaignJson(path, "ocean", 3, pinnedConfig(),
+                                         pinnedResult(), {10.0, 2.5}));
+    const std::string text = slurp(path);
+    std::remove(path.c_str());
+    EXPECT_NE(text.find("\"elapsed_seconds\": 10.000,"), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("\"trials_per_second\": 800.0,"),
+              std::string::npos)
+        << text;
+}
+
 TEST(ReportFormats, SummaryReportsTheFhJsonPairs)
 {
     const fault::FabricHealth fabric = pinnedFabric();
     const std::string path = tempPath("summary.json");
     ASSERT_TRUE(fault::writeCampaignJson(path, "ocean", 3, pinnedConfig(),
-                                         pinnedResult(), 2.5, &fabric));
+                                         pinnedResult(), {2.5, 2.5}, &fabric));
     const std::string json = slurp(path);
     std::remove(path.c_str());
 
     std::FILE *out = std::tmpfile();
     ASSERT_NE(out, nullptr);
     fault::printCampaignSummary(out, "fhsim", "ocean", 3, pinnedConfig(),
-                                pinnedResult(), 2.5, &fabric);
+                                pinnedResult(), {2.5, 2.5}, &fabric);
     std::string text(static_cast<size_t>(std::ftell(out)), '\0');
     std::rewind(out);
     ASSERT_EQ(std::fread(text.data(), 1, text.size(), out), text.size());

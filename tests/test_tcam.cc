@@ -139,7 +139,9 @@ TEST(Tcam, ClusteringReinforcesSharedNeighborhood)
 TEST(Tcam, DistinctNeighborhoodsGetDistinctFilters)
 {
     CountingTcam tcam(smallParams(4, 4));
-    const u64 bases[3] = {0x1000000, 0x2000000, 0x3000000};
+    // The bases differ pairwise in more bits than the loosen
+    // threshold, so no filter can loosen over two of them.
+    const u64 bases[3] = {0x1000000, 0xF0F000000, 0xFF00F0000000};
     // Every entry a lookup installed into or matched: entries are never
     // invalidated, so these are the valid ones.
     std::set<unsigned> valid;
@@ -149,11 +151,14 @@ TEST(Tcam, DistinctNeighborhoodsGetDistinctFilters)
     // Each neighborhood is held by its own filter: any probe within a
     // cluster mismatches in at most the three learned low bits, never
     // in the cluster-identity bits.
+    std::set<unsigned> holders;
     for (u64 base : bases) {
         auto res = tcam.probe(base + 3);
         EXPECT_LE(res.mismatchCount, 3u);
         EXPECT_EQ(res.mismatchMask & ~0x7ULL, 0u);
+        holders.insert(res.entry);
     }
+    EXPECT_EQ(holders.size(), 3u);
     EXPECT_GE(valid.size(), 3u);
 }
 
