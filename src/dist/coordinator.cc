@@ -11,6 +11,7 @@
 
 #include "dist/messages.hh"
 #include "exec/interrupt.hh"
+#include "exec/progress.hh"
 #include "sim/logging.hh"
 
 namespace fh::dist
@@ -293,6 +294,12 @@ Coordinator::issueLeases()
         c.leaseNext = r.begin;
         c.lastHeard = now;
         ++stats_.rangesIssued;
+        // The first lease begins the executed trials, so the rate
+        // clock starts here, after the journal replay. Not at the first
+        // merge: records merge in bursts (a later chunk's records wait
+        // in the stash), which would overstate a short run's rate.
+        if (opts_.progress)
+            opts_.progress->start();
         AssignMsg a;
         a.begin = r.begin;
         a.end = r.end;
@@ -327,6 +334,8 @@ Coordinator::runDegradedTail()
     fault::CampaignSession session(spec_.buildParams(), &prog,
                                    spec_.campaign);
     const u64 merged = merge.next();
+    if (opts_.progress)
+        opts_.progress->start(); // unless a lease started it
     fault::runLocal(session, merge);
     stats_.trialsMerged += merge.next() - merged;
 }

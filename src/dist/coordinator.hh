@@ -70,7 +70,9 @@ struct CoordinatorOptions
      *  worker, run the rest in-process: bit-identical, but flagged in
      *  DistStats::degraded and FH_JSON's "fabric" block. */
     u64 noWorkerTimeoutMs = 120000;
-    exec::ProgressMeter *progress = nullptr; ///< ticked per merged trial
+    /** Ticked per merged trial; its rate clock starts with the first
+     *  lease. */
+    exec::ProgressMeter *progress = nullptr;
     /** Test hook: behave as if SIGTERM arrived once this many trials
      *  have been merged; 0 = never. */
     u64 stopAfterMerged = 0;

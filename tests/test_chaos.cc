@@ -36,6 +36,7 @@
 #include "dist/spawner.hh"
 #include "dist/spec.hh"
 #include "dist/worker.hh"
+#include "exec/progress.hh"
 #include "fault/campaign.hh"
 #include "fault/journal.hh"
 #include "workload/workload.hh"
@@ -371,9 +372,12 @@ TEST(Chaos, DeadFleetDegradesToInProcessIdentically)
     const std::string refJournal = tempPath("degraded_ref.fhj");
     const fault::CampaignResult ref = singleProcess(spec, refJournal);
 
+    exec::ProgressMeter meter("degraded", spec.campaign.injections,
+                              /*interval_ms=*/1u << 30);
     dist::CoordinatorOptions opts;
     opts.workers = 2;
     opts.noWorkerTimeoutMs = 200; // nobody is coming
+    opts.progress = &meter;
     dist::Coordinator coord(spec, opts);
     const std::string journal = tempPath("degraded_run.fhj");
     fault::CampaignResult r;
@@ -386,6 +390,9 @@ TEST(Chaos, DeadFleetDegradesToInProcessIdentically)
     EXPECT_FALSE(r.partial);
     EXPECT_TRUE(coord.stats().degraded);
     EXPECT_EQ(fileBytes(refJournal), fileBytes(journal));
+    // With no lease ever issued, the in-process tail starts the clock.
+    EXPECT_EQ(meter.done(), r.injected);
+    EXPECT_GT(meter.executingSeconds(), 0.0);
     // run() stopped listening: a late worker is refused at once rather
     // than queued in a backlog nobody accepts from.
     std::string error;

@@ -35,6 +35,7 @@
 #include "dist/spawner.hh"
 #include "dist/spec.hh"
 #include "dist/worker.hh"
+#include "exec/progress.hh"
 #include "fault/campaign.hh"
 #include "fault/journal.hh"
 #include "workload/workload.hh"
@@ -283,8 +284,11 @@ TEST(Dist, BitIdenticalAtAnyWorkerCount)
     ASSERT_GT(ref.injected, 0u);
 
     for (unsigned workers : {1u, 2u, 4u}) {
+        exec::ProgressMeter meter("dist", spec.campaign.injections,
+                                  /*interval_ms=*/1u << 30);
         dist::CoordinatorOptions opts;
         opts.workers = workers;
+        opts.progress = &meter;
         const std::string journal = tempPath("dist_w.fhj");
         const DistRun run =
             runDistributed(spec, workers, opts, journal);
@@ -293,6 +297,10 @@ TEST(Dist, BitIdenticalAtAnyWorkerCount)
         EXPECT_EQ(run.stats.workersJoined, workers);
         EXPECT_EQ(run.stats.workersDied, 0u);
         EXPECT_EQ(run.stats.trialsMerged, spec.campaign.injections);
+        // Every merged trial ticked the meter, whose rate clock the
+        // first lease started.
+        EXPECT_EQ(meter.done(), spec.campaign.injections);
+        EXPECT_GT(meter.executingSeconds(), 0.0);
         // The merged journal is byte-identical to the single-process
         // journal: same header, same records, same order.
         EXPECT_EQ(fileBytes(refJournal), fileBytes(journal))

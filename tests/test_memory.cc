@@ -3,7 +3,8 @@
  * mem::Memory: validity checks, trap plumbing, content digests, and
  * the paged copy-on-write storage — fuzzed against the flat
  * ReferenceMemory, held to one table plus one page per first write,
- * and driven from pool workers the way a campaign's forks drive it.
+ * and driven from pool workers the way a campaign's forks drive it;
+ * and the heap a copy of a whole machine (a trial snapshot) requests.
  */
 
 #include <gtest/gtest.h>
@@ -17,8 +18,10 @@
 
 #include "exec/thread_pool.hh"
 #include "mem/memory.hh"
+#include "pipeline/core.hh"
 #include "reference_memory.hh"
 #include "sim/rng.hh"
+#include "workload/workload.hh"
 
 /** Bytes requested from operator new while counting is on. */
 static std::atomic<bool> gCountNew{false};
@@ -393,6 +396,19 @@ TEST(MemoryPages, FirstWriteAfterASnapshotCopiesATableAndOnePage)
         << "the page is private now";
     EXPECT_EQ(peek(snapshot, a), 0u);
     EXPECT_EQ(peek(m, a), 1u);
+}
+
+TEST(SnapshotFootprint, PerlCoreCopyRequestsUnderHalfAMegabyte)
+{
+    // A campaign copies the whole Core for every trial snapshot and
+    // every bare fork. Memory pages are shared copy-on-write, so the
+    // copy's heap is the pipeline arena, the filters and the cache
+    // line state, which the 2 MB L2 dominates at 9 bytes a line.
+    const isa::Program prog = workload::build("400.perl", {});
+    pipeline::Core core(pipeline::CoreParams{}, &prog);
+    core.advance(20000);
+    EXPECT_LT(newBytesDuring([&] { const pipeline::Core copy(core); }),
+              u64{512} << 10);
 }
 
 TEST(MemoryPages, PoolWorkersWriteSnapshotsWhileTheOwnerWrites)
