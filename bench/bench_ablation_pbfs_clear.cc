@@ -29,7 +29,7 @@ main()
     const auto split = bench::splitThreads(ncells);
     cfg.threads = split.inner;
     exec::ThreadPool pool(split.outer);
-    pool.parallelFor(ncells, [&](u64 j) {
+    pool.parallelFor(ncells, [&](u64 j, unsigned) {
         const u64 interval = intervals[j / benchmarks.size()];
         isa::Program prog =
             bench::buildProgram(benchmarks[j % benchmarks.size()], 2);

@@ -39,7 +39,7 @@ main()
     const auto split = bench::splitThreads(ncells);
     cfg.threads = split.inner;
     exec::ThreadPool pool(split.outer);
-    pool.parallelFor(ncells, [&](u64 j) {
+    pool.parallelFor(ncells, [&](u64 j, unsigned) {
         const auto &variant = variants[j / benchmarks.size()];
         isa::Program prog =
             bench::buildProgram(benchmarks[j % benchmarks.size()], 2);

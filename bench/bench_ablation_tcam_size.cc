@@ -30,7 +30,7 @@ main()
     const auto split = bench::splitThreads(ncells);
     cfg.threads = split.inner;
     exec::ThreadPool pool(split.outer);
-    pool.parallelFor(ncells, [&](u64 j) {
+    pool.parallelFor(ncells, [&](u64 j, unsigned) {
         isa::Program prog =
             bench::buildProgram(benchmarks[j / sizes.size()], 2);
         auto det = filters::DetectorParams::faultHound();

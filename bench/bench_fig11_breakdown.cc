@@ -28,7 +28,7 @@ main()
     const auto split = bench::splitThreads(benchmarks.size());
     cfg.threads = split.inner;
     exec::ThreadPool pool(split.outer);
-    pool.parallelFor(benchmarks.size(), [&](u64 b) {
+    pool.parallelFor(benchmarks.size(), [&](u64 b, unsigned) {
         isa::Program prog = bench::buildProgram(benchmarks[b], 2);
         auto params =
             bench::coreParams(filters::DetectorParams::faultHound());

@@ -65,7 +65,7 @@ main()
     TextTable fp({"variant", "false-positive rate"});
     for (const auto &variant : fp_variants) {
         std::vector<double> rates(benchmarks.size());
-        pool.parallelFor(benchmarks.size(), [&](u64 b) {
+        pool.parallelFor(benchmarks.size(), [&](u64 b, unsigned) {
             isa::Program prog = bench::buildProgram(benchmarks[b], 2);
             rates[b] = bench::fpRateSteady(
                 bench::coreParams(variant.params), &prog, budget);
@@ -82,7 +82,7 @@ main()
     // ---- middle: full rollback vs replay performance ----
     std::vector<double> o_rollback(benchmarks.size());
     std::vector<double> o_replay(benchmarks.size());
-    pool.parallelFor(benchmarks.size(), [&](u64 i) {
+    pool.parallelFor(benchmarks.size(), [&](u64 i, unsigned) {
         isa::Program prog = bench::buildProgram(benchmarks[i], 2);
         auto base = bench::runBudget(
             bench::coreParams(filters::DetectorParams::none()), &prog,
@@ -110,7 +110,7 @@ main()
     // ---- right: LSQ coverage ----
     std::vector<double> cov_nolsq(benchmarks.size());
     std::vector<double> cov_lsq(benchmarks.size());
-    pool.parallelFor(benchmarks.size(), [&](u64 i) {
+    pool.parallelFor(benchmarks.size(), [&](u64 i, unsigned) {
         isa::Program prog = bench::buildProgram(benchmarks[i], 2);
         auto r0 = fault::runCampaign(
             bench::coreParams(backendVariant(true, true, true, false)),

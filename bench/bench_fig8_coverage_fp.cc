@@ -43,7 +43,7 @@ main()
     const auto split = bench::splitThreads(cells.size());
     cfg.threads = split.inner;
     exec::ThreadPool pool(split.outer);
-    pool.parallelFor(cells.size(), [&](u64 j) {
+    pool.parallelFor(cells.size(), [&](u64 j, unsigned) {
         const auto &info = benchmarks[j / schemes.size()];
         const auto &scheme = schemes[j % schemes.size()];
         isa::Program prog = bench::buildProgram(info, 2);

@@ -16,8 +16,8 @@
  *   FH_SEED        master seed
  *   FH_THREADS     host fork threads, 0-1024 (default 0: all
  *                  hardware threads; each campaign also runs its
- *                  producer thread; results are bit-identical for
- *                  any value)
+ *                  producer thread, which runs trials too when they
+ *                  back up; results are bit-identical for any value)
  *   FH_CI_TARGET   adaptive stop: pooled SDC-rate Wilson CI
  *                  half-width target, 0-0.5 (default 0 = fixed-count)
  *   FH_CI_WAVE     adaptive stop wave size in trials, at least 1
@@ -81,7 +81,8 @@ envInsts(u64 def)
  * Split of the FH_THREADS budget between the independent
  * configuration cells of a harness and each cell's campaign forks.
  * Each running cell's campaign adds its producer thread beside its
- * inner fork threads.
+ * inner fork threads, and that producer runs forks too whenever its
+ * stream of trials is full, so a cell can keep inner + 1 threads busy.
  */
 struct ThreadSplit
 {

@@ -104,7 +104,8 @@ declareAllKeys(const Config &cfg)
                    "campaign run window in instructions per SMT "
                    "thread, at least 1 (default 1000)");
     cfg.declareKey("jobs",
-                   "campaign fork threads (plus one producer thread), "
+                   "campaign fork threads, plus one producer thread "
+                   "that also runs trials when they back up, "
                    "or worker processes in dispatch mode; 0-1024, "
                    "0 = all hardware threads");
     cfg.declareKey("journal",
@@ -523,7 +524,8 @@ runSim(const Config &cfg)
         ccfg.progress = &meter;
         std::fprintf(stderr, "fhsim: running %llu-injection "
                              "campaign on %u fork thread(s) plus the "
-                             "producer...\n",
+                             "producer, which runs trials too when "
+                             "they back up...\n",
                      static_cast<unsigned long long>(ccfg.injections),
                      exec::resolveThreads(ccfg.threads));
         const auto t0 = std::chrono::steady_clock::now();

@@ -55,7 +55,7 @@ deltaOf(const pipeline::Core &fork, const filters::DetectorStats &m)
 }
 
 /**
- * Everything a worker needs to execute one injection trial without
+ * Everything a thread needs to execute one injection trial without
  * touching the (still advancing) master: a full machine snapshot at
  * the injection point, the drawn plan, the per-SMT-thread commit
  * targets, and the master-side state the classifier compares against.
@@ -118,7 +118,7 @@ provablyMasked(const pipeline::Core &master, const InjectionPlan &plan,
 }
 
 /**
- * Per-worker reusable fork machines. The first trial a worker executes
+ * Per-thread reusable fork machines. The first trial a thread executes
  * allocates them (one machine per fork kind); every later fork
  * restores into the same flat buffers via runForkInto — one arena
  * memcpy plus the copy-on-write memory/filter copies — so a fork then
@@ -145,9 +145,9 @@ forkInto(std::optional<ForkOutcome> &slot, const pipeline::Core &base,
     return *slot;
 }
 
-/** Consuming flavor: swaps the snapshot into the scratch. A worker's
+/** Consuming flavor: swaps the snapshot into the scratch. A thread's
  *  first fork of each kind has no scratch yet and copies instead,
- *  once per worker and fork kind per session. */
+ *  once per thread and fork kind per session. */
 ForkOutcome &
 forkInto(std::optional<ForkOutcome> &slot, pipeline::Core &&base,
          const InjectionPlan *plan, bool detector_enabled,
@@ -215,7 +215,7 @@ classifyProtected(CampaignResult &r, const Trial &t,
  * Classify one trial. There is no golden execution: the bare (and,
  * for SDC faults, protected) fork is compared against the master's
  * golden checkpoint with O(threads + segments) arch/digest compares.
- * A pure function of the descriptor (safe on any worker thread; the
+ * A pure function of the descriptor (safe on any thread; the
  * returned single-trial counters merge into CampaignResult with
  * order-insensitive adds), except that the last fork consumes
  * t.master by move — the trial slot is dead after this and gets
@@ -328,8 +328,8 @@ runTrial(const pipeline::CoreParams &params, const CampaignConfig &cfg,
  * counted in trialErrors with its injection plan logged for offline
  * reproduction, and the campaign keeps running. Under FH_STRICT=1
  * (the CI default) panics abort the process instead. The guard is
- * scoped to this worker's trial: a panic on the producer thread (the
- * master) still aborts.
+ * scoped to the trial, whichever thread runs it: a panic in the
+ * master's advance still aborts.
  */
 CampaignResult
 runTrialGuarded(const pipeline::CoreParams &params,
@@ -375,13 +375,13 @@ struct CampaignSession::Impl
     };
 
     /**
-     * One trial of a wave. The producer fills in everything but the
-     * result when the trial's ledger entry completes; a pool worker
-     * reads the trial and entry through the pointers (never through
-     * trialPool or the ledger, which the producer keeps mutating) and
-     * writes the result.
+     * One trial of the stream. The producer fills in everything but the
+     * result when the trial's ledger entry completes; the thread that
+     * runs the trial reads the trial and entry through the pointers
+     * (never through trialPool or the ledger, which the producer keeps
+     * mutating) and writes the result.
      */
-    struct WaveTrial
+    struct StreamTrial
     {
         Pending at;
         Trial *trial;
@@ -397,7 +397,7 @@ struct CampaignSession::Impl
           master(params_in, prog),
           gapRng(cfg_in.seed),
           threads(exec::resolveThreads(cfg_in.threads)),
-          waveCap(std::max<u64>(u64{threads} * 2, 4)),
+          streamCap(std::max<u64>(u64{threads} * 4, 8)),
           pool(threads)
     {
         if (!GoldenLedger::supports(master, *prog))
@@ -418,9 +418,8 @@ struct CampaignSession::Impl
 
         ledger = std::make_unique<GoldenLedger>(master);
         master.setCommitObserver(ledger.get());
-        filling.reserve(waveCap + 8);
-        posted.reserve(waveCap + 8);
-        scratch.resize(threads);
+        streamed.resize(streamCap);
+        scratch.resize(threads + 1);
     }
 
     bool stopRequested() const
@@ -485,36 +484,34 @@ struct CampaignSession::Impl
     pipeline::Core master;
     Rng gapRng;
     unsigned threads;
-    /** Largest wave. The executing and the filling wave together
-     *  hold at most 2 * waveCap = max(4 * threads, 8) trials, the
-     *  budget of the single blocking wave the overlap replaced. */
-    u64 waveCap;
+    /** Most trials streamed and not yet sunk: max(4 * threads, 8),
+     *  the slot budget of the two waves the stream replaced. */
+    u64 streamCap;
     std::unique_ptr<GoldenLedger> ledger;
 
     u64 trial = 0;    ///< next producible trial index
     u64 executed = 0; ///< trials actually executed by this session
     bool halted = false;
 
-    // Per-worker reusable fork machines, indexed by
-    // ThreadPool::currentWorker() (0..threads-1).
+    // Reusable fork machines per thread that runs trials, indexed by
+    // the stream's worker index: 0..threads-1 for the pool's workers,
+    // threads for the producer.
     std::vector<ForkScratch> scratch;
     // Reusable trial slots: a retired slot's snapshot is overwritten
     // in place (a flat arena memcpy plus copy-on-write memory/filter
     // copies); memory pages only the old snapshot held are freed, and
     // the master's first store to a page it shares with a snapshot
-    // copies the page. A deque so the trials a running wave holds
-    // stay put while the producer appends new slots.
+    // copies the page. A deque so the trials the stream holds stay
+    // put while the producer appends new slots.
     std::deque<Trial> trialPool;
     std::vector<u32> freeTrials;
     // Produced trials whose windows the master has not fully crossed
     // yet; bounded by window/minGap in practice.
     std::deque<Pending> inflight;
-    std::vector<WaveTrial> filling; ///< completed, not yet posted
-    std::vector<WaveTrial> posted;  ///< the pool's wave
-    // Last, so it is destroyed first: a wave can still be running when
-    // runRange unwinds from a producer-side exception, and the pool's
-    // destructor lets it finish before the trial slots, ledger entries
-    // and fork scratch it reads go away.
+    // The stream's trials: item k at streamed[k % streamCap].
+    std::vector<StreamTrial> streamed;
+    // Runs trials only inside runRange's stream, whose destructor lets
+    // the running ones finish, even when runRange unwinds.
     exec::ThreadPool pool;
 };
 
@@ -524,9 +521,9 @@ struct CampaignSession::Impl
  * function of the seed. A produced trial waits in a FIFO until the
  * master's own advance crosses all its commit targets (completing its
  * ledger entry, usually within the next trial or two's gaps);
- * completed trials fill a wave, which is posted to the session's pool
- * when it is full or the pool is idle, and the master fills the next
- * one while the pool's workers run it. Windows still open at the end of
+ * completed trials join the stream of trials on the session's pool,
+ * whose workers claim them in order while the master produces the
+ * next ones. Windows still open at the end of
  * the range are closed by extra "drain" ticks — on the real master
  * when nothing further depends on its cycle position (final range,
  * halt, or shutdown), and otherwise on a scratch copy, so a later
@@ -535,9 +532,11 @@ struct CampaignSession::Impl
  * same sampled state: that is the ledger's master-as-golden argument.
  *
  * Only this (the calling) thread touches the master, the ledger, the
- * trial slots and the sink; the pool's workers see a posted wave's
- * trials and complete entries, which stay untouched until wait()
- * collects the wave. Every trial produced here is merged before the
+ * trial slots and the sink; the thread that runs a streamed trial sees
+ * only that trial and its complete entry, which stay untouched until
+ * the trial is sunk. This thread runs trials too, but never while it
+ * could produce one: when the stream is full, and while it drains at
+ * the end of the range. Every trial produced here is sunk before the
  * call returns.
  */
 RangeOutcome
@@ -548,40 +547,40 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
     const pipeline::CoreStats masterBase = master.stats();
     bool stopped = false;
 
+    exec::ThreadPool::Stream stream(
+        pool, streamCap, [this](u64 k, unsigned worker) {
+            StreamTrial &s = streamed[k % streamCap];
+            s.result = runTrialGuarded(params, cfg, *s.trial, *s.golden,
+                                       scratch[worker]);
+        });
+    auto sinkDone = [&] {
+        // Sink in trial (production) order, as soon as the oldest
+        // trial is done: bit-identical for any worker count. Ledger
+        // slots and trial slots both free up for the next opens.
+        for (u64 k = stream.retired(); stream.retire(); ++k) {
+            const StreamTrial &s = streamed[k % streamCap];
+            sink(s.trial->index, s.result, s.trial->meta);
+            ledger->release(s.at.slot);
+            freeTrials.push_back(s.at.trialIdx);
+        }
+    };
     auto promote = [&] {
         // Entries complete in production order: per-thread targets are
         // nondecreasing, so the FIFO's front always finishes first.
         while (!inflight.empty() &&
                ledger->complete(inflight.front().slot)) {
+            // A full stream: run its oldest unclaimed trial here
+            // instead of sleeping until a worker's trial is done.
+            while (stream.full()) {
+                stream.help();
+                sinkDone();
+            }
             const Pending p = inflight.front();
             inflight.pop_front();
-            filling.push_back({p, &trialPool[p.trialIdx],
-                               &ledger->entry(p.slot), {}});
+            streamed[stream.pushed() % streamCap] = {
+                p, &trialPool[p.trialIdx], &ledger->entry(p.slot), {}};
+            stream.push();
         }
-    };
-    auto collect = [&] {
-        pool.wait();
-        // Merge — and sink — in trial (production) order:
-        // bit-identical for any worker count. Ledger slots and trial
-        // slots both free up for the next opens.
-        for (const WaveTrial &w : posted) {
-            sink(w.trial->index, w.result, w.trial->meta);
-            ledger->release(w.at.slot);
-            freeTrials.push_back(w.at.trialIdx);
-        }
-        posted.clear();
-    };
-    auto handOff = [&] {
-        collect();
-        if (filling.empty())
-            return;
-        std::swap(filling, posted);
-        pool.post(posted.size(), [this](u64 k) {
-            ForkScratch &fs = scratch[exec::ThreadPool::currentWorker()];
-            WaveTrial &w = posted[k];
-            w.result =
-                runTrialGuarded(params, cfg, *w.trial, *w.golden, fs);
-        });
     };
 
     while (trial < end && !halted) {
@@ -653,13 +652,8 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
         ++trial;
         ++executed;
 
-        // Hand the wave over once it is full, or as soon as the
-        // pool runs dry: then it waits at most one trial's
-        // production for work, never a whole wave's.
+        sinkDone();
         promote();
-        if (filling.size() >= waveCap ||
-            (!filling.empty() && pool.idle()))
-            handOff();
     }
 
     // Drain: the last trials' windows extend past the range's final
@@ -700,8 +694,8 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
 
     promote();
     fh_assert(inflight.empty(), "ledger drain left incomplete entries");
-    handOff();
-    collect();
+    for (sinkDone(); !stream.empty(); sinkDone())
+        stream.help();
 
     out.nextTrial = trial;
     out.halted = halted;

@@ -197,8 +197,8 @@ TEST_P(ForkEquivalence, ScratchForkMatchesFreshFork)
     };
     std::vector<Scratch> scratch(nthreads);
     exec::ThreadPool pool(nthreads);
-    pool.parallelFor(snaps.size(), [&](u64 k) {
-        Scratch &sc = scratch[exec::ThreadPool::currentWorker()];
+    pool.parallelFor(snaps.size(), [&](u64 k, unsigned worker) {
+        Scratch &sc = scratch[worker];
         const Snap &s = snaps[k];
 
         // Bare fork (detector off): fresh copy vs copy-restored scratch.
@@ -315,7 +315,7 @@ TEST_P(ScanOracleEquivalence, WakeupMatchesScanIssue)
     ASSERT_GE(snaps.size(), 6u);
 
     exec::ThreadPool pool(nthreads);
-    pool.parallelFor(snaps.size(), [&](u64 k) {
+    pool.parallelFor(snaps.size(), [&](u64 k, unsigned) {
         const Snap &s = snaps[k];
 
         // Bare forks: identical fault propagation without a detector.

@@ -414,44 +414,51 @@ TEST(SnapshotFootprint, PerlCoreCopyRequestsUnderHalfAMegabyte)
 TEST(MemoryPages, PoolWorkersWriteSnapshotsWhileTheOwnerWrites)
 {
     // A campaign's producer/pool pattern: the owner (the master) hands
-    // each worker a snapshot through post(), and keeps writing while
+    // each worker a snapshot through a stream, and keeps writing while
     // the workers restore their own scratch from it (dropping the
     // pages of the previous round on the worker), write the scratch
-    // and check it. wait() hands everything back.
+    // and check it. Retiring an item hands it back; the owner drains
+    // each round as the producer drains a range, running whatever the
+    // workers have not claimed on its own scratch.
     exec::ThreadPool pool(2);
     Memory owner = layoutMemory<Memory>();
     ReferenceMemory model = layoutMemory<ReferenceMemory>();
-    std::vector<Memory> handed(2), scratch(pool.size());
+    std::vector<Memory> handed(2), scratch(pool.size() + 1);
     std::vector<ReferenceMemory> handedModel(2);
     std::vector<int> ok(2, 0);
     Rng rng(0x5eed);
-    for (u64 round = 0; round < 12; ++round) {
+    u64 round = 0;
+    exec::ThreadPool::Stream stream(pool, 2, [&](u64 k, unsigned worker) {
+        const size_t i = k % 2;
+        Memory &s = scratch[worker];
+        s = handed[i];
+        ReferenceMemory sref = handedModel[i];
+        Rng r(round * 2 + i + 1);
+        for (int n = 0; n < 24; ++n) {
+            const Addr a = pickWord(r);
+            const u64 v = pickValue(r);
+            s.write(a, v);
+            sref.write(a, v);
+        }
+        ok[i] = matches(s, sref) ? 1 : 0;
+    });
+    for (; round < 12; ++round) {
         for (size_t i = 0; i < 2; ++i) {
             handed[i] = owner;
             handedModel[i] = model;
+            stream.push();
         }
-        pool.post(2, [&](u64 i) {
-            Memory &s = scratch[exec::ThreadPool::currentWorker()];
-            s = handed[i];
-            ReferenceMemory sref = handedModel[i];
-            Rng r(round * 2 + i + 1);
-            for (int n = 0; n < 24; ++n) {
-                const Addr a = pickWord(r);
-                const u64 v = pickValue(r);
-                s.write(a, v);
-                sref.write(a, v);
-            }
-            ok[i] = matches(s, sref) ? 1 : 0;
-        });
         for (int n = 0; n < 48; ++n) {
             const Addr a = pickWord(rng);
             const u64 v = pickValue(rng);
             owner.write(a, v);
             model.write(a, v);
         }
-        pool.wait();
+        while (!stream.empty())
+            if (!stream.retire())
+                stream.help();
         for (size_t i = 0; i < 2; ++i) {
-            EXPECT_TRUE(ok[i]) << "round " << round << " worker " << i;
+            EXPECT_TRUE(ok[i]) << "round " << round << " item " << i;
             ASSERT_TRUE(matches(handed[i], handedModel[i]))
                 << "round " << round << ": a snapshot saw a write";
         }
