@@ -56,7 +56,8 @@
 namespace fh::bench
 {
 
-/** FH_THREADS as CampaignConfig::threads (0 = all hardware). */
+/** FH_THREADS as CampaignConfig::threads (0 = the campaign default,
+ *  fault::resolveForkThreads). */
 inline unsigned
 envThreadCount()
 {

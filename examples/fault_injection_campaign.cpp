@@ -13,15 +13,14 @@
  *
  * usage: fault_injection_campaign [bench]
  *
- * Everything else — injection count, worker threads, journal resume,
- * trial timeouts, the JSON record — is fhsim's campaign mode
+ * Everything else — injection count, fork threads, journal resume,
+ * the JSON record — is fhsim's campaign mode
  * (`fhsim bench=... campaign=true injections=... jobs=... journal=...
  * json=...`).
  */
 
 #include <cstdio>
 
-#include "exec/thread_pool.hh"
 #include "fault/campaign.hh"
 #include "workload/workload.hh"
 
@@ -46,13 +45,13 @@ main(int argc, char **argv)
     fault::CampaignConfig cfg;
     cfg.injections = 200;
     cfg.window = 1000; // paper: 1000-instruction run window
-    cfg.threads = 0;   // all hardware threads; results are identical
+    cfg.threads = 0;   // the default fork threads; results are identical
 
     std::printf("injecting %llu single-bit faults into %s "
                 "(rename 20%% / LSQ 8%% / datapath+RF 72%%) "
-                "on %u worker threads...\n",
+                "on %u fork threads...\n",
                 static_cast<unsigned long long>(cfg.injections),
-                prog.name.c_str(), exec::resolveThreads(cfg.threads));
+                prog.name.c_str(), fault::resolveForkThreads(cfg.threads));
 
     const fault::CampaignResult r = fault::runCampaign(params, &prog, cfg);
 

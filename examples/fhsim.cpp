@@ -3,17 +3,11 @@
  * fhsim — the command-line simulator driver, the binary a downstream
  * user actually runs. Configures the core from key=value options (file
  * and/or command line), runs a benchmark under a chosen scheme, and
- * dumps gem5-style stats; optionally runs a fault-injection campaign —
- * in this process, or sharded across worker processes through the
- * distributed campaign fabric (src/dist).
+ * dumps gem5-style stats; optionally runs a fault-injection campaign
+ * on `jobs` fork threads beside the producer thread.
  *
  * Usage:
- *   fhsim [--config FILE] [key=value ...]        run sim (+ campaign)
- *   fhsim dispatch jobs=N [key=value ...]        campaign on N local
- *                                                worker processes
- *   fhsim serve listen=HOST:PORT [key=value ...] coordinator only;
- *                                                workers join remotely
- *   fhsim worker HOST:PORT [jobs=N]              join a coordinator
+ *   fhsim [--config FILE] [key=value ...]
  *
  * Run `fhsim` with no arguments (or `help=1`) for the full option
  * list — it is generated from the same consumed-key registry that
@@ -23,16 +17,13 @@
  * Unknown keys are fatal: `injectons=5000` should refuse to run, not
  * silently run the default campaign.
  *
- * SIGINT/SIGTERM stop new trials, drain the in-flight wave (dispatch
- * mode forwards the signal to every worker and drains them all),
- * flush the journal, and emit the (partial-flagged) outputs; exit
- * code 130.
+ * SIGINT/SIGTERM stop new trials, drain the in-flight ones, flush the
+ * journal, and emit the (partial-flagged) outputs; exit code 130.
  *
  * Examples:
  *   fhsim bench=429.mcf scheme=pbfs-biased insts=200000
  *   fhsim bench=apache campaign=true injections=500 jobs=8 \
  *         journal=apache.fhj
- *   fhsim dispatch jobs=4 bench=ocean injections=5000 json=-
  */
 
 #include <algorithm>
@@ -41,19 +32,13 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
-#include <vector>
 
-#include "dist/coordinator.hh"
-#include "dist/spawner.hh"
 #include "dist/spec.hh"
-#include "dist/worker.hh"
 #include "energy/energy_model.hh"
 #include "exec/interrupt.hh"
 #include "exec/progress.hh"
-#include "exec/thread_pool.hh"
 #include "fault/campaign.hh"
 #include "fault/campaign_json.hh"
-#include "fault/journal.hh"
 #include "pipeline/stats_dump.hh"
 #include "sim/config.hh"
 #include "sim/logging.hh"
@@ -65,8 +50,8 @@ namespace
 {
 
 /**
- * The full option registry: every key any fhsim mode reads, with its
- * help line. Declaring them all up front serves both masters — the
+ * The full option registry: every key fhsim reads, with its help
+ * line. Declaring them all up front serves both masters — the
  * typo check refuses anything not listed here, and printHelp() prints
  * exactly this list.
  */
@@ -105,9 +90,9 @@ declareAllKeys(const Config &cfg)
                    "thread, at least 1 (default 1000)");
     cfg.declareKey("jobs",
                    "campaign fork threads, plus one producer thread "
-                   "that also runs trials when they back up, "
-                   "or worker processes in dispatch mode; 0-1024, "
-                   "0 = all hardware threads");
+                   "that also runs trials when they back up; 0-1024, "
+                   "0 = one fewer than the hardware threads (at least "
+                   "1)");
     cfg.declareKey("journal",
                    "trial-journal path for checkpoint/resume");
     cfg.declareKey("ci_target",
@@ -120,49 +105,23 @@ declareAllKeys(const Config &cfg)
     cfg.declareKey("json",
                    "write the JSON campaign record here "
                    "(\"-\" = stdout)");
-    // Distributed fabric.
-    cfg.declareKey("listen",
-                   "serve/dispatch mode: coordinator endpoint, "
-                   "host:port or unix:/path (port 0 = ephemeral)");
-    cfg.declareKey("workers",
-                   "serve mode: expected worker count, 1-1024; sizes "
-                   "the lease chunks (default 1)");
-    cfg.declareKey("chunk",
-                   "trials per range lease, 0 up to injections; 0 = "
-                   "auto (~4 per worker)");
-    cfg.declareKey("lease_timeout_ms",
-                   "heartbeat silence before a worker's lease is "
-                   "re-issued, 1 to 86400000 ms: 0 would revoke every "
-                   "lease at once, and a day of silence is a dead "
-                   "worker (default 10000)");
-    cfg.declareKey("heartbeat_ms",
-                   "worker liveness heartbeat period, 1 to 86400000 "
-                   "ms: 0 would flood the link, and no lease timeout "
-                   "waits longer (default 300)");
-    cfg.declareKey("worker_jobs",
-                   "dispatch mode: fork threads per worker process, "
-                   "0-1024 (default 1)");
     cfg.declareKey("help", "print this option list and exit");
 }
 
 void
 printHelp(const Config &cfg)
 {
-    std::printf(
-        "usage: fhsim [--config FILE] [key=value ...]\n"
-        "       fhsim dispatch jobs=N [key=value ...]\n"
-        "       fhsim serve listen=HOST:PORT [key=value ...]\n"
-        "       fhsim worker HOST:PORT [jobs=N]\n"
-        "\noptions:\n");
+    std::printf("usage: fhsim [--config FILE] [key=value ...]\n"
+                "\noptions:\n");
     for (const auto &[key, desc] : cfg.keyDocs())
         std::printf("  %-18s%s\n", key.c_str(), desc.c_str());
 }
 
 bool
-parseArgs(Config &cfg, int argc, char **argv, int first)
+parseArgs(Config &cfg, int argc, char **argv)
 {
     std::string error;
-    for (int i = first; i < argc; ++i) {
+    for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
             declareAllKeys(cfg);
@@ -201,8 +160,7 @@ rejectUnknown(const Config &cfg)
     return false;
 }
 
-/** The deterministic campaign description all modes share, built from
- *  the same keys the in-process path reads. */
+/** The deterministic campaign description the options select. */
 dist::CampaignSpec
 specFromConfig(const Config &cfg)
 {
@@ -229,36 +187,13 @@ specFromConfig(const Config &cfg)
     return spec;
 }
 
-/** Coordinator options shared by dispatch and serve; false (after
- *  printing why) on a malformed listen endpoint. */
-bool
-coordinatorOptions(const Config &cfg, const dist::CampaignSpec &spec,
-                   unsigned workers, exec::ProgressMeter &meter,
-                   dist::CoordinatorOptions &copts)
-{
-    std::string error;
-    if (!dist::parseEndpoint(cfg.getString("listen", "127.0.0.1:0"),
-                             copts.listen, error)) {
-        std::fprintf(stderr, "fhsim: %s\n", error.c_str());
-        return false;
-    }
-    copts.workers = workers;
-    copts.chunk = cfg.getU64("chunk", 0, 0, spec.campaign.injections);
-    copts.leaseTimeoutMs = cfg.getU64("lease_timeout_ms",
-                                      copts.leaseTimeoutMs, 1, dist::kMaxMs);
-    copts.progress = &meter;
-    return true;
-}
-
-/** The stdout campaign block + FH_JSON record + exit code, shared by
- *  the in-process and distributed paths so their outputs are
- *  comparable byte for byte (stdout) / field for field (JSON). */
+/** The stdout campaign block, the stderr summary, the FH_JSON record
+ *  and the exit code. */
 int
 emitCampaignOutputs(const Config &cfg, const std::string &bench,
                     unsigned workers,
                     const fault::CampaignConfig &ccfg,
-                    const fault::CampaignResult &r, fault::WallTime time,
-                    const dist::DistStats *fabric = nullptr)
+                    const fault::CampaignResult &r, fault::WallTime time)
 {
     std::printf("%-34s%-16.4f# fraction of injections\n",
                 "campaign.masked", r.maskedFrac());
@@ -294,13 +229,12 @@ emitCampaignOutputs(const Config &cfg, const std::string &bench,
                 "campaign.ci_stopped", r.ciStopped ? 1 : 0);
     // Timing and the other diagnostics go to stderr, as FH_JSON's key
     // names and values: stdout stays byte-identical across runs and
-    // worker counts (the determinism suite diffs it).
+    // fork-thread counts (the determinism suite diffs it).
     fault::printCampaignSummary(stderr, "fhsim", bench, workers, ccfg, r,
-                                time, fabric);
+                                time);
     const std::string json = cfg.getString("json", "");
     if (!json.empty())
-        fault::writeCampaignJson(json, bench, workers, ccfg, r, time,
-                                 fabric);
+        fault::writeCampaignJson(json, bench, workers, ccfg, r, time);
     if (r.partial) {
         std::fprintf(stderr,
                      "fhsim: campaign interrupted after %llu "
@@ -310,167 +244,6 @@ emitCampaignOutputs(const Config &cfg, const std::string &bench,
         return 130;
     }
     return 0;
-}
-
-/** Runs the coordinator for dispatch and serve; meter is the one it
- *  ticks. */
-int
-runCoordinator(const Config &cfg, dist::Coordinator &coord,
-               const dist::CampaignSpec &spec, unsigned workers,
-               const exec::ProgressMeter &meter)
-{
-    const std::string journalPath = cfg.getString("journal", "");
-    std::unique_ptr<fault::TrialJournal> journal;
-    if (!journalPath.empty())
-        journal = std::make_unique<fault::TrialJournal>(
-            journalPath, spec.campaign,
-            filters::to_string(spec.buildParams().detector.scheme));
-
-    const auto t0 = std::chrono::steady_clock::now();
-    fault::CampaignResult r = coord.run(journal.get());
-    const double seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-
-    return emitCampaignOutputs(cfg, spec.bench, workers, spec.campaign,
-                               r, {seconds, meter.executingSeconds()},
-                               &coord.stats());
-}
-
-int
-cmdDispatch(int argc, char **argv)
-{
-    Config cfg;
-    if (!parseArgs(cfg, argc, argv, 2))
-        return 1;
-    declareAllKeys(cfg);
-    if (cfg.getBool("help", false)) {
-        printHelp(cfg);
-        return 0;
-    }
-    if (!rejectUnknown(cfg))
-        return 1;
-
-    const dist::CampaignSpec spec = specFromConfig(cfg);
-    const unsigned jobs = static_cast<unsigned>(
-        std::max<u64>(1, cfg.getU64("jobs", 1, 0, dist::kMaxJobs)));
-    const u64 workerJobs =
-        cfg.getU64("worker_jobs", 1, 0, dist::kMaxJobs);
-
-    exec::installShutdownHandlers();
-    exec::ProgressMeter meter("fhsim dispatch",
-                              spec.campaign.injections);
-
-    dist::CoordinatorOptions copts;
-    if (!coordinatorOptions(cfg, spec, jobs, meter, copts))
-        return 1;
-    const u64 heartbeatMs =
-        cfg.getU64("heartbeat_ms", dist::WorkerOptions{}.heartbeatMs, 1,
-                   dist::kMaxMs);
-    dist::Coordinator coord(spec, copts);
-
-    const std::string exe = dist::selfExe();
-    if (exe.empty()) {
-        std::fprintf(stderr, "fhsim: cannot resolve own binary "
-                             "path for worker spawn\n");
-        return 1;
-    }
-    std::vector<pid_t> pids;
-    for (unsigned i = 0; i < jobs; ++i) {
-        const pid_t pid = dist::spawnExec(
-            {exe, "worker", coord.endpoint().str(),
-             "jobs=" + std::to_string(workerJobs),
-             "heartbeat_ms=" + std::to_string(heartbeatMs)});
-        if (pid < 0) {
-            std::fprintf(stderr, "fhsim: worker spawn failed\n");
-            return 1;
-        }
-        pids.push_back(pid);
-        coord.addChild(pid);
-        // Guard against the no-RAII death paths (fh_fatal exits,
-        // FH_STRICT panics abort): whatever kills this process must
-        // not orphan the workers.
-        dist::ChildGuard::add(pid);
-    }
-    std::fprintf(stderr,
-                 "fhsim: dispatching %llu injections to %u worker "
-                 "process(es) on %s\n",
-                 static_cast<unsigned long long>(
-                     spec.campaign.injections),
-                 jobs, coord.endpoint().str().c_str());
-
-    const int rc = runCoordinator(cfg, coord, spec, jobs, meter);
-    // The coordinator closed every socket; workers exit on their own.
-    // Reap them all — dispatch never leaves orphans.
-    for (pid_t pid : pids) {
-        dist::reap(pid);
-        dist::ChildGuard::remove(pid);
-    }
-    return rc;
-}
-
-int
-cmdServe(int argc, char **argv)
-{
-    Config cfg;
-    if (!parseArgs(cfg, argc, argv, 2))
-        return 1;
-    declareAllKeys(cfg);
-    if (cfg.getBool("help", false)) {
-        printHelp(cfg);
-        return 0;
-    }
-    if (!rejectUnknown(cfg))
-        return 1;
-
-    const dist::CampaignSpec spec = specFromConfig(cfg);
-    exec::installShutdownHandlers();
-    exec::ProgressMeter meter("fhsim serve",
-                              spec.campaign.injections);
-
-    const unsigned workers = static_cast<unsigned>(
-        cfg.getU64("workers", 1, 1, dist::kMaxJobs));
-    dist::CoordinatorOptions copts;
-    if (!coordinatorOptions(cfg, spec, workers, meter, copts))
-        return 1;
-    dist::Coordinator coord(spec, copts);
-    std::fprintf(stderr,
-                 "fhsim: serving %llu injections on %s; start "
-                 "workers with `fhsim worker %s`\n",
-                 static_cast<unsigned long long>(
-                     spec.campaign.injections),
-                 coord.endpoint().str().c_str(),
-                 coord.endpoint().str().c_str());
-
-    return runCoordinator(cfg, coord, spec, copts.workers, meter);
-}
-
-int
-cmdWorker(int argc, char **argv)
-{
-    if (argc < 3) {
-        std::fprintf(stderr,
-                     "usage: fhsim worker HOST:PORT [jobs=N]\n");
-        return 1;
-    }
-    Config cfg;
-    if (!parseArgs(cfg, argc, argv, 3))
-        return 1;
-    declareAllKeys(cfg);
-    if (!rejectUnknown(cfg))
-        return 1;
-
-    dist::WorkerOptions wopts;
-    std::string error;
-    if (!dist::parseEndpoint(argv[2], wopts.endpoint, error)) {
-        std::fprintf(stderr, "fhsim: %s\n", error.c_str());
-        return 1;
-    }
-    wopts.jobs =
-        static_cast<unsigned>(cfg.getU64("jobs", 1, 0, dist::kMaxJobs));
-    wopts.heartbeatMs =
-        cfg.getU64("heartbeat_ms", wopts.heartbeatMs, 1, dist::kMaxMs);
-    return dist::runWorker(wopts);
 }
 
 int
@@ -522,21 +295,20 @@ runSim(const Config &cfg)
         exec::installShutdownHandlers();
         exec::ProgressMeter meter("fhsim campaign", ccfg.injections);
         ccfg.progress = &meter;
+        const unsigned forkThreads = fault::resolveForkThreads(ccfg.threads);
         std::fprintf(stderr, "fhsim: running %llu-injection "
                              "campaign on %u fork thread(s) plus the "
                              "producer, which runs trials too when "
                              "they back up...\n",
                      static_cast<unsigned long long>(ccfg.injections),
-                     exec::resolveThreads(ccfg.threads));
+                     forkThreads);
         const auto t0 = std::chrono::steady_clock::now();
         auto r = fault::runCampaign(params, &prog, ccfg);
         const double seconds =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - t0)
                 .count();
-        return emitCampaignOutputs(cfg, bench,
-                                   exec::resolveThreads(ccfg.threads),
-                                   ccfg, r,
+        return emitCampaignOutputs(cfg, bench, forkThreads, ccfg, r,
                                    {seconds, meter.executingSeconds()});
     }
     return 0;
@@ -547,18 +319,8 @@ runSim(const Config &cfg)
 int
 main(int argc, char **argv)
 {
-    if (argc > 1) {
-        const std::string mode = argv[1];
-        if (mode == "dispatch")
-            return cmdDispatch(argc, argv);
-        if (mode == "serve")
-            return cmdServe(argc, argv);
-        if (mode == "worker")
-            return cmdWorker(argc, argv);
-    }
-
     Config cfg;
-    if (!parseArgs(cfg, argc, argv, 1))
+    if (!parseArgs(cfg, argc, argv))
         return 1;
     declareAllKeys(cfg);
     if (argc == 1 || cfg.getBool("help", false)) {

@@ -35,8 +35,7 @@ Coordinator::~Coordinator()
             closeFabricFd(c.fd);
     if (listenFd_ >= 0)
         closeFabricFd(listenFd_);
-    if (listen_.unixDomain)
-        ::unlink(listen_.host.c_str());
+    ::unlink(listen_.path.c_str());
 }
 
 void

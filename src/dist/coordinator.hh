@@ -8,7 +8,7 @@
  * Bit-identical merge: each trial's counter deltas are a pure function
  * of (spec, trial index) — see fault::CampaignSession — so the merge
  * only has to restore trial order. Within one lease, records arrive in
- * order on one TCP stream; across leases, a stash holds early records
+ * order on one stream socket; across leases, a stash holds early records
  * until the contiguous prefix reaches them, and the prefix feeds the
  * same fault::CampaignMerge runCampaign uses — one journal replay, one
  * fold, one adaptive stop rule. If every worker is gone, the
@@ -41,7 +41,6 @@
 #include "dist/spec.hh"
 #include "dist/wire.hh"
 #include "fault/campaign.hh"
-#include "fault/campaign_json.hh"
 #include "fault/journal.hh"
 
 namespace fh::exec
@@ -54,9 +53,9 @@ namespace fh::dist
 
 struct CoordinatorOptions
 {
-    /** Where to listen; port 0 picks an ephemeral port (read it back
-     *  via Coordinator::endpoint() before spawning workers). */
-    Endpoint listen{false, "127.0.0.1", 0};
+    /** The Unix-domain socket to listen on. It has no default: a
+     *  coordinator constructed without a path is fatal. */
+    Endpoint listen;
     /** Expected worker count — only sizes the auto chunk; more or
      *  fewer workers may actually join. */
     unsigned workers = 1;
@@ -68,7 +67,7 @@ struct CoordinatorOptions
     u64 leaseTimeoutMs = 10000;
     /** After this long with work outstanding and not a single live
      *  worker, run the rest in-process: bit-identical, but flagged in
-     *  DistStats::degraded and FH_JSON's "fabric" block. */
+     *  DistStats::degraded. */
     u64 noWorkerTimeoutMs = 120000;
     /** Ticked per merged trial; its rate clock starts with the first
      *  lease. */
@@ -78,9 +77,18 @@ struct CoordinatorOptions
     u64 stopAfterMerged = 0;
 };
 
-/** The fabric's health counters, which FH_JSON's "fabric" block
- *  prints. */
-using DistStats = fault::FabricHealth;
+/** The fabric's health counters: host-local observability, never on
+ *  the wire and never classification. */
+struct DistStats
+{
+    u64 workersJoined = 0; ///< peers whose Hello was accepted
+    u64 workersDied = 0;   ///< joined workers lost: EOF, violation, timeout
+    u64 rangesIssued = 0;
+    u64 rangesReissued = 0;
+    u64 trialsMerged = 0;
+    u64 crcErrors = 0;     ///< frames rejected by the CRC trailer
+    bool degraded = false; ///< tail ran in-process, fleet was dead
+};
 
 class Coordinator
 {
@@ -96,7 +104,7 @@ class Coordinator
 
     const Endpoint &endpoint() const { return listen_; }
 
-    /** Subprocess to forward shutdown signals to (dispatch mode). */
+    /** Subprocess to forward shutdown signals to. */
     void addChild(pid_t pid);
 
     /**

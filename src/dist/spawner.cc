@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <mutex>
 
-#include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <time.h>
@@ -20,46 +19,10 @@ namespace ChildGuard
 {
 /** Clears the inherited pid table in a freshly forked child; without
  *  this a child dying via std::exit/abort would kill its *siblings*
- *  (the table and the hooks survive fork). Internal to the spawners —
+ *  (the table and the hooks survive fork). Internal to spawnFn —
  *  deliberately not in the header. */
 void resetInChild();
 } // namespace ChildGuard
-
-std::string
-selfExe()
-{
-    char buf[4096];
-    const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n <= 0)
-        return {};
-    buf[n] = '\0';
-    return buf;
-}
-
-pid_t
-spawnExec(const std::vector<std::string> &argv)
-{
-    std::vector<char *> cargv;
-    cargv.reserve(argv.size() + 1);
-    for (const auto &a : argv)
-        cargv.push_back(const_cast<char *>(a.c_str()));
-    cargv.push_back(nullptr);
-
-    const pid_t pid = ::fork();
-    if (pid != 0)
-        return pid;
-    ChildGuard::resetInChild();
-    // An inherited fabric socket keeps the stream alive after its real
-    // owner dies — the peer never sees EOF (see wire.hh).
-    closeFabricFdsInChild();
-    const int devnull = ::open("/dev/null", O_RDONLY);
-    if (devnull >= 0) {
-        ::dup2(devnull, 0);
-        ::close(devnull);
-    }
-    ::execv(cargv[0], cargv.data());
-    _exit(127);
-}
 
 pid_t
 spawnFn(const std::function<int()> &fn)
@@ -68,6 +31,8 @@ spawnFn(const std::function<int()> &fn)
     if (pid != 0)
         return pid;
     ChildGuard::resetInChild();
+    // An inherited fabric socket keeps the stream alive after its real
+    // owner dies — the peer never sees EOF (see wire.hh).
     closeFabricFdsInChild();
     _exit(fn());
 }
@@ -194,7 +159,7 @@ add(pid_t pid)
             return;
     }
     // Table full: nothing guards this pid. 256 concurrent local
-    // workers is far past any real dispatch; don't fail the spawn.
+    // workers is far past any real campaign; don't fail the spawn.
 }
 
 void

@@ -1,29 +1,20 @@
 /**
  * @file
- * Local worker spawner: fork+exec for fhsim's dispatch mode, fork+fn
- * for tests and benches that want a real worker *process* (its own
- * shutdown flag, its own sockets, killable with signal 9) without
- * depending on a binary path.
+ * Local worker spawner: fork+fn for the tests and benchmarks that want
+ * a real worker *process* (its own shutdown flag, its own sockets,
+ * killable with signal 9), and ChildGuard, which keeps such a process
+ * from outliving its parent.
  */
 
 #ifndef FH_DIST_SPAWNER_HH
 #define FH_DIST_SPAWNER_HH
 
 #include <functional>
-#include <string>
-#include <vector>
 
 #include <sys/types.h>
 
 namespace fh::dist
 {
-
-/** Absolute path of the running binary (/proc/self/exe). */
-std::string selfExe();
-
-/** fork + exec argv[0] with the given arguments; the child's stdin is
- *  /dev/null. Returns the child pid, or -1 on failure. */
-pid_t spawnExec(const std::vector<std::string> &argv);
 
 /** fork; the child runs fn() and _exit()s with its return value (no
  *  atexit handlers, no flushing parent-inherited buffers twice).
@@ -38,7 +29,7 @@ int reap(pid_t pid);
  *
  * fh_fatal std::exit()s and fh_panic (strict mode) aborts — neither
  * unwinds, so no RAII cleanup ever runs on those paths, and a
- * coordinator dying mid-dispatch used to leave its forked workers
+ * coordinator dying mid-campaign used to leave its forked workers
  * running forever. ChildGuard registers every spawned pid in a
  * process-global table; the first add() installs an atexit hook
  * (SIGTERM, short grace, then SIGKILL + reap) and a SIGABRT handler

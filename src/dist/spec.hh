@@ -34,12 +34,10 @@ namespace fh::dist
 // keys, CampaignSpec::decode and the harnesses' FH_* variables read
 // through them. fhsim's help line for each key gives the reason.
 constexpr u64 kMaxSmtThreads = 8; ///< `threads`: pipeline::Core's SMT
-/** `jobs`, `worker_jobs`, `workers` and FH_THREADS. */
-constexpr u64 kMaxJobs = 1024;
+constexpr u64 kMaxJobs = 1024;                   ///< `jobs`, FH_THREADS
 constexpr u64 kMaxInsts = 1'000'000'000'000'000; ///< `insts`, FH_INSTS
 constexpr u64 kMaxTcamEntries = 1024;            ///< `tcam.entries`
 constexpr u64 kMaxTcamThreshold = 64;            ///< `tcam.threshold`
-constexpr u64 kMaxMs = 86'400'000;   ///< the `*_ms` keys: one day
 constexpr double kMaxCiTarget = 0.5; ///< `ci_target`, FH_CI_TARGET
 constexpr u64 kAnyU64 = ~u64{0};     ///< no bound but the type's
 /** `delay_buffer`: it holds ROB slots. */

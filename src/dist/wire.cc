@@ -7,9 +7,6 @@
 
 #include "sim/crc32c.hh"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -173,53 +170,25 @@ FrameReader::next(Frame &out)
 /* ------------------------------------------------------------------ */
 /* Sockets.                                                           */
 
-std::string
-Endpoint::str() const
-{
-    if (unixDomain)
-        return "unix:" + host;
-    return host + ":" + std::to_string(port);
-}
-
-bool
-parseEndpoint(const std::string &text, Endpoint &out,
-              std::string &error)
-{
-    if (text.rfind("unix:", 0) == 0) {
-        out.unixDomain = true;
-        out.host = text.substr(5);
-        out.port = 0;
-        if (out.host.empty()) {
-            error = "empty unix socket path in '" + text + "'";
-            return false;
-        }
-        if (out.host.size() >= sizeof(sockaddr_un{}.sun_path)) {
-            error = "unix socket path too long in '" + text + "'";
-            return false;
-        }
-        return true;
-    }
-    const auto colon = text.rfind(':');
-    if (colon == std::string::npos || colon == 0 ||
-        colon + 1 >= text.size()) {
-        error = "expected host:port or unix:/path, got '" + text + "'";
-        return false;
-    }
-    out.unixDomain = false;
-    out.host = text.substr(0, colon);
-    char *end = nullptr;
-    const unsigned long port =
-        std::strtoul(text.c_str() + colon + 1, &end, 10);
-    if (*end != '\0' || port > 65535) {
-        error = "bad port in '" + text + "'";
-        return false;
-    }
-    out.port = static_cast<u16>(port);
-    return true;
-}
-
 namespace
 {
+
+/** False, with error, when path cannot name a socket: empty, or too
+ *  long for sockaddr_un. text is what the error quotes. */
+bool
+usablePath(const std::string &path, const std::string &text,
+           std::string &error)
+{
+    if (path.empty()) {
+        error = "empty unix socket path in '" + text + "'";
+        return false;
+    }
+    if (path.size() >= sizeof(sockaddr_un{}.sun_path)) {
+        error = "unix socket path too long in '" + text + "'";
+        return false;
+    }
+    return true;
+}
 
 /** The fabric-fd registry (see adoptFabricFd in wire.hh): a fixed
  *  lock-free table so the child-side sweep right after fork() needs
@@ -230,31 +199,34 @@ namespace
 constexpr size_t kMaxFabricFds = 256;
 std::atomic<int> gFabricFds[kMaxFabricFds];
 
-bool
-fillSockaddr(const Endpoint &ep, sockaddr_storage &ss, socklen_t &len,
-             std::string &error)
+/** A stream socket and ep's address; -1 (with error) on failure. */
+int
+unixSocket(const Endpoint &ep, sockaddr_un &sun, std::string &error)
 {
-    std::memset(&ss, 0, sizeof(ss));
-    if (ep.unixDomain) {
-        auto *sun = reinterpret_cast<sockaddr_un *>(&ss);
-        sun->sun_family = AF_UNIX;
-        std::strncpy(sun->sun_path, ep.host.c_str(),
-                     sizeof(sun->sun_path) - 1);
-        len = sizeof(sockaddr_un);
-        return true;
-    }
-    auto *sin = reinterpret_cast<sockaddr_in *>(&ss);
-    sin->sin_family = AF_INET;
-    sin->sin_port = htons(ep.port);
-    if (inet_pton(AF_INET, ep.host.c_str(), &sin->sin_addr) != 1) {
-        error = "bad IPv4 address '" + ep.host + "'";
-        return false;
-    }
-    len = sizeof(sockaddr_in);
-    return true;
+    if (!usablePath(ep.path, ep.str(), error))
+        return -1;
+    std::memset(&sun, 0, sizeof(sun));
+    sun.sun_family = AF_UNIX;
+    std::memcpy(sun.sun_path, ep.path.data(), ep.path.size());
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0)
+        error = std::string("socket: ") + std::strerror(errno);
+    return fd;
 }
 
 } // namespace
+
+bool
+parseEndpoint(const std::string &text, Endpoint &out,
+              std::string &error)
+{
+    if (text.rfind("unix:", 0) != 0) {
+        error = "expected unix:/path, got '" + text + "'";
+        return false;
+    }
+    out.path = text.substr(5);
+    return usablePath(out.path, text, error);
+}
 
 void
 adoptFabricFd(int fd)
@@ -298,37 +270,19 @@ closeFabricFdsInChild()
 }
 
 int
-listenOn(Endpoint &ep, std::string &error)
+listenOn(const Endpoint &ep, std::string &error)
 {
-    sockaddr_storage ss;
-    socklen_t len = 0;
-    if (!fillSockaddr(ep, ss, len, error))
+    sockaddr_un sun;
+    const int fd = unixSocket(ep, sun, error);
+    if (fd < 0)
         return -1;
-    const int fd =
-        ::socket(ep.unixDomain ? AF_UNIX : AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-        error = std::string("socket: ") + std::strerror(errno);
-        return -1;
-    }
-    if (!ep.unixDomain) {
-        int one = 1;
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    } else {
-        ::unlink(ep.host.c_str()); // stale path from a previous run
-    }
-    if (::bind(fd, reinterpret_cast<sockaddr *>(&ss), len) != 0 ||
+    ::unlink(ep.path.c_str()); // stale path from a previous run
+    if (::bind(fd, reinterpret_cast<sockaddr *>(&sun), sizeof(sun)) != 0 ||
         ::listen(fd, 64) != 0) {
         error = std::string("bind/listen ") + ep.str() + ": " +
                 std::strerror(errno);
         ::close(fd);
         return -1;
-    }
-    if (!ep.unixDomain && ep.port == 0) {
-        sockaddr_in bound;
-        socklen_t blen = sizeof(bound);
-        if (::getsockname(fd, reinterpret_cast<sockaddr *>(&bound),
-                          &blen) == 0)
-            ep.port = ntohs(bound.sin_port);
     }
     adoptFabricFd(fd);
     return fd;
@@ -337,29 +291,20 @@ listenOn(Endpoint &ep, std::string &error)
 int
 connectTo(const Endpoint &ep, std::string &error)
 {
-    sockaddr_storage ss;
-    socklen_t len = 0;
-    if (!fillSockaddr(ep, ss, len, error))
+    sockaddr_un sun;
+    const int fd = unixSocket(ep, sun, error);
+    if (fd < 0)
         return -1;
-    const int fd =
-        ::socket(ep.unixDomain ? AF_UNIX : AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-        error = std::string("socket: ") + std::strerror(errno);
-        return -1;
-    }
     int rc;
     do {
-        rc = ::connect(fd, reinterpret_cast<sockaddr *>(&ss), len);
+        rc = ::connect(fd, reinterpret_cast<sockaddr *>(&sun),
+                       sizeof(sun));
     } while (rc != 0 && errno == EINTR);
     if (rc != 0) {
         error = std::string("connect ") + ep.str() + ": " +
                 std::strerror(errno);
         ::close(fd);
         return -1;
-    }
-    if (!ep.unixDomain) {
-        int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     }
     adoptFabricFd(fd);
     return fd;

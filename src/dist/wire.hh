@@ -24,9 +24,10 @@
  * there is no in-stream resync. The dropped worker exits and the
  * coordinator re-issues its lease.
  *
- * Endpoints are `host:port` TCP (IPv4) or `unix:/path` domain
- * sockets. All sockets are used blocking on the worker side; the
- * coordinator multiplexes non-blocking reads under poll(2).
+ * Endpoints are Unix-domain sockets, written `unix:/path`: the
+ * coordinator and its workers share one host. All sockets are used
+ * blocking on the worker side; the coordinator multiplexes
+ * non-blocking reads under poll(2).
  */
 
 #ifndef FH_DIST_WIRE_HH
@@ -147,41 +148,39 @@ class FrameReader
 /* ------------------------------------------------------------------ */
 /* Sockets.                                                           */
 
-/** `host:port` (TCP) or `unix:/path` (domain socket). */
+/** A Unix-domain socket path, written `unix:/path`. */
 struct Endpoint
 {
-    bool unixDomain = false;
-    std::string host; ///< or socket path when unixDomain
-    u16 port = 0;
+    std::string path;
 
-    std::string str() const;
+    std::string str() const { return "unix:" + path; }
 };
 
-/** Parse an endpoint string; false (with error) on malformed input. */
+/** Parse `unix:/path`; false (with error) on anything else, or on a
+ *  path that is empty or too long for a socket address. */
 bool parseEndpoint(const std::string &text, Endpoint &out,
                    std::string &error);
 
 /**
- * Bind + listen on the endpoint (port 0 = ephemeral; the actually
- * bound port is written back into ep.port). Returns the listening fd,
- * or -1 with error set.
+ * Bind + listen on the endpoint, replacing a stale socket file left at
+ * its path. Returns the listening fd, or -1 with error set (an empty
+ * path included).
  */
-int listenOn(Endpoint &ep, std::string &error);
+int listenOn(const Endpoint &ep, std::string &error);
 
 /** Connect to the endpoint; returns fd or -1 with error set. */
 int connectTo(const Endpoint &ep, std::string &error);
 
 /**
  * Track a fabric socket for child-process hygiene and bound its send
- * stalls. fork()ed children (spawnFn test workers, dispatch's
- * fork+exec window) inherit every open fd; an inherited connection
- * end keeps the stream artificially alive after its real owner dies —
- * the peer never sees EOF and can block forever in send() on a buffer
- * nobody drains. Registered fds are closed en masse in spawned
- * children (spawner.cc) and get a SO_SNDTIMEO so even a genuinely
- * wedged peer turns into a bounded send failure, not a hang.
- * listenOn/connectTo adopt their fds automatically; the coordinator
- * adopts each accept()ed fd.
+ * stalls. fork()ed children (spawnFn workers) inherit every open fd;
+ * an inherited connection end keeps the stream artificially alive
+ * after its real owner dies — the peer never sees EOF and can block
+ * forever in send() on a buffer nobody drains. Registered fds are
+ * closed en masse in spawned children (spawner.cc) and get a
+ * SO_SNDTIMEO so even a genuinely wedged peer turns into a bounded
+ * send failure, not a hang. listenOn/connectTo adopt their fds
+ * automatically; the coordinator adopts each accept()ed fd.
  */
 void adoptFabricFd(int fd);
 
@@ -190,7 +189,7 @@ void adoptFabricFd(int fd);
 void closeFabricFd(int fd);
 
 /** Child-side half of adoptFabricFd: close every inherited fabric fd.
- *  Called by the spawners right after fork. */
+ *  Called by spawnFn right after fork. */
 void closeFabricFdsInChild();
 
 /** Write all n bytes (handles short writes, EINTR; no SIGPIPE).

@@ -18,8 +18,8 @@
  * process shutdown flag, drains its range and exits; the coordinator
  * re-issues the unacknowledged rest of its lease to a live worker, as
  * it does for a killed one. Because the flag is process-wide,
- * runWorker must run in a process of its own: fhsim's `worker` mode
- * and every spawnFn child do.
+ * runWorker must run in a process of its own, as every spawnFn child
+ * does.
  */
 
 #ifndef FH_DIST_WORKER_HH
@@ -34,7 +34,7 @@ struct WorkerOptions
 {
     Endpoint endpoint;
     /** Host threads for the per-trial forks (CampaignConfig::threads);
-     *  0 = one per hardware thread. */
+     *  0 = fault::resolveForkThreads' default. */
     unsigned jobs = 1;
     u64 heartbeatMs = 300;
 

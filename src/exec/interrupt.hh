@@ -32,7 +32,7 @@ void requestShutdown();
 
 /**
  * The signal that latched the flag, or 0 when none did (programmatic
- * request, or no shutdown yet). The distributed dispatcher uses this
+ * request, or no shutdown yet). The campaign coordinator uses this
  * to forward the *same* signal to its worker subprocesses, so a
  * session-level SIGTERM and an interactive ^C propagate faithfully.
  */

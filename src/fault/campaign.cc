@@ -362,6 +362,12 @@ runTrialGuarded(const pipeline::CoreParams &params,
 
 } // namespace
 
+unsigned
+resolveForkThreads(unsigned threads)
+{
+    return threads ? threads : std::max(1u, exec::hardwareThreads() - 1);
+}
+
 /**
  * All loop state of runCampaign, held across runRange calls so a
  * distributed worker can execute its leased ranges incrementally.
@@ -396,7 +402,7 @@ struct CampaignSession::Impl
           strataSpace(cfg_in.mix),
           master(params_in, prog),
           gapRng(cfg_in.seed),
-          threads(exec::resolveThreads(cfg_in.threads)),
+          threads(resolveForkThreads(cfg_in.threads)),
           streamCap(std::max<u64>(u64{threads} * 4, 8)),
           pool(threads)
     {

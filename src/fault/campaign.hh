@@ -78,13 +78,14 @@ struct CampaignConfig
 
     /**
      * Fork threads: the exec::ThreadPool workers that execute the
-     * per-trial forks (bare / protected); 0 = one per hardware thread
-     * (the default). The producer — the thread calling runCampaign or
-     * runRange, which advances the master — runs beside them, so a
-     * campaign occupies threads + 1 host threads; 1 runs the forks on
-     * one thread while the master advances on the other. The producer
-     * runs trials too, but only when the stream of produced trials is
-     * full (max(4 * threads, 8) of them) or a range drains. Also
+     * per-trial forks (bare / protected); 0 (the default) = one fewer
+     * than the hardware threads, at least 1 (resolveForkThreads). The
+     * producer — the thread calling runCampaign or runRange, which
+     * advances the master — runs beside them, so a campaign occupies
+     * threads + 1 host threads; 1 runs the forks on one thread while
+     * the master advances on the other. The producer runs trials too,
+     * but only when the stream of produced trials is full
+     * (max(4 * threads, 8) of them) or a range drains. Also
      * settable via FH_THREADS in the bench harnesses and `jobs=` in
      * fhsim. The result is bit-identical for every value: each trial
      * draws from its own Rng::stream(seed, trial_index) and per-trial
@@ -156,6 +157,14 @@ struct CampaignConfig
      *  condition is evaluated only at multiples of this. */
     u64 ciWave = 64;
 };
+
+/**
+ * The fork threads a campaign runs (CampaignConfig::threads): threads
+ * itself, or for 0 one fewer than the hardware threads, at least 1.
+ * The producer runs trials too whenever they back up, so the default
+ * keeps every hardware thread busy and not one more.
+ */
+unsigned resolveForkThreads(unsigned threads);
 
 /**
  * Busy time per campaign phase, in nanoseconds, summed over threads:

@@ -58,7 +58,7 @@ pairsOf(const S &s)
 Record
 makeRecord(const std::string &bench, unsigned workers,
            const CampaignConfig &cfg, const CampaignResult &r,
-           WallTime time, const FabricHealth *fabric)
+           WallTime time)
 {
     // Journal-replayed trials cost no wall time, so the rate counts
     // executed trials only, over the time since the first of them.
@@ -91,11 +91,9 @@ makeRecord(const std::string &bench, unsigned workers,
         {"trials_per_second", csprintf("%.1f", rate)},
     };
     rec.counts = {{"classification", pairsOf(r)}, {"bins", pairsOf(r.bins)}};
-    // Fabric health (coordinator runs only), scheduler counters over
-    // every core the campaign ran, and busy time per phase summed over
-    // threads: observational, never classification.
-    if (fabric)
-        rec.host.push_back({"fabric", pairsOf(*fabric)});
+    // Scheduler counters over every core the campaign ran, and busy
+    // time per phase summed over threads: observational, never
+    // classification.
     rec.host.push_back({"scheduler", pairsOf(r.sched)});
     rec.host.push_back({"phases_ns", pairsOf(r.phases)});
     const double total =
@@ -145,8 +143,8 @@ joined(const Counts &counts)
 }
 
 /** Per-site vulnerability profile: pure counter folds over the trial
- *  record stream (deterministic bytes for any thread/worker count —
- *  the dist identity check diffs this block verbatim). */
+ *  record stream (deterministic bytes for any thread count — CI's
+ *  adaptive stop identity step compares this block). */
 void
 writeProfile(std::FILE *out, const VulnProfile &profile)
 {
@@ -195,8 +193,7 @@ stratumName(unsigned si)
 bool
 writeCampaignJson(const std::string &path, const std::string &bench,
                   unsigned workers, const CampaignConfig &cfg,
-                  const CampaignResult &r, WallTime time,
-                  const FabricHealth *fabric)
+                  const CampaignResult &r, WallTime time)
 {
     std::FILE *out =
         path == "-" ? stdout : std::fopen(path.c_str(), "w");
@@ -204,7 +201,7 @@ writeCampaignJson(const std::string &path, const std::string &bench,
         fh_warn("cannot write FH_JSON file %s", path.c_str());
         return false;
     }
-    const Record rec = makeRecord(bench, workers, cfg, r, time, fabric);
+    const Record rec = makeRecord(bench, workers, cfg, r, time);
     std::fprintf(out, "{\n");
     for (const auto &[key, value] : rec.top)
         std::fprintf(out, "  \"%s\": %s,\n", key.c_str(), value.c_str());
@@ -232,7 +229,7 @@ void
 printCampaignSummary(std::FILE *out, const char *label,
                      const std::string &bench, unsigned workers,
                      const CampaignConfig &cfg, const CampaignResult &r,
-                     WallTime time, const FabricHealth *fabric)
+                     WallTime time)
 {
     auto line = [&](const std::string &name, const Pairs &pairs) {
         std::fprintf(out, "%s: %s", label, name.c_str());
@@ -240,7 +237,7 @@ printCampaignSummary(std::FILE *out, const char *label,
             std::fprintf(out, " %s=%s", key.c_str(), value.c_str());
         std::fprintf(out, "\n");
     };
-    const Record rec = makeRecord(bench, workers, cfg, r, time, fabric);
+    const Record rec = makeRecord(bench, workers, cfg, r, time);
     line("campaign", rec.top);
     for (const Block &b : rec.counts)
         line(b.name, b.pairs);

@@ -1,13 +1,13 @@
 /**
  * @file
  * The machine-readable FH_JSON campaign record that fhsim's `json=`
- * writes in every mode, so scripts and CI parse one schema:
- * configuration, classification counts (including the
- * resilience-layer trialErrors / hung-fork counters), Figure 11 bins,
- * the pooled half-width the adaptive stop compares with ci_target,
- * busy time per phase, and a "partial" marker set when the
- * campaign was interrupted and drained instead of running to
- * completion; and the stderr summary that prints the same pairs.
+ * writes, so scripts and CI parse one schema: configuration,
+ * classification counts (including the resilience-layer trialErrors /
+ * hung-fork counters), Figure 11 bins, the pooled half-width the
+ * adaptive stop compares with ci_target, busy time per phase, and a
+ * "partial" marker set when the campaign was interrupted and drained
+ * instead of running to completion; and the stderr summary that
+ * prints the same pairs.
  */
 
 #ifndef FH_FAULT_CAMPAIGN_JSON_HH
@@ -20,36 +20,6 @@
 
 namespace fh::fault
 {
-
-/**
- * Distributed-fabric health: the coordinator's counters (the struct
- * dist::DistStats names) and the FH_JSON "fabric" block. Host-local
- * observability (like "scheduler" and the phase breakdown), never on
- * the wire and never classification; single-process runs omit the
- * block entirely.
- */
-struct FabricHealth
-{
-    u64 workersJoined = 0; ///< peers whose Hello was accepted
-    u64 workersDied = 0;   ///< joined workers lost: EOF, violation, timeout
-    u64 rangesIssued = 0;
-    u64 rangesReissued = 0;
-    u64 trialsMerged = 0;  ///< coordinator bookkeeping, not in FH_JSON
-    u64 crcErrors = 0;     ///< frames rejected by the CRC trailer
-    bool degraded = false; ///< tail ran in-process, fleet was dead
-
-    /** FH_JSON "fabric" keys. */
-    static constexpr auto fields()
-    {
-        using F = FabricHealth;
-        return std::tuple{Field{"workers_joined", &F::workersJoined},
-                          Field{"workers_died", &F::workersDied},
-                          Field{"crc_errors", &F::crcErrors},
-                          Field{"ranges_issued", &F::rangesIssued},
-                          Field{"ranges_reissued", &F::rangesReissued},
-                          Field{"degraded", &F::degraded}};
-    }
-};
 
 /**
  * A campaign's wall time in seconds: the whole run (FH_JSON
@@ -65,28 +35,25 @@ struct WallTime
 
 /**
  * Write the campaign record to path ("-" = stdout). workers is the
- * resolved worker-thread count. fabric, when non-null, adds the
- * distributed-run health block. Returns false (with a warning) if the
+ * resolved fork-thread count. Returns false (with a warning) if the
  * file cannot be opened.
  */
 bool writeCampaignJson(const std::string &path, const std::string &bench,
                        unsigned workers, const CampaignConfig &cfg,
-                       const CampaignResult &r, WallTime time,
-                       const FabricHealth *fabric = nullptr);
+                       const CampaignResult &r, WallTime time);
 
 /**
  * Print the same record as a human summary to out, each line starting
  * with "label: ": one line per FH_JSON block — "campaign" for the top
- * level, then "classification", "bins", "fabric", "scheduler",
- * "phases_ns" and "phases_pct" — as `key=value` pairs with FH_JSON's
+ * level, then "classification", "bins", "scheduler", "phases_ns"
+ * and "phases_pct" — as `key=value` pairs with FH_JSON's
  * keys and value text; then one line per profile stratum that saw a
  * trial, and the five PCs with the most SDCs.
  */
 void printCampaignSummary(std::FILE *out, const char *label,
                           const std::string &bench, unsigned workers,
                           const CampaignConfig &cfg,
-                          const CampaignResult &r, WallTime time,
-                          const FabricHealth *fabric = nullptr);
+                          const CampaignResult &r, WallTime time);
 
 } // namespace fh::fault
 

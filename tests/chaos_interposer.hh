@@ -16,11 +16,11 @@
  *   reset  — the frame is sent, then the connection is shut down.
  *
  * Drop and trunc deliberately kill the connection rather than letting
- * the stream continue: on a healthy TCP/unix stream, bytes do not
+ * the stream continue: on a healthy stream socket, bytes do not
  * vanish from the middle — partial delivery only happens when the
  * connection itself dies. Silently swallowing a frame while keeping
- * the stream alive would model a failure TCP cannot produce, and would
- * livelock the fabric (a dropped Assign with live heartbeats stalls a
+ * the stream alive would model a failure no stream socket produces,
+ * and would livelock the fabric (a dropped Assign with live heartbeats stalls a
  * lease forever). Flip and dup keep the connection alive; the
  * receiver's CRC / protocol checks are what must catch them.
  *

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include <dirent.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -37,11 +36,13 @@
 #include "dist/spec.hh"
 #include "dist/worker.hh"
 #include "exec/progress.hh"
+#include "fabric_socket.hh"
 #include "fault/campaign.hh"
 #include "fault/journal.hh"
 #include "workload/workload.hh"
 
 using namespace fh;
+using fh::test::fabricSocket;
 
 namespace
 {
@@ -206,6 +207,7 @@ TEST(Chaos, AnyScheduleYieldsBitIdenticalResults)
     for (const dist::chaos::Schedule &schedule : schedules) {
         const dist::chaos::Storm storm(schedule);
         dist::CoordinatorOptions opts;
+        opts.listen = fabricSocket("chaos");
         opts.workers = 2;
         opts.chunk = 6;
         opts.leaseTimeoutMs = 700;
@@ -300,7 +302,7 @@ TEST(Chaos, CoordinatorSigkillRestartResumesBitIdentically)
     const fault::CampaignResult ref = singleProcess(spec, refJournal);
 
     const std::string journal = tempPath("crash_run.fhj");
-    const std::string sock = tempPath("crash_coord.sock");
+    const dist::Endpoint sock = fabricSocket("chaos_crash");
 
     // Phase 1: a coordinator process (own workers, journal enabled),
     // SIGKILLed once the journal shows a merged prefix — torn tail
@@ -309,8 +311,7 @@ TEST(Chaos, CoordinatorSigkillRestartResumesBitIdentically)
         dist::CoordinatorOptions opts;
         opts.workers = 2;
         opts.chunk = 6;
-        opts.listen.unixDomain = true;
-        opts.listen.host = sock;
+        opts.listen = sock;
         dist::Coordinator coord(spec, opts);
         std::vector<pid_t> pids;
         for (unsigned i = 0; i < 2; ++i)
@@ -345,6 +346,7 @@ TEST(Chaos, CoordinatorSigkillRestartResumesBitIdentically)
         fault::TrialJournal j(journal, spec.campaign,
                               schemeName(spec));
         dist::CoordinatorOptions opts;
+        opts.listen = fabricSocket("chaos");
         opts.workers = 2;
         dist::Coordinator coord(spec, opts);
         std::vector<pid_t> pids;
@@ -359,7 +361,7 @@ TEST(Chaos, CoordinatorSigkillRestartResumesBitIdentically)
     EXPECT_EQ(fileBytes(refJournal), fileBytes(journal));
     std::remove(refJournal.c_str());
     std::remove(journal.c_str());
-    std::remove(sock.c_str());
+    std::remove(sock.path.c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -375,6 +377,7 @@ TEST(Chaos, DeadFleetDegradesToInProcessIdentically)
     exec::ProgressMeter meter("degraded", spec.campaign.injections,
                               /*interval_ms=*/1u << 30);
     dist::CoordinatorOptions opts;
+    opts.listen = fabricSocket("chaos");
     opts.workers = 2;
     opts.noWorkerTimeoutMs = 200; // nobody is coming
     opts.progress = &meter;
@@ -421,6 +424,7 @@ TEST(Chaos, AdaptiveDeadFleetStopsAtTheSameWave)
     ASSERT_LT(ref.injected, spec.campaign.injections);
 
     dist::CoordinatorOptions opts;
+    opts.listen = fabricSocket("chaos");
     opts.workers = 2;
     opts.noWorkerTimeoutMs = 200; // nobody is coming
     const std::string journal = tempPath("adaptive_degraded.fhj");
@@ -595,73 +599,6 @@ TEST(Chaos, ChildGuardReapsOnExitPath)
 TEST(Chaos, ChildGuardReapsOnAbortPath)
 {
     expectGuardReaps(true);
-}
-
-// ---------------------------------------------------------------------
-// fhsim dispatch: a coordinator fh_fatal must not orphan workers.
-// ---------------------------------------------------------------------
-
-bool
-anyCmdlineMentions(const std::string &needle)
-{
-    DIR *proc = ::opendir("/proc");
-    if (!proc)
-        return false;
-    bool found = false;
-    while (const dirent *ent = ::readdir(proc)) {
-        const std::string name = ent->d_name;
-        if (name.empty() ||
-            name.find_first_not_of("0123456789") != std::string::npos)
-            continue;
-        std::ifstream in("/proc/" + name + "/cmdline",
-                         std::ios::binary);
-        std::stringstream ss;
-        ss << in.rdbuf();
-        if (ss.str().find(needle) != std::string::npos) {
-            found = true;
-            break;
-        }
-    }
-    ::closedir(proc);
-    return found;
-}
-
-TEST(Chaos, DispatchFatalLeavesNoOrphanWorkers)
-{
-    std::string exe = dist::selfExe();
-    const size_t slash = exe.rfind('/');
-    ASSERT_NE(slash, std::string::npos);
-    const std::string fhsim =
-        exe.substr(0, slash) + "/../examples/fhsim";
-    if (::access(fhsim.c_str(), X_OK) != 0)
-        GTEST_SKIP() << "fhsim binary not built at " << fhsim;
-
-    // A journal from a different campaign: dispatch opens it AFTER
-    // spawning the workers, hits the header mismatch, fh_fatals — and
-    // ChildGuard must take the workers down with it.
-    const dist::CampaignSpec spec = testSpec();
-    const std::string journal = tempPath("orphan_mismatch.fhj");
-    {
-        fault::CampaignConfig other = spec.campaign;
-        other.seed = 987654321;
-        fault::TrialJournal j(journal, other, schemeName(spec));
-    }
-    const std::string sock =
-        tempPath("orphan_marker_" + std::to_string(::getpid()) +
-                 ".sock");
-    const std::string cmd =
-        fhsim + " dispatch jobs=2 bench=ocean seed=77 injections=24 "
-                "window=300 journal=" +
-        journal + " listen=unix:" + sock + " >/dev/null 2>&1";
-    const int rc = std::system(cmd.c_str());
-    ASSERT_TRUE(WIFEXITED(rc));
-    EXPECT_NE(WEXITSTATUS(rc), 0);
-    // The endpoint string is on every worker's command line; nobody
-    // may still be carrying it.
-    EXPECT_FALSE(anyCmdlineMentions(sock))
-        << "a worker process survived the coordinator's fh_fatal";
-    std::remove(journal.c_str());
-    std::remove(sock.c_str());
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * The distributed campaign fabric end to end, against real worker
- * processes (fork) on loopback sockets: bit-identical merge at 1/2/4
+ * processes (fork) on Unix-domain sockets: bit-identical merge at 1/2/4
  * workers (counters AND journal bytes vs a single-process run),
  * elastic re-issue after a worker is SIGKILLed mid-lease (with a torn
  * trial frame on the wire), lease-timeout revocation of a hung
@@ -36,11 +36,13 @@
 #include "dist/spec.hh"
 #include "dist/worker.hh"
 #include "exec/progress.hh"
+#include "fabric_socket.hh"
 #include "fault/campaign.hh"
 #include "fault/journal.hh"
 #include "workload/workload.hh"
 
 using namespace fh;
+using fh::test::fabricSocket;
 
 namespace
 {
@@ -258,6 +260,7 @@ runDistributed(const dist::CampaignSpec &spec, unsigned workers,
                dist::CoordinatorOptions opts = {},
                const std::string &journal = "")
 {
+    opts.listen = fabricSocket("dist");
     dist::Coordinator coord(spec, opts);
     std::vector<pid_t> pids;
     for (unsigned i = 0; i < workers; ++i)
@@ -310,25 +313,13 @@ TEST(Dist, BitIdenticalAtAnyWorkerCount)
     std::remove(refJournal.c_str());
 }
 
-TEST(Dist, UnixDomainSocketWorks)
-{
-    const dist::CampaignSpec spec = testSpec();
-    const fault::CampaignResult ref = singleProcess(spec);
-
-    dist::CoordinatorOptions opts;
-    opts.workers = 2;
-    opts.listen.unixDomain = true;
-    opts.listen.host = tempPath("dist_fabric.sock");
-    const DistRun run = runDistributed(spec, 2, opts);
-    expectIdentical(ref, run.result);
-}
-
 TEST(Dist, SigkilledWorkerMidLeaseIsReissuedIdentically)
 {
     const dist::CampaignSpec spec = testSpec();
     const fault::CampaignResult ref = singleProcess(spec);
 
     dist::CoordinatorOptions opts;
+    opts.listen = fabricSocket("dist");
     opts.workers = 2;
     opts.chunk = 12; // two leases over 24 trials
     dist::Coordinator coord(spec, opts);
@@ -357,6 +348,7 @@ TEST(Dist, HungWorkerLeaseTimesOutAndReissues)
     const fault::CampaignResult ref = singleProcess(spec);
 
     dist::CoordinatorOptions opts;
+    opts.listen = fabricSocket("dist");
     opts.workers = 2;
     opts.chunk = 12;
     opts.leaseTimeoutMs = 400; // heartbeats are silent: revoke fast
@@ -480,7 +472,7 @@ greet(int fd, dist::FrameReader &reader, const dist::CampaignSpec &spec)
 
 TEST(Dist, WorkerThatLosesItsCoordinatorExits)
 {
-    dist::Endpoint ep{false, "127.0.0.1", 0};
+    const dist::Endpoint ep = fabricSocket("dist_scripted");
     std::string error;
     const int listenFd = dist::listenOn(ep, error);
     ASSERT_GE(listenFd, 0) << error;
@@ -505,11 +497,12 @@ TEST(Dist, WorkerThatLosesItsCoordinatorExits)
     pollfd pfd{listenFd, POLLIN, 0};
     EXPECT_EQ(::poll(&pfd, 1, 0), 0) << "the worker dialed again";
     dist::closeFabricFd(listenFd);
+    std::remove(ep.path.c_str());
 }
 
 TEST(Dist, ReleasedWorkerExitsWithoutSittingOutItsHeartbeat)
 {
-    dist::Endpoint ep{false, "127.0.0.1", 0};
+    const dist::Endpoint ep = fabricSocket("dist_scripted");
     std::string error;
     const int listenFd = dist::listenOn(ep, error);
     ASSERT_GE(listenFd, 0) << error;
@@ -527,6 +520,7 @@ TEST(Dist, ReleasedWorkerExitsWithoutSittingOutItsHeartbeat)
     if (fd >= 0)
         ::close(fd);
     dist::closeFabricFd(listenFd);
+    std::remove(ep.path.c_str());
     EXPECT_TRUE(status != -1 && WIFEXITED(status) &&
                 WEXITSTATUS(status) == 0)
         << "a released worker at heartbeat_ms=5000 did not exit 0 "
@@ -556,7 +550,7 @@ TEST(Dist, LeaseBelowSessionPositionIsServedBitIdentically)
     }
     ASSERT_EQ(want.size(), 24u);
 
-    dist::Endpoint ep{false, "127.0.0.1", 0};
+    const dist::Endpoint ep = fabricSocket("dist_scripted");
     std::string error;
     const int listenFd = dist::listenOn(ep, error);
     ASSERT_GE(listenFd, 0) << error;
@@ -596,6 +590,7 @@ TEST(Dist, LeaseBelowSessionPositionIsServedBitIdentically)
     if (fd >= 0)
         ::close(fd);
     dist::closeFabricFd(listenFd);
+    std::remove(ep.path.c_str());
     EXPECT_TRUE(status != -1 && WIFEXITED(status) &&
                 WEXITSTATUS(status) == 0)
         << "a released worker exits 0";

@@ -566,11 +566,23 @@ TEST(CampaignParallel, BitIdenticalWithoutDetector)
     expectIdentical(serial, parallel);
 }
 
+TEST(CampaignParallel, DefaultForkThreadsLeaveOneForTheProducer)
+{
+    // The producer runs trials too, so 0 asks for one fork thread
+    // fewer than the host has hardware threads, and never none.
+    const unsigned hw = exec::hardwareThreads();
+    EXPECT_EQ(fault::resolveForkThreads(0), std::max(1u, hw - 1));
+    for (unsigned n : {1u, 3u, 4u, 64u})
+        EXPECT_EQ(fault::resolveForkThreads(n), n);
+}
+
 TEST(CampaignParallel, AllHardwareThreadsMatchSerial)
 {
-    // threads = 0 sizes the pool from the host, the default fhsim and
-    // the harnesses run with; the campaign must agree with the serial
-    // reference whatever that size turns out to be.
+    // threads = 0 sizes the pool from the host (one fork thread per
+    // hardware thread but the producer's; fault::resolveForkThreads),
+    // the default fhsim and the harnesses run with; the campaign must
+    // agree with the serial reference whatever that size turns out to
+    // be.
     auto program = prog();
     fault::CampaignConfig cfg;
     cfg.injections = 16;

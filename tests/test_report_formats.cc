@@ -3,8 +3,8 @@
  * The campaign's report formats, pinned byte for byte: the FH_JSON
  * record writeCampaignJson writes and the journal line
  * TrialJournal::record appends. The result below holds a distinct
- * value in every counter, bin, scheduler, phase, fabric and profile
- * field, so a field dropped, renamed, swapped or reordered in any of
+ * value in every counter, bin, scheduler, phase and profile field,
+ * so a field dropped, renamed, swapped or reordered in any of
  * the field lists (fault/campaign.hh, fault/sampling.hh,
  * fault/campaign_json.hh) changes these bytes. fhsim's stderr summary
  * must report the same key/value pairs.
@@ -124,20 +124,6 @@ pinnedResult()
     return r;
 }
 
-fault::FabricHealth
-pinnedFabric()
-{
-    fault::FabricHealth f;
-    f.workersJoined = 5;
-    f.workersDied = 2;
-    f.rangesIssued = 41;
-    f.rangesReissued = 3;
-    f.trialsMerged = 2000;
-    f.crcErrors = 4;
-    f.degraded = true;
-    return f;
-}
-
 std::string
 tempPath(const std::string &name)
 {
@@ -165,7 +151,7 @@ bitsRow(const char *name, u64 base, bool last)
     return row + (last ? "]\n" : "],\n");
 }
 
-/** What writeCampaignJson wrote for pinnedResult() with pinnedFabric(). */
+/** What writeCampaignJson wrote for pinnedResult(). */
 std::string
 pinnedJson()
 {
@@ -228,7 +214,6 @@ pinnedJson()
     "sdc_pcs": [{ "pc": "0x0", "sdc": 7 }, { "pc": "0x40", "sdc": 9 }, { "pc": "0x1f4", "sdc": 11 }],
     "sdc_cycle_buckets": [300, 301, 302, 303, 304, 305, 306, 307]
   },
-  "fabric": { "workers_joined": 5, "workers_died": 2, "crc_errors": 4, "ranges_issued": 41, "ranges_reissued": 3, "degraded": true },
   "scheduler": { "wakeup_hits": 201, "overflow_parks": 202, "overflow_rescans": 203, "issue_evals": 204, "issue_candidates": 205, "cycles": 206, "skipped_cycles": 207 },
   "phases_ns": { "snapshot": 1000000, "golden": 3000000, "bare": 5000000, "protected": 7000000, "compare": 250000 },
   "phases_pct": { "snapshot": 6.2, "golden": 18.5, "bare": 30.8, "protected": 43.1, "compare": 1.5 }
@@ -236,25 +221,12 @@ pinnedJson()
 )";
 }
 
-const char *const kFabricLine =
-    R"(  "fabric": { "workers_joined": 5, "workers_died": 2, "crc_errors": 4, "ranges_issued": 41, "ranges_reissued": 3, "degraded": true },
-)";
-
 TEST(ReportFormats, FhJsonBytesArePinned)
 {
-    const fault::FabricHealth fabric = pinnedFabric();
     const std::string path = tempPath("pinned.json");
     ASSERT_TRUE(fault::writeCampaignJson(path, "ocean", 3, pinnedConfig(),
-                                         pinnedResult(), {2.5, 2.5}, &fabric));
-    EXPECT_EQ(slurp(path), pinnedJson());
-
-    // Without fabric health (every single-process run) the block is
-    // absent and nothing else moves.
-    ASSERT_TRUE(fault::writeCampaignJson(path, "ocean", 3, pinnedConfig(),
                                          pinnedResult(), {2.5, 2.5}));
-    std::string plain = pinnedJson();
-    plain.erase(plain.find(kFabricLine), std::string(kFabricLine).size());
-    EXPECT_EQ(slurp(path), plain);
+    EXPECT_EQ(slurp(path), pinnedJson());
     std::remove(path.c_str());
 }
 
@@ -337,17 +309,16 @@ TEST(ReportFormats, RateCountsOnlyTheExecutingTime)
 
 TEST(ReportFormats, SummaryReportsTheFhJsonPairs)
 {
-    const fault::FabricHealth fabric = pinnedFabric();
     const std::string path = tempPath("summary.json");
     ASSERT_TRUE(fault::writeCampaignJson(path, "ocean", 3, pinnedConfig(),
-                                         pinnedResult(), {2.5, 2.5}, &fabric));
+                                         pinnedResult(), {2.5, 2.5}));
     const std::string json = slurp(path);
     std::remove(path.c_str());
 
     std::FILE *out = std::tmpfile();
     ASSERT_NE(out, nullptr);
     fault::printCampaignSummary(out, "fhsim", "ocean", 3, pinnedConfig(),
-                                pinnedResult(), {2.5, 2.5}, &fabric);
+                                pinnedResult(), {2.5, 2.5});
     std::string text(static_cast<size_t>(std::ftell(out)), '\0');
     std::rewind(out);
     ASSERT_EQ(std::fread(text.data(), 1, text.size(), out), text.size());
@@ -384,7 +355,7 @@ TEST(ReportFormats, SummaryReportsTheFhJsonPairs)
         EXPECT_NE(json.find(want), std::string::npos) << want;
         blocks.insert(l.name);
     }
-    for (const char *name : {"campaign", "classification", "bins", "fabric",
+    for (const char *name : {"campaign", "classification", "bins",
                              "scheduler", "phases_ns", "phases_pct"})
         EXPECT_EQ(blocks.count(name), 1u) << name;
     EXPECT_EQ(strata, fault::StratumSpace::kCount);

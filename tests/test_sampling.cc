@@ -6,13 +6,16 @@
  * round-trips, and — the load-bearing property — adaptive (ciTarget)
  * campaigns stopping at the same wave with byte-identical profiles for
  * any worker-thread count, across a journal resume, and through the
- * distributed fabric.
+ * distributed fabric, whose journal resumes in either user of the
+ * campaign merge.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "dist/spawner.hh"
 #include "dist/spec.hh"
 #include "dist/worker.hh"
+#include "fabric_socket.hh"
 #include "fault/campaign.hh"
 #include "fault/journal.hh"
 #include "fault/sampling.hh"
@@ -248,6 +252,15 @@ tempPath(const std::string &name)
     return path;
 }
 
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
 } // namespace
 
 /**
@@ -306,16 +319,22 @@ TEST(Adaptive, DeterministicAcrossThreadsAndResume)
 /**
  * The coordinator applies the same wave-boundary rule to the same
  * merged prefix, so a distributed adaptive campaign stops at the same
- * wave as a single process, with a byte-identical profile — even
- * though workers may have speculatively executed trials past the
- * boundary by the time the stop is decided.
+ * wave as a single process, with a byte-identical profile and journal
+ * — even though workers may have speculatively executed trials past
+ * the boundary by the time the stop is decided. Both users of the one
+ * campaign merge then rerun over that finished journal: a second
+ * coordinator and an in-process runCampaign each replay every trial
+ * and report the same stop.
  */
 TEST(Adaptive, DistributedMatchesSingleProcess)
 {
     AdaptiveSetup s = adaptiveSetup();
     s.cfg.threads = 1;
+    const std::string soloJournal = tempPath("fh_adaptive_solo.fhj");
+    fault::CampaignConfig soloCfg = s.cfg;
+    soloCfg.journalPath = soloJournal;
     const fault::CampaignResult solo =
-        fault::runCampaign(s.params, &s.prog, s.cfg);
+        fault::runCampaign(s.params, &s.prog, soloCfg);
     ASSERT_TRUE(solo.ciStopped);
 
     dist::CampaignSpec spec;
@@ -326,24 +345,46 @@ TEST(Adaptive, DistributedMatchesSingleProcess)
     spec.workload.footprintDivider = 64;
     spec.campaign = s.cfg;
 
-    dist::CoordinatorOptions opts;
-    opts.workers = 2;
-    dist::Coordinator coord(spec, opts);
-    std::vector<pid_t> pids;
-    for (unsigned i = 0; i < 2; ++i) {
-        const dist::Endpoint ep = coord.endpoint();
-        pids.push_back(dist::spawnFn([ep] {
-            dist::WorkerOptions w;
-            w.endpoint = ep;
-            w.jobs = 2;
-            w.heartbeatMs = 50;
-            return dist::runWorker(w);
-        }));
-    }
-    const fault::CampaignResult merged = coord.run(nullptr);
-    for (pid_t pid : pids)
-        dist::reap(pid);
+    // A coordinator and two forked workers, merging into journal.
+    const std::string journal = tempPath("fh_adaptive_dist.fhj");
+    auto dispatch = [&](dist::DistStats &stats) {
+        dist::CoordinatorOptions opts;
+        opts.listen = test::fabricSocket("sampling");
+        opts.workers = 2;
+        dist::Coordinator coord(spec, opts);
+        std::vector<pid_t> pids;
+        for (unsigned i = 0; i < 2; ++i) {
+            const dist::Endpoint ep = coord.endpoint();
+            pids.push_back(dist::spawnFn([ep] {
+                dist::WorkerOptions w;
+                w.endpoint = ep;
+                w.jobs = 2;
+                w.heartbeatMs = 50;
+                return dist::runWorker(w);
+            }));
+        }
+        fault::TrialJournal j(
+            journal, spec.campaign,
+            filters::to_string(spec.buildParams().detector.scheme));
+        const fault::CampaignResult r = coord.run(&j);
+        for (pid_t pid : pids)
+            dist::reap(pid);
+        stats = coord.stats();
+        return r;
+    };
+    // A rerun over the finished journal: it replays every trial and
+    // lands on the same stop without executing one.
+    auto expectReplayed = [&](const fault::CampaignResult &r,
+                              const char *who) {
+        EXPECT_EQ(r.replayedTrials, solo.injected) << who;
+        EXPECT_EQ(r.injected, solo.injected) << who;
+        EXPECT_EQ(r.ciStopped, solo.ciStopped) << who;
+        EXPECT_FALSE(r.partial) << who;
+        EXPECT_EQ(r.profile, solo.profile) << who;
+    };
 
+    dist::DistStats stats;
+    const fault::CampaignResult merged = dispatch(stats);
     EXPECT_TRUE(merged.ciStopped);
     EXPECT_FALSE(merged.partial);
     EXPECT_EQ(merged.injected, solo.injected);
@@ -354,6 +395,17 @@ TEST(Adaptive, DistributedMatchesSingleProcess)
     EXPECT_EQ(merged.detected, solo.detected);
     EXPECT_EQ(merged.uncovered, solo.uncovered);
     EXPECT_EQ(merged.profile, solo.profile);
+    EXPECT_EQ(fileBytes(journal), fileBytes(soloJournal));
+
+    expectReplayed(dispatch(stats), "coordinator");
+    EXPECT_EQ(stats.rangesIssued, 0u);
+    s.cfg.journalPath = journal;
+    expectReplayed(fault::runCampaign(s.params, &s.prog, s.cfg),
+                   "runCampaign");
+    // Neither rerun appended a record.
+    EXPECT_EQ(fileBytes(journal), fileBytes(soloJournal));
+    std::remove(journal.c_str());
+    std::remove(soloJournal.c_str());
 }
 
 /**
