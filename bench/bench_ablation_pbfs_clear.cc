@@ -8,48 +8,45 @@
  */
 
 #include <iostream>
+#include <utility>
 
 #include "harness.hh"
 
 using namespace fh;
 
 int
-main()
+main(int argc, char **argv)
 {
-    auto cfg = bench::campaignConfig();
-    const u64 budget = bench::envInsts(100000);
+    const auto opts = bench::parseOptions(
+        argc, argv, {.insts = 100000, .campaign = true});
     const std::vector<u64> intervals = {1000, 5000, 10000, 50000};
-    auto benchmarks = bench::selectedBenchmarks();
+    const auto &benchmarks = opts.benchmarks;
+    const u64 nb = benchmarks.size();
 
-    // interval x benchmark cells are independent: outer pool over the
-    // cells, leftover FH_THREADS budget into each cell's campaign.
-    const u64 ncells = intervals.size() * benchmarks.size();
-    std::vector<double> cov(ncells);
-    std::vector<double> fp(ncells);
-    const auto split = bench::splitThreads(ncells);
-    cfg.threads = split.inner;
-    exec::ThreadPool pool(split.outer);
-    pool.parallelFor(ncells, [&](u64 j, unsigned) {
-        const u64 interval = intervals[j / benchmarks.size()];
-        isa::Program prog =
-            bench::buildProgram(benchmarks[j % benchmarks.size()], 2);
-        auto det = filters::DetectorParams::pbfsSticky();
-        det.pbfs.clearInterval = interval;
-        auto params = bench::coreParams(det);
-        cov[j] = fault::runCampaign(params, &prog, cfg).coverage();
-        fp[j] = bench::fpRateSteady(params, &prog, budget);
-    });
+    // Each interval x benchmark cell's coverage and FP rate.
+    const auto cells = bench::runCells(
+        opts, intervals.size() * nb,
+        [&](u64 j, const fault::CampaignConfig &cfg) {
+            isa::Program prog = opts.program(benchmarks[j % nb], 2);
+            auto det = filters::DetectorParams::pbfsSticky();
+            det.pbfs.clearInterval = intervals[j / nb];
+            auto params = bench::coreParams(det);
+            return std::pair(
+                fault::runCampaign(params, &prog, cfg).coverage(),
+                bench::fpRateSteady(params, &prog, opts.insts));
+        });
 
     TextTable table({"clear interval", "SDC coverage", "FP rate"});
     for (size_t i = 0; i < intervals.size(); ++i) {
-        const auto first = cov.begin() + i * benchmarks.size();
-        std::vector<double> cov_row(first, first + benchmarks.size());
-        const auto fp_first = fp.begin() + i * benchmarks.size();
-        std::vector<double> fp_row(fp_first,
-                                   fp_first + benchmarks.size());
-        table.addRow({std::to_string(intervals[i]),
-                      TextTable::pct(bench::mean(cov_row)),
-                      TextTable::pct(bench::mean(fp_row), 3)});
+        const auto cell = [&](u64 b) { return cells[i * nb + b]; };
+        table.addRow(
+            {std::to_string(intervals[i]),
+             TextTable::pct(bench::mean(nb, [&](u64 b) {
+                 return cell(b).first;
+             })),
+             TextTable::pct(bench::mean(nb, [&](u64 b) {
+                 return cell(b).second;
+             }), 3)});
     }
 
     std::cout << "PBFS sticky-counter flash-clear sweep (Section 2.1: "

@@ -8,16 +8,17 @@
  */
 
 #include <iostream>
+#include <utility>
 
 #include "harness.hh"
 
 using namespace fh;
 
 int
-main()
+main(int argc, char **argv)
 {
-    auto cfg = bench::campaignConfig();
-    const u64 budget = bench::envInsts(100000);
+    const auto opts = bench::parseOptions(
+        argc, argv, {.insts = 100000, .campaign = true});
 
     struct Variant
     {
@@ -29,38 +30,33 @@ main()
         {"biased 2-bit (paper)", filters::CounterConfig::biased()},
         {"biased 3-bit (deeper)", filters::CounterConfig::biased3()},
     };
+    const auto &benchmarks = opts.benchmarks;
+    const u64 nb = benchmarks.size();
 
-    // variant x benchmark cells are independent: outer pool over the
-    // cells, leftover FH_THREADS budget into each cell's campaign.
-    auto benchmarks = bench::selectedBenchmarks();
-    const u64 ncells = variants.size() * benchmarks.size();
-    std::vector<double> cov(ncells);
-    std::vector<double> fp(ncells);
-    const auto split = bench::splitThreads(ncells);
-    cfg.threads = split.inner;
-    exec::ThreadPool pool(split.outer);
-    pool.parallelFor(ncells, [&](u64 j, unsigned) {
-        const auto &variant = variants[j / benchmarks.size()];
-        isa::Program prog =
-            bench::buildProgram(benchmarks[j % benchmarks.size()], 2);
-        auto det = filters::DetectorParams::faultHound();
-        det.tcam.counters = variant.counters;
-        auto params = bench::coreParams(det);
-        cov[j] = fault::runCampaign(params, &prog, cfg).coverage();
-        fp[j] = bench::fpRateSteady(params, &prog, budget);
-    });
+    // Each variant x benchmark cell's coverage and FP rate.
+    const auto cells = bench::runCells(
+        opts, variants.size() * nb,
+        [&](u64 j, const fault::CampaignConfig &cfg) {
+            isa::Program prog = opts.program(benchmarks[j % nb], 2);
+            auto det = filters::DetectorParams::faultHound();
+            det.tcam.counters = variants[j / nb].counters;
+            auto params = bench::coreParams(det);
+            return std::pair(
+                fault::runCampaign(params, &prog, cfg).coverage(),
+                bench::fpRateSteady(params, &prog, opts.insts));
+        });
 
     TextTable table({"state machine", "SDC coverage", "FP rate"});
     for (size_t v = 0; v < variants.size(); ++v) {
-        const auto cov_first = cov.begin() + v * benchmarks.size();
-        const auto fp_first = fp.begin() + v * benchmarks.size();
-        std::vector<double> cov_row(cov_first,
-                                    cov_first + benchmarks.size());
-        std::vector<double> fp_row(fp_first,
-                                   fp_first + benchmarks.size());
-        table.addRow({variants[v].label,
-                      TextTable::pct(bench::mean(cov_row)),
-                      TextTable::pct(bench::mean(fp_row), 2)});
+        const auto cell = [&](u64 b) { return cells[v * nb + b]; };
+        table.addRow(
+            {variants[v].label,
+             TextTable::pct(bench::mean(nb, [&](u64 b) {
+                 return cell(b).first;
+             })),
+             TextTable::pct(bench::mean(nb, [&](u64 b) {
+                 return cell(b).second;
+             }), 2)});
     }
 
     std::cout << "State-machine depth ablation (Section 3)\n(paper: "

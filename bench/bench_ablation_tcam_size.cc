@@ -13,54 +13,36 @@
 using namespace fh;
 
 int
-main()
+main(int argc, char **argv)
 {
-    auto cfg = bench::campaignConfig();
-    const u64 budget = bench::envInsts(100000);
+    const auto opts = bench::parseOptions(argc, argv, {.campaign = true});
     const std::vector<unsigned> sizes = {8, 16, 32, 64};
+    const auto &benchmarks = opts.benchmarks;
 
-    TextTable table({"benchmark", "8", "16", "32", "64"});
-    std::vector<std::vector<double>> cols(sizes.size());
-
-    // benchmark x size cells are independent: outer pool over the
-    // cells, leftover FH_THREADS budget into each cell's campaign.
-    auto benchmarks = bench::selectedBenchmarks();
-    const u64 ncells = benchmarks.size() * sizes.size();
-    std::vector<double> cells(ncells);
-    const auto split = bench::splitThreads(ncells);
-    cfg.threads = split.inner;
-    exec::ThreadPool pool(split.outer);
-    pool.parallelFor(ncells, [&](u64 j, unsigned) {
-        isa::Program prog =
-            bench::buildProgram(benchmarks[j / sizes.size()], 2);
-        auto det = filters::DetectorParams::faultHound();
-        det.tcam.entries = sizes[j % sizes.size()];
-        auto params = bench::coreParams(det);
-        cells[j] = fault::runCampaign(params, &prog, cfg).coverage();
-    });
-
-    for (size_t b = 0; b < benchmarks.size(); ++b) {
-        std::vector<std::string> row{benchmarks[b].name};
-        for (size_t i = 0; i < sizes.size(); ++i) {
-            const double cov = cells[b * sizes.size() + i];
-            cols[i].push_back(cov);
-            row.push_back(TextTable::pct(cov));
-        }
-        table.addRow(row);
-    }
-    std::vector<std::string> mean_row{"mean"};
-    for (auto &c : cols)
-        mean_row.push_back(TextTable::pct(bench::mean(c)));
-    table.addRow(mean_row);
+    // Each benchmark x size cell's coverage.
+    const auto cells = bench::runCells(
+        opts, benchmarks.size() * sizes.size(),
+        [&](u64 j, const fault::CampaignConfig &cfg) {
+            isa::Program prog =
+                opts.program(benchmarks[j / sizes.size()], 2);
+            auto det = filters::DetectorParams::faultHound();
+            det.tcam.entries = sizes[j % sizes.size()];
+            return fault::runCampaign(bench::coreParams(det), &prog, cfg)
+                .coverage();
+        });
+    std::vector<std::string> columns;
+    for (unsigned n : sizes)
+        columns.push_back(std::to_string(n));
 
     std::cout << "SDC coverage vs TCAM entries (Section 3.1: 16-32 "
                  "entries suffice; leslie improves with larger "
                  "filters)\n\n";
-    table.print(std::cout);
+    bench::benchmarkTable(benchmarks, columns, [&](size_t b, size_t i) {
+        return cells[b * sizes.size() + i];
+    }).print(std::cout);
 
     // Filter energy scaling: the small-TCAM cost argument.
     TextTable energy({"entries", "energy/access (units)"});
-    (void)budget;
     for (unsigned n : {8u, 16u, 32u, 64u, 2048u}) {
         energy.addRow({std::to_string(n),
                        TextTable::num(

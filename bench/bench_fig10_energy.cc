@@ -11,82 +11,47 @@
 
 #include "energy/energy_model.hh"
 #include "harness.hh"
-#include "redundancy/srt.hh"
 
 using namespace fh;
 
-namespace
-{
-
-double
-srtEnergy(const workload::BenchmarkInfo &info, u64 budget,
-          double coverage)
-{
-    isa::Program prog = bench::buildProgram(info, 4);
-    pipeline::CoreParams base =
-        bench::coreParams(filters::DetectorParams::none());
-    pipeline::CoreParams params = redundancy::srtParams(base);
-    pipeline::Core core(params, &prog);
-    const u64 per_lead = budget / base.threads;
-    redundancy::configureSrt(core, base.threads, {coverage}, per_lead);
-    std::vector<u64> targets(core.numThreads(), 0);
-    for (unsigned t = 0; t < base.threads; ++t) {
-        core.threadOptions(t).stopAfterInsts = per_lead;
-        targets[t] = per_lead;
-    }
-    core.runUntilCommitted(targets, budget * 200 + 1000000);
-    return energy::computeEnergy(core).total();
-}
-
-} // namespace
-
 int
-main()
+main(int argc, char **argv)
 {
-    const u64 budget = bench::envInsts(150000);
-    const double srt_coverage = 0.75;
+    const auto opts = bench::parseOptions(argc, argv, {.insts = 150000});
+    const u64 budget = opts.insts;
 
-    TextTable table(
-        {"benchmark", "FH-backend", "FaultHound", "SRT-iso"});
-    std::vector<std::vector<double>> columns(3);
-
-    for (const auto &info : bench::selectedBenchmarks()) {
-        isa::Program prog = bench::buildProgram(info, 2);
-
-        auto base = bench::runBudget(
-            bench::coreParams(filters::DetectorParams::none()), &prog,
-            budget);
-        const double base_energy = energy::computeEnergy(base).total();
-
-        auto be = bench::runBudget(
-            bench::coreParams(
-                filters::DetectorParams::faultHoundBackend()),
-            &prog, budget);
-        auto fh = bench::runBudget(
-            bench::coreParams(filters::DetectorParams::faultHound()),
-            &prog, budget);
-
-        double o_be =
-            energy::computeEnergy(be).total() / base_energy - 1.0;
-        double o_fh =
-            energy::computeEnergy(fh).total() / base_energy - 1.0;
-        double o_srt =
-            srtEnergy(info, budget, srt_coverage) / base_energy - 1.0;
-
-        columns[0].push_back(o_be);
-        columns[1].push_back(o_fh);
-        columns[2].push_back(o_srt);
-        table.addRow({info.name, TextTable::pct(o_be),
-                      TextTable::pct(o_fh), TextTable::pct(o_srt)});
-    }
-
-    table.addRow({"mean", TextTable::pct(bench::mean(columns[0])),
-                  TextTable::pct(bench::mean(columns[1])),
-                  TextTable::pct(bench::mean(columns[2]))});
+    // Per benchmark: FH-backend's, FaultHound's and SRT-iso's overhead.
+    const auto overheads = bench::runCells(
+        opts, opts.benchmarks.size(),
+        [&](u64 b, const fault::CampaignConfig &) {
+            const auto &info = opts.benchmarks[b];
+            isa::Program prog = opts.program(info, 2);
+            auto base = bench::runBudget(
+                bench::coreParams(filters::DetectorParams::none()), &prog,
+                budget);
+            const double base_energy = energy::computeEnergy(base).total();
+            auto overhead = [&](const filters::DetectorParams &det) {
+                auto core =
+                    bench::runBudget(bench::coreParams(det), &prog, budget);
+                return energy::computeEnergy(core).total() / base_energy -
+                       1.0;
+            };
+            const isa::Program srt_prog = opts.program(info, 4);
+            return std::vector<double>{
+                overhead(filters::DetectorParams::faultHoundBackend()),
+                overhead(filters::DetectorParams::faultHound()),
+                energy::computeEnergy(bench::runSrt(srt_prog, budget))
+                            .total() /
+                        base_energy -
+                    1.0};
+        });
 
     std::cout << "Figure 10: energy overhead vs no-fault-tolerance "
                  "baseline\n(paper: FH-backend ~10%, FaultHound ~25%, "
                  "SRT-iso high)\n\n";
-    table.print(std::cout);
+    bench::benchmarkTable(opts.benchmarks,
+                          {"FH-backend", "FaultHound", "SRT-iso"},
+                          [&](size_t b, size_t c) { return overheads[b][c]; })
+        .print(std::cout);
     return 0;
 }

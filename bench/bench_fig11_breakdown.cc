@@ -13,60 +13,39 @@
 using namespace fh;
 
 int
-main()
+main(int argc, char **argv)
 {
-    auto cfg = bench::campaignConfig();
-    auto benchmarks = bench::selectedBenchmarks();
+    const auto opts = bench::parseOptions(argc, argv, {.campaign = true});
 
-    TextTable table({"benchmark", "covered", "2nd-level", "compl-reg",
-                     "rename", "no-trigger", "other"});
-    std::vector<std::vector<double>> cols(6);
-
-    // One campaign per benchmark; campaigns are independent, so run
-    // them on an outer pool and shard each one's forks with the rest.
-    std::vector<fault::CampaignResult> results(benchmarks.size());
-    const auto split = bench::splitThreads(benchmarks.size());
-    cfg.threads = split.inner;
-    exec::ThreadPool pool(split.outer);
-    pool.parallelFor(benchmarks.size(), [&](u64 b, unsigned) {
-        isa::Program prog = bench::buildProgram(benchmarks[b], 2);
-        auto params =
-            bench::coreParams(filters::DetectorParams::faultHound());
-        results[b] = fault::runCampaign(params, &prog, cfg);
-    });
-
-    for (size_t b = 0; b < benchmarks.size(); ++b) {
-        const auto &info = benchmarks[b];
-        const auto &res = results[b];
-
-        const double sdc = std::max<double>(1.0, res.sdc);
-        const double vals[6] = {
-            static_cast<double>(res.bins.covered) / sdc,
-            static_cast<double>(res.bins.secondLevelMasked) / sdc,
-            static_cast<double>(res.bins.completedReg) / sdc,
-            static_cast<double>(res.bins.renameUncovered) / sdc,
-            static_cast<double>(res.bins.noTrigger) / sdc,
-            static_cast<double>(res.bins.other) / sdc,
-        };
-        std::vector<std::string> row{info.name};
-        for (unsigned i = 0; i < 6; ++i) {
-            cols[i].push_back(vals[i]);
-            row.push_back(TextTable::pct(vals[i]));
-        }
-        table.addRow(row);
-    }
-
-    std::vector<std::string> row{"mean"};
-    for (auto &c : cols)
-        row.push_back(TextTable::pct(bench::mean(c)));
-    table.addRow(row);
+    // One campaign per benchmark: each SDC bin's share of its SDCs.
+    const auto shares = bench::runCells(
+        opts, opts.benchmarks.size(),
+        [&](u64 b, const fault::CampaignConfig &cfg) {
+            isa::Program prog = opts.program(opts.benchmarks[b], 2);
+            auto params =
+                bench::coreParams(filters::DetectorParams::faultHound());
+            const auto res = fault::runCampaign(params, &prog, cfg);
+            const double sdc = std::max<double>(1.0, res.sdc);
+            return std::vector<double>{
+                static_cast<double>(res.bins.covered) / sdc,
+                static_cast<double>(res.bins.secondLevelMasked) / sdc,
+                static_cast<double>(res.bins.completedReg) / sdc,
+                static_cast<double>(res.bins.renameUncovered) / sdc,
+                static_cast<double>(res.bins.noTrigger) / sdc,
+                static_cast<double>(res.bins.other) / sdc,
+            };
+        });
 
     std::cout << "Figure 11: SDC fault breakdown under FaultHound ("
-              << cfg.injections
+              << opts.campaign.injections
               << " injections per benchmark)\n(paper: covered "
                  "dominates; non-triggering faults ~10% of SDC; "
                  "completed/committed-register and uncovered-rename "
                  "faults modest)\n\n";
-    table.print(std::cout);
+    bench::benchmarkTable(opts.benchmarks,
+                          {"covered", "2nd-level", "compl-reg", "rename",
+                           "no-trigger", "other"},
+                          [&](size_t b, size_t c) { return shares[b][c]; })
+        .print(std::cout);
     return 0;
 }

@@ -13,6 +13,7 @@
  */
 
 #include <iostream>
+#include <utility>
 
 #include "harness.hh"
 
@@ -36,11 +37,12 @@ backendVariant(bool clustering, bool second_level, bool replay,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    const u64 budget = bench::envInsts(120000);
-    auto cfg = bench::campaignConfig();
-    auto benchmarks = bench::selectedBenchmarks();
+    const auto opts = bench::parseOptions(
+        argc, argv, {.insts = 120000, .campaign = true});
+    const u64 budget = opts.insts;
+    const auto &benchmarks = opts.benchmarks;
 
     // ---- left: false-positive rates ----
     struct FpVariant
@@ -55,24 +57,22 @@ main()
         {"FH-BE", backendVariant(true, true, true, true)},
     };
 
-    // Each (variant, benchmark) cell of every section is independent;
-    // reuse one outer pool for all three and shard the right-hand
-    // campaigns' forks with the leftover budget.
-    const auto split = bench::splitThreads(benchmarks.size());
-    cfg.threads = split.inner;
-    exec::ThreadPool pool(split.outer);
-
-    TextTable fp({"variant", "false-positive rate"});
-    for (const auto &variant : fp_variants) {
-        std::vector<double> rates(benchmarks.size());
-        pool.parallelFor(benchmarks.size(), [&](u64 b, unsigned) {
-            isa::Program prog = bench::buildProgram(benchmarks[b], 2);
-            rates[b] = bench::fpRateSteady(
-                bench::coreParams(variant.params), &prog, budget);
+    // Each (variant, benchmark) cell of every section is independent.
+    const u64 nb = benchmarks.size();
+    const auto rates = bench::runCells(
+        opts, fp_variants.size() * nb,
+        [&](u64 j, const fault::CampaignConfig &) {
+            isa::Program prog = opts.program(benchmarks[j % nb], 2);
+            return bench::fpRateSteady(
+                bench::coreParams(fp_variants[j / nb].params), &prog,
+                budget);
         });
-        fp.addRow({variant.label,
-                   TextTable::pct(bench::mean(rates), 2)});
-    }
+    TextTable fp({"variant", "false-positive rate"});
+    for (size_t v = 0; v < fp_variants.size(); ++v)
+        fp.addRow({fp_variants[v].label,
+                   TextTable::pct(bench::mean(nb, [&](u64 b) {
+                       return rates[v * nb + b];
+                   }), 2)});
 
     std::cout << "Figure 12 (left): impact of clustering and the "
                  "second-level filter on the false-positive rate "
@@ -80,51 +80,53 @@ main()
     fp.print(std::cout);
 
     // ---- middle: full rollback vs replay performance ----
-    std::vector<double> o_rollback(benchmarks.size());
-    std::vector<double> o_replay(benchmarks.size());
-    pool.parallelFor(benchmarks.size(), [&](u64 i, unsigned) {
-        isa::Program prog = bench::buildProgram(benchmarks[i], 2);
-        auto base = bench::runBudget(
-            bench::coreParams(filters::DetectorParams::none()), &prog,
-            budget);
-        auto rb = bench::runBudget(
-            bench::coreParams(backendVariant(true, true, false, true)),
-            &prog, budget);
-        auto rp = bench::runBudget(
-            bench::coreParams(backendVariant(true, true, true, true)),
-            &prog, budget);
-        const double b = static_cast<double>(base.cycle());
-        o_rollback[i] = static_cast<double>(rb.cycle()) / b - 1.0;
-        o_replay[i] = static_cast<double>(rp.cycle()) / b - 1.0;
-    });
-
+    const auto overheads = bench::runCells(
+        opts, nb,
+        [&](u64 i, const fault::CampaignConfig &) {
+            isa::Program prog = opts.program(benchmarks[i], 2);
+            auto base = bench::runBudget(
+                bench::coreParams(filters::DetectorParams::none()), &prog,
+                budget);
+            auto rb = bench::runBudget(
+                bench::coreParams(backendVariant(true, true, false, true)),
+                &prog, budget);
+            auto rp = bench::runBudget(
+                bench::coreParams(backendVariant(true, true, true, true)),
+                &prog, budget);
+            const double b = static_cast<double>(base.cycle());
+            return std::pair(static_cast<double>(rb.cycle()) / b - 1.0,
+                             static_cast<double>(rp.cycle()) / b - 1.0);
+        });
     TextTable perf({"variant", "performance overhead"});
     perf.addRow({"FH-BE-full-rollback",
-                 TextTable::pct(bench::mean(o_rollback))});
+                 TextTable::pct(bench::mean(nb, [&](u64 i) {
+                     return overheads[i].first;
+                 }))});
     perf.addRow({"FH-BE (replay)",
-                 TextTable::pct(bench::mean(o_replay))});
+                 TextTable::pct(bench::mean(nb, [&](u64 i) {
+                     return overheads[i].second;
+                 }))});
     std::cout << "\nFigure 12 (middle): predecessor replay vs full "
                  "rollback (mean overhead over baseline)\n\n";
     perf.print(std::cout);
 
     // ---- right: LSQ coverage ----
-    std::vector<double> cov_nolsq(benchmarks.size());
-    std::vector<double> cov_lsq(benchmarks.size());
-    pool.parallelFor(benchmarks.size(), [&](u64 i, unsigned) {
-        isa::Program prog = bench::buildProgram(benchmarks[i], 2);
-        auto r0 = fault::runCampaign(
-            bench::coreParams(backendVariant(true, true, true, false)),
-            &prog, cfg);
-        auto r1 = fault::runCampaign(
-            bench::coreParams(backendVariant(true, true, true, true)),
-            &prog, cfg);
-        cov_nolsq[i] = r0.coverage();
-        cov_lsq[i] = r1.coverage();
-    });
-
+    const auto coverages = bench::runCells(
+        opts, 2 * nb, [&](u64 j, const fault::CampaignConfig &cfg) {
+            isa::Program prog = opts.program(benchmarks[j % nb], 2);
+            const bool lsq = j / nb == 1;
+            return fault::runCampaign(
+                       bench::coreParams(
+                           backendVariant(true, true, true, lsq)),
+                       &prog, cfg)
+                .coverage();
+        });
     TextTable cov({"variant", "SDC coverage"});
-    cov.addRow({"FH-BE-noLSQ", TextTable::pct(bench::mean(cov_nolsq))});
-    cov.addRow({"FH-BE", TextTable::pct(bench::mean(cov_lsq))});
+    for (const u64 lsq : {0, 1})
+        cov.addRow({lsq ? "FH-BE" : "FH-BE-noLSQ",
+                    TextTable::pct(bench::mean(nb, [&](u64 b) {
+                        return coverages[lsq * nb + b];
+                    }))});
     std::cout << "\nFigure 12 (right): impact of covering the LSQ on "
                  "SDC coverage (mean)\n\n";
     cov.print(std::cout);

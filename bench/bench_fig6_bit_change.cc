@@ -10,32 +10,38 @@
 
 #include <array>
 #include <iostream>
+#include <utility>
 
 #include "harness.hh"
 
 using namespace fh;
 
 int
-main()
+main(int argc, char **argv)
 {
-    const u64 budget = bench::envInsts(150000);
+    const auto opts = bench::parseOptions(argc, argv, {.insts = 150000});
 
+    // Each benchmark's per-bit change counts and sample counts.
+    const auto probes = bench::runCells(
+        opts, opts.benchmarks.size(),
+        [&](u64 b, const fault::CampaignConfig &) {
+            isa::Program prog = opts.program(opts.benchmarks[b], 2);
+            auto params =
+                bench::coreParams(filters::DetectorParams::none());
+            pipeline::Core core(params, &prog);
+            core.probe().enabled = true;
+            while (core.committedTotal() < opts.insts && !core.allHalted())
+                core.tick();
+            return std::pair(core.probe().bitChanges,
+                             core.probe().samples);
+        });
     std::array<std::array<u64, wordBits>, 3> changes{};
     std::array<u64, 3> samples{};
-
-    for (const auto &info : bench::selectedBenchmarks()) {
-        isa::Program prog = bench::buildProgram(info, 2);
-        auto params =
-            bench::coreParams(filters::DetectorParams::none());
-        pipeline::Core core(params, &prog);
-        core.probe().enabled = true;
-        while (core.committedTotal() < budget && !core.allHalted())
-            core.tick();
-        const auto &probe = core.probe();
+    for (const auto &[bits, n] : probes) {
         for (unsigned s = 0; s < 3; ++s) {
-            samples[s] += probe.samples[s];
+            samples[s] += n[s];
             for (unsigned b = 0; b < wordBits; ++b)
-                changes[s][b] += probe.bitChanges[s][b];
+                changes[s][b] += bits[s][b];
         }
     }
 

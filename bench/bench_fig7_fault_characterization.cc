@@ -12,36 +12,28 @@
 using namespace fh;
 
 int
-main()
+main(int argc, char **argv)
 {
-    auto cfg = bench::campaignConfig();
+    const auto opts = bench::parseOptions(argc, argv, {.campaign = true});
 
-    TextTable table({"benchmark", "masked", "noisy", "SDC"});
-    std::vector<double> masked;
-    std::vector<double> noisy;
-    std::vector<double> sdc;
+    const auto results = bench::runCells(
+        opts, opts.benchmarks.size(),
+        [&](u64 b, const fault::CampaignConfig &cfg) {
+            isa::Program prog = opts.program(opts.benchmarks[b], 2);
+            auto params =
+                bench::coreParams(filters::DetectorParams::none());
+            const auto r = fault::runCampaign(params, &prog, cfg);
+            return std::vector<double>{r.maskedFrac(), r.noisyFrac(),
+                                       r.sdcFrac()};
+        });
 
-    for (const auto &info : bench::selectedBenchmarks()) {
-        isa::Program prog = bench::buildProgram(info, 2);
-        auto params =
-            bench::coreParams(filters::DetectorParams::none());
-        auto res = fault::runCampaign(params, &prog, cfg);
-        masked.push_back(res.maskedFrac());
-        noisy.push_back(res.noisyFrac());
-        sdc.push_back(res.sdcFrac());
-        table.addRow({info.name, TextTable::pct(res.maskedFrac()),
-                      TextTable::pct(res.noisyFrac()),
-                      TextTable::pct(res.sdcFrac())});
-    }
-
-    table.addRow({"mean", TextTable::pct(bench::mean(masked)),
-                  TextTable::pct(bench::mean(noisy)),
-                  TextTable::pct(bench::mean(sdc))});
-
-    std::cout << "Figure 7: fault characterization (" << cfg.injections
+    std::cout << "Figure 7: fault characterization ("
+              << opts.campaign.injections
               << " single-bit injections per benchmark: rename table "
                  "20%, register file 72%, LSQ 8%)\n(paper: ~85% "
                  "masked, ~5% noisy, ~10% SDC)\n\n";
-    table.print(std::cout);
+    bench::benchmarkTable(opts.benchmarks, {"masked", "noisy", "SDC"},
+                          [&](size_t b, size_t c) { return results[b][c]; })
+        .print(std::cout);
     return 0;
 }

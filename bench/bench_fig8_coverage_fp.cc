@@ -12,81 +12,51 @@
  */
 
 #include <iostream>
+#include <utility>
 
 #include "harness.hh"
 
 using namespace fh;
 
 int
-main()
+main(int argc, char **argv)
 {
-    auto cfg = bench::campaignConfig();
-    const u64 fp_budget = bench::envInsts(120000);
-    auto schemes = bench::fig8Schemes();
-    auto benchmarks = bench::selectedBenchmarks();
+    const auto opts = bench::parseOptions(
+        argc, argv, {.insts = 120000, .campaign = true});
+    const auto schemes = bench::fig8Schemes();
+    const auto &benchmarks = opts.benchmarks;
+    const u64 ns = schemes.size();
 
-    TextTable cov({"benchmark", "PBFS", "PBFS-biased", "FH-backend",
-                   "FaultHound"});
-    TextTable fp({"benchmark", "PBFS", "PBFS-biased", "FH-backend",
-                  "FaultHound"});
-    std::vector<std::vector<double>> cov_cols(schemes.size());
-    std::vector<std::vector<double>> fp_cols(schemes.size());
+    // Each benchmark x scheme cell's coverage and FP rate.
+    const auto cells = bench::runCells(
+        opts, benchmarks.size() * ns,
+        [&](u64 j, const fault::CampaignConfig &cfg) {
+            isa::Program prog = opts.program(benchmarks[j / ns], 2);
+            auto params = bench::coreParams(schemes[j % ns].params);
+            return std::pair(
+                fault::runCampaign(params, &prog, cfg).coverage(),
+                bench::fpRateSteady(params, &prog, opts.insts));
+        });
+    std::vector<std::string> columns;
+    for (const auto &scheme : schemes)
+        columns.push_back(scheme.label);
 
-    // Every benchmark x scheme cell is independent: run the cells on
-    // an outer pool and give each campaign the rest of the budget.
-    struct Cell
-    {
-        double cov = 0.0;
-        double fp = 0.0;
-    };
-    std::vector<Cell> cells(benchmarks.size() * schemes.size());
-    const auto split = bench::splitThreads(cells.size());
-    cfg.threads = split.inner;
-    exec::ThreadPool pool(split.outer);
-    pool.parallelFor(cells.size(), [&](u64 j, unsigned) {
-        const auto &info = benchmarks[j / schemes.size()];
-        const auto &scheme = schemes[j % schemes.size()];
-        isa::Program prog = bench::buildProgram(info, 2);
-        auto params = bench::coreParams(scheme.params);
-        cells[j].cov = fault::runCampaign(params, &prog, cfg).coverage();
-        cells[j].fp = bench::fpRateSteady(params, &prog, fp_budget);
-    });
-
-    for (size_t b = 0; b < benchmarks.size(); ++b) {
-        std::vector<std::string> cov_row{benchmarks[b].name};
-        std::vector<std::string> fp_row{benchmarks[b].name};
-        for (size_t s = 0; s < schemes.size(); ++s) {
-            const Cell &cell = cells[b * schemes.size() + s];
-            cov_cols[s].push_back(cell.cov);
-            cov_row.push_back(TextTable::pct(cell.cov));
-            fp_cols[s].push_back(cell.fp);
-            fp_row.push_back(TextTable::pct(cell.fp, 2));
-        }
-        cov.addRow(cov_row);
-        fp.addRow(fp_row);
-    }
-
-    auto addMean = [&](TextTable &t,
-                       std::vector<std::vector<double>> &cols) {
-        std::vector<std::string> row{"mean"};
-        for (auto &c : cols)
-            row.push_back(TextTable::pct(bench::mean(c)));
-        t.addRow(row);
-    };
-    addMean(cov, cov_cols);
-    addMean(fp, fp_cols);
-
-    std::cout << "Figure 8(a): SDC coverage (" << cfg.injections
+    std::cout << "Figure 8(a): SDC coverage (" << opts.campaign.injections
               << " injections per benchmark per scheme)\n(paper: PBFS "
                  "~30%, PBFS-biased ~75-80%, FH-backend < FaultHound "
                  "~75%)\n\n";
-    cov.print(std::cout);
+    bench::benchmarkTable(benchmarks, columns, [&](size_t b, size_t s) {
+        return cells[b * ns + s].first;
+    }).print(std::cout);
 
     std::cout << "\nFigure 8(b): false-positive rate, fraction of "
                  "committed instructions (fault-free run of "
-              << fp_budget
+              << opts.insts
               << " instructions)\n(paper: PBFS ~0%, PBFS-biased ~8%, "
                  "FaultHound ~3%)\n\n";
-    fp.print(std::cout);
+    bench::benchmarkTable(
+        benchmarks, columns,
+        [&](size_t b, size_t s) { return cells[b * ns + s].second; }, 2)
+        .print(std::cout);
     return 0;
 }

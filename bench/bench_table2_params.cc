@@ -12,8 +12,9 @@
 using namespace fh;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseOptions(argc, argv, {.cells = false});
     pipeline::CoreParams p =
         bench::coreParams(filters::DetectorParams::faultHound());
 

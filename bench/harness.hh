@@ -1,38 +1,28 @@
 /**
  * @file
- * Shared helpers for the experiment harnesses (one binary per paper
- * table/figure). Every harness honors these environment knobs, read
- * with the FH_* readers of sim/config.hh: unset or empty gives the
- * default, and a malformed value, or one outside the range of the
- * matching fhsim key (the bounds in dist/spec.hh), exits naming the
- * variable.
+ * Shared machinery of the experiment harnesses (one binary per paper
+ * table/figure): their options, one cell runner and one benchmark
+ * table.
  *
- *   FH_BENCH       run only the named benchmark (default: all 14; an
- *                  unknown name exits listing the valid ones)
- *   FH_INSTS       instruction budget of timing runs, 1 to 10^15
- *   FH_INJECTIONS  fault injections per campaign, at least 1
- *   FH_WINDOW      run-window length (instructions, paper: 1000),
- *                  at least 1
- *   FH_SEED        master seed
- *   FH_THREADS     host fork threads, 0-1024 (default 0: all
- *                  hardware threads; each campaign also runs its
- *                  producer thread, which runs trials too when they
- *                  back up; results are bit-identical for any value)
- *   FH_CI_TARGET   adaptive stop: pooled SDC-rate Wilson CI
- *                  half-width target, 0-0.5 (default 0 = fixed-count)
- *   FH_CI_WAVE     adaptive stop wave size in trials, at least 1
- *                  (default 64)
- *
- * The library's own FH_STRICT (sim/error.hh: an in-trial panic aborts
- * instead of counting as a trial error) reaches every harness too.
- * No variable bounds a trial's wall time: each fork stops after
- * CampaignConfig::forkMaxCycles cycles, so a cell's counts never
+ * Options. A harness takes `key=value` arguments and `--config FILE`
+ * through fhsim's parser, unknown-key refusal and help printer
+ * (sim/config.hh), and declares only the keys it reads: `bench`,
+ * `seed` and `jobs` (the host-thread budget), `insts` where it runs
+ * fault-free timing runs, and the schedule keys (fault::readSchedule)
+ * where it runs campaigns. `help=1` lists them with their ranges and
+ * defaults; any other key is refused, naming it, and so is a malformed
+ * value or one outside the range of its fhsim key (dist/spec.hh). The
+ * FH_* variables these keys replaced are refused while set, naming
+ * the key to use instead. FH_STRICT (sim/error.hh) reaches every
+ * harness too. No option bounds a trial's wall time: each fork stops
+ * after CampaignConfig::forkMaxCycles cycles, so a cell's counts never
  * depend on host load.
  *
- * The campaign-heavy harnesses additionally parallelize across their
- * independent scheme/size/benchmark cells, splitting the FH_THREADS
- * budget between cells (outer) and each cell's campaign forks (inner)
- * via splitThreads().
+ * Cells. A harness's independent configurations (benchmark x scheme,
+ * size or variant) are its cells. runCells runs them on one pool,
+ * splitting `jobs` between cells and each cell's campaign forks, and
+ * returns their results in cell order, so every harness prints the
+ * same bytes for any `jobs`.
  */
 
 #ifndef FH_BENCH_HARNESS_HH
@@ -42,6 +32,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dist/spec.hh"
@@ -49,6 +40,7 @@
 #include "fault/campaign.hh"
 #include "filters/detector.hh"
 #include "pipeline/core.hh"
+#include "redundancy/srt.hh"
 #include "sim/config.hh"
 #include "sim/text_table.hh"
 #include "workload/workload.hh"
@@ -56,78 +48,190 @@
 namespace fh::bench
 {
 
-/** FH_THREADS as CampaignConfig::threads (0 = the campaign default,
- *  fault::resolveForkThreads). */
-inline unsigned
-envThreadCount()
+/** The keys a harness reads; `help` comes with every harness. */
+struct Keys
 {
-    return static_cast<unsigned>(envU64("FH_THREADS", 0, 0, dist::kMaxJobs));
-}
+    bool cells = true;     ///< `bench`, `seed` and `jobs`
+    u64 insts = 0;         ///< `insts`' default; 0 = no `insts` key
+    bool campaign = false; ///< the schedule keys (fault::readSchedule)
+};
 
-/** Worker-thread budget from FH_THREADS (unset/0 = all hardware). */
-inline unsigned
-envThreads()
+/** A harness's option values. */
+struct Options
 {
-    return exec::resolveThreads(envThreadCount());
-}
+    std::vector<workload::BenchmarkInfo> benchmarks = workload::all();
+    u64 seed = workload::WorkloadSpec{}.seed; ///< the workload seed
+    /** Host-thread budget; 0 = one per hardware thread (runCells). */
+    unsigned jobs = 0;
+    u64 insts = 0;
+    /** The schedule; runCells sets its threads per cell. */
+    fault::CampaignConfig campaign;
 
-/** Instruction budget of timing runs from FH_INSTS. */
-inline u64
-envInsts(u64 def)
+    /** Build a benchmark program for the given SMT context count. */
+    isa::Program
+    program(const workload::BenchmarkInfo &info, unsigned maxThreads) const
+    {
+        workload::WorkloadSpec spec;
+        spec.maxThreads = maxThreads;
+        spec.seed = seed;
+        return info.build(spec);
+    }
+};
+
+/** The FH_* variables the harness keys replaced, with their keys. */
+inline constexpr std::pair<const char *, const char *> kRetiredVariables[] =
+    {{"FH_BENCH", "bench"},         {"FH_INSTS", "insts"},
+     {"FH_INJECTIONS", "injections"}, {"FH_WINDOW", "window"},
+     {"FH_SEED", "seed"},           {"FH_THREADS", "jobs"},
+     {"FH_CI_TARGET", "ci_target"}, {"FH_CI_WAVE", "ci_wave"}};
+
+/**
+ * Read a harness's options from its arguments, declaring the keys it
+ * reads. Exits 1 while a retired FH_* variable is set, and on a bad
+ * argument, a malformed or out-of-range value, an unknown benchmark
+ * or an undeclared key; help=1 prints the declared keys and exits 0.
+ */
+inline Options
+parseOptions(int argc, char **argv, const Keys &keys)
 {
-    return envU64("FH_INSTS", def, 1, dist::kMaxInsts);
+    std::string prog = argv[0];
+    prog.erase(0, prog.rfind('/') + 1);
+    bool retired = false;
+    for (const auto &[var, key] : kRetiredVariables) {
+        if (std::getenv(var)) {
+            std::fprintf(stderr, "%s: %s is retired; pass %s=VALUE "
+                                 "instead\n",
+                         prog.c_str(), var, key);
+            retired = true;
+        }
+    }
+    Config cfg;
+    if (retired || !parseArgs(cfg, argc, argv, prog))
+        std::exit(1);
+
+    Options o;
+    if (keys.cells) {
+        cfg.declareKey("bench", "run only this benchmark (default: all "
+                                "14)");
+        if (!keys.campaign)
+            cfg.declareKey("seed", "workload seed, any 64-bit value "
+                                   "(default 0x5eed)");
+        cfg.declareKey(
+            "jobs",
+            keys.campaign
+                ? "host-thread budget, 0-1024, 0 = one per hardware "
+                  "thread: min(cells, jobs) cells run at once, and "
+                  "each cell's campaign runs max(1, jobs / that many) "
+                  "fork threads beside its producer (default 0)"
+                : "host-thread budget, 0-1024, 0 = one per hardware "
+                  "thread: min(cells, jobs) cells run at once "
+                  "(default 0)");
+        const std::string pick = cfg.getString("bench");
+        if (!pick.empty()) {
+            const workload::BenchmarkInfo *info = workload::find(pick);
+            if (!info) {
+                std::fprintf(stderr, "%s: unknown bench '%s'; pick one "
+                                     "of:\n",
+                             prog.c_str(), pick.c_str());
+                for (const auto &known : workload::all())
+                    std::fprintf(stderr, "  %s\n", known.name.c_str());
+                std::exit(1);
+            }
+            o.benchmarks = {*info};
+        }
+        o.seed = cfg.getU64("seed", o.seed);
+        o.jobs = static_cast<unsigned>(
+            cfg.getU64("jobs", 0, 0, dist::kMaxJobs));
+    }
+    if (keys.insts) {
+        cfg.declareKey("insts",
+                       csprintf("instruction budget of each fault-free "
+                                "run, 1 to 10^15 (default %llu)",
+                                static_cast<unsigned long long>(
+                                    keys.insts)));
+        o.insts = cfg.getU64("insts", keys.insts, 1, dist::kMaxInsts);
+    }
+    if (keys.campaign) {
+        o.campaign.injections = 120;
+        fault::readSchedule(cfg, o.campaign);
+    }
+    cfg.declareKey("help", "print this option list and exit");
+    if (cfg.getBool("help", false)) {
+        printHelp(cfg, prog);
+        std::exit(0);
+    }
+    if (!rejectUnknown(cfg, prog))
+        std::exit(1);
+    return o;
 }
 
 /**
- * Split of the FH_THREADS budget between the independent
- * configuration cells of a harness and each cell's campaign forks.
- * Each running cell's campaign adds its producer thread beside its
- * inner fork threads, and that producer runs forks too whenever its
- * stream of trials is full, so a cell can keep inner + 1 threads busy.
+ * Run cell(i, campaign) for every cell i in [0, n) on one pool and
+ * return the results in cell order. The jobs budget (0 = one per
+ * hardware thread) splits between cells and their campaigns:
+ * outer = min(n, budget) cells run at once, and campaign is
+ * opts.campaign with threads = max(1, budget / outer) fork threads,
+ * which run beside each running cell's producer. A split that counts
+ * the producers, outer x (inner + 1) <= budget, was not faster
+ * (EXPERIMENTS.md "One harness runner"). Results are the same for any
+ * budget: a cell's work depends only on i, and a campaign's results on
+ * nothing host-local.
  */
-struct ThreadSplit
+template <typename Cell>
+auto
+runCells(const Options &opts, u64 n, const Cell &cell)
 {
-    unsigned outer = 1; ///< exec::ThreadPool size across cells
-    unsigned inner = 1; ///< CampaignConfig::threads within a cell
-};
-
-inline ThreadSplit
-splitThreads(u64 cells)
-{
-    const u64 budget = envThreads();
-    ThreadSplit split;
-    split.outer = static_cast<unsigned>(
-        std::min<u64>(std::max<u64>(cells, 1), budget));
-    split.inner =
-        static_cast<unsigned>(std::max<u64>(1, budget / split.outer));
-    return split;
+    const u64 budget = opts.jobs ? opts.jobs : exec::hardwareThreads();
+    const u64 outer = std::min(std::max<u64>(n, 1), budget);
+    fault::CampaignConfig campaign = opts.campaign;
+    campaign.threads = static_cast<unsigned>(std::max<u64>(1, budget / outer));
+    std::vector<decltype(cell(u64{}, campaign))> results(n);
+    exec::ThreadPool pool(static_cast<unsigned>(outer));
+    pool.parallelFor(n, [&](u64 i, unsigned) {
+        results[i] = cell(i, campaign);
+    });
+    return results;
 }
 
-/** Benchmarks selected by FH_BENCH (default: all of Table 1); a
- *  name that matches none exits listing the valid ones. */
-inline std::vector<workload::BenchmarkInfo>
-selectedBenchmarks()
+/** The mean of value(i) over i in [0, n), summed in order; 0 for
+ *  n = 0. */
+template <typename Value>
+double
+mean(u64 n, const Value &value)
 {
-    const std::string pick = envString("FH_BENCH");
-    if (pick.empty())
-        return workload::all();
-    if (const workload::BenchmarkInfo *info = workload::find(pick))
-        return {*info};
-    std::fprintf(stderr, "unknown FH_BENCH '%s'; pick one of:\n",
-                 pick.c_str());
-    for (const auto &info : workload::all())
-        std::fprintf(stderr, "  %s\n", info.name.c_str());
-    std::exit(1);
+    double s = 0.0;
+    for (u64 i = 0; i < n; ++i)
+        s += value(i);
+    return n ? s / static_cast<double>(n) : 0.0;
 }
 
-/** Build a benchmark program for the given SMT context count. */
-inline isa::Program
-buildProgram(const workload::BenchmarkInfo &info, unsigned max_threads)
+/**
+ * The benchmark x column table of Figures 7-11: a row per benchmark of
+ * value(b, c), benchmark b's value in column c, as a percentage, then
+ * a `mean` row of each column's mean, at one precision throughout.
+ */
+template <typename Value>
+TextTable
+benchmarkTable(const std::vector<workload::BenchmarkInfo> &benchmarks,
+               const std::vector<std::string> &columns,
+               const Value &value, int precision = 1)
 {
-    workload::WorkloadSpec spec;
-    spec.maxThreads = max_threads;
-    spec.seed = envU64("FH_SEED", 0x5eedULL);
-    return info.build(spec);
+    std::vector<std::string> header{"benchmark"};
+    header.insert(header.end(), columns.begin(), columns.end());
+    TextTable table(header);
+    for (size_t b = 0; b < benchmarks.size(); ++b) {
+        std::vector<std::string> row{benchmarks[b].name};
+        for (size_t c = 0; c < columns.size(); ++c)
+            row.push_back(TextTable::pct(value(b, c), precision));
+        table.addRow(row);
+    }
+    std::vector<std::string> means{"mean"};
+    for (size_t c = 0; c < columns.size(); ++c)
+        means.push_back(TextTable::pct(
+            mean(benchmarks.size(), [&](u64 b) { return value(b, c); }),
+            precision));
+    table.addRow(means);
+    return table;
 }
 
 /** Table 2 core with the given detector attached. */
@@ -154,6 +258,32 @@ runBudget(const pipeline::CoreParams &params, const isa::Program *prog,
     return core;
 }
 
+/** SRT-iso's coverage: FaultHound's level. */
+constexpr double kSrtCoverage = 0.75;
+
+/**
+ * Run prog under SRT-iso (redundant trailing threads, one per leading
+ * thread) until the leading threads commit inst_budget; returns the
+ * core for its cycles and energy.
+ */
+inline pipeline::Core
+runSrt(const isa::Program &prog, u64 inst_budget)
+{
+    const pipeline::CoreParams base =
+        coreParams(filters::DetectorParams::none());
+    pipeline::Core core(redundancy::srtParams(base), &prog);
+    const u64 per_lead = inst_budget / base.threads;
+    redundancy::configureSrt(core, base.threads, {kSrtCoverage},
+                             per_lead);
+    std::vector<u64> targets(core.numThreads(), 0);
+    for (unsigned t = 0; t < base.threads; ++t) {
+        core.threadOptions(t).stopAfterInsts = per_lead;
+        targets[t] = per_lead;
+    }
+    core.runUntilCommitted(targets, inst_budget * 200 + 1000000);
+    return core;
+}
+
 /** The four screening schemes of Figure 8, in paper order. */
 struct SchemeDef
 {
@@ -170,19 +300,6 @@ fig8Schemes()
         {"FH-backend", filters::DetectorParams::faultHoundBackend()},
         {"FaultHound", filters::DetectorParams::faultHound()},
     };
-}
-
-/** False-positive recovery actions per committed instruction. */
-inline double
-fpRate(const pipeline::Core &core)
-{
-    const auto &d = core.detector().stats();
-    const u64 committed = core.stats().committed;
-    if (committed == 0)
-        return 0.0;
-    return static_cast<double>(d.replays + d.rollbacks +
-                               d.commitTriggers) /
-           static_cast<double>(committed);
 }
 
 /**
@@ -209,32 +326,6 @@ fpRateSteady(const pipeline::CoreParams &params, const isa::Program *prog,
                                (d.rollbacks - warm.rollbacks) +
                                (d.commitTriggers - warm.commitTriggers)) /
            static_cast<double>(committed);
-}
-
-inline double
-mean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double s = 0.0;
-    for (double x : xs)
-        s += x;
-    return s / static_cast<double>(xs.size());
-}
-
-/** Default campaign configuration from the environment. */
-inline fault::CampaignConfig
-campaignConfig()
-{
-    fault::CampaignConfig cfg;
-    cfg.injections = envU64("FH_INJECTIONS", 120, 1, dist::kAnyU64);
-    cfg.window = envU64("FH_WINDOW", 1000, 1, dist::kAnyU64);
-    cfg.seed = envU64("FH_SEED", 1);
-    cfg.threads = envThreadCount();
-    cfg.ciTarget =
-        envDouble("FH_CI_TARGET", 0.0, 0.0, dist::kMaxCiTarget);
-    cfg.ciWave = envU64("FH_CI_WAVE", 64, 1, dist::kAnyU64);
-    return cfg;
 }
 
 } // namespace fh::bench

@@ -3,8 +3,9 @@
  * fhsim — the command-line simulator driver, the binary a downstream
  * user actually runs. Configures the core from key=value options (file
  * and/or command line), runs a benchmark under a chosen scheme, and
- * dumps gem5-style stats; optionally runs a fault-injection campaign
- * on `jobs` fork threads beside the producer thread.
+ * dumps gem5-style stats; or, with campaign=true, runs a
+ * fault-injection campaign instead, on `jobs` fork threads beside the
+ * producer thread.
  *
  * Usage:
  *   fhsim [--config FILE] [key=value ...]
@@ -12,7 +13,8 @@
  * Run `fhsim` with no arguments (or `help=1`) for the full option
  * list — it is generated from the same consumed-key registry that
  * powers the unknown-option check, so it cannot drift from what the
- * driver actually accepts.
+ * driver actually accepts. The paper harnesses share the argv parser,
+ * the check and the help printer (sim/config.hh).
  *
  * Unknown keys are fatal: `injectons=5000` should refuse to run, not
  * silently run the default campaign.
@@ -29,7 +31,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -50,10 +51,10 @@ namespace
 {
 
 /**
- * The full option registry: every key fhsim reads, with its help
- * line. Declaring them all up front serves both masters — the
- * typo check refuses anything not listed here, and printHelp() prints
- * exactly this list.
+ * The option registry: every key fhsim reads beyond the schedule keys
+ * (fault::readSchedule declares those), with its help line. Declaring
+ * them all up front serves both masters — the typo check refuses
+ * anything not listed here, and printHelp() prints exactly this list.
  */
 void
 declareAllKeys(const Config &cfg)
@@ -64,13 +65,10 @@ declareAllKeys(const Config &cfg)
                    "none|pbfs|pbfs-biased|fh-backend|faulthound "
                    "(default faulthound)");
     cfg.declareKey("insts",
-                   "per-thread instruction budget, 1 to 10^15: the "
-                   "run's cycle cap, 400 per instruction, must fit in "
-                   "64 bits (default 100000)");
+                   "per-thread instruction budget of the stats run, 1 "
+                   "to 10^15: the run's cycle cap, 400 per "
+                   "instruction, must fit in 64 bits (default 100000)");
     cfg.declareKey("threads", "SMT contexts, 1-8 (default 2)");
-    cfg.declareKey("seed",
-                   "workload/data seed, any 64-bit value (default "
-                   "0x5eed)");
     cfg.declareKey("tcam.entries",
                    "first-level TCAM entries, 0-1024: 0 = the scheme "
                    "preset (32); every lookup searches them all");
@@ -82,12 +80,8 @@ declareAllKeys(const Config &cfg)
                    "it holds ROB slots and the ROB has 250");
     // Campaign.
     cfg.declareKey("campaign",
-                   "also run a fault campaign (default false)");
-    cfg.declareKey("injections",
-                   "campaign injections, at least 1 (default 300)");
-    cfg.declareKey("window",
-                   "campaign run window in instructions per SMT "
-                   "thread, at least 1 (default 1000)");
+                   "run a fault campaign instead of the stats run "
+                   "(default false)");
     cfg.declareKey("jobs",
                    "campaign fork threads, plus one producer thread "
                    "that also runs trials when they back up; 0-1024, "
@@ -95,69 +89,10 @@ declareAllKeys(const Config &cfg)
                    "1)");
     cfg.declareKey("journal",
                    "trial-journal path for checkpoint/resume");
-    cfg.declareKey("ci_target",
-                   "adaptive stop: pooled SDC-rate CI half-width "
-                   "target, 0-0.5: 0 = fixed-count campaign; a "
-                   "half-width of 0.5 already spans every rate");
-    cfg.declareKey("ci_wave",
-                   "adaptive stop wave size in trials, at least 1 "
-                   "(default 64)");
     cfg.declareKey("json",
                    "write the JSON campaign record here "
                    "(\"-\" = stdout)");
     cfg.declareKey("help", "print this option list and exit");
-}
-
-void
-printHelp(const Config &cfg)
-{
-    std::printf("usage: fhsim [--config FILE] [key=value ...]\n"
-                "\noptions:\n");
-    for (const auto &[key, desc] : cfg.keyDocs())
-        std::printf("  %-18s%s\n", key.c_str(), desc.c_str());
-}
-
-bool
-parseArgs(Config &cfg, int argc, char **argv)
-{
-    std::string error;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            declareAllKeys(cfg);
-            printHelp(cfg);
-            std::exit(0);
-        }
-        if (arg == "--config") {
-            if (i + 1 >= argc || !cfg.parseFile(argv[++i], error)) {
-                std::fprintf(stderr, "fhsim: %s\n", error.c_str());
-                return false;
-            }
-            continue;
-        }
-        if (!cfg.set(arg)) {
-            std::fprintf(stderr, "fhsim: bad option '%s'\n",
-                         arg.c_str());
-            return false;
-        }
-    }
-    return true;
-}
-
-/** Refuse to run with unrecognised keys (a misspelt key silently
- *  running a default campaign wastes hours). */
-bool
-rejectUnknown(const Config &cfg)
-{
-    const auto unknown = cfg.unknownKeys();
-    if (unknown.empty())
-        return true;
-    for (const auto &key : unknown)
-        std::fprintf(stderr, "fhsim: unknown option '%s'\n",
-                     key.c_str());
-    std::fprintf(stderr, "fhsim: refusing to run with unrecognised "
-                         "options; run `fhsim` for the list\n");
-    return false;
 }
 
 /** The deterministic campaign description the options select. */
@@ -177,13 +112,7 @@ specFromConfig(const Config &cfg)
         cfg.getU64("tcam.threshold", 0, 0, dist::kMaxTcamThreshold));
     spec.delayBuffer = static_cast<unsigned>(
         cfg.getU64("delay_buffer", 0, 0, dist::kMaxDelayBuffer));
-    spec.campaign.injections =
-        cfg.getU64("injections", 300, 1, dist::kAnyU64);
-    spec.campaign.window = cfg.getU64("window", 1000, 1, dist::kAnyU64);
-    spec.campaign.seed = cfg.getU64("seed", 1);
-    spec.campaign.ciTarget =
-        cfg.getDouble("ci_target", 0.0, 0.0, dist::kMaxCiTarget);
-    spec.campaign.ciWave = cfg.getU64("ci_wave", 64, 1, dist::kAnyU64);
+    fault::readSchedule(cfg, spec.campaign);
     return spec;
 }
 
@@ -246,10 +175,10 @@ emitCampaignOutputs(const Config &cfg, const std::string &bench,
     return 0;
 }
 
+/** The stats run, or with campaign=true the campaign alone. */
 int
-runSim(const Config &cfg)
+runSim(const Config &cfg, const dist::CampaignSpec &spec)
 {
-    const dist::CampaignSpec spec = specFromConfig(cfg);
     const std::string &bench = spec.bench;
     if (!workload::find(bench)) {
         std::fprintf(stderr, "fhsim: unknown benchmark '%s'; pick "
@@ -269,24 +198,7 @@ runSim(const Config &cfg)
     const pipeline::CoreParams params = spec.buildParams();
 
     const u64 insts = cfg.getU64("insts", 100000, 1, dist::kMaxInsts);
-    std::fprintf(stderr,
-                 "fhsim: %s, scheme %s, %llu insts/thread, %u "
-                 "threads\n",
-                 bench.c_str(),
-                 filters::to_string(params.detector.scheme).c_str(),
-                 static_cast<unsigned long long>(insts),
-                 params.threads);
-
-    pipeline::Core core(params, &prog);
-    core.runPerThreadBudget(insts, insts * 400 + 1000000);
-    pipeline::dumpStats(core, std::cout);
-
-    auto e = energy::computeEnergy(core);
-    std::printf("%-34s%-16.0f# dynamic+static energy (arb. units)\n",
-                "energy.total", e.total());
-    std::printf("%-34s%-16.0f# filter-table energy\n",
-                "energy.detector", e.detector);
-
+    const std::string scheme = filters::to_string(params.detector.scheme);
     if (cfg.getBool("campaign", false)) {
         fault::CampaignConfig ccfg = spec.campaign;
         ccfg.threads = static_cast<unsigned>(
@@ -296,10 +208,11 @@ runSim(const Config &cfg)
         exec::ProgressMeter meter("fhsim campaign", ccfg.injections);
         ccfg.progress = &meter;
         const unsigned forkThreads = fault::resolveForkThreads(ccfg.threads);
-        std::fprintf(stderr, "fhsim: running %llu-injection "
-                             "campaign on %u fork thread(s) plus the "
-                             "producer, which runs trials too when "
-                             "they back up...\n",
+        std::fprintf(stderr, "fhsim: %s, scheme %s, %u threads: running "
+                             "%llu-injection campaign on %u fork "
+                             "thread(s) plus the producer, which runs "
+                             "trials too when they back up...\n",
+                     bench.c_str(), scheme.c_str(), params.threads,
                      static_cast<unsigned long long>(ccfg.injections),
                      forkThreads);
         const auto t0 = std::chrono::steady_clock::now();
@@ -311,6 +224,21 @@ runSim(const Config &cfg)
         return emitCampaignOutputs(cfg, bench, forkThreads, ccfg, r,
                                    {seconds, meter.executingSeconds()});
     }
+
+    std::fprintf(stderr,
+                 "fhsim: %s, scheme %s, %llu insts/thread, %u "
+                 "threads\n",
+                 bench.c_str(), scheme.c_str(),
+                 static_cast<unsigned long long>(insts), params.threads);
+    pipeline::Core core(params, &prog);
+    core.runPerThreadBudget(insts, insts * 400 + 1000000);
+    pipeline::dumpStats(core, std::cout);
+
+    auto e = energy::computeEnergy(core);
+    std::printf("%-34s%-16.0f# dynamic+static energy (arb. units)\n",
+                "energy.total", e.total());
+    std::printf("%-34s%-16.0f# filter-table energy\n",
+                "energy.detector", e.detector);
     return 0;
 }
 
@@ -320,16 +248,18 @@ int
 main(int argc, char **argv)
 {
     Config cfg;
-    if (!parseArgs(cfg, argc, argv))
+    if (!parseArgs(cfg, argc, argv, "fhsim"))
         return 1;
     declareAllKeys(cfg);
+    const dist::CampaignSpec spec = specFromConfig(cfg);
     if (argc == 1 || cfg.getBool("help", false)) {
-        // Bare `fhsim` documents itself; the registry above is the
-        // single source of truth for the option list.
-        printHelp(cfg);
+        // Bare `fhsim` documents itself; the registry above and
+        // fault::readSchedule are the single source of truth for the
+        // option list.
+        printHelp(cfg, "fhsim");
         return 0;
     }
-    if (!rejectUnknown(cfg))
+    if (!rejectUnknown(cfg, "fhsim"))
         return 1;
-    return runSim(cfg);
+    return runSim(cfg, spec);
 }

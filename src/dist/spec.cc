@@ -103,14 +103,12 @@ CampaignSpec::decode(const std::string &text, CampaignSpec &out,
         cfg.getU64("tcam_threshold", 0, 0, kMaxTcamThreshold));
     s.delayBuffer = static_cast<unsigned>(
         cfg.getU64("delay_buffer", 0, 0, kMaxDelayBuffer));
-    c.injections = cfg.getU64("injections", c.injections, 1, kAnyU64);
-    c.window = cfg.getU64("window", c.window, 1, kAnyU64);
+    fault::readSchedule(cfg, c);
     c.warmupInsts = cfg.getU64("warmup", c.warmupInsts);
     c.minGap = cfg.getU64("min_gap", c.minGap);
     c.maxGap = cfg.getU64("max_gap", c.maxGap, c.minGap, kAnyU64);
     c.forkMaxCycles =
         cfg.getU64("fork_max_cycles", c.forkMaxCycles, 1, kAnyU64);
-    c.seed = cfg.getU64("seed", c.seed);
     c.mix.renameFrac = cfg.getDouble("rename_frac", c.mix.renameFrac, 0, 1);
     c.mix.lsqFrac = cfg.getDouble("lsq_frac", c.mix.lsqFrac, 0, 1);
     c.mix.inflightFrac =
@@ -119,8 +117,6 @@ CampaignSpec::decode(const std::string &text, CampaignSpec &out,
     if (c.mix.renameFrac + c.mix.lsqFrac > 1)
         fh_fatal("rename_frac=%g plus lsq_frac=%g exceeds 1",
                  c.mix.renameFrac, c.mix.lsqFrac);
-    c.ciTarget = cfg.getDouble("ci_target", c.ciTarget, 0, kMaxCiTarget);
-    c.ciWave = cfg.getU64("ci_wave", c.ciWave, 1, kAnyU64);
 
     // A key this decoder does not read means the peer speaks a newer
     // spec; running with it silently dropped would break the

@@ -31,15 +31,15 @@ namespace fh::dist
 {
 
 // Bounds of the ranged campaign inputs, each written once: fhsim's
-// keys, CampaignSpec::decode and the harnesses' FH_* variables read
-// through them. fhsim's help line for each key gives the reason.
+// keys, CampaignSpec::decode and the harnesses' keys read through
+// them (the schedule keys' bounds live in fault::readSchedule).
+// fhsim's help line for each key gives the reason.
 constexpr u64 kMaxSmtThreads = 8; ///< `threads`: pipeline::Core's SMT
-constexpr u64 kMaxJobs = 1024;                   ///< `jobs`, FH_THREADS
-constexpr u64 kMaxInsts = 1'000'000'000'000'000; ///< `insts`, FH_INSTS
+constexpr u64 kMaxJobs = 1024;                   ///< `jobs`
+constexpr u64 kMaxInsts = 1'000'000'000'000'000; ///< `insts`
 constexpr u64 kMaxTcamEntries = 1024;            ///< `tcam.entries`
 constexpr u64 kMaxTcamThreshold = 64;            ///< `tcam.threshold`
-constexpr double kMaxCiTarget = 0.5; ///< `ci_target`, FH_CI_TARGET
-constexpr u64 kAnyU64 = ~u64{0};     ///< no bound but the type's
+constexpr u64 kAnyU64 = ~u64{0}; ///< no bound but the type's
 /** `delay_buffer`: it holds ROB slots. */
 inline const u64 kMaxDelayBuffer = pipeline::CoreParams{}.robSize;
 

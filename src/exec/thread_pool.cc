@@ -1,6 +1,5 @@
 #include "exec/thread_pool.hh"
 
-#include <algorithm>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -13,12 +12,6 @@ hardwareThreads()
 {
     const unsigned n = std::thread::hardware_concurrency();
     return n ? n : 1;
-}
-
-unsigned
-resolveThreads(unsigned requested)
-{
-    return requested ? requested : hardwareThreads();
 }
 
 namespace
@@ -40,9 +33,9 @@ invoke(const ThreadPool::Body &body, u64 item, unsigned worker)
 
 ThreadPool::ThreadPool(unsigned threads)
 {
-    const unsigned n = std::max(1u, resolveThreads(threads));
-    workers_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
+    fh_assert(threads >= 1, "a pool needs at least one worker");
+    workers_.reserve(threads);
+    for (unsigned i = 0; i < threads; ++i)
         workers_.emplace_back([this, i] { workerLoop(i); });
 }
 

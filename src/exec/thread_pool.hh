@@ -50,9 +50,6 @@ namespace fh::exec
 /** Host hardware thread count (never 0). */
 unsigned hardwareThreads();
 
-/** Map a requested worker count to an actual one (0 = all hardware). */
-unsigned resolveThreads(unsigned requested);
-
 class ThreadPool
 {
   public:
@@ -62,8 +59,8 @@ class ThreadPool
 
     class Stream;
 
-    /** Start `threads` workers; 0 = one per hardware thread. */
-    explicit ThreadPool(unsigned threads = 0);
+    /** Start `threads` (at least 1) workers. */
+    explicit ThreadPool(unsigned threads);
     /** Joins the workers; no stream may be open. */
     ~ThreadPool();
 

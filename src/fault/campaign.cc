@@ -14,8 +14,10 @@
 #include "exec/thread_pool.hh"
 #include "fault/golden_ledger.hh"
 #include "fault/journal.hh"
+#include "sim/config.hh"
 #include "sim/error.hh"
 #include "sim/logging.hh"
+#include "workload/workload.hh"
 
 namespace fh::fault
 {
@@ -361,6 +363,41 @@ runTrialGuarded(const pipeline::CoreParams &params,
 }
 
 } // namespace
+
+void
+readSchedule(const Config &cfg, CampaignConfig &c)
+{
+    // A half-width of 0.5 already spans every rate.
+    constexpr double kMaxCiTarget = 0.5;
+    constexpr u64 kAny = ~u64{0};
+    const auto ull = [](u64 v) { return static_cast<unsigned long long>(v); };
+    cfg.declareKey("injections",
+                   csprintf("campaign injections, at least 1 (default "
+                            "%llu)",
+                            ull(c.injections)));
+    cfg.declareKey("window",
+                   csprintf("campaign run window in instructions per SMT "
+                            "thread, at least 1 (default %llu)",
+                            ull(c.window)));
+    cfg.declareKey("seed",
+                   csprintf("campaign seed (default %llu) and workload "
+                            "seed (default %#llx), any 64-bit value",
+                            ull(c.seed),
+                            ull(workload::WorkloadSpec{}.seed)));
+    cfg.declareKey("ci_target",
+                   "adaptive stop: pooled SDC-rate CI half-width "
+                   "target, 0-0.5: 0 = fixed-count campaign; a "
+                   "half-width of 0.5 already spans every rate");
+    cfg.declareKey("ci_wave",
+                   csprintf("adaptive stop wave size in trials, at least "
+                            "1 (default %llu)",
+                            ull(c.ciWave)));
+    c.injections = cfg.getU64("injections", c.injections, 1, kAny);
+    c.window = cfg.getU64("window", c.window, 1, kAny);
+    c.seed = cfg.getU64("seed", c.seed);
+    c.ciTarget = cfg.getDouble("ci_target", c.ciTarget, 0, kMaxCiTarget);
+    c.ciWave = cfg.getU64("ci_wave", c.ciWave, 1, kAny);
+}
 
 unsigned
 resolveForkThreads(unsigned threads)

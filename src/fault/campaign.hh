@@ -46,6 +46,11 @@
 #include "pipeline/core.hh"
 #include "sim/rng.hh"
 
+namespace fh
+{
+class Config;
+} // namespace fh
+
 namespace fh::exec
 {
 class ProgressMeter;
@@ -85,9 +90,10 @@ struct CampaignConfig
      * threads + 1 host threads; 1 runs the forks on one thread while
      * the master advances on the other. The producer runs trials too,
      * but only when the stream of produced trials is full
-     * (max(4 * threads, 8) of them) or a range drains. Also
-     * settable via FH_THREADS in the bench harnesses and `jobs=` in
-     * fhsim. The result is bit-identical for every value: each trial
+     * (max(4 * threads, 8) of them) or a range drains. fhsim's
+     * `jobs=` sets it, and the paper harnesses' cell runner sets it
+     * from a harness's `jobs` budget (bench/harness.hh). The result is
+     * bit-identical for every value: each trial
      * draws from its own Rng::stream(seed, trial_index) and per-trial
      * results reduce in trial order. Distinct from the simulated
      * core's SMT threads (see `window`).
@@ -142,7 +148,7 @@ struct CampaignConfig
     bool earlyStop = true;
 
     /**
-     * Adaptive stop target (FH_CI_TARGET, `ci_target=` in fhsim): when
+     * Adaptive stop target (`ci_target=`, readSchedule): when
      * > 0, trials draw stratified injection sites round-robin
      * (sampling.hh) and the campaign stops at the first wave boundary
      * where the pooled Wilson half-width on the SDC rate is <= this.
@@ -153,10 +159,22 @@ struct CampaignConfig
      */
     double ciTarget = 0.0;
 
-    /** Adaptive wave size in trials (FH_CI_WAVE, `ci_wave=`): the stop
+    /** Adaptive wave size in trials (`ci_wave=`): the stop
      *  condition is evaluated only at multiples of this. */
     u64 ciWave = 64;
 };
+
+/**
+ * Read the schedule keys a driver sets — `injections`, `window`,
+ * `seed`, `ci_target` and `ci_wave` — from cfg into c: each defaults
+ * to its value in c, must lie in its range (a value outside it is
+ * fatal, naming the key), and is declared with its help line. fhsim,
+ * the paper harnesses and dist::CampaignSpec::decode all read them
+ * here. `seed`'s help line names its second role in fhsim and the
+ * harnesses, the workload seed; a spec carries that as
+ * `workload_seed`.
+ */
+void readSchedule(const Config &cfg, CampaignConfig &c);
 
 /**
  * The fork threads a campaign runs (CampaignConfig::threads): threads

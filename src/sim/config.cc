@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -40,12 +41,12 @@ parseOrDie(const std::string &text,
     return out;
 }
 
-/** v, or fail naming what (a key or variable) and the range. */
+/** v, or fail naming the key and the range. */
 u64
-inRange(u64 v, const std::string &what, u64 lo, u64 hi)
+inRange(u64 v, const std::string &key, u64 lo, u64 hi)
 {
     if (v < lo || v > hi)
-        fh_fatal("%s=%llu is out of range [%llu, %llu]", what.c_str(),
+        fh_fatal("%s=%llu is out of range [%llu, %llu]", key.c_str(),
                  static_cast<unsigned long long>(v),
                  static_cast<unsigned long long>(lo),
                  static_cast<unsigned long long>(hi));
@@ -53,10 +54,10 @@ inRange(u64 v, const std::string &what, u64 lo, u64 hi)
 }
 
 double
-inRange(double v, const std::string &what, double lo, double hi)
+inRange(double v, const std::string &key, double lo, double hi)
 {
     if (!(v >= lo && v <= hi)) // NaN never is
-        fh_fatal("%s=%g is out of range [%g, %g]", what.c_str(), v, lo,
+        fh_fatal("%s=%g is out of range [%g, %g]", key.c_str(), v, lo,
                  hi);
     return v;
 }
@@ -95,44 +96,64 @@ parseBool(const std::string &text, bool &out)
     return out || v == "0" || v == "false" || v == "no" || v == "off";
 }
 
-std::string
-envString(const char *name)
-{
-    const char *v = std::getenv(name);
-    return v ? v : "";
-}
-
-u64
-envU64(const char *name, u64 def)
-{
-    const std::string v = envString(name);
-    return v.empty() ? def : parseOrDie(v, parseU64, name);
-}
-
-u64
-envU64(const char *name, u64 def, u64 lo, u64 hi)
-{
-    return inRange(envU64(name, def), name, lo, hi);
-}
-
-double
-envDouble(const char *name, double def)
-{
-    const std::string v = envString(name);
-    return v.empty() ? def : parseOrDie(v, parseDouble, name);
-}
-
-double
-envDouble(const char *name, double def, double lo, double hi)
-{
-    return inRange(envDouble(name, def), name, lo, hi);
-}
-
 bool
 envBool(const char *name, bool def)
 {
-    const std::string v = envString(name);
-    return v.empty() ? def : parseOrDie(v, parseBool, name);
+    const char *v = std::getenv(name);
+    return v && *v ? parseOrDie(std::string(v), parseBool, name) : def;
+}
+
+bool
+parseArgs(Config &cfg, int argc, char **argv, const std::string &prog)
+{
+    std::string error;
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--help" || arg == "-h") {
+            cfg.set("help=1");
+            continue;
+        }
+        if (arg == "--config") {
+            if (i + 1 >= argc || !cfg.parseFile(argv[++i], error)) {
+                std::fprintf(stderr, "%s: %s\n", prog.c_str(),
+                             error.c_str());
+                return false;
+            }
+            continue;
+        }
+        if (!cfg.set(arg)) {
+            std::fprintf(stderr, "%s: bad option '%s'\n", prog.c_str(),
+                         arg.c_str());
+            return false;
+        }
+    }
+    return true;
+}
+
+void
+printHelp(const Config &cfg, const std::string &prog)
+{
+    std::printf("usage: %s [--config FILE] [key=value ...]\n"
+                "\noptions:\n",
+                prog.c_str());
+    for (const auto &[key, desc] : cfg.keyDocs())
+        std::printf("  %-18s%s\n", key.c_str(), desc.c_str());
+}
+
+bool
+rejectUnknown(const Config &cfg, const std::string &prog)
+{
+    const auto unknown = cfg.unknownKeys();
+    if (unknown.empty())
+        return true;
+    for (const auto &key : unknown)
+        std::fprintf(stderr, "%s: unknown option '%s'\n", prog.c_str(),
+                     key.c_str());
+    std::fprintf(stderr,
+                 "%s: refusing to run with unrecognised options; run "
+                 "`%s help=1` for the list\n",
+                 prog.c_str(), prog.c_str());
+    return false;
 }
 
 bool

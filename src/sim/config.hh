@@ -1,11 +1,13 @@
 /**
  * @file
- * Tiny key=value configuration parser for the CLI driver: lines of
- * `section.key = value` with '#' comments, plus typed accessors with
- * defaults. Intentionally minimal — enough to configure CoreParams and
- * campaign settings from a file or command-line overrides without
- * pulling in a dependency. The same full-token parsers back the FH_*
- * environment readers, so keys and variables fail alike when malformed.
+ * Tiny key=value configuration parser for the CLI drivers (fhsim and
+ * the paper harnesses): lines of `section.key = value` with '#'
+ * comments, plus typed accessors with defaults, and the argv parser,
+ * unknown-key refusal and help printer the drivers share.
+ * Intentionally minimal — enough to configure CoreParams and campaign
+ * settings from a file or command-line overrides without pulling in a
+ * dependency. The same full-token parsers back envBool (FH_STRICT), so
+ * a key and the variable fail alike when malformed.
  */
 
 #ifndef FH_SIM_CONFIG_HH
@@ -96,17 +98,24 @@ bool parseU64(const std::string &text, u64 &out);
 bool parseDouble(const std::string &text, double &out);
 bool parseBool(const std::string &text, bool &out);
 
-/** FH_* environment readers: an unset or empty variable gives def
- *  (envString: ""); a malformed value is fatal, naming the variable. */
-std::string envString(const char *name);
-u64 envU64(const char *name, u64 def);
-/** envU64 whose value must also lie in [lo, hi], as Config::getU64. */
-u64 envU64(const char *name, u64 def, u64 lo, u64 hi);
-double envDouble(const char *name, double def);
-/** envDouble whose value must also lie in [lo, hi], as
- *  Config::getDouble. */
-double envDouble(const char *name, double def, double lo, double hi);
+/** A boolean environment variable (FH_STRICT): unset or empty gives
+ *  def; a malformed value is fatal, naming the variable. */
 bool envBool(const char *name, bool def);
+
+/**
+ * Parse a driver's arguments into cfg: `key=value` overrides, and
+ * `--config FILE` for a file of them; `--help` and `-h` set help=1.
+ * False, after a message naming prog on stderr, on a bad argument.
+ */
+bool parseArgs(Config &cfg, int argc, char **argv, const std::string &prog);
+
+/** Print prog's usage line and every declared key with its help. */
+void printHelp(const Config &cfg, const std::string &prog);
+
+/** Refuse to run with unrecognised keys (a misspelt key silently
+ *  running a default campaign wastes hours): false, after naming each
+ *  on stderr. Call once every key is declared or read. */
+bool rejectUnknown(const Config &cfg, const std::string &prog);
 
 } // namespace fh
 

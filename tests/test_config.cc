@@ -1,17 +1,20 @@
 /**
  * @file
- * Config: the key=value parser behind the fhsim CLI, and the strict
- * value parsers and FH_* environment readers it shares with the
- * harnesses and FH_STRICT; each harness variable keeps the range of
- * its fhsim key.
+ * Config: the key=value parser behind fhsim and the paper harnesses,
+ * and the strict value parsers it shares with FH_STRICT's reader; the
+ * harness options read through it (bench/harness.hh), each key with
+ * the range of its fhsim key, and the schedule keys every driver reads
+ * through fault::readSchedule.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "../bench/harness.hh"
+#include "fault/campaign.hh"
 #include "sim/config.hh"
 #include "sim/error.hh"
 
@@ -53,6 +56,21 @@ class EnvOverride
     bool had_ = false;
     std::string old_;
 };
+
+/** The keys of a harness that reads them all (fig8's). */
+constexpr bench::Keys kEveryKey{.insts = 120000, .campaign = true};
+
+/** bench::parseOptions over a command line of args. */
+bench::Options
+harnessOptions(std::vector<std::string> args,
+               const bench::Keys &keys = kEveryKey)
+{
+    std::vector<char *> argv{const_cast<char *>("bench_test")};
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    return bench::parseOptions(static_cast<int>(argv.size()), argv.data(),
+                               keys);
+}
 
 } // namespace
 
@@ -106,20 +124,24 @@ TEST(ConfigDeathTest, OutOfRangeDoubleIsFatalNamingTheKeyAndRange)
                 testing::ExitedWithCode(1), "nan=nan is out of range");
 }
 
-TEST(ConfigDeathTest, MalformedEnvValueIsFatalNamingTheVariable)
+TEST(ConfigDeathTest, MalformedHarnessKeyIsFatalNamingTheKey)
 {
-    EXPECT_EXIT(
-        {
-            setenv("FH_INJECTIONS", "2O", 1);
-            envU64("FH_INJECTIONS", 120);
-        },
-        testing::ExitedWithCode(1), "FH_INJECTIONS='2O'");
-    EXPECT_EXIT(
-        {
-            setenv("FH_CI_TARGET", "0.o1", 1);
-            envDouble("FH_CI_TARGET", 0.0);
-        },
-        testing::ExitedWithCode(1), "FH_CI_TARGET='0.o1'");
+    EXPECT_EXIT(harnessOptions({"injections=2O"}),
+                testing::ExitedWithCode(1), "injections='2O'");
+    EXPECT_EXIT(harnessOptions({"ci_target=0.o1"}),
+                testing::ExitedWithCode(1), "ci_target='0.o1'");
+    EXPECT_EXIT(harnessOptions({"jobs=abc"}), testing::ExitedWithCode(1),
+                "jobs='abc'");
+    EXPECT_EXIT(harnessOptions({"seed=-1"}), testing::ExitedWithCode(1),
+                "seed='-1'");
+    EXPECT_EXIT(harnessOptions({"bench=oceann"}),
+                testing::ExitedWithCode(1), "unknown bench 'oceann'");
+    EXPECT_EXIT(harnessOptions({"injections"}), testing::ExitedWithCode(1),
+                "bad option 'injections'");
+}
+
+TEST(ConfigDeathTest, MalformedStrictValueIsFatalNamingTheVariable)
+{
     EXPECT_EXIT(
         {
             setenv(kUnreadVar, "maybe", 1);
@@ -128,65 +150,110 @@ TEST(ConfigDeathTest, MalformedEnvValueIsFatalNamingTheVariable)
         testing::ExitedWithCode(1), "FH_TEST_UNREAD='maybe'");
 }
 
-TEST(ConfigDeathTest, OutOfRangeEnvValueIsFatalNamingTheVariable)
+TEST(ConfigDeathTest, HarnessKeysKeepTheirFhsimRanges)
 {
-    EXPECT_EXIT(
-        {
-            setenv(kUnreadVar, "0", 1);
-            envU64(kUnreadVar, 1, 1, 10);
-        },
-        testing::ExitedWithCode(1),
-        "FH_TEST_UNREAD=0 is out of range \\[1, 10\\]");
-    EXPECT_EXIT(
-        {
-            setenv(kUnreadVar, "nan", 1);
-            envDouble(kUnreadVar, 0.0, 0.0, 0.5);
-        },
-        testing::ExitedWithCode(1), "FH_TEST_UNREAD=nan is out of range");
+    // Each key fails before a harness builds anything: `jobs` in
+    // particular is refused before any pool exists.
+    EXPECT_EXIT(harnessOptions({"window=0"}), testing::ExitedWithCode(1),
+                "window=0 is out of range");
+    EXPECT_EXIT(harnessOptions({"injections=0"}),
+                testing::ExitedWithCode(1), "injections=0 is out of range");
+    EXPECT_EXIT(harnessOptions({"ci_wave=0"}), testing::ExitedWithCode(1),
+                "ci_wave=0 is out of range");
+    EXPECT_EXIT(harnessOptions({"ci_target=7"}),
+                testing::ExitedWithCode(1),
+                "ci_target=7 is out of range \\[0, 0.5\\]");
+    EXPECT_EXIT(harnessOptions({"jobs=100000"}),
+                testing::ExitedWithCode(1),
+                "jobs=100000 is out of range \\[0, 1024\\]");
+    EXPECT_EXIT(harnessOptions({"insts=0"}), testing::ExitedWithCode(1),
+                "insts=0 is out of range");
 }
 
-TEST(ConfigDeathTest, HarnessVariablesKeepTheirFhsimRanges)
+TEST(ConfigDeathTest, HarnessRefusesAKeyItDoesNotRead)
 {
-    // Each reader fails before a harness builds anything: FH_THREADS
-    // in particular is refused before any pool exists.
-    EXPECT_EXIT(
-        {
-            setenv("FH_WINDOW", "0", 1);
-            bench::campaignConfig();
-        },
-        testing::ExitedWithCode(1), "FH_WINDOW=0 is out of range");
-    EXPECT_EXIT(
-        {
-            setenv("FH_INJECTIONS", "0", 1);
-            bench::campaignConfig();
-        },
-        testing::ExitedWithCode(1), "FH_INJECTIONS=0 is out of range");
-    EXPECT_EXIT(
-        {
-            setenv("FH_CI_WAVE", "0", 1);
-            bench::campaignConfig();
-        },
-        testing::ExitedWithCode(1), "FH_CI_WAVE=0 is out of range");
-    EXPECT_EXIT(
-        {
-            setenv("FH_CI_TARGET", "7", 1);
-            bench::campaignConfig();
-        },
-        testing::ExitedWithCode(1),
-        "FH_CI_TARGET=7 is out of range \\[0, 0.5\\]");
-    EXPECT_EXIT(
-        {
-            setenv("FH_THREADS", "100000", 1);
-            bench::envThreads();
-        },
-        testing::ExitedWithCode(1),
-        "FH_THREADS=100000 is out of range \\[0, 1024\\]");
-    EXPECT_EXIT(
-        {
-            setenv("FH_INSTS", "0", 1);
-            bench::envInsts(1000);
-        },
-        testing::ExitedWithCode(1), "FH_INSTS=0 is out of range");
+    // fig9 reads no schedule key; table2 reads no key at all.
+    EXPECT_EXIT(harnessOptions({"injections=8"}, {.insts = 150000}),
+                testing::ExitedWithCode(1),
+                "unknown option 'injections'");
+    EXPECT_EXIT(harnessOptions({"insts=20000"}, {.campaign = true}),
+                testing::ExitedWithCode(1), "unknown option 'insts'");
+    EXPECT_EXIT(harnessOptions({"bench=ocean"}, {.cells = false}),
+                testing::ExitedWithCode(1), "unknown option 'bench'");
+}
+
+TEST(ConfigDeathTest, HarnessRefusesARetiredVariable)
+{
+    // Each variable names the key that replaced it, even when its
+    // harness would not read that key.
+    for (const auto &[var, key] : bench::kRetiredVariables) {
+        EXPECT_EXIT(
+            {
+                setenv(var, "20", 1);
+                harnessOptions({}, {.cells = false});
+            },
+            testing::ExitedWithCode(1),
+            std::string(var) + " is retired; pass " + key + "=VALUE")
+            << var;
+    }
+}
+
+TEST(HarnessOptions, UnsetKeysGiveTheDefaults)
+{
+    const bench::Options o = harnessOptions({});
+    EXPECT_EQ(o.benchmarks.size(), workload::all().size());
+    EXPECT_EQ(o.seed, 0x5eedu);
+    EXPECT_EQ(o.jobs, 0u);
+    EXPECT_EQ(o.insts, 120000u);
+    EXPECT_EQ(o.campaign.injections, 120u);
+    EXPECT_EQ(o.campaign.window, 1000u);
+    EXPECT_EQ(o.campaign.seed, 1u);
+    EXPECT_EQ(o.campaign.ciTarget, 0.0);
+    EXPECT_EQ(o.campaign.ciWave, 64u);
+}
+
+TEST(HarnessOptions, KeysParseTheFullToken)
+{
+    // `seed` sets the workload and the campaign seed alike.
+    const bench::Options o = harnessOptions(
+        {"bench=ocean", "seed=0x5eee", "jobs=3", "insts=20000",
+         "injections=8", "window=300", "ci_target=0.013", "ci_wave=32"});
+    ASSERT_EQ(o.benchmarks.size(), 1u);
+    EXPECT_EQ(o.benchmarks[0].name, "ocean");
+    EXPECT_EQ(o.seed, 0x5eeeu);
+    EXPECT_EQ(o.campaign.seed, 0x5eeeu);
+    EXPECT_EQ(o.jobs, 3u);
+    EXPECT_EQ(o.insts, 20000u);
+    EXPECT_EQ(o.campaign.injections, 8u);
+    EXPECT_EQ(o.campaign.window, 300u);
+    EXPECT_DOUBLE_EQ(o.campaign.ciTarget, 0.013);
+    EXPECT_EQ(o.campaign.ciWave, 32u);
+}
+
+TEST(ScheduleKeys, DefaultToTheCallersValuesAndDeclareTheirHelp)
+{
+    // fhsim defaults to 300 injections and the harnesses to 120; the
+    // reader keeps whatever the caller set for a key not given.
+    Config cfg;
+    cfg.set("window=500");
+    fault::CampaignConfig c;
+    c.injections = 120;
+    c.seed = 9;
+    fault::readSchedule(cfg, c);
+    EXPECT_EQ(c.injections, 120u);
+    EXPECT_EQ(c.window, 500u);
+    EXPECT_EQ(c.seed, 9u);
+    EXPECT_TRUE(cfg.unknownKeys().empty());
+    std::vector<std::string> keys;
+    for (const auto &[key, desc] : cfg.keyDocs()) {
+        keys.push_back(key);
+        EXPECT_FALSE(desc.empty()) << key;
+    }
+    EXPECT_EQ(keys, (std::vector<std::string>{"ci_target", "ci_wave",
+                                              "injections", "seed",
+                                              "window"}));
+    EXPECT_NE(cfg.keyDocs()[2].second.find("(default 120)"),
+              std::string::npos);
 }
 
 TEST(ConfigParse, NumbersMustBeTheWholeToken)
@@ -211,31 +278,10 @@ TEST(ConfigParse, NumbersMustBeTheWholeToken)
         EXPECT_FALSE(parseDouble(bad, d)) << "'" << bad << "'";
 }
 
-TEST(ConfigEnv, UnsetOrEmptyGivesTheDefault)
-{
-    EnvOverride env("FH_SEED", "");
-    EXPECT_EQ(envU64("FH_SEED", 7), 7u);
-    EXPECT_DOUBLE_EQ(envDouble("FH_SEED", 0.5), 0.5);
-    EXPECT_TRUE(envBool("FH_SEED", true));
-    EXPECT_EQ(envString("FH_SEED"), "");
-    unsetenv("FH_SEED");
-    EXPECT_EQ(envU64("FH_SEED", 7), 7u);
-    EXPECT_FALSE(envBool("FH_SEED", false));
-}
-
-TEST(ConfigEnv, ReadersParseTheFullToken)
-{
-    EnvOverride env("FH_SEED", "0x5eed");
-    EXPECT_EQ(envU64("FH_SEED", 1), 0x5eedu);
-    EXPECT_EQ(envString("FH_SEED"), "0x5eed");
-    env.set("0.013");
-    EXPECT_DOUBLE_EQ(envDouble("FH_SEED", 0.0), 0.013);
-}
-
 TEST(ConfigEnv, BoolReaderTakesTheConfigWords)
 {
-    // Every boolean FH_* variable (FH_STRICT today) reads through
-    // envBool, so each word means what it means in a boolean fhsim key.
+    // FH_STRICT, the one variable the simulator reads, goes through
+    // envBool, so each word means what it means in a boolean key.
     EnvOverride env(kUnreadVar, "false");
     for (const char *word : {"false", "no", "off", "0", "FALSE", "Off"}) {
         env.set(word);

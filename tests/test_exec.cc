@@ -11,7 +11,9 @@
  * CampaignResults and journals no matter how many worker threads
  * execute it. A session's sink runs on runRange's calling thread in
  * trial order, an exception from it unwinds safely, and no thread
- * starts per range.
+ * starts per range. The paper harnesses' cell runner returns its
+ * cells' results in cell order, the same for any `jobs`, and passes a
+ * cell's exception on.
  */
 
 #include <gtest/gtest.h>
@@ -33,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "../bench/harness.hh"
 #include "exec/progress.hh"
 #include "exec/thread_pool.hh"
 #include "fault/campaign.hh"
@@ -86,11 +89,9 @@ expectIdentical(const fault::CampaignResult &a,
 
 } // namespace
 
-TEST(ThreadPool, ResolveThreadsNeverZero)
+TEST(ThreadPool, HardwareThreadsNeverZero)
 {
     EXPECT_GE(exec::hardwareThreads(), 1u);
-    EXPECT_GE(exec::resolveThreads(0), 1u);
-    EXPECT_EQ(exec::resolveThreads(3), 3u);
 }
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce)
@@ -580,7 +581,7 @@ TEST(CampaignParallel, AllHardwareThreadsMatchSerial)
 {
     // threads = 0 sizes the pool from the host (one fork thread per
     // hardware thread but the producer's; fault::resolveForkThreads),
-    // the default fhsim and the harnesses run with; the campaign must
+    // the default fhsim runs with; the campaign must
     // agree with the serial reference whatever that size turns out to
     // be.
     auto program = prog();
@@ -594,6 +595,85 @@ TEST(CampaignParallel, AllHardwareThreadsMatchSerial)
     cfg.threads = 0;
     auto parallel = fault::runCampaign(fhParams(), &program, cfg);
     expectIdentical(serial, parallel);
+}
+
+TEST(HarnessRunner, ReturnsResultsInCellOrder)
+{
+    // Cell 0 finishes last of the first four: it waits for cells 1-3,
+    // which run on the other workers.
+    bench::Options opts;
+    opts.jobs = 4;
+    std::latch later_cells(3);
+    const auto out = bench::runCells(
+        opts, 37, [&](u64 i, const fault::CampaignConfig &) {
+            if (i == 0)
+                later_cells.wait();
+            else if (i <= 3)
+                later_cells.count_down();
+            return i * i;
+        });
+    ASSERT_EQ(out.size(), 37u);
+    for (u64 i = 0; i < out.size(); ++i)
+        EXPECT_EQ(out[i], i * i);
+}
+
+TEST(HarnessRunner, SplitsJobsBetweenCellsAndForks)
+{
+    // min(cells, jobs) cells at once, max(1, jobs / that) fork threads
+    // for each cell's campaign.
+    bench::Options opts;
+    const auto forkThreads = [&](unsigned jobs, u64 cells) {
+        opts.jobs = jobs;
+        return bench::runCells(opts, cells,
+                               [](u64, const fault::CampaignConfig &cfg) {
+                                   return cfg.threads;
+                               })
+            .front();
+    };
+    EXPECT_EQ(forkThreads(1, 14), 1u);
+    EXPECT_EQ(forkThreads(4, 14), 1u);
+    EXPECT_EQ(forkThreads(8, 3), 2u);
+    EXPECT_EQ(forkThreads(8, 1), 8u);
+    EXPECT_EQ(forkThreads(0, 1), exec::hardwareThreads());
+}
+
+TEST(HarnessRunner, CampaignCellsAreIdenticalAt1And4Jobs)
+{
+    auto program = prog();
+    bench::Options opts;
+    opts.campaign.injections = 12;
+    opts.campaign.window = 300;
+    const auto run = [&](unsigned jobs) {
+        opts.jobs = jobs;
+        return bench::runCells(
+            opts, 3, [&](u64 i, const fault::CampaignConfig &cfg) {
+                fault::CampaignConfig cell = cfg;
+                cell.seed = 40 + i;
+                return fault::runCampaign(fhParams(), &program, cell);
+            });
+    };
+    const auto serial = run(1);
+    const auto parallel = run(4);
+    ASSERT_EQ(parallel.size(), 3u);
+    for (u64 i = 0; i < 3; ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(serial[i].injected, 12u);
+        expectIdentical(serial[i], parallel[i]);
+        EXPECT_TRUE(serial[i].profile == parallel[i].profile);
+    }
+}
+
+TEST(HarnessRunner, ACellsExceptionReachesTheCaller)
+{
+    bench::Options opts;
+    opts.jobs = 4;
+    EXPECT_THROW(bench::runCells(opts, 8,
+                                 [](u64 i, const fault::CampaignConfig &) {
+                                     if (i == 5)
+                                         throw std::runtime_error("cell 5");
+                                     return i;
+                                 }),
+                 std::runtime_error);
 }
 
 TEST(CampaignParallel, ProgressTicksOncePerTrial)
