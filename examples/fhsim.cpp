@@ -33,6 +33,7 @@
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "dist/spec.hh"
 #include "energy/energy_model.hh"
@@ -93,6 +94,35 @@ declareAllKeys(const Config &cfg)
                    "write the JSON campaign record here "
                    "(\"-\" = stdout)");
     cfg.declareKey("help", "print this option list and exit");
+}
+
+/**
+ * Refuse a key the selected mode does not read, naming it: a campaign
+ * command that forgot campaign=true must not run the stats run and
+ * drop its journal and JSON record, and a campaign runs no stats run
+ * for `insts` to bound. `seed` seeds the workload in both modes.
+ */
+bool
+rejectOtherModeKeys(const Config &cfg)
+{
+    const bool campaign = cfg.getBool("campaign", false);
+    const std::vector<std::string> others =
+        campaign ? std::vector<std::string>{"insts"}
+                 : std::vector<std::string>{"jobs", "journal", "json",
+                                            "injections", "window",
+                                            "ci_target", "ci_wave"};
+    bool ok = true;
+    for (const std::string &key : others) {
+        if (!cfg.has(key))
+            continue;
+        std::fprintf(stderr, "fhsim: option '%s' %s\n", key.c_str(),
+                     campaign ? "is read only by the stats run, which "
+                                "campaign=true does not run"
+                              : "is read only by a campaign; add "
+                                "campaign=true");
+        ok = false;
+    }
+    return ok;
 }
 
 /** The deterministic campaign description the options select. */
@@ -259,7 +289,7 @@ main(int argc, char **argv)
         printHelp(cfg, "fhsim");
         return 0;
     }
-    if (!rejectUnknown(cfg, "fhsim"))
+    if (!rejectUnknown(cfg, "fhsim") || !rejectOtherModeKeys(cfg))
         return 1;
     return runSim(cfg, spec);
 }

@@ -62,7 +62,7 @@ ProgressMeter::tick(u64 n)
     const i64 span = spanNs();
     const u64 ms = static_cast<u64>(span / 1000000);
     u64 next = nextLogMs_.load(std::memory_order_relaxed);
-    // One thread wins the CAS per interval; the rest only count.
+    // At most one line per interval, whichever thread ticks.
     if (ms < next ||
         !nextLogMs_.compare_exchange_strong(next, ms + intervalMs_))
         return;

@@ -1,13 +1,15 @@
 /**
  * @file
- * Thread-safe campaign progress reporting: counts completed work items
- * and periodically logs throughput (executed items/s) and an ETA
- * through sim/logging. Built for ticks arriving from many pool workers
- * at once — the hot path is one relaxed atomic increment and a clock
- * read, and only the one thread that crosses the reporting interval
- * formats a line. The rate clock starts with the first executed item,
- * so the time a run spends before it (warmup, a resume's skip-advance
- * over its replayed prefix) counts in no rate.
+ * Campaign progress reporting: counts completed work items and
+ * periodically logs throughput (executed items/s) and an ETA through
+ * sim/logging. One thread ticks a meter — a campaign's merge, or a
+ * dist coordinator's, each on the thread that folds trials in order —
+ * while done() may be read from other threads, so the counts are
+ * atomics: the hot path is one relaxed increment and a clock read, and
+ * a line is formatted only when the reporting interval is crossed. The
+ * rate clock starts with the first executed item, so the time a run
+ * spends before it (warmup, a resume's skip-advance over its replayed
+ * prefix) counts in no rate.
  */
 
 #ifndef FH_EXEC_PROGRESS_HH

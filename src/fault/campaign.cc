@@ -57,60 +57,95 @@ deltaOf(const pipeline::Core &fork, const filters::DetectorStats &m)
 }
 
 /**
- * Everything a thread needs to execute one injection trial without
- * touching the (still advancing) master: a full machine snapshot at
- * the injection point, the drawn plan, the per-SMT-thread commit
- * targets, and the master-side state the classifier compares against.
+ * One injection trial, from its snapshot to its sink. The producer
+ * copies the master into `snapshot` at the injection point and opens
+ * `golden` at the trial's commit targets; that is all it does per
+ * trial. The thread that runs the trial derives the rest from the
+ * snapshot before a fork consumes it, and writes `meta` and `result`.
+ * A sunk trial keeps its buffers: the next snapshot lands in them.
  */
 struct Trial
 {
-    pipeline::Core master;
-    InjectionPlan plan;
-    std::vector<u64> targets;
-    pipeline::PregPhase phase;
-    filters::DetectorStats masterStats;
+    explicit Trial(const pipeline::Core &master) : snapshot(master) {}
+
+    pipeline::Core snapshot;
     u64 index = 0; ///< campaign trial number (journal key, repro id)
-    /**
-     * The injection provably cannot change any observable outcome, so
-     * the faulty forks need not run at all. True for three plans:
-     *
-     *  - Target::None — apply() is a no-op, the "fault" strikes idle
-     *    logic; the bare fork is literally a no-fault fork.
-     *  - Target::Lsq with an empty LSQ at the snapshot — apply()
-     *    refuses (returns false), same no-op.
-     *  - Target::RegFile into a free-listed preg. The flip touches
-     *    only the value word: ready/free bits and both rename maps are
-     *    untouched. While free, the preg is unreadable — preg
-     *    reclamation frees a preg only when the next writer of its
-     *    arch register commits, and in-order commit means every
-     *    reader (including deferred store-data capture) has issued
-     *    and read by then; archState and the detectors read only
-     *    mapped/owned pregs. Leaving the free state goes through
-     *    allocate(), which clears the ready bit, so the producer's
-     *    full-word write lands before any consumer read. The corrupt
-     *    bits are therefore dead on arrival.
-     *
-     * In each case the bare fork is bit-equivalent to a no-fault fork,
-     * which reproduces the master's own window — the same
-     * master-as-golden invariant the ledger already rests on.
-     */
-    bool provablyMasked = false;
-    /** Sampling metadata (stratum, site, attribution), filled at the
-     *  snapshot; the trial runner adds its flags and exit cycle. */
+    GoldenLedger::Entry golden;
+    /** Sampling metadata (stratum, site, attribution), filled when the
+     *  plan is drawn; the trial runner adds its flags and exit cycle. */
     TrialMeta meta{};
+    CampaignResult result;
 };
 
-/** Evaluate Trial::provablyMasked against the snapshot-time master
- *  (the fork sees exactly this state, so the checks transfer). */
+/**
+ * Draw trial t's plan against its snapshot and fill its sampling
+ * metadata. The snapshot is the master at the injection point, so the
+ * plan is the one the master would draw. Fixed mode (ciTarget == 0)
+ * keeps the legacy per-trial stream and mix draw — bit-identical
+ * schedules to previous revisions — and only labels the stratum post
+ * hoc. Adaptive mode rotates strata round-robin by trial index with
+ * per-stratum RNG streams, so each stratum's sample sequence is a pure
+ * function of (seed, stratum, count) — independent of when other
+ * strata stop contributing.
+ */
+InjectionPlan
+drawTrialPlan(const pipeline::Core &snap, const CampaignConfig &cfg,
+              const StratumSpace &strata, u64 t, TrialMeta &meta)
+{
+    InjectionPlan plan;
+    if (cfg.ciTarget > 0.0) {
+        const unsigned s = static_cast<unsigned>(t % StratumSpace::kCount);
+        Rng rng = Rng::stream(cfg.seed ^ StratumSpace::stratumSalt(s),
+                              t / StratumSpace::kCount);
+        plan = strata.draw(snap, s, rng);
+        meta.stratum = s;
+    } else {
+        Rng rng = Rng::stream(cfg.seed, t);
+        plan = drawPlan(snap, cfg.mix, rng);
+        meta.stratum = StratumSpace::stratumOf(plan);
+    }
+    meta.structure = static_cast<u8>(plan.target);
+    meta.bit = static_cast<u8>(plan.bit);
+    meta.cycleBucket = StratumSpace::cycleBucket(snap.cycle());
+    meta.flags = 0;
+    meta.pc = plan.faultPc;
+    meta.exitCycle = 0;
+    return plan;
+}
+
+/**
+ * The injection provably cannot change any observable outcome, so the
+ * faulty forks need not run at all. True for three plans:
+ *
+ *  - Target::None — apply() is a no-op, the "fault" strikes idle
+ *    logic; the bare fork is literally a no-fault fork.
+ *  - Target::Lsq with an empty LSQ at the snapshot — apply() refuses
+ *    (returns false), same no-op.
+ *  - Target::RegFile into a free-listed preg. The flip touches only
+ *    the value word: ready/free bits and both rename maps are
+ *    untouched. While free, the preg is unreadable — preg reclamation
+ *    frees a preg only when the next writer of its arch register
+ *    commits, and in-order commit means every reader (including
+ *    deferred store-data capture) has issued and read by then;
+ *    archState and the detectors read only mapped/owned pregs.
+ *    Leaving the free state goes through allocate(), which clears the
+ *    ready bit, so the producer's full-word write lands before any
+ *    consumer read. The corrupt bits are therefore dead on arrival.
+ *
+ * In each case the bare fork is bit-equivalent to a no-fault fork,
+ * which reproduces the master's own window — the same master-as-golden
+ * invariant the ledger already rests on. Evaluated on the snapshot,
+ * which is exactly the state every fork starts from.
+ */
 bool
-provablyMasked(const pipeline::Core &master, const InjectionPlan &plan,
+provablyMasked(const pipeline::Core &snap, const InjectionPlan &plan,
                pipeline::PregPhase phase)
 {
     switch (plan.target) {
       case Target::None:
         return true;
       case Target::Lsq:
-        return master.lsqOccupied() == 0;
+        return snap.lsqOccupied() == 0;
       case Target::RegFile:
         return phase == pipeline::PregPhase::Free;
       case Target::Rename:
@@ -166,12 +201,16 @@ forkInto(std::optional<ForkOutcome> &slot, pipeline::Core &&base,
 
 /**
  * The SDC fault ran through a protected fork — decide
- * recovered/detected/uncovered and the Figure 11 bin. golden_trapped
- * is the golden entry's trap status; prot_matches_golden must already
- * include the reached-targets and no-trap guards.
+ * recovered/detected/uncovered and the Figure 11 bin. detector_base is
+ * the snapshot's detector stats, phase the struck register's phase at
+ * the snapshot; golden_trapped is the golden entry's trap status;
+ * prot_matches_golden must already include the reached-targets and
+ * no-trap guards.
  */
 void
-classifyProtected(CampaignResult &r, const Trial &t,
+classifyProtected(CampaignResult &r, const InjectionPlan &plan,
+                  pipeline::PregPhase phase,
+                  const filters::DetectorStats &detector_base,
                   const ForkOutcome &prot, bool golden_trapped,
                   bool prot_matches_golden)
 {
@@ -192,21 +231,21 @@ classifyProtected(CampaignResult &r, const Trial &t,
     ++r.uncovered;
 
     // Figure 11 binning for the uncovered fault.
-    if (t.plan.target == Target::Rename) {
+    if (plan.target == Target::Rename) {
         ++r.bins.renameUncovered;
         return;
     }
-    DetectorDelta d = deltaOf(prot.core, t.masterStats);
+    DetectorDelta d = deltaOf(prot.core, detector_base);
     if (d.triggers == 0) {
         ++r.bins.noTrigger;
     } else if (d.suppressed > 0 && d.replays == 0 && d.rollbacks == 0 &&
                d.commitTriggers == 0) {
         ++r.bins.secondLevelMasked;
-    } else if (t.plan.target == Target::RegFile &&
-               (t.phase == pipeline::PregPhase::Completed ||
-                t.phase == pipeline::PregPhase::Architectural)) {
+    } else if (plan.target == Target::RegFile &&
+               (phase == pipeline::PregPhase::Completed ||
+                phase == pipeline::PregPhase::Architectural)) {
         ++r.bins.completedReg;
-        if (t.phase == pipeline::PregPhase::Architectural)
+        if (phase == pipeline::PregPhase::Architectural)
             ++r.bins.archReg;
     } else {
         ++r.bins.other;
@@ -215,34 +254,40 @@ classifyProtected(CampaignResult &r, const Trial &t,
 
 /**
  * Classify one trial. There is no golden execution: the bare (and,
- * for SDC faults, protected) fork is compared against the master's
- * golden checkpoint with O(threads + segments) arch/digest compares.
- * A pure function of the descriptor (safe on any thread; the
- * returned single-trial counters merge into CampaignResult with
- * order-insensitive adds), except that the last fork consumes
- * t.master by move — the trial slot is dead after this and gets
- * overwritten at its next refill.
+ * for SDC faults, protected) fork is compared against the trial's
+ * complete golden entry with O(threads + segments) arch/digest
+ * compares. A pure function of the trial's snapshot, plan and entry
+ * (safe on any thread; the returned single-trial counters merge into
+ * CampaignResult with order-insensitive adds), except that the last
+ * fork consumes t.snapshot by move — the snapshot is dead after this
+ * and the next one overwrites it.
  */
 CampaignResult
 runTrial(const pipeline::CoreParams &params, const CampaignConfig &cfg,
-         Trial &t, const GoldenLedger::Entry &g, ForkScratch &fs)
+         const InjectionPlan &plan, Trial &t, ForkScratch &fs)
 {
     CampaignResult r;
     ++r.injected;
-    // Scheduler observability: each fork starts from the snapshot's
-    // counters, so its contribution is the delta past them. Captured
-    // before the move-consuming fork.
-    const pipeline::CoreStats snapStats = t.master.stats();
+    const GoldenLedger::Entry &g = t.golden;
+    // Read from the snapshot before a fork consumes it: the struck
+    // register's lifetime phase, and the scheduler counters each fork
+    // starts from, so a fork's contribution is the delta past them.
+    const pipeline::PregPhase phase =
+        plan.target == Target::RegFile
+            ? t.snapshot.pregPhase(plan.preg)
+            : pipeline::PregPhase::Free;
+    const pipeline::CoreStats snapStats = t.snapshot.stats();
 
     // A provably dead injection against a genuinely-crossed, untrapped
     // golden entry: a no-fault fork reaches its targets and samples
     // exactly this entry (the ledger's master-as-golden invariant),
     // and the bare fork is bit-equivalent to a no-fault fork (see
-    // Trial::provablyMasked) — masked, no fork needed. A non-crossed
-    // or trapped entry falls through to the real forks: there the
+    // provablyMasked) — masked, no fork needed. A non-crossed or
+    // trapped entry falls through to the real forks: there the
     // no-fault replay freezes short of its targets and must take the
     // noisy path with its hung-bare diagnostic.
-    if (t.provablyMasked && g.crossed && !g.trapped) {
+    if (provablyMasked(t.snapshot, plan, phase) && g.crossed &&
+        !g.trapped) {
         ++r.masked;
         ++r.skippedProvablyMasked;
         t.meta.flags |= kMetaSkippedProvablyMasked;
@@ -262,9 +307,9 @@ runTrial(const pipeline::CoreParams &params, const CampaignConfig &cfg,
     auto t0 = PhaseClock::now();
     ForkOutcome &bare =
         bare_is_last
-            ? forkInto(fs.bare, std::move(t.master), &t.plan, false,
-                       t.targets, cfg.forkMaxCycles, arm)
-            : forkInto(fs.bare, t.master, &t.plan, false, t.targets,
+            ? forkInto(fs.bare, std::move(t.snapshot), &plan, false,
+                       g.targets, cfg.forkMaxCycles, arm)
+            : forkInto(fs.bare, t.snapshot, &plan, false, g.targets,
                        cfg.forkMaxCycles, arm);
     r.phases.bareNs += nsSince(t0);
     r.sched += SchedCounters::delta(bare.core.stats(), snapStats);
@@ -304,11 +349,14 @@ runTrial(const pipeline::CoreParams &params, const CampaignConfig &cfg,
 
     // Protected faulty fork: does the scheme cover the fault? This is
     // the trial's last fork, so it takes the snapshot by swap (the
-    // trial slot inherits the scratch's old buffers and is overwritten
-    // in place at the next refill).
+    // trial inherits the scratch's old buffers and the next snapshot
+    // overwrites them in place). The Figure 11 bins measure the
+    // detector's activity past the snapshot's stats.
+    const filters::DetectorStats detectorBase =
+        t.snapshot.detector().stats();
     t0 = PhaseClock::now();
     ForkOutcome &prot =
-        forkInto(fs.prot, std::move(t.master), &t.plan, true, t.targets,
+        forkInto(fs.prot, std::move(t.snapshot), &plan, true, g.targets,
                  cfg.forkMaxCycles);
     r.phases.protectedNs += nsSince(t0);
     r.sched += SchedCounters::delta(prot.core.stats(), snapStats);
@@ -319,36 +367,40 @@ runTrial(const pipeline::CoreParams &params, const CampaignConfig &cfg,
     const bool prot_matches = prot.reachedTargets && !prot.trapped &&
                               GoldenLedger::matches(g, prot.core);
     r.phases.compareNs += nsSince(t0);
-    classifyProtected(r, t, prot, g.trapped, prot_matches);
+    classifyProtected(r, plan, phase, detectorBase, prot, g.trapped,
+                      prot_matches);
     return r;
 }
 
 /**
- * Trial fault isolation: execute one trial's forks inside a
- * PanicScope. An fh_panic or fh_assert raised by the (deliberately
- * corrupted) forked machine surfaces here as a SimError; the trial is
- * counted in trialErrors with its injection plan logged for offline
- * reproduction, and the campaign keeps running. Under FH_STRICT=1
- * (the CI default) panics abort the process instead. The guard is
- * scoped to the trial, whichever thread runs it: a panic in the
- * master's advance still aborts.
+ * Run one trial on whichever thread claimed it: draw its plan from its
+ * own stream, so the injection schedule is a pure function of (seed,
+ * trial) however many threads run trials, then execute its forks
+ * inside a PanicScope. An fh_panic or fh_assert raised by the
+ * (deliberately corrupted) forked machine surfaces here as a SimError;
+ * the trial is counted in trialErrors with its injection plan logged
+ * for offline reproduction, and the campaign keeps running. Under
+ * FH_STRICT=1 (the CI default) panics abort the process instead. The
+ * guard is scoped to the forks: a panic in the plan draw, which reads
+ * the fault-free snapshot, or in the master's advance still aborts.
  */
 CampaignResult
 runTrialGuarded(const pipeline::CoreParams &params,
-                const CampaignConfig &cfg, Trial &t,
-                const GoldenLedger::Entry &g, ForkScratch &fs)
+                const CampaignConfig &cfg, const StratumSpace &strata,
+                Trial &t, ForkScratch &fs)
 {
+    const InjectionPlan p =
+        drawTrialPlan(t.snapshot, cfg, strata, t.index, t.meta);
     try {
         PanicScope guard;
         if (t.index == cfg.panicAtTrial)
             fh_panic("campaign debug hook: forced panic in trial %llu",
                      static_cast<unsigned long long>(t.index));
-        return runTrial(params, cfg, t, g, fs);
+        return runTrial(params, cfg, p, t, fs);
     } catch (const SimError &e) {
         CampaignResult r;
         ++r.injected;
         ++r.trialErrors;
-        const InjectionPlan &p = t.plan;
         fh_warn("trial %llu isolated after an in-fork error: %s\n"
                 "  repro: FH_STRICT=1 with seed=%llu, plan{target=%s "
                 "preg=%u lsqNth=%u lsqAddrField=%d tid=%u arch=%u "
@@ -411,27 +463,6 @@ resolveForkThreads(unsigned threads)
  */
 struct CampaignSession::Impl
 {
-    struct Pending
-    {
-        u32 trialIdx; ///< index into trialPool
-        u32 slot;     ///< ledger checkpoint slot
-    };
-
-    /**
-     * One trial of the stream. The producer fills in everything but the
-     * result when the trial's ledger entry completes; the thread that
-     * runs the trial reads the trial and entry through the pointers
-     * (never through trialPool or the ledger, which the producer keeps
-     * mutating) and writes the result.
-     */
-    struct StreamTrial
-    {
-        Pending at;
-        Trial *trial;
-        const GoldenLedger::Entry *golden;
-        CampaignResult result;
-    };
-
     Impl(const pipeline::CoreParams &params_in, const isa::Program *prog,
          const CampaignConfig &cfg_in)
         : params(params_in),
@@ -485,38 +516,16 @@ struct CampaignSession::Impl
         return true;
     }
 
-    /**
-     * Draw trial t's plan and fill its sampling metadata. Fixed mode
-     * (ciTarget == 0) keeps the legacy per-trial stream and mix draw —
-     * bit-identical schedules to previous revisions — and only labels
-     * the stratum post hoc. Adaptive mode rotates strata round-robin
-     * by trial index with per-stratum RNG streams, so each stratum's
-     * sample sequence is a pure function of (seed, stratum, count) —
-     * independent of when other strata stop contributing.
-     */
-    InjectionPlan drawTrialPlan(u64 t, TrialMeta &meta)
+    /** Snapshot the master into the next trial: the first sunk trial
+     *  behind the live ones when there is one (its arena takes a flat
+     *  memcpy), else a new trial. */
+    Trial &takeSnapshot()
     {
-        InjectionPlan plan;
-        if (cfg.ciTarget > 0.0) {
-            const unsigned s =
-                static_cast<unsigned>(t % StratumSpace::kCount);
-            Rng rng =
-                Rng::stream(cfg.seed ^ StratumSpace::stratumSalt(s),
-                            t / StratumSpace::kCount);
-            plan = strataSpace.draw(master, s, rng);
-            meta.stratum = s;
-        } else {
-            Rng rng = Rng::stream(cfg.seed, t);
-            plan = drawPlan(master, cfg.mix, rng);
-            meta.stratum = StratumSpace::stratumOf(plan);
-        }
-        meta.structure = static_cast<u8>(plan.target);
-        meta.bit = static_cast<u8>(plan.bit);
-        meta.cycleBucket = StratumSpace::cycleBucket(master.cycle());
-        meta.flags = 0;
-        meta.pc = plan.faultPc;
-        meta.exitCycle = 0;
-        return plan;
+        if (live == trials.size())
+            trials.push_back(std::make_unique<Trial>(master));
+        else
+            trials[live]->snapshot = master;
+        return *trials[live++];
     }
 
     RangeOutcome runRange(u64 begin, u64 end, const TrialSink &sink);
@@ -540,19 +549,19 @@ struct CampaignSession::Impl
     // the stream's worker index: 0..threads-1 for the pool's workers,
     // threads for the producer.
     std::vector<ForkScratch> scratch;
-    // Reusable trial slots: a retired slot's snapshot is overwritten
-    // in place (a flat arena memcpy plus copy-on-write memory/filter
-    // copies); memory pages only the old snapshot held are freed, and
-    // the master's first store to a page it shares with a snapshot
-    // copies the page. A deque so the trials the stream holds stay
-    // put while the producer appends new slots.
-    std::deque<Trial> trialPool;
-    std::vector<u32> freeTrials;
-    // Produced trials whose windows the master has not fully crossed
-    // yet; bounded by window/minGap in practice.
-    std::deque<Pending> inflight;
-    // The stream's trials: item k at streamed[k % streamCap].
-    std::vector<StreamTrial> streamed;
+    // The one queue of trials, in trial order. trials[0, live) are
+    // produced and not yet sunk: first the ones on the stream, then
+    // the ones whose golden entries are still open. Behind them wait
+    // sunk trials, whose buffers take the next snapshots (memory
+    // pages only an old snapshot held are freed, and the master's
+    // first store to a page it shares with a snapshot copies the
+    // page). Each trial is its own allocation, so its entry stays put
+    // for the ledger and its snapshot for the thread that runs it.
+    std::deque<std::unique_ptr<Trial>> trials;
+    u64 live = 0;
+    // The stream's trials: item k is *streamed[k % streamCap], so the
+    // thread that runs it never reads the queue the producer mutates.
+    std::vector<Trial *> streamed;
     // Runs trials only inside runRange's stream, whose destructor lets
     // the running ones finish, even when runRange unwinds.
     exec::ThreadPool pool;
@@ -561,12 +570,13 @@ struct CampaignSession::Impl
 /**
  * Produce and execute one range. The master advances gap by gap (no
  * extra ticks between snapshots), so the injection points are a pure
- * function of the seed. A produced trial waits in a FIFO until the
- * master's own advance crosses all its commit targets (completing its
- * ledger entry, usually within the next trial or two's gaps);
- * completed trials join the stream of trials on the session's pool,
- * whose workers claim them in order while the master produces the
- * next ones. Windows still open at the end of
+ * function of the seed. Per trial the producer does three things:
+ * advance the gap, copy the master into a trial, and open the trial's
+ * golden entry. The trial waits in the queue until the master's own
+ * advance crosses all its commit targets (completing its entry,
+ * usually within the next trial or two's gaps), then joins the stream
+ * on the session's pool, whose workers claim trials in order while
+ * the master produces the next ones. Windows still open at the end of
  * the range are closed by extra "drain" ticks — on the real master
  * when nothing further depends on its cycle position (final range,
  * halt, or shutdown), and otherwise on a scratch copy, so a later
@@ -575,9 +585,9 @@ struct CampaignSession::Impl
  * same sampled state: that is the ledger's master-as-golden argument.
  *
  * Only this (the calling) thread touches the master, the ledger, the
- * trial slots and the sink; the thread that runs a streamed trial sees
- * only that trial and its complete entry, which stay untouched until
- * the trial is sunk. This thread runs trials too, but never while it
+ * queue and the sink; the thread that runs a streamed trial sees only
+ * that trial and its complete entry, which stay untouched until the
+ * trial is sunk. This thread runs trials too, but never while it
  * could produce one: when the stream is full, and while it drains at
  * the end of the range. Every trial produced here is sunk before the
  * call returns.
@@ -592,36 +602,38 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
 
     exec::ThreadPool::Stream stream(
         pool, streamCap, [this](u64 k, unsigned worker) {
-            StreamTrial &s = streamed[k % streamCap];
-            s.result = runTrialGuarded(params, cfg, *s.trial, *s.golden,
+            Trial &t = *streamed[k % streamCap];
+            t.result = runTrialGuarded(params, cfg, strataSpace, t,
                                        scratch[worker]);
         });
     auto sinkDone = [&] {
-        // Sink in trial (production) order, as soon as the oldest
-        // trial is done: bit-identical for any worker count. Ledger
-        // slots and trial slots both free up for the next opens.
-        for (u64 k = stream.retired(); stream.retire(); ++k) {
-            const StreamTrial &s = streamed[k % streamCap];
-            sink(s.trial->index, s.result, s.trial->meta);
-            ledger->release(s.at.slot);
-            freeTrials.push_back(s.at.trialIdx);
+        // Sink in trial order, as soon as the oldest trial is done:
+        // bit-identical for any worker count. A sunk trial goes to the
+        // back of the queue for a later snapshot.
+        while (stream.retire()) {
+            const Trial &t = *trials.front();
+            sink(t.index, t.result, t.meta);
+            trials.push_back(std::move(trials.front()));
+            trials.pop_front();
+            --live;
         }
     };
+    // Queue position of the oldest trial not on the stream yet.
+    auto unstreamed = [&] { return stream.pushed() - stream.retired(); };
     auto promote = [&] {
-        // Entries complete in production order: per-thread targets are
-        // nondecreasing, so the FIFO's front always finishes first.
-        while (!inflight.empty() &&
-               ledger->complete(inflight.front().slot)) {
+        // Entries complete in trial order: per-thread targets are
+        // nondecreasing, so the oldest open entry always finishes
+        // first.
+        while (unstreamed() < live &&
+               trials[unstreamed()]->golden.complete()) {
             // A full stream: run its oldest unclaimed trial here
             // instead of sleeping until a worker's trial is done.
             while (stream.full()) {
                 stream.help();
                 sinkDone();
             }
-            const Pending p = inflight.front();
-            inflight.pop_front();
-            streamed[stream.pushed() % streamCap] = {
-                p, &trialPool[p.trialIdx], &ledger->entry(p.slot), {}};
+            streamed[stream.pushed() % streamCap] =
+                trials[unstreamed()].get();
             stream.push();
         }
     };
@@ -655,42 +667,11 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
             continue;
         }
 
-        // The plan comes from the trial's own stream, so the injection
-        // schedule is a pure function of (seed, trial) regardless of
-        // how many workers execute the forks.
         t0 = PhaseClock::now();
-        TrialMeta meta;
-        const InjectionPlan plan = drawTrialPlan(trial, meta);
-        // Record register lifetime phase before any fork runs.
-        pipeline::PregPhase phase = pipeline::PregPhase::Free;
-        if (plan.target == Target::RegFile)
-            phase = master.pregPhase(plan.preg);
-        const bool provable = provablyMasked(master, plan, phase);
-
-        u32 tidx;
-        if (!freeTrials.empty()) {
-            // Reuse a retired trial slot: the snapshot lands in its
-            // existing arena (a flat memcpy), targets reuse capacity.
-            tidx = freeTrials.back();
-            freeTrials.pop_back();
-            Trial &tslot = trialPool[tidx];
-            tslot.master = master;
-            tslot.plan = plan;
-            windowTargetsInto(tslot.targets, master, cfg.window);
-            tslot.phase = phase;
-            tslot.masterStats = master.detector().stats();
-            tslot.index = trial;
-            tslot.provablyMasked = provable;
-            tslot.meta = meta;
-        } else {
-            tidx = static_cast<u32>(trialPool.size());
-            trialPool.push_back(Trial{master, plan,
-                                      windowTargets(master, cfg.window),
-                                      phase, master.detector().stats(),
-                                      trial, provable, meta});
-        }
-        const u32 slot = ledger->open(trialPool[tidx].targets);
-        inflight.push_back({tidx, slot});
+        Trial &t = takeSnapshot();
+        t.index = trial;
+        windowTargetsInto(t.golden.targets, master, cfg.window);
+        ledger->open(t.golden);
         produced.snapshotNs += nsSince(t0);
         ++trial;
         ++executed;
@@ -708,7 +689,8 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
     // commit crossings, identical sampled entries — but the real
     // master stays at its exact schedule position for the next range.
     auto t0 = PhaseClock::now();
-    if (!inflight.empty()) {
+    if (live > 0 && !trials[live - 1]->golden.complete()) {
+        const GoldenLedger::Entry &youngest = trials[live - 1]->golden;
         const bool terminal =
             end >= cfg.injections || halted || stopped;
         pipeline::Core *drainee = &master;
@@ -721,11 +703,11 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
             drainee = drainCopy.get();
         }
         Cycle drained = 0;
-        while (!ledger->complete(inflight.back().slot) &&
-               !drainee->allHalted() && drained < cfg.forkMaxCycles) {
+        while (!youngest.complete() && !drainee->allHalted() &&
+               drained < cfg.forkMaxCycles) {
             drained += drainee->step(cfg.forkMaxCycles - drained);
         }
-        if (!ledger->complete(inflight.back().slot))
+        if (!youngest.complete())
             ledger->forceFinalizeAll(); // hung master; see GoldenLedger
         if (!terminal) {
             drainCopy->setCommitObserver(nullptr);
@@ -736,7 +718,7 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
     produced.goldenNs += nsSince(t0);
 
     promote();
-    fh_assert(inflight.empty(), "ledger drain left incomplete entries");
+    fh_assert(unstreamed() == live, "ledger drain left incomplete entries");
     for (sinkDone(); !stream.empty(); sinkDone())
         stream.help();
 

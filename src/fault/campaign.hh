@@ -14,12 +14,14 @@
  * O(threads + segments).
  *
  * Execution is sharded and overlapped: the master advances serially
- * between injection points, each point is snapshotted into a trial
- * descriptor with its own Rng::stream(seed, trial_index), and each
- * trial whose golden entry completes joins an in-order stream whose
- * forks the workers of the session's exec::ThreadPool run while the
- * master produces the next trials. When the stream is full, and while
- * a range drains, the producer runs the oldest unclaimed trial itself.
+ * between injection points, and each point is copied into a trial
+ * whose golden entry the master's advance fills in. A trial is
+ * (snapshot, index): once its entry completes it joins an in-order
+ * stream, and the thread that runs it — a worker of the session's
+ * exec::ThreadPool, while the master produces the next trials — draws
+ * its plan from its own Rng::stream(seed, trial_index) against the
+ * snapshot and runs its forks. When the stream is full, and while a
+ * range drains, the producer runs the oldest unclaimed trial itself.
  *
  * Every campaign runs through one CampaignMerge: it replays a
  * journal's prefix, folds each trial in index order on the calling
@@ -198,7 +200,7 @@ unsigned resolveForkThreads(unsigned threads);
  */
 struct CampaignPhases
 {
-    u64 snapshotNs = 0;  ///< machine copies + plan draws (producer)
+    u64 snapshotNs = 0;  ///< machine copies + ledger opens (producer)
     u64 goldenNs = 0;    ///< master advance + golden ledger upkeep
     u64 bareNs = 0;      ///< unprotected faulty forks
     u64 protectedNs = 0; ///< protected faulty forks

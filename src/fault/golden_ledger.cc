@@ -26,9 +26,8 @@ GoldenLedger::supports(const pipeline::Core &master,
 }
 
 void
-GoldenLedger::finalizeThread(u32 slot, unsigned tid)
+GoldenLedger::finalizeThread(Entry &e, unsigned tid)
 {
-    Entry &e = entries_[slot];
     e.archDigests[tid] = master_->archDigest(tid);
     e.digests[tid] = master_->memory().segmentDigest(tid);
     if (master_->committed(tid) < e.targets[tid])
@@ -51,22 +50,13 @@ GoldenLedger::finalizeThread(u32 slot, unsigned tid)
     }
 }
 
-u32
-GoldenLedger::open(const std::vector<u64> &targets)
+void
+GoldenLedger::open(Entry &e)
 {
-    u32 slot;
-    if (!freeSlots_.empty()) {
-        slot = freeSlots_.back();
-        freeSlots_.pop_back();
-    } else {
-        slot = static_cast<u32>(entries_.size());
-        entries_.emplace_back();
-    }
-
     const unsigned n = master_->numThreads();
     const mem::Memory &m = master_->memory();
-    Entry &e = entries_[slot];
-    e.targets = targets;
+    fh_assert(e.targets.size() == n, "a ledger entry needs one target "
+                                     "per SMT thread");
     e.archDigests.assign(n, 0);
     // Unowned segments keep this digest; owned ones are resampled when
     // their thread crosses.
@@ -78,24 +68,18 @@ GoldenLedger::open(const std::vector<u64> &targets)
     e.remaining = n;
 
     for (unsigned tid = 0; tid < n; ++tid) {
-        if (master_->halted(tid) || master_->committed(tid) >= targets[tid]) {
+        const u64 target = e.targets[tid];
+        if (master_->halted(tid) || master_->committed(tid) >= target) {
             // A golden fork would freeze (or already be halted) here
             // without committing anything more on this thread.
-            finalizeThread(slot, tid);
+            finalizeThread(e, tid);
             continue;
         }
         fh_assert(watches_[tid].empty() ||
-                      watches_[tid].back().target <= targets[tid],
+                      watches_[tid].back().target <= target,
                   "ledger targets must be nondecreasing per thread");
-        watches_[tid].push_back({slot, targets[tid]});
+        watches_[tid].push_back({&e, target});
     }
-    return slot;
-}
-
-void
-GoldenLedger::release(u32 slot)
-{
-    freeSlots_.push_back(slot);
 }
 
 void
@@ -104,7 +88,7 @@ GoldenLedger::forceFinalizeAll()
     for (unsigned tid = 0; tid < watches_.size(); ++tid) {
         auto &dq = watches_[tid];
         while (!dq.empty()) {
-            finalizeThread(dq.front().slot, tid);
+            finalizeThread(*dq.front().entry, tid);
             dq.pop_front();
         }
     }
@@ -137,7 +121,7 @@ GoldenLedger::onCommit(const pipeline::Core &core, unsigned tid)
     auto &dq = watches_[tid];
     const u64 committed = core.committed(tid);
     while (!dq.empty() && dq.front().target <= committed) {
-        finalizeThread(dq.front().slot, tid);
+        finalizeThread(*dq.front().entry, tid);
         dq.pop_front();
     }
 }
@@ -152,7 +136,7 @@ GoldenLedger::onThreadHalted(const pipeline::Core &core, unsigned tid)
     // frozen short of its target would have sampled.
     auto &dq = watches_[tid];
     while (!dq.empty()) {
-        finalizeThread(dq.front().slot, tid);
+        finalizeThread(*dq.front().entry, tid);
         dq.pop_front();
     }
 }

@@ -30,13 +30,15 @@
  * tests/test_golden_ledger.cc holds the golden-fork oracle: every
  * entry must agree with a no-fault fork of its trial's snapshot.
  *
- * Thread ownership: one thread (the campaign's producer) calls every
- * member except the static matches(); it opens, finalizes and
- * releases entries. Fork executors read only *complete* entries,
- * through references entry() returned, while the producer keeps
- * opening and finalizing others. That needs no lock: a complete entry
- * is immutable until release(), which the producer calls only after
- * the trial's result is merged, and open() never moves an entry.
+ * Thread ownership: the caller owns every entry and keeps it in place
+ * while it is open; the ledger keeps only a pointer to each entry with
+ * a thread still short of its target. One thread (the campaign's
+ * producer) calls every member except the static matches(), and it
+ * opens and finalizes entries. Fork executors read only *complete*
+ * entries while the producer keeps opening and finalizing others.
+ * That needs no lock: the ledger never touches a complete entry
+ * again, and the producer reopens one only after its trial's result
+ * is merged.
  */
 
 #ifndef FH_FAULT_GOLDEN_LEDGER_HH
@@ -83,6 +85,9 @@ class GoldenLedger final : public pipeline::CommitObserver
          *  for classifying provably-masked trials without forking. */
         bool crossed = true;
         unsigned remaining = 0; ///< threads not yet crossed
+
+        /** Every thread crossed its target: the entry is readable. */
+        bool complete() const { return remaining == 0; }
     };
 
     /** The ledger observes exactly this master (attach separately via
@@ -112,24 +117,14 @@ class GoldenLedger final : public pipeline::CommitObserver
                          const isa::Program &prog);
 
     /**
-     * Open an entry for a trial snapshotted at the master's current
-     * state, with the given per-thread commit targets (nondecreasing
-     * across successive opens, since targets are committed + window).
-     * Returns the entry's slot. Threads already halted finalize
-     * immediately.
+     * Open e for a trial snapshotted at the master's current state, at
+     * the per-thread commit targets already in e.targets
+     * (nondecreasing across successive opens, since targets are
+     * committed + window). Threads already halted or at their target
+     * finalize here; the ledger finalizes the others as the master
+     * crosses, so e must stay in place until e.complete().
      */
-    u32 open(const std::vector<u64> &targets);
-
-    /** True once every thread crossed its target (entry readable). */
-    bool complete(u32 slot) const
-    {
-        return entries_[slot].remaining == 0;
-    }
-
-    const Entry &entry(u32 slot) const { return entries_[slot]; }
-
-    /** Return a classified trial's slot to the free list. */
-    void release(u32 slot);
+    void open(Entry &e);
 
     /**
      * Safety valve for a master that stops committing before the last
@@ -157,17 +152,14 @@ class GoldenLedger final : public pipeline::CommitObserver
   private:
     struct Watch
     {
-        u32 slot;
+        Entry *entry;
         u64 target;
     };
 
     /** Sample thread tid's state from the master into an entry. */
-    void finalizeThread(u32 slot, unsigned tid);
+    void finalizeThread(Entry &e, unsigned tid);
 
     pipeline::Core *master_;
-    /** A deque: open() never moves an entry a fork is reading. */
-    std::deque<Entry> entries_;
-    std::vector<u32> freeSlots_;
     /** Per-thread pending watches, FIFO by target (targets are
      *  nondecreasing across opens, so crossing pops from the front). */
     std::vector<std::deque<Watch>> watches_;

@@ -283,14 +283,21 @@ TrialJournal::TrialJournal(const std::string &path,
 
     // Rewrite header + the validated prefix rather than appending
     // after a possibly torn tail line, so the file is always
-    // well-formed from here on.
-    out_ = std::fopen(path_.c_str(), "w");
+    // well-formed from here on. The rewrite goes to a temporary file
+    // beside the journal, which replaces it only once complete: a
+    // kill during the rewrite leaves the old journal whole.
+    const std::string tmp = path_ + ".tmp";
+    out_ = std::fopen(tmp.c_str(), "w");
     if (!out_)
-        fh_fatal("cannot open journal '%s' for writing", path_.c_str());
+        fh_fatal("cannot open journal '%s' for writing", tmp.c_str());
     std::fprintf(out_, "%s\n", header.c_str());
     for (u64 t = 0; t < replayed_.size(); ++t)
         writeRecord(out_, t, replayed_[t].d, replayed_[t].m);
-    std::fflush(out_);
+    if (std::fflush(out_) != 0 ||
+        std::rename(tmp.c_str(), path_.c_str()) != 0) {
+        fh_fatal("cannot replace journal '%s' with its rewrite '%s'",
+                 path_.c_str(), tmp.c_str());
+    }
 }
 
 TrialJournal::~TrialJournal()

@@ -94,7 +94,9 @@ class TrialJournal
      * by cfg/scheme. An existing journal must carry a matching header
      * (else fh_fatal); its well-formed prefix of trial records is
      * loaded for replay (announced on stderr) and subsequent records
-     * append after it.
+     * append after it. The header and that prefix are rewritten into
+     * path + ".tmp", which then replaces the journal by rename(), so
+     * a kill during the rewrite leaves the old journal whole.
      */
     TrialJournal(const std::string &path, const CampaignConfig &cfg,
                  const std::string &scheme);

@@ -776,7 +776,7 @@ TEST_P(SessionSink, ThrowingSinkPropagatesAndLeavesNoThread)
 {
     // A sink failure escapes runRange on the calling thread while a
     // wave may still run on the pool; destroying the session below
-    // must let that wave finish before its trial slots go away.
+    // must let that wave finish before its trials go away.
     auto program = prog();
     const fault::CampaignConfig cfg = config();
     auto session =

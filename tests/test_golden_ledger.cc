@@ -19,8 +19,8 @@
  * scan and with full-window bare forks the campaign must still
  * classify exactly as the golden-fork classifier.
  * Also pins the ledger's layout check on every built-in workload,
- * the entries' stable addresses, and the fork runtime's
- * no-post-freeze-ticks guarantee.
+ * the completion order of the caller-owned entries, and the fork
+ * runtime's no-post-freeze-ticks guarantee.
  */
 
 #include <gtest/gtest.h>
@@ -98,13 +98,13 @@ struct OracleTally
     u64 mismatchedForks = 0;
 };
 
-/** One produced trial waiting for its ledger entry to complete. */
+/** One produced trial; its golden entry stays put in the deque while
+ *  the ledger fills it in. */
 struct PendingTrial
 {
     pipeline::Core snapshot;
     fault::InjectionPlan plan;
-    std::vector<u64> targets;
-    u32 slot;
+    fault::GoldenLedger::Entry golden;
 };
 
 /**
@@ -112,14 +112,14 @@ struct PendingTrial
  * the retired golden-fork campaign did.
  */
 void
-checkTrial(const fault::GoldenLedger::Entry &e, const PendingTrial &t,
-           const fault::CampaignConfig &cfg, bool protect,
-           OracleTally &tally)
+checkTrial(const PendingTrial &t, const fault::CampaignConfig &cfg,
+           bool protect, OracleTally &tally)
 {
     fault::CampaignResult &r = tally.result;
     ++r.injected;
+    const fault::GoldenLedger::Entry &e = t.golden;
     const fault::ForkOutcome golden = fault::runFork(
-        t.snapshot, nullptr, false, t.targets, cfg.forkMaxCycles);
+        t.snapshot, nullptr, false, e.targets, cfg.forkMaxCycles);
     EXPECT_TRUE(fault::GoldenLedger::matches(e, golden.core));
     EXPECT_EQ(e.trapped, golden.trapped);
     EXPECT_TRUE(!e.crossed || golden.reachedTargets);
@@ -133,7 +133,7 @@ checkTrial(const fault::GoldenLedger::Entry &e, const PendingTrial &t,
     };
 
     const fault::ForkOutcome bare = fault::runFork(
-        t.snapshot, &t.plan, false, t.targets, cfg.forkMaxCycles);
+        t.snapshot, &t.plan, false, e.targets, cfg.forkMaxCycles);
     const bool bare_matches = compare(bare);
     if (bare.trapped != golden.trapped || !bare.reachedTargets) {
         ++r.noisy;
@@ -150,7 +150,7 @@ checkTrial(const fault::GoldenLedger::Entry &e, const PendingTrial &t,
     }
 
     const fault::ForkOutcome prot = fault::runFork(
-        t.snapshot, &t.plan, true, t.targets, cfg.forkMaxCycles);
+        t.snapshot, &t.plan, true, e.targets, cfg.forkMaxCycles);
     const bool prot_matches = compare(prot);
     const bool det = prot.core.faultDetected() ||
                      (prot.trapped && !golden.trapped);
@@ -187,11 +187,8 @@ runOracle(const LedgerCase &c, OracleMode mode)
     OracleTally tally;
     std::deque<PendingTrial> inflight;
     auto checkCompleted = [&] {
-        while (!inflight.empty() &&
-               ledger.complete(inflight.front().slot)) {
-            const PendingTrial &t = inflight.front();
-            checkTrial(ledger.entry(t.slot), t, cfg, protect, tally);
-            ledger.release(t.slot);
+        while (!inflight.empty() && inflight.front().golden.complete()) {
+            checkTrial(inflight.front(), cfg, protect, tally);
             inflight.pop_front();
         }
     };
@@ -202,20 +199,19 @@ runOracle(const LedgerCase &c, OracleMode mode)
         if (master.allHalted())
             break;
         Rng rng = Rng::stream(cfg.seed, trial);
-        const fault::InjectionPlan plan =
-            fault::drawPlan(master, cfg.mix, rng);
-        std::vector<u64> targets = fault::windowTargets(master, cfg.window);
-        const u32 slot = ledger.open(targets);
-        inflight.push_back({master, plan, std::move(targets), slot});
+        PendingTrial &t = inflight.emplace_back(
+            PendingTrial{master, fault::drawPlan(master, cfg.mix, rng), {}});
+        t.golden.targets = fault::windowTargets(master, cfg.window);
+        ledger.open(t.golden);
         checkCompleted();
     }
     Cycle drained = 0;
-    while (!inflight.empty() && !ledger.complete(inflight.back().slot) &&
+    while (!inflight.empty() && !inflight.back().golden.complete() &&
            !master.allHalted() && drained < cfg.forkMaxCycles) {
         master.tick();
         ++drained;
     }
-    if (!inflight.empty() && !ledger.complete(inflight.back().slot))
+    if (!inflight.empty() && !inflight.back().golden.complete())
         ledger.forceFinalizeAll();
     checkCompleted();
     EXPECT_TRUE(inflight.empty());
@@ -318,23 +314,65 @@ TEST(GoldenLedger, SupportsBuiltInWorkloadLayout)
     }
 }
 
-// Fork executors read complete entries while the producer keeps
-// opening new ones, so open() may never move an existing entry.
-TEST(GoldenLedger, EntriesStayPutAcrossOpens)
+// The ledger stores no entries: the caller's complete in open order. A
+// thread already at its target finalizes at open; the master's
+// crossings finalize the rest, and a halt or forceFinalizeAll
+// finalizes whatever is still open, short of its targets.
+TEST(GoldenLedger, CallerOwnedEntriesCompleteInOpenOrder)
 {
-    isa::Program program = buildProgram("ocean", 2);
+    workload::WorkloadSpec spec;
+    spec.footprintDivider = 64;
+    spec.iterations = 200; // halts soon after the ticks below
+    const isa::Program program = workload::build("ocean", spec);
     pipeline::CoreParams params;
     pipeline::Core core(params, &program);
+    ASSERT_EQ(core.numThreads(), 2u);
+    while (core.committed(0) < 100 || core.committed(1) < 100)
+        core.tick();
     fault::GoldenLedger ledger(core);
     core.setCommitObserver(&ledger);
 
-    const std::vector<u64> targets(core.numThreads(), 100);
-    const u32 first = ledger.open(targets);
-    const fault::GoldenLedger::Entry *before = &ledger.entry(first);
-    for (int i = 0; i < 1000; ++i)
-        ledger.open(targets);
-    EXPECT_EQ(&ledger.entry(first), before);
-    EXPECT_EQ(ledger.entry(first).targets, targets);
+    // Thread 0 sits at its target already, thread 1 does not.
+    std::deque<fault::GoldenLedger::Entry> entries(5);
+    entries[0].targets = {core.committed(0), core.committed(1) + 50};
+    ledger.open(entries[0]);
+    EXPECT_EQ(entries[0].remaining, 1u);
+    for (size_t i = 1; i < entries.size(); ++i) {
+        const u64 step = i < 3 ? 100 * i : u64{1} << 40;
+        entries[i].targets = {core.committed(0) + step,
+                              core.committed(1) + step};
+        ledger.open(entries[i]);
+        EXPECT_FALSE(entries[i].complete());
+    }
+
+    auto completeInOrder = [&] {
+        for (size_t i = 1; i < entries.size(); ++i)
+            if (entries[i].complete() && !entries[i - 1].complete())
+                return false;
+        return true;
+    };
+    while (!entries[2].complete()) {
+        core.tick();
+        ASSERT_TRUE(completeInOrder());
+        ASSERT_FALSE(core.allHalted());
+    }
+    for (size_t i = 0; i <= 2; ++i)
+        EXPECT_TRUE(entries[i].crossed) << i;
+    EXPECT_FALSE(entries[3].complete());
+
+    // Thread 0 halts far short of entries 3 and 4: its watches
+    // finalize at the halt; thread 1's wait for forceFinalizeAll.
+    core.threadOptions(1).stopAfterInsts = core.committed(1);
+    while (!core.halted(0))
+        core.tick();
+    EXPECT_EQ(entries[3].remaining, 1u);
+    EXPECT_EQ(entries[4].remaining, 1u);
+    ledger.forceFinalizeAll();
+    for (size_t i = 3; i < entries.size(); ++i) {
+        EXPECT_TRUE(entries[i].complete()) << i;
+        EXPECT_FALSE(entries[i].crossed) << i;
+    }
+    core.setCommitObserver(nullptr);
 }
 
 // Regression: once every thread is frozen at its stopAfterInsts

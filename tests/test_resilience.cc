@@ -19,6 +19,8 @@
 #include <string>
 #include <thread>
 
+#include <sys/stat.h>
+
 #include "exec/progress.hh"
 #include "fault/campaign.hh"
 #include "fault/campaign_json.hh"
@@ -339,6 +341,45 @@ TEST(Journal, CompletedJournalShortCircuitsTheCampaign)
     // never advances past warmup to skip over the journaled gaps.
     EXPECT_EQ(second.sched.issueEvals, 0u);
     EXPECT_EQ(second.phases.goldenNs, 0u);
+    std::remove(cfg.journalPath.c_str());
+}
+
+// A resume rewrites the journal's validated prefix into a temporary
+// file that replaces the journal by rename, so a kill during the
+// rewrite cannot truncate it: the journal keeps its bytes, becomes a
+// new file, and no temporary file stays behind.
+TEST(Journal, ResumeReplacesTheJournalWithItsRewrite)
+{
+    fault::CampaignConfig cfg = baseConfig();
+    cfg.journalPath = journalPath("rewrite.fhj");
+    auto bytes = [&] {
+        std::ifstream in(cfg.journalPath, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    auto inode = [&] {
+        struct stat st{};
+        EXPECT_EQ(stat(cfg.journalPath.c_str(), &st), 0);
+        return st.st_ino;
+    };
+    {
+        fault::TrialJournal journal(cfg.journalPath, cfg, "FaultHound");
+        for (u64 t = 0; t < 5; ++t) {
+            fault::CampaignResult delta;
+            ++delta.injected;
+            ++delta.masked;
+            fault::TrialMeta meta;
+            meta.pc = 0x1000 + t;
+            journal.record(t, delta, meta);
+        }
+    }
+    const std::string written = bytes();
+    const ino_t before = inode();
+
+    fault::TrialJournal resumed(cfg.journalPath, cfg, "FaultHound");
+    EXPECT_EQ(resumed.replayCount(), 5u);
+    EXPECT_EQ(bytes(), written);
+    EXPECT_NE(inode(), before);
+    EXPECT_FALSE(std::ifstream(cfg.journalPath + ".tmp").good());
     std::remove(cfg.journalPath.c_str());
 }
 
