@@ -12,22 +12,21 @@ recorded on another one. Every run of the change must also classify
 every campaign as perfbench/reference.json records, fail no trial and
 peak at or under 24 MiB resident.
 
-    python3 .github/throughput_gate.py --parent DIR [--change DIR]
-        [--pairs 5] [--seconds 20]
+    python3 .github/throughput_gate.py --parent DIR
 
-Each checkout builds its own Release+LTO benchmark in its .bench_build/
-on its first run.
+Run it from the change's checkout. Each checkout builds its own
+Release+LTO benchmark in its .bench_build/ on its first run.
 """
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
 
 WORKLOAD = "perl-fixed-1t"
-MIN_PAIRS = 5
+PAIRS = 5
+SECONDS = 20
 # Each trial slot and each fork scratch holds a machine copy: about
 # 18 MiB in all with 9-byte cache lines.
 RSS_BOUND_MB = 24
@@ -38,11 +37,11 @@ def fail(msg):
     sys.exit(1)
 
 
-def run(checkout, seed, seconds):
+def run(checkout, seed):
     """One perfbench run from checkout; its result line as a dict."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", WORKLOAD,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=checkout, stdout=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         fail("perfbench exited with status %d in %s"
@@ -54,24 +53,19 @@ def main():
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--parent", required=True,
                    help="checkout of the parent commit")
-    p.add_argument("--change", default=".",
-                   help="checkout of the change (default: .)")
-    p.add_argument("--pairs", type=int, default=MIN_PAIRS)
-    p.add_argument("--seconds", type=float, default=20)
     args = p.parse_args()
-    if args.pairs < MIN_PAIRS:
-        fail("at least %d pairs" % MIN_PAIRS)
+    checkouts = {"change": ".", "parent": args.parent}
 
-    with open(os.path.join(args.change, "BENCHMARK.json")) as f:
+    with open("BENCHMARK.json") as f:
         bound = next(m["bound"] for m in json.load(f)["end_to_end"]
                      if m["name"] == "trials_per_s")
 
     tput = {"change": [], "parent": []}
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         seed = i + 1
         order = ("change", "parent") if i % 2 == 0 else ("parent", "change")
         for side in order:
-            result = run(getattr(args, side), seed, args.seconds)
+            result = run(checkouts[side], seed)
             metrics = result["metrics"]
             rss = metrics["peak_rss_mb"]["value"]
             tput[side].append(metrics["trials_per_s"]["value"])

@@ -33,6 +33,7 @@
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dist/spec.hh"
@@ -50,6 +51,16 @@ using namespace fh;
 
 namespace
 {
+
+/** fhsim's campaign keys beyond the schedule keys, with their help
+ *  lines: a stats run refuses them, as it does the schedule keys. */
+const std::pair<const char *, const char *> kCampaignKeys[] = {
+    {"jobs", "campaign fork threads, plus one producer thread that also "
+             "runs trials when they back up; 0-1024, 0 = one fewer than "
+             "the hardware threads (at least 1)"},
+    {"journal", "trial-journal path for checkpoint/resume"},
+    {"json", "write the JSON campaign record here (\"-\" = stdout)"},
+};
 
 /**
  * The option registry: every key fhsim reads beyond the schedule keys
@@ -83,16 +94,8 @@ declareAllKeys(const Config &cfg)
     cfg.declareKey("campaign",
                    "run a fault campaign instead of the stats run "
                    "(default false)");
-    cfg.declareKey("jobs",
-                   "campaign fork threads, plus one producer thread "
-                   "that also runs trials when they back up; 0-1024, "
-                   "0 = one fewer than the hardware threads (at least "
-                   "1)");
-    cfg.declareKey("journal",
-                   "trial-journal path for checkpoint/resume");
-    cfg.declareKey("json",
-                   "write the JSON campaign record here "
-                   "(\"-\" = stdout)");
+    for (const auto &[key, help] : kCampaignKeys)
+        cfg.declareKey(key, help);
     cfg.declareKey("help", "print this option list and exit");
 }
 
@@ -106,11 +109,20 @@ bool
 rejectOtherModeKeys(const Config &cfg)
 {
     const bool campaign = cfg.getBool("campaign", false);
-    const std::vector<std::string> others =
-        campaign ? std::vector<std::string>{"insts"}
-                 : std::vector<std::string>{"jobs", "journal", "json",
-                                            "injections", "window",
-                                            "ci_target", "ci_wave"};
+    std::vector<std::string> others;
+    if (campaign) {
+        others.push_back("insts");
+    } else {
+        // The schedule keys, as readSchedule declares them.
+        Config schedule;
+        fault::CampaignConfig unused;
+        fault::readSchedule(schedule, unused);
+        for (const auto &[key, help] : schedule.keyDocs())
+            if (key != "seed")
+                others.push_back(key);
+        for (const auto &[key, help] : kCampaignKeys)
+            others.push_back(key);
+    }
     bool ok = true;
     for (const std::string &key : others) {
         if (!cfg.has(key))
@@ -227,7 +239,6 @@ runSim(const Config &cfg, const dist::CampaignSpec &spec)
     isa::Program prog = spec.buildProgram();
     const pipeline::CoreParams params = spec.buildParams();
 
-    const u64 insts = cfg.getU64("insts", 100000, 1, dist::kMaxInsts);
     const std::string scheme = filters::to_string(params.detector.scheme);
     if (cfg.getBool("campaign", false)) {
         fault::CampaignConfig ccfg = spec.campaign;
@@ -255,6 +266,7 @@ runSim(const Config &cfg, const dist::CampaignSpec &spec)
                                    {seconds, meter.executingSeconds()});
     }
 
+    const u64 insts = cfg.getU64("insts", 100000, 1, dist::kMaxInsts);
     std::fprintf(stderr,
                  "fhsim: %s, scheme %s, %llu insts/thread, %u "
                  "threads\n",

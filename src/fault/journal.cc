@@ -1,6 +1,10 @@
 #include "fault/journal.hh"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -284,8 +288,9 @@ TrialJournal::TrialJournal(const std::string &path,
     // Rewrite header + the validated prefix rather than appending
     // after a possibly torn tail line, so the file is always
     // well-formed from here on. The rewrite goes to a temporary file
-    // beside the journal, which replaces it only once complete: a
-    // kill during the rewrite leaves the old journal whole.
+    // beside the journal, which replaces it only once on disk, and the
+    // directory is synced after: neither a kill nor a host crash
+    // during the rewrite can leave a short journal.
     const std::string tmp = path_ + ".tmp";
     out_ = std::fopen(tmp.c_str(), "w");
     if (!out_)
@@ -293,11 +298,18 @@ TrialJournal::TrialJournal(const std::string &path,
     std::fprintf(out_, "%s\n", header.c_str());
     for (u64 t = 0; t < replayed_.size(); ++t)
         writeRecord(out_, t, replayed_[t].d, replayed_[t].m);
-    if (std::fflush(out_) != 0 ||
+    if (std::fflush(out_) != 0 || ::fsync(fileno(out_)) != 0 ||
         std::rename(tmp.c_str(), path_.c_str()) != 0) {
+        std::remove(tmp.c_str());
         fh_fatal("cannot replace journal '%s' with its rewrite '%s'",
                  path_.c_str(), tmp.c_str());
     }
+    const std::string dir = path_.substr(0, path_.rfind('/') + 1);
+    const int dirFd =
+        ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (dirFd < 0 || ::fsync(dirFd) != 0)
+        fh_fatal("cannot sync the directory of journal '%s'", path_.c_str());
+    ::close(dirFd);
 }
 
 TrialJournal::~TrialJournal()

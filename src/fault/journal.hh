@@ -95,8 +95,10 @@ class TrialJournal
      * (else fh_fatal); its well-formed prefix of trial records is
      * loaded for replay (announced on stderr) and subsequent records
      * append after it. The header and that prefix are rewritten into
-     * path + ".tmp", which then replaces the journal by rename(), so
-     * a kill during the rewrite leaves the old journal whole.
+     * path + ".tmp", which is synced to disk and then replaces the
+     * journal by rename() (the directory is synced after), so neither
+     * a kill nor a host crash during the rewrite leaves a short
+     * journal.
      */
     TrialJournal(const std::string &path, const CampaignConfig &cfg,
                  const std::string &scheme);

@@ -383,6 +383,20 @@ TEST(Journal, ResumeReplacesTheJournalWithItsRewrite)
     std::remove(cfg.journalPath.c_str());
 }
 
+// A rewrite that cannot replace the journal (here the journal path is
+// a directory, so the rename fails) is fatal and removes its
+// temporary file.
+TEST(Journal, AFailedRewriteLeavesNoTemporaryFile)
+{
+    fault::CampaignConfig cfg = baseConfig();
+    const std::string dir = journalPath("journal_dir");
+    ASSERT_EQ(mkdir(dir.c_str(), 0700), 0);
+    EXPECT_DEATH(fault::TrialJournal(dir, cfg, "FaultHound"),
+                 "cannot replace journal");
+    EXPECT_FALSE(std::ifstream(dir + ".tmp").good());
+    std::remove(dir.c_str());
+}
+
 TEST(Journal, ReplayedTrialsAddNoThroughput)
 {
     // trials_per_second divides executed trials by the wall time: a
