@@ -19,10 +19,10 @@
  * depend on host load.
  *
  * Cells. A harness's independent configurations (benchmark x scheme,
- * size or variant) are its cells. runCells runs them on one pool,
- * splitting `jobs` between cells and each cell's campaign forks, and
- * returns their results in cell order, so every harness prints the
- * same bytes for any `jobs`.
+ * size or variant) are its cells. runCells streams them, splitting
+ * `jobs` between cells and each cell's campaign forks, and returns
+ * their results in cell order, so every harness prints the same bytes
+ * for any `jobs`.
  */
 
 #ifndef FH_BENCH_HARNESS_HH
@@ -36,7 +36,7 @@
 #include <vector>
 
 #include "dist/spec.hh"
-#include "exec/thread_pool.hh"
+#include "exec/stream.hh"
 #include "fault/campaign.hh"
 #include "filters/detector.hh"
 #include "pipeline/core.hh"
@@ -166,10 +166,12 @@ parseOptions(int argc, char **argv, const Keys &keys)
 }
 
 /**
- * Run cell(i, campaign) for every cell i in [0, n) on one pool and
- * return the results in cell order. The jobs budget (0 = one per
- * hardware thread) splits between cells and their campaigns:
- * outer = min(n, budget) cells run at once, and campaign is
+ * Run cell(i, campaign) for every cell i in [0, n) and return the
+ * results in cell order. The jobs budget (0 = one per hardware
+ * thread) splits between cells and their campaigns: outer =
+ * min(n, budget) cells run at once, on a stream of outer - 1 workers
+ * and the calling thread, which helps, so one job (or one cell) runs
+ * every cell on the caller and starts no thread. campaign is
  * opts.campaign with threads = max(1, budget / outer) fork threads,
  * which run beside each running cell's producer. A split that counts
  * the producers, outer x (inner + 1) <= budget, was not faster
@@ -186,10 +188,15 @@ runCells(const Options &opts, u64 n, const Cell &cell)
     fault::CampaignConfig campaign = opts.campaign;
     campaign.threads = static_cast<unsigned>(std::max<u64>(1, budget / outer));
     std::vector<decltype(cell(u64{}, campaign))> results(n);
-    exec::ThreadPool pool(static_cast<unsigned>(outer));
-    pool.parallelFor(n, [&](u64 i, unsigned) {
-        results[i] = cell(i, campaign);
-    });
+    exec::Stream stream(static_cast<unsigned>(outer - 1),
+                        std::max<u64>(n, 1), [&](u64 i, unsigned) {
+                            results[i] = cell(i, campaign);
+                        });
+    for (u64 i = 0; i < n; ++i)
+        stream.push();
+    while (!stream.empty())
+        if (!stream.retire())
+            stream.help();
     return results;
 }
 
@@ -294,12 +301,11 @@ struct SchemeDef
 inline std::vector<SchemeDef>
 fig8Schemes()
 {
-    return {
-        {"PBFS", filters::DetectorParams::pbfsSticky()},
-        {"PBFS-biased", filters::DetectorParams::pbfsBiased()},
-        {"FH-backend", filters::DetectorParams::faultHoundBackend()},
-        {"FaultHound", filters::DetectorParams::faultHound()},
-    };
+    std::vector<SchemeDef> schemes;
+    for (const filters::SchemePreset &preset : filters::kSchemePresets)
+        if (preset.params().scheme != filters::Scheme::None)
+            schemes.push_back({preset.label, preset.params()});
+    return schemes;
 }
 
 /**

@@ -73,9 +73,14 @@ declareAllKeys(const Config &cfg)
 {
     // Simulation.
     cfg.declareKey("bench", "benchmark name (default 400.perl)");
-    cfg.declareKey("scheme",
-                   "none|pbfs|pbfs-biased|fh-backend|faulthound "
-                   "(default faulthound)");
+    std::string schemes;
+    for (const filters::SchemePreset &preset : filters::kSchemePresets) {
+        if (!schemes.empty())
+            schemes += '|';
+        schemes += preset.key;
+    }
+    schemes += " (default faulthound)";
+    cfg.declareKey("scheme", schemes);
     cfg.declareKey("insts",
                    "per-thread instruction budget of the stats run, 1 "
                    "to 10^15: the run's cycle cap, 400 per "

@@ -8,8 +8,6 @@
  */
 
 #include <cstdio>
-#include <string>
-#include <vector>
 
 #include "energy/energy_model.hh"
 #include "fault/campaign.hh"
@@ -26,19 +24,6 @@ main(int argc, char **argv)
     workload::WorkloadSpec spec;
     spec.maxThreads = 2;
     isa::Program prog = workload::build(bench_name, spec);
-
-    struct Row
-    {
-        std::string label;
-        filters::DetectorParams det;
-    };
-    std::vector<Row> schemes = {
-        {"baseline", filters::DetectorParams::none()},
-        {"PBFS", filters::DetectorParams::pbfsSticky()},
-        {"PBFS-biased", filters::DetectorParams::pbfsBiased()},
-        {"FH-backend", filters::DetectorParams::faultHoundBackend()},
-        {"FaultHound", filters::DetectorParams::faultHound()},
-    };
 
     // Baseline reference run.
     pipeline::CoreParams base_params;
@@ -58,9 +43,9 @@ main(int argc, char **argv)
     fault::CampaignConfig cfg;
     cfg.injections = 150;
 
-    for (const auto &row : schemes) {
+    for (const filters::SchemePreset &row : filters::kSchemePresets) {
         pipeline::CoreParams params;
-        params.detector = row.det;
+        params.detector = row.params();
 
         pipeline::Core core(params, &prog);
         core.runPerThreadBudget(budget / 2, budget * 200);
@@ -70,12 +55,12 @@ main(int argc, char **argv)
             energy::computeEnergy(core).total() / base_energy - 1.0;
 
         double coverage = 0.0;
-        if (row.det.scheme != filters::Scheme::None)
+        if (params.detector.scheme != filters::Scheme::None)
             coverage =
                 fault::runCampaign(params, &prog, cfg).coverage();
 
         std::printf("%-12s %9.1f%% %9.1f%% %9.1f%%\n",
-                    row.label.c_str(), 100 * coverage, 100 * slowdown,
+                    row.label, 100 * coverage, 100 * slowdown,
                     100 * energy_over);
     }
 

@@ -12,19 +12,13 @@ namespace fh::dist
 bool
 schemeByName(const std::string &name, filters::DetectorParams &out)
 {
-    if (name == "none")
-        out = filters::DetectorParams::none();
-    else if (name == "pbfs")
-        out = filters::DetectorParams::pbfsSticky();
-    else if (name == "pbfs-biased")
-        out = filters::DetectorParams::pbfsBiased();
-    else if (name == "fh-backend")
-        out = filters::DetectorParams::faultHoundBackend();
-    else if (name == "faulthound")
-        out = filters::DetectorParams::faultHound();
-    else
-        return false;
-    return true;
+    for (const filters::SchemePreset &preset : filters::kSchemePresets) {
+        if (name == preset.key) {
+            out = preset.params();
+            return true;
+        }
+    }
+    return false;
 }
 
 std::string

@@ -43,8 +43,8 @@ constexpr u64 kAnyU64 = ~u64{0}; ///< no bound but the type's
 /** `delay_buffer`: it holds ROB slots. */
 inline const u64 kMaxDelayBuffer = pipeline::CoreParams{}.robSize;
 
-/** Map a scheme name (none|pbfs|pbfs-biased|fh-backend|faulthound)
- *  to its DetectorParams preset; false on unknown names. */
+/** Map a scheme key of filters::kSchemePresets to its DetectorParams
+ *  preset; false on unknown names. */
 bool schemeByName(const std::string &name, filters::DetectorParams &out);
 
 struct CampaignSpec

@@ -5,13 +5,12 @@
 #include <deque>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "exec/interrupt.hh"
 #include "exec/progress.hh"
-#include "exec/thread_pool.hh"
+#include "exec/stream.hh"
 #include "fault/golden_ledger.hh"
 #include "fault/journal.hh"
 #include "sim/config.hh"
@@ -155,49 +154,24 @@ provablyMasked(const pipeline::Core &snap, const InjectionPlan &plan,
 }
 
 /**
- * Per-thread reusable fork machines. The first trial a thread executes
- * allocates them (one machine per fork kind); every later fork
- * restores into the same flat buffers via runForkInto — one arena
- * memcpy plus the copy-on-write memory/filter copies — so a fork then
+ * Per-thread reusable fork machines, one per fork kind, copied from the
+ * warmed master when the session is built. Every fork restores into
+ * them via runForkInto — one arena memcpy plus the copy-on-write
+ * memory/filter copies, or a swap with the snapshot — so a fork
  * allocates only the page tables and 4 KiB pages its stores copy.
+ * Until a thread's first fork of a kind, its copy holds the warmed
+ * master's pages.
  */
 struct ForkScratch
 {
-    std::optional<ForkOutcome> bare;
-    std::optional<ForkOutcome> prot;
+    explicit ForkScratch(const pipeline::Core &master)
+        : bare{master}, prot{master}
+    {
+    }
+
+    ForkOutcome bare;
+    ForkOutcome prot;
 };
-
-ForkOutcome &
-forkInto(std::optional<ForkOutcome> &slot, const pipeline::Core &base,
-         const InjectionPlan *plan, bool detector_enabled,
-         const std::vector<u64> &targets, Cycle max_cycles,
-         bool arm_regfile_watch = false)
-{
-    if (!slot)
-        slot.emplace(runFork(base, plan, detector_enabled, targets,
-                             max_cycles, arm_regfile_watch));
-    else
-        runForkInto(*slot, base, plan, detector_enabled, targets,
-                    max_cycles, arm_regfile_watch);
-    return *slot;
-}
-
-/** Consuming flavor: swaps the snapshot into the scratch. A thread's
- *  first fork of each kind has no scratch yet and copies instead,
- *  once per thread and fork kind per session. */
-ForkOutcome &
-forkInto(std::optional<ForkOutcome> &slot, pipeline::Core &&base,
-         const InjectionPlan *plan, bool detector_enabled,
-         const std::vector<u64> &targets, Cycle max_cycles,
-         bool arm_regfile_watch = false)
-{
-    if (!slot)
-        return forkInto(slot, base, plan, detector_enabled, targets,
-                        max_cycles, arm_regfile_watch);
-    runForkInto(*slot, std::move(base), plan, detector_enabled, targets,
-                max_cycles, arm_regfile_watch);
-    return *slot;
-}
 
 /**
  * The SDC fault ran through a protected fork — decide
@@ -305,12 +279,13 @@ runTrial(const pipeline::CoreParams &params, const CampaignConfig &cfg,
     // says that fork reaches its targets and matches the entry.
     const bool arm = cfg.earlyStop && g.crossed && !g.trapped;
     auto t0 = PhaseClock::now();
-    ForkOutcome &bare =
-        bare_is_last
-            ? forkInto(fs.bare, std::move(t.snapshot), &plan, false,
-                       g.targets, cfg.forkMaxCycles, arm)
-            : forkInto(fs.bare, t.snapshot, &plan, false, g.targets,
-                       cfg.forkMaxCycles, arm);
+    ForkOutcome &bare = fs.bare;
+    if (bare_is_last)
+        runForkInto(bare, std::move(t.snapshot), &plan, false, g.targets,
+                    cfg.forkMaxCycles, arm);
+    else
+        runForkInto(bare, t.snapshot, &plan, false, g.targets,
+                    cfg.forkMaxCycles, arm);
     r.phases.bareNs += nsSince(t0);
     r.sched += SchedCounters::delta(bare.core.stats(), snapStats);
     t.meta.exitCycle = bare.exitCycle;
@@ -355,9 +330,9 @@ runTrial(const pipeline::CoreParams &params, const CampaignConfig &cfg,
     const filters::DetectorStats detectorBase =
         t.snapshot.detector().stats();
     t0 = PhaseClock::now();
-    ForkOutcome &prot =
-        forkInto(fs.prot, std::move(t.snapshot), &plan, true, g.targets,
-                 cfg.forkMaxCycles);
+    ForkOutcome &prot = fs.prot;
+    runForkInto(prot, std::move(t.snapshot), &plan, true, g.targets,
+                cfg.forkMaxCycles);
     r.phases.protectedNs += nsSince(t0);
     r.sched += SchedCounters::delta(prot.core.stats(), snapStats);
 
@@ -472,7 +447,12 @@ struct CampaignSession::Impl
           gapRng(cfg_in.seed),
           threads(resolveForkThreads(cfg_in.threads)),
           streamCap(std::max<u64>(u64{threads} * 4, 8)),
-          pool(threads)
+          streamed(streamCap),
+          stream(threads, streamCap, [this](u64 k, unsigned worker) {
+              Trial &t = *streamed[k % streamCap];
+              t.result = runTrialGuarded(params, cfg, strataSpace, t,
+                                         scratch[worker]);
+          })
     {
         if (!GoldenLedger::supports(master, *prog))
             fh_fatal("program '%s' does not give each SMT thread a "
@@ -490,10 +470,13 @@ struct CampaignSession::Impl
                      "increase its iteration count",
                      prog->name.c_str());
 
+        // No item runs before the first range, so the stream's workers
+        // cannot see the scratch before it is built.
+        scratch.reserve(threads + 1);
+        for (unsigned i = 0; i <= threads; ++i)
+            scratch.emplace_back(master);
         ledger = std::make_unique<GoldenLedger>(master);
         master.setCommitObserver(ledger.get());
-        streamed.resize(streamCap);
-        scratch.resize(threads + 1);
     }
 
     bool stopRequested() const
@@ -546,8 +529,8 @@ struct CampaignSession::Impl
     bool halted = false;
 
     // Reusable fork machines per thread that runs trials, indexed by
-    // the stream's worker index: 0..threads-1 for the pool's workers,
-    // threads for the producer.
+    // the stream's worker index: 0..threads-1 for its workers, threads
+    // for the producer.
     std::vector<ForkScratch> scratch;
     // The one queue of trials, in trial order. trials[0, live) are
     // produced and not yet sunk: first the ones on the stream, then
@@ -562,9 +545,11 @@ struct CampaignSession::Impl
     // The stream's trials: item k is *streamed[k % streamCap], so the
     // thread that runs it never reads the queue the producer mutates.
     std::vector<Trial *> streamed;
-    // Runs trials only inside runRange's stream, whose destructor lets
-    // the running ones finish, even when runRange unwinds.
-    exec::ThreadPool pool;
+    // Runs the trials of every range; its item count runs on across
+    // ranges. Declared after every member its body reads, so it is
+    // destroyed first: its destructor lets the appended trials finish,
+    // even when a range unwound, and joins the workers.
+    exec::Stream stream;
 };
 
 /**
@@ -574,9 +559,9 @@ struct CampaignSession::Impl
  * advance the gap, copy the master into a trial, and open the trial's
  * golden entry. The trial waits in the queue until the master's own
  * advance crosses all its commit targets (completing its entry,
- * usually within the next trial or two's gaps), then joins the stream
- * on the session's pool, whose workers claim trials in order while
- * the master produces the next ones. Windows still open at the end of
+ * usually within the next trial or two's gaps), then joins the
+ * session's stream, whose workers claim trials in order while the
+ * master produces the next ones. Windows still open at the end of
  * the range are closed by extra "drain" ticks — on the real master
  * when nothing further depends on its cycle position (final range,
  * halt, or shutdown), and otherwise on a scratch copy, so a later
@@ -600,12 +585,6 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
     const pipeline::CoreStats masterBase = master.stats();
     bool stopped = false;
 
-    exec::ThreadPool::Stream stream(
-        pool, streamCap, [this](u64 k, unsigned worker) {
-            Trial &t = *streamed[k % streamCap];
-            t.result = runTrialGuarded(params, cfg, strataSpace, t,
-                                       scratch[worker]);
-        });
     auto sinkDone = [&] {
         // Sink in trial order, as soon as the oldest trial is done:
         // bit-identical for any worker count. A sunk trial goes to the

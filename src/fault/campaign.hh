@@ -18,7 +18,7 @@
  * whose golden entry the master's advance fills in. A trial is
  * (snapshot, index): once its entry completes it joins an in-order
  * stream, and the thread that runs it — a worker of the session's
- * exec::ThreadPool, while the master produces the next trials — draws
+ * exec::Stream, while the master produces the next trials — draws
  * its plan from its own Rng::stream(seed, trial_index) against the
  * snapshot and runs its forks. When the stream is full, and while a
  * range drains, the producer runs the oldest unclaimed trial itself.
@@ -84,7 +84,7 @@ struct CampaignConfig
     InjectionMix mix{};
 
     /**
-     * Fork threads: the exec::ThreadPool workers that execute the
+     * Fork threads: the exec::Stream workers that execute the
      * per-trial forks (bare / protected); 0 (the default) = one fewer
      * than the hardware threads, at least 1 (resolveForkThreads). The
      * producer — the thread calling runCampaign or runRange, which
@@ -490,9 +490,12 @@ class CampaignSession
 {
   public:
     /** Builds the master and runs warmup (fatal if the workload halts
-     *  during it, as runCampaign always was). cfg.journalPath and
-     *  cfg.progress are ignored here: journaling and progress belong
-     *  to the caller's merge. */
+     *  during it, as runCampaign always was), then the fork machines
+     *  and the stream of its fork threads, which live as long as the
+     *  session. cfg.journalPath is ignored here: journaling belongs to
+     *  the caller's merge. Of cfg.progress the session only starts the
+     *  rate clock, when runRange begins the first trial it executes;
+     *  the caller's merge ticks it. */
     CampaignSession(const pipeline::CoreParams &params,
                     const isa::Program *prog, const CampaignConfig &cfg);
     ~CampaignSession();
@@ -505,14 +508,14 @@ class CampaignSession
      * cfg.injections)), calling sink in trial order; trials below
      * begin are skip-advanced. A non-terminal range closes its last
      * windows on a scratch copy of the master, so the schedule seen
-     * by later ranges is untouched. The forks run on the session's
-     * pool workers, which live as long as the session (no thread
-     * starts per call), and on the calling thread when the stream of
-     * trials is full or the range drains. sink runs on the calling
+     * by later ranges is untouched. The forks run on the workers of
+     * the session's stream, which live as long as the session (no
+     * thread starts per call), and on the calling thread when the
+     * stream is full or the range drains. sink runs on the calling
      * thread, and every call to it happens before runRange returns.
      * An exception from sink, or one that escaped a trial on any
-     * thread, propagates once the trials the workers are running have
-     * finished; the session can then only be destroyed.
+     * thread, propagates at once; the session can then only be
+     * destroyed, which lets the trials already on the stream finish.
      */
     RangeOutcome runRange(u64 begin, u64 end, const TrialSink &sink);
 

@@ -17,43 +17,65 @@ to_string(Target target)
     return "?";
 }
 
+void
+drawRenameSite(const pipeline::Core &core, Rng &rng, InjectionPlan &plan)
+{
+    plan.target = Target::Rename;
+    plan.tid = static_cast<unsigned>(rng.below(core.numThreads()));
+    plan.arch = 1 + static_cast<unsigned>(rng.below(isa::numArchRegs - 1));
+    const unsigned tag_bits = static_cast<unsigned>(
+        std::bit_width(core.numPhysRegs() - 1u));
+    plan.bit = static_cast<unsigned>(rng.below(tag_bits));
+}
+
+void
+drawLsqSite(const pipeline::Core &core, Rng &rng, unsigned bit_lo,
+            unsigned bits, InjectionPlan &plan)
+{
+    plan.target = Target::Lsq;
+    plan.lsqNth = static_cast<unsigned>(rng.below(core.params().lsqSize));
+    plan.lsqAddrField = rng.chance(0.5);
+    plan.bit = bit_lo + static_cast<unsigned>(rng.below(bits));
+}
+
+void
+drawInflightRegSite(const pipeline::Core &core, Rng &rng,
+                    InjectionPlan &plan)
+{
+    // Datapath-fault emulation: corrupt a just-produced value. If
+    // nothing completed near this cycle the strike hits idle logic and
+    // is trivially masked.
+    plan.target = Target::RegFile;
+    plan.inflightDraw = true;
+    auto inflight = core.inflightDestPregs();
+    if (inflight.empty())
+        plan.target = Target::None;
+    else
+        plan.preg = inflight[rng.below(inflight.size())];
+}
+
+void
+drawAnyRegSite(const pipeline::Core &core, Rng &rng, InjectionPlan &plan)
+{
+    plan.target = Target::RegFile;
+    plan.preg = static_cast<unsigned>(rng.below(core.numPhysRegs()));
+}
+
 InjectionPlan
 drawPlan(const pipeline::Core &core, const InjectionMix &mix, Rng &rng)
 {
     InjectionPlan plan;
     const double r = rng.uniform();
     if (r < mix.renameFrac) {
-        plan.target = Target::Rename;
-        plan.tid = static_cast<unsigned>(rng.below(core.numThreads()));
-        plan.arch =
-            1 + static_cast<unsigned>(rng.below(isa::numArchRegs - 1));
-        const unsigned tag_bits = static_cast<unsigned>(
-            std::bit_width(core.numPhysRegs() - 1u));
-        plan.bit = static_cast<unsigned>(rng.below(tag_bits));
+        drawRenameSite(core, rng, plan);
     } else if (r < mix.renameFrac + mix.lsqFrac) {
-        plan.target = Target::Lsq;
-        plan.lsqNth = static_cast<unsigned>(
-            rng.below(core.params().lsqSize));
-        plan.lsqAddrField = rng.chance(0.5);
-        plan.bit = static_cast<unsigned>(rng.below(wordBits));
+        drawLsqSite(core, rng, 0, wordBits, plan);
     } else {
-        plan.target = Target::RegFile;
         plan.bit = static_cast<unsigned>(rng.below(wordBits));
-        if (rng.chance(mix.inflightFrac)) {
-            // Datapath-fault emulation: corrupt a just-produced value.
-            // If nothing completed near this cycle the strike hits
-            // idle logic and is trivially masked.
-            plan.inflightDraw = true;
-            auto inflight = core.inflightDestPregs();
-            if (inflight.empty()) {
-                plan.target = Target::None;
-            } else {
-                plan.preg = inflight[rng.below(inflight.size())];
-            }
-        } else {
-            plan.preg =
-                static_cast<unsigned>(rng.below(core.numPhysRegs()));
-        }
+        if (rng.chance(mix.inflightFrac))
+            drawInflightRegSite(core, rng, plan);
+        else
+            drawAnyRegSite(core, rng, plan);
     }
     attributePlan(core, plan);
     return plan;

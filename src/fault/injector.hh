@@ -66,6 +66,24 @@ struct InjectionMix
     double inflightFrac = 0.85;
 };
 
+/**
+ * The four site draws drawPlan and StratumSpace::draw share, each
+ * against the core's current state. drawRenameSite draws a rename
+ * entry and a bit of its tag; drawLsqSite an LSQ entry, its field and
+ * a bit in [bit_lo, bit_lo + bits). A register-file plan's bit is
+ * drawn first, by the caller: drawInflightRegSite then picks the
+ * destination of an in-flight instruction (Target::None when none is
+ * in flight), drawAnyRegSite any physical register.
+ */
+void drawRenameSite(const pipeline::Core &core, Rng &rng,
+                    InjectionPlan &plan);
+void drawLsqSite(const pipeline::Core &core, Rng &rng, unsigned bit_lo,
+                 unsigned bits, InjectionPlan &plan);
+void drawInflightRegSite(const pipeline::Core &core, Rng &rng,
+                         InjectionPlan &plan);
+void drawAnyRegSite(const pipeline::Core &core, Rng &rng,
+                    InjectionPlan &plan);
+
 /** Draw a random plan against the current core state. */
 InjectionPlan drawPlan(const pipeline::Core &core, const InjectionMix &mix,
                        Rng &rng);

@@ -1,6 +1,5 @@
 #include "fault/sampling.hh"
 
-#include <bit>
 #include <cmath>
 
 #include "fault/campaign.hh"
@@ -63,39 +62,21 @@ StratumSpace::draw(const pipeline::Core &core, unsigned s,
     fh_assert(s < kCount, "stratum out of range");
     InjectionPlan plan;
     if (s == 0) {
-        plan.target = Target::Rename;
-        plan.tid = static_cast<unsigned>(rng.below(core.numThreads()));
-        plan.arch =
-            1 + static_cast<unsigned>(rng.below(isa::numArchRegs - 1));
-        const unsigned tag_bits = static_cast<unsigned>(
-            std::bit_width(core.numPhysRegs() - 1u));
-        plan.bit = static_cast<unsigned>(rng.below(tag_bits));
-    } else if (s < 1 + kBitGroups) {
-        const unsigned group = s - 1;
-        plan.target = Target::Lsq;
-        plan.lsqNth =
-            static_cast<unsigned>(rng.below(core.params().lsqSize));
-        plan.lsqAddrField = rng.chance(0.5);
-        plan.bit = group * kGroupBits +
-                   static_cast<unsigned>(rng.below(kGroupBits));
-    } else if (s < 1 + 2 * kBitGroups) {
-        const unsigned group = s - 1 - kBitGroups;
-        plan.target = Target::RegFile;
-        plan.inflightDraw = true;
-        plan.bit = group * kGroupBits +
-                   static_cast<unsigned>(rng.below(kGroupBits));
-        auto inflight = core.inflightDestPregs();
-        if (inflight.empty())
-            plan.target = Target::None;
-        else
-            plan.preg = inflight[rng.below(inflight.size())];
+        drawRenameSite(core, rng, plan);
     } else {
-        const unsigned group = s - 1 - 2 * kBitGroups;
-        plan.target = Target::RegFile;
-        plan.bit = group * kGroupBits +
-                   static_cast<unsigned>(rng.below(kGroupBits));
-        plan.preg =
-            static_cast<unsigned>(rng.below(core.numPhysRegs()));
+        // Strata past rename run in kBitGroups-long blocks: LSQ, then
+        // in-flight registers, then any register.
+        const unsigned block = (s - 1) / kBitGroups;
+        const unsigned bit_lo = (s - 1) % kBitGroups * kGroupBits;
+        if (block == 0) {
+            drawLsqSite(core, rng, bit_lo, kGroupBits, plan);
+        } else {
+            plan.bit = bit_lo + static_cast<unsigned>(rng.below(kGroupBits));
+            if (block == 1)
+                drawInflightRegSite(core, rng, plan);
+            else
+                drawAnyRegSite(core, rng, plan);
+        }
     }
     attributePlan(core, plan);
     return plan;

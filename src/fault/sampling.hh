@@ -119,8 +119,9 @@ class StratumSpace
 
     /**
      * Adaptive-mode draw: a plan constrained to stratum s against the
-     * core's current state. Mirrors drawPlan's site selection within
-     * the stratum; consumes rng deterministically.
+     * core's current state, through drawPlan's site draws
+     * (injector.hh) with the bit confined to the stratum's group;
+     * consumes rng deterministically.
      */
     InjectionPlan draw(const pipeline::Core &core, unsigned s,
                        Rng &rng) const;

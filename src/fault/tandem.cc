@@ -5,14 +5,6 @@
 namespace fh::fault
 {
 
-std::vector<u64>
-windowTargets(const pipeline::Core &base, u64 window)
-{
-    std::vector<u64> targets;
-    windowTargetsInto(targets, base, window);
-    return targets;
-}
-
 void
 windowTargetsInto(std::vector<u64> &out, const pipeline::Core &base,
                   u64 window)
@@ -67,17 +59,6 @@ runPrepared(ForkOutcome &out, const InjectionPlan *plan,
 }
 
 } // namespace
-
-ForkOutcome
-runFork(const pipeline::Core &base, const InjectionPlan *plan,
-        bool detector_enabled, const std::vector<u64> &targets,
-        Cycle max_cycles, bool arm_regfile_watch)
-{
-    ForkOutcome out{base};
-    runPrepared(out, plan, detector_enabled, targets, max_cycles,
-                arm_regfile_watch);
-    return out;
-}
 
 void
 runForkInto(ForkOutcome &out, const pipeline::Core &base,

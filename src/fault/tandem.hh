@@ -34,33 +34,26 @@ struct ForkOutcome
     Cycle exitCycle = 0; ///< core cycle when the fork run ended
 };
 
-/** Per-thread commit targets for a run window starting at base. */
-std::vector<u64> windowTargets(const pipeline::Core &base, u64 window);
-
-/** As windowTargets, but into a caller-owned vector (capacity reuse). */
+/** Per-thread commit targets for a run window starting at base, into
+ *  a caller-owned vector (capacity reuse). */
 void windowTargetsInto(std::vector<u64> &out, const pipeline::Core &base,
                        u64 window);
 
 /**
- * Copy base, optionally inject plan, optionally enable the detector,
- * and run until the per-thread targets, bounded by max_cycles — the
- * one bound on a fork, so its outcome is a pure function of its
- * inputs. When arm_regfile_watch is set and the plan is a
- * register-file flip, a fault watch is armed on the flipped register
- * so the run ends (out.earlyMasked) as soon as the fault is provably
- * erased — only sound for classification forks whose golden reference
- * reached its targets without trapping (see DESIGN.md).
- */
-ForkOutcome runFork(const pipeline::Core &base, const InjectionPlan *plan,
-                    bool detector_enabled, const std::vector<u64> &targets,
-                    Cycle max_cycles, bool arm_regfile_watch = false);
-
-/**
- * As runFork, but restore the fork state into a caller-owned scratch
- * outcome by copy-assignment. Between same-parameter cores that is a
- * flat-buffer memcpy reusing the scratch's existing storage, so a
- * worker that keeps one scratch per fork kind allocates nothing in
- * steady state.
+ * Fork base into a caller-owned scratch outcome, optionally inject
+ * plan, optionally enable the detector, and run until the per-thread
+ * targets, bounded by max_cycles — the one bound on a fork, so its
+ * outcome is a pure function of its inputs. When arm_regfile_watch is
+ * set and the plan is a register-file flip, a fault watch is armed on
+ * the flipped register so the run ends (out.earlyMasked) as soon as
+ * the fault is provably erased — only sound for classification forks
+ * whose golden reference reached its targets without trapping (see
+ * DESIGN.md).
+ *
+ * The fork state is restored by copy-assignment. Between
+ * same-parameter cores that is a flat-buffer memcpy reusing the
+ * scratch's existing storage, so a thread that keeps one scratch per
+ * fork kind allocates nothing in steady state.
  */
 void runForkInto(ForkOutcome &out, const pipeline::Core &base,
                  const InjectionPlan *plan, bool detector_enabled,

@@ -16,6 +16,7 @@
 #ifndef FH_FILTERS_DETECTOR_HH
 #define FH_FILTERS_DETECTOR_HH
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -92,6 +93,27 @@ struct DetectorParams
     static DetectorParams faultHound();
     static DetectorParams faultHoundBackend();
 };
+
+/** A scheme preset: its `scheme=` key, its label in printed tables,
+ *  and its parameters. */
+struct SchemePreset
+{
+    const char *key;
+    const char *label;
+    DetectorParams (*params)();
+};
+
+/** The five presets: the fault-intolerant baseline, then the four
+ *  screening schemes of Figure 8 in paper order. fhsim's `scheme`
+ *  key, dist::schemeByName, the Figure 8 harnesses and the scheme
+ *  face-off all read this table. */
+inline constexpr std::array<SchemePreset, 5> kSchemePresets{{
+    {"none", "baseline", &DetectorParams::none},
+    {"pbfs", "PBFS", &DetectorParams::pbfsSticky},
+    {"pbfs-biased", "PBFS-biased", &DetectorParams::pbfsBiased},
+    {"fh-backend", "FH-backend", &DetectorParams::faultHoundBackend},
+    {"faulthound", "FaultHound", &DetectorParams::faultHound},
+}};
 
 /** Aggregate detector statistics. */
 struct DetectorStats

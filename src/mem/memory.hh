@@ -143,7 +143,7 @@ class Memory
      * references to the old object: they only read it, and a stale
      * use_count over-estimate merely causes a harmless extra copy. A
      * count of 1 means the last other owner has dropped its reference,
-     * possibly on another thread (a campaign's pool worker restoring
+     * possibly on another thread (a campaign's stream worker restoring
      * its fork scratch, which still shared a table or a page with the
      * master). use_count() is a relaxed load, so the acquire fence
      * pairs with that owner's release decrement: its reads happen

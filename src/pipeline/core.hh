@@ -269,8 +269,9 @@ class Core
     /**
      * Attach a retirement-stream observer (null detaches). The pointer
      * is borrowed, not owned, and is copied along with the core, so a
-     * fork of an observed master must detach before ticking (runFork
-     * does) — otherwise the observer would see a foreign core.
+     * fork of an observed master must detach before ticking
+     * (fault::runForkInto does) — otherwise the observer would see a
+     * foreign core.
      */
     void setCommitObserver(CommitObserver *obs) { observer_ = obs; }
 

@@ -21,7 +21,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,6 +28,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "campaign_compare.hh"
 #include "chaos_interposer.hh"
 #include "dist/coordinator.hh"
 #include "dist/messages.hh"
@@ -36,87 +36,22 @@
 #include "dist/spec.hh"
 #include "dist/worker.hh"
 #include "exec/progress.hh"
+#include "fabric_campaign.hh"
 #include "fabric_socket.hh"
 #include "fault/campaign.hh"
 #include "fault/journal.hh"
 #include "workload/workload.hh"
 
 using namespace fh;
+using fh::test::expectSameCampaign;
 using fh::test::fabricSocket;
+using fh::test::fileBytes;
+using fh::test::singleProcess;
+using fh::test::tempPath;
+using fh::test::testSpec;
 
 namespace
 {
-
-/** The same small classification-diverse campaign test_dist uses. */
-dist::CampaignSpec
-testSpec()
-{
-    dist::CampaignSpec spec;
-    spec.bench = "ocean";
-    spec.scheme = "faulthound";
-    spec.coreThreads = 2;
-    spec.workload.maxThreads = 2;
-    spec.workload.footprintDivider = 64;
-    spec.campaign.injections = 24;
-    spec.campaign.window = 300;
-    spec.campaign.seed = 77;
-    spec.campaign.threads = 1;
-    return spec;
-}
-
-fault::CampaignResult
-singleProcess(const dist::CampaignSpec &spec,
-              const std::string &journal = "")
-{
-    isa::Program prog = spec.buildProgram();
-    fault::CampaignConfig cfg = spec.campaign;
-    cfg.threads = 1;
-    cfg.journalPath = journal;
-    return fault::runCampaign(spec.buildParams(), &prog, cfg);
-}
-
-void
-expectIdentical(const fault::CampaignResult &a,
-                const fault::CampaignResult &b)
-{
-    EXPECT_EQ(a.injected, b.injected);
-    EXPECT_EQ(a.masked, b.masked);
-    EXPECT_EQ(a.noisy, b.noisy);
-    EXPECT_EQ(a.sdc, b.sdc);
-    EXPECT_EQ(a.recovered, b.recovered);
-    EXPECT_EQ(a.detected, b.detected);
-    EXPECT_EQ(a.uncovered, b.uncovered);
-    EXPECT_EQ(a.trialErrors, b.trialErrors);
-    EXPECT_EQ(a.hungBare, b.hungBare);
-    EXPECT_EQ(a.hungProtected, b.hungProtected);
-    EXPECT_EQ(a.skippedProvablyMasked, b.skippedProvablyMasked);
-    EXPECT_EQ(a.earlyTerminated, b.earlyTerminated);
-    EXPECT_EQ(a.profile, b.profile);
-    EXPECT_EQ(a.bins.covered, b.bins.covered);
-    EXPECT_EQ(a.bins.secondLevelMasked, b.bins.secondLevelMasked);
-    EXPECT_EQ(a.bins.completedReg, b.bins.completedReg);
-    EXPECT_EQ(a.bins.archReg, b.bins.archReg);
-    EXPECT_EQ(a.bins.renameUncovered, b.bins.renameUncovered);
-    EXPECT_EQ(a.bins.noTrigger, b.bins.noTrigger);
-    EXPECT_EQ(a.bins.other, b.bins.other);
-}
-
-std::string
-tempPath(const std::string &name)
-{
-    const std::string path = testing::TempDir() + name;
-    std::remove(path.c_str());
-    return path;
-}
-
-std::string
-fileBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
 
 std::string
 schemeName(const dist::CampaignSpec &spec)
@@ -232,7 +167,7 @@ TEST(Chaos, AnyScheduleYieldsBitIdenticalResults)
             dist::reap(pid);
         }
 
-        expectIdentical(ref, r);
+        expectSameCampaign(ref, r);
         EXPECT_FALSE(r.partial) << "schedule " << schedule.seed;
         EXPECT_EQ(refBytes, fileBytes(journal))
             << "journal diverged under schedule " << schedule.seed;
@@ -355,7 +290,7 @@ TEST(Chaos, CoordinatorSigkillRestartResumesBitIdentically)
         const fault::CampaignResult r = coord.run(&j);
         for (pid_t pid : pids)
             dist::reap(pid);
-        expectIdentical(ref, r);
+        expectSameCampaign(ref, r);
         EXPECT_FALSE(r.partial);
     }
     EXPECT_EQ(fileBytes(refJournal), fileBytes(journal));
@@ -389,7 +324,7 @@ TEST(Chaos, DeadFleetDegradesToInProcessIdentically)
                               schemeName(spec));
         r = coord.run(&j);
     }
-    expectIdentical(ref, r);
+    expectSameCampaign(ref, r);
     EXPECT_FALSE(r.partial);
     EXPECT_TRUE(coord.stats().degraded);
     EXPECT_EQ(fileBytes(refJournal), fileBytes(journal));
@@ -435,7 +370,7 @@ TEST(Chaos, AdaptiveDeadFleetStopsAtTheSameWave)
         EXPECT_TRUE(coord.stats().degraded);
         EXPECT_TRUE(r.ciStopped);
         EXPECT_FALSE(r.partial);
-        expectIdentical(ref, r);
+        expectSameCampaign(ref, r);
     }
     EXPECT_EQ(fileBytes(refJournal), fileBytes(journal));
 
@@ -448,7 +383,7 @@ TEST(Chaos, AdaptiveDeadFleetStopsAtTheSameWave)
         EXPECT_EQ(r.replayedTrials, ref.injected);
         EXPECT_TRUE(r.ciStopped);
         EXPECT_FALSE(r.partial);
-        expectIdentical(ref, r);
+        expectSameCampaign(ref, r);
     }
     EXPECT_EQ(fileBytes(refJournal), fileBytes(journal));
     std::remove(refJournal.c_str());

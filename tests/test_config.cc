@@ -153,7 +153,7 @@ TEST(ConfigDeathTest, MalformedStrictValueIsFatalNamingTheVariable)
 TEST(ConfigDeathTest, HarnessKeysKeepTheirFhsimRanges)
 {
     // Each key fails before a harness builds anything: `jobs` in
-    // particular is refused before any pool exists.
+    // particular is refused before any stream exists.
     EXPECT_EXIT(harnessOptions({"window=0"}), testing::ExitedWithCode(1),
                 "window=0 is out of range");
     EXPECT_EXIT(harnessOptions({"injections=0"}),

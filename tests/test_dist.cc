@@ -18,9 +18,7 @@
 
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -30,96 +28,29 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "campaign_compare.hh"
 #include "dist/coordinator.hh"
 #include "dist/messages.hh"
 #include "dist/spawner.hh"
 #include "dist/spec.hh"
 #include "dist/worker.hh"
 #include "exec/progress.hh"
+#include "fabric_campaign.hh"
 #include "fabric_socket.hh"
 #include "fault/campaign.hh"
 #include "fault/journal.hh"
 #include "workload/workload.hh"
 
 using namespace fh;
+using fh::test::expectSameCampaign;
 using fh::test::fabricSocket;
+using fh::test::fileBytes;
+using fh::test::singleProcess;
+using fh::test::tempPath;
+using fh::test::testSpec;
 
 namespace
 {
-
-/** The test campaign: small but classification-diverse (the same
- *  shrunken-footprint ocean the resilience suite uses). */
-dist::CampaignSpec
-testSpec()
-{
-    dist::CampaignSpec spec;
-    spec.bench = "ocean";
-    spec.scheme = "faulthound";
-    spec.coreThreads = 2;
-    spec.workload.maxThreads = 2;
-    spec.workload.footprintDivider = 64;
-    spec.campaign.injections = 24;
-    spec.campaign.window = 300;
-    spec.campaign.seed = 77;
-    spec.campaign.threads = 1;
-    return spec;
-}
-
-fault::CampaignResult
-singleProcess(const dist::CampaignSpec &spec,
-              const std::string &journal = "")
-{
-    isa::Program prog = spec.buildProgram();
-    fault::CampaignConfig cfg = spec.campaign;
-    cfg.threads = 1;
-    cfg.journalPath = journal;
-    return fault::runCampaign(spec.buildParams(), &prog, cfg);
-}
-
-void
-expectIdentical(const fault::CampaignResult &a,
-                const fault::CampaignResult &b)
-{
-    EXPECT_EQ(a.injected, b.injected);
-    EXPECT_EQ(a.masked, b.masked);
-    EXPECT_EQ(a.noisy, b.noisy);
-    EXPECT_EQ(a.sdc, b.sdc);
-    EXPECT_EQ(a.recovered, b.recovered);
-    EXPECT_EQ(a.detected, b.detected);
-    EXPECT_EQ(a.uncovered, b.uncovered);
-    EXPECT_EQ(a.trialErrors, b.trialErrors);
-    EXPECT_EQ(a.hungBare, b.hungBare);
-    EXPECT_EQ(a.hungProtected, b.hungProtected);
-    EXPECT_EQ(a.skippedProvablyMasked, b.skippedProvablyMasked);
-    EXPECT_EQ(a.earlyTerminated, b.earlyTerminated);
-    // The vulnerability profile is rebuilt record-by-record on the
-    // coordinator; it must merge to the single-process bytes.
-    EXPECT_EQ(a.profile, b.profile);
-    EXPECT_EQ(a.bins.covered, b.bins.covered);
-    EXPECT_EQ(a.bins.secondLevelMasked, b.bins.secondLevelMasked);
-    EXPECT_EQ(a.bins.completedReg, b.bins.completedReg);
-    EXPECT_EQ(a.bins.archReg, b.bins.archReg);
-    EXPECT_EQ(a.bins.renameUncovered, b.bins.renameUncovered);
-    EXPECT_EQ(a.bins.noTrigger, b.bins.noTrigger);
-    EXPECT_EQ(a.bins.other, b.bins.other);
-}
-
-std::string
-tempPath(const std::string &name)
-{
-    const std::string path = testing::TempDir() + name;
-    std::remove(path.c_str());
-    return path;
-}
-
-std::string
-fileBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
 
 pid_t
 spawnRealWorker(const dist::Endpoint &ep, unsigned delayMs = 0,
@@ -295,7 +226,7 @@ TEST(Dist, BitIdenticalAtAnyWorkerCount)
         const std::string journal = tempPath("dist_w.fhj");
         const DistRun run =
             runDistributed(spec, workers, opts, journal);
-        expectIdentical(ref, run.result);
+        expectSameCampaign(ref, run.result);
         EXPECT_FALSE(run.result.partial);
         EXPECT_EQ(run.stats.workersJoined, workers);
         EXPECT_EQ(run.stats.workersDied, 0u);
@@ -335,7 +266,7 @@ TEST(Dist, SigkilledWorkerMidLeaseIsReissuedIdentically)
     dist::reap(bad);
     dist::reap(good);
 
-    expectIdentical(ref, r);
+    expectSameCampaign(ref, r);
     EXPECT_FALSE(r.partial);
     EXPECT_EQ(coord.stats().workersDied, 1u);
     EXPECT_GE(coord.stats().rangesReissued, 1u);
@@ -362,7 +293,7 @@ TEST(Dist, HungWorkerLeaseTimesOutAndReissues)
     dist::reap(hung);
     dist::reap(good);
 
-    expectIdentical(ref, r);
+    expectSameCampaign(ref, r);
     EXPECT_EQ(coord.stats().workersDied, 1u);
     EXPECT_GE(coord.stats().rangesReissued, 1u);
 }
@@ -382,7 +313,7 @@ TEST(Dist, EarlyHaltAgreesWithSingleProcess)
     dist::CoordinatorOptions opts;
     opts.workers = 2;
     const DistRun run = runDistributed(spec, 2, opts);
-    expectIdentical(ref, run.result);
+    expectSameCampaign(ref, run.result);
     EXPECT_FALSE(run.result.partial);
 }
 
@@ -412,7 +343,7 @@ TEST(Dist, ShutdownDrainsPartialAndJournalResumes)
     const DistRun second = runDistributed(spec, 2, opts2, journal);
     EXPECT_FALSE(second.result.partial);
     EXPECT_EQ(second.result.replayedTrials, first.result.injected);
-    expectIdentical(ref, second.result);
+    expectSameCampaign(ref, second.result);
     std::remove(journal.c_str());
 }
 

@@ -1,19 +1,20 @@
 /**
  * @file
- * The exec runtime and its determinism contract: a loop covers every
- * index exactly once under concurrency; a stream's push() returns
- * while the workers run its items, its owner runs the oldest
- * unclaimed item on its own thread (index size()) when the stream is
- * full, items retire exactly once and in order however the workers
- * finish, and a failure on any thread propagates to the owner; the
- * progress meter counts concurrent ticks; and — the property the whole
- * subsystem exists for — runCampaign produces bit-identical
- * CampaignResults and journals no matter how many worker threads
- * execute it. A session's sink runs on runRange's calling thread in
- * trial order, an exception from it unwinds safely, and no thread
- * starts per range. The paper harnesses' cell runner returns its
- * cells' results in cell order, the same for any `jobs`, and passes a
- * cell's exception on.
+ * The exec runtime and its determinism contract: a stream runs every
+ * appended item exactly once under concurrency, its push() returns
+ * while the workers run its items, a stream with no workers runs every
+ * item on its owner, its owner runs the oldest unclaimed item on its
+ * own thread (index size()) when the stream is full, items retire
+ * exactly once and in order however the workers finish, and a failure
+ * on any thread propagates to the owner; the progress meter counts
+ * concurrent ticks; and — the property the whole subsystem exists for
+ * — runCampaign produces bit-identical CampaignResults and journals no
+ * matter how many worker threads execute it. A session's sink runs on
+ * runRange's calling thread in trial order, an exception from it
+ * unwinds safely, and no thread starts per range. The paper harnesses'
+ * cell runner returns its cells' results in cell order, the same for
+ * any `jobs`, starts no thread for one job, and passes a cell's
+ * exception on.
  */
 
 #include <gtest/gtest.h>
@@ -36,12 +37,15 @@
 #include <vector>
 
 #include "../bench/harness.hh"
+#include "campaign_compare.hh"
 #include "exec/progress.hh"
-#include "exec/thread_pool.hh"
+#include "exec/stream.hh"
 #include "fault/campaign.hh"
 #include "workload/workload.hh"
 
 using namespace fh;
+using exec::Stream;
+using fh::test::expectSameCampaign;
 
 namespace
 {
@@ -63,125 +67,22 @@ fhParams()
     return p;
 }
 
-void
-expectIdentical(const fault::CampaignResult &a,
-                const fault::CampaignResult &b)
+/** This process's threads. */
+unsigned
+taskCount()
 {
-    EXPECT_EQ(a.injected, b.injected);
-    EXPECT_EQ(a.masked, b.masked);
-    EXPECT_EQ(a.noisy, b.noisy);
-    EXPECT_EQ(a.sdc, b.sdc);
-    EXPECT_EQ(a.recovered, b.recovered);
-    EXPECT_EQ(a.detected, b.detected);
-    EXPECT_EQ(a.uncovered, b.uncovered);
-    EXPECT_EQ(a.bins.covered, b.bins.covered);
-    EXPECT_EQ(a.bins.secondLevelMasked, b.bins.secondLevelMasked);
-    EXPECT_EQ(a.bins.completedReg, b.bins.completedReg);
-    EXPECT_EQ(a.bins.archReg, b.bins.archReg);
-    EXPECT_EQ(a.bins.renameUncovered, b.bins.renameUncovered);
-    EXPECT_EQ(a.bins.noTrigger, b.bins.noTrigger);
-    EXPECT_EQ(a.bins.other, b.bins.other);
-    EXPECT_EQ(a.trialErrors, b.trialErrors);
-    EXPECT_EQ(a.hungBare, b.hungBare);
-    EXPECT_EQ(a.hungProtected, b.hungProtected);
-    EXPECT_EQ(a.partial, b.partial);
+    unsigned n = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        (void)entry;
+        ++n;
+    }
+    return n;
 }
 
-} // namespace
-
-TEST(ThreadPool, HardwareThreadsNeverZero)
-{
-    EXPECT_GE(exec::hardwareThreads(), 1u);
-}
-
-TEST(ThreadPool, CoversEveryIndexExactlyOnce)
-{
-    exec::ThreadPool pool(4);
-    const u64 n = 10007;
-    std::vector<std::atomic<unsigned>> hits(n);
-    pool.parallelFor(n, [&](u64 i, unsigned) { hits[i].fetch_add(1); });
-    for (u64 i = 0; i < n; ++i)
-        ASSERT_EQ(hits[i].load(), 1u) << "index " << i;
-}
-
-TEST(ThreadPool, ReusableAcrossManySmallLoops)
-{
-    exec::ThreadPool pool(3);
-    std::atomic<u64> sum{0};
-    for (int round = 0; round < 50; ++round)
-        pool.parallelFor(10, [&](u64 i, unsigned) { sum.fetch_add(i + 1); });
-    EXPECT_EQ(sum.load(), 50u * 55u);
-}
-
-TEST(ThreadPool, EmptyAndSingletonLoops)
-{
-    exec::ThreadPool pool(4);
-    int calls = 0;
-    pool.parallelFor(0, [&](u64, unsigned) { ++calls; });
-    EXPECT_EQ(calls, 0);
-    pool.parallelFor(1, [&](u64 i, unsigned) {
-        calls += static_cast<int>(i) + 1;
-    });
-    EXPECT_EQ(calls, 1);
-}
-
-TEST(ThreadPool, SingleThreadRunsInOrder)
-{
-    exec::ThreadPool pool(1);
-    EXPECT_EQ(pool.size(), 1u);
-    std::vector<u64> order;
-    pool.parallelFor(100, [&](u64 i, unsigned) { order.push_back(i); });
-    std::vector<u64> want(100);
-    std::iota(want.begin(), want.end(), 0);
-    EXPECT_EQ(order, want);
-}
-
-TEST(ThreadPool, ExceptionPropagatesToCaller)
-{
-    exec::ThreadPool pool(4);
-    std::atomic<u64> ran{0};
-    EXPECT_THROW(pool.parallelFor(64,
-                                  [&](u64 i, unsigned) {
-                                      ran.fetch_add(1);
-                                      if (i == 13)
-                                          throw std::runtime_error("boom");
-                                  }),
-                 std::runtime_error);
-    EXPECT_GE(ran.load(), 1u);
-    EXPECT_LE(ran.load(), 64u);
-    // The failure is consumed: the pool runs the next loop whole.
-    std::atomic<u64> next{0};
-    pool.parallelFor(8, [&](u64, unsigned) { next.fetch_add(1); });
-    EXPECT_EQ(next.load(), 8u);
-}
-
-TEST(ThreadPool, SerialExceptionReportsSkipped)
-{
-    // One worker claims indices in order, so the failure at 3 abandons
-    // exactly the six after it, and parallelFor rethrows it. The
-    // failure is consumed: the pool runs the next loop whole.
-    exec::ThreadPool pool(1);
-    u64 ran = 0;
-    EXPECT_THROW(pool.parallelFor(10,
-                                  [&](u64 i, unsigned) {
-                                      ++ran;
-                                      if (i == 3)
-                                          throw std::runtime_error("boom");
-                                  }),
-                 std::runtime_error);
-    EXPECT_EQ(ran, 4u);
-    pool.parallelFor(2, [&](u64, unsigned) { ++ran; });
-    EXPECT_EQ(ran, 6u);
-}
-
-namespace
-{
-
-using Stream = exec::ThreadPool::Stream;
-
-/** Drive a stream as a campaign's producer does: retire what is done,
- *  and while the stream is full or draining, help. Returns the items
- *  in retire order. */
+/** Drive a stream as a campaign's producer does: append `items` more,
+ *  retire what is done, and while the stream is full or draining,
+ *  help. Returns the items in retire order. */
 std::vector<u64>
 produce(Stream &stream, u64 items)
 {
@@ -203,6 +104,18 @@ produce(Stream &stream, u64 items)
     return retired;
 }
 
+/** Append n items and wait, without helping, until the workers have
+ *  run and the owner retired them all. */
+void
+pushAndAwait(Stream &stream, u64 n)
+{
+    for (u64 k = 0; k < n; ++k)
+        stream.push();
+    while (!stream.empty())
+        if (!stream.retire())
+            std::this_thread::yield();
+}
+
 std::vector<u64>
 iota64(u64 n)
 {
@@ -213,15 +126,79 @@ iota64(u64 n)
 
 } // namespace
 
-TEST(ThreadPoolStream, PushReturnsWhileABodyRuns)
+TEST(Stream, HardwareThreadsNeverZero)
+{
+    EXPECT_GE(exec::hardwareThreads(), 1u);
+}
+
+TEST(Stream, RunsEveryItemExactlyOnce)
+{
+    constexpr u64 kItems = 10007;
+    std::vector<std::atomic<unsigned>> hits(kItems);
+    Stream stream(4, 64, [&](u64 k, unsigned) { hits[k].fetch_add(1); });
+    EXPECT_EQ(produce(stream, kItems), iota64(kItems));
+    for (u64 k = 0; k < kItems; ++k)
+        ASSERT_EQ(hits[k].load(), 1u) << "item " << k;
+}
+
+TEST(Stream, ZeroWorkersRunEveryItemOnTheOwner)
+{
+    // No thread starts: every item runs on the owner, in item order,
+    // as worker size() = 0. A stream that gets no item runs nothing.
+    const unsigned before = taskCount();
+    { Stream idle(0, 1, [](u64, unsigned) { FAIL() << "ran an item"; }); }
+    std::vector<u64> order;
+    std::vector<unsigned> workers;
+    u64 offOwner = 0;
+    unsigned most = 0;
+    const std::thread::id owner = std::this_thread::get_id();
+    Stream stream(0, 8, [&](u64 k, unsigned worker) {
+        order.push_back(k);
+        workers.push_back(worker);
+        offOwner += std::this_thread::get_id() != owner;
+        most = std::max(most, taskCount());
+    });
+    EXPECT_EQ(stream.size(), 0u);
+    EXPECT_EQ(produce(stream, 100), iota64(100));
+    EXPECT_EQ(order, iota64(100));
+    EXPECT_EQ(workers, std::vector<unsigned>(100, 0u));
+    EXPECT_EQ(offOwner, 0u);
+    EXPECT_EQ(most, before);
+}
+
+TEST(Stream, FailureAbandonsUnclaimedItems)
+{
+    // With no workers the owner runs items in order, so the failure at
+    // 3 leaves the six after it unclaimed; help() rethrows it, and the
+    // destructor runs none of them.
+    u64 ran = 0;
+    {
+        Stream stream(0, 10, [&](u64 k, unsigned) {
+            ++ran;
+            if (k == 3)
+                throw std::runtime_error("boom");
+        });
+        for (int k = 0; k < 10; ++k)
+            stream.push();
+        EXPECT_THROW(
+            {
+                while (!stream.empty())
+                    if (!stream.retire())
+                        stream.help();
+            },
+            std::runtime_error);
+    }
+    EXPECT_EQ(ran, 4u);
+}
+
+TEST(Stream, PushReturnsWhileABodyRuns)
 {
     // The body spins until the owner sets a flag after push()
     // returns: a push() that ran or waited for the body would never
     // return, and the item cannot retire before the flag is set.
-    exec::ThreadPool pool(2);
     std::atomic<bool> go{false};
     std::atomic<bool> ran{false};
-    Stream stream(pool, 4, [&](u64, unsigned) {
+    Stream stream(2, 4, [&](u64, unsigned) {
         while (!go.load())
             std::this_thread::yield();
         ran.store(true);
@@ -236,17 +213,16 @@ TEST(ThreadPoolStream, PushReturnsWhileABodyRuns)
     EXPECT_TRUE(ran.load());
 }
 
-TEST(ThreadPoolStream, FullStreamOwnerRunsTheOldestUnclaimedItem)
+TEST(Stream, FullStreamOwnerRunsTheOldestUnclaimedItem)
 {
     // The only worker holds item 0, so an owner that has produced past
     // the budget runs the oldest unclaimed item, item 1, itself: on
     // the calling thread, as worker size(). Nothing retires before
     // item 0 does.
-    exec::ThreadPool pool(1);
     std::latch held(1), release(1);
     std::vector<unsigned> worker(3, ~0u);
     std::vector<std::thread::id> thread(3);
-    Stream stream(pool, 3, [&](u64 k, unsigned w) {
+    Stream stream(1, 3, [&](u64 k, unsigned w) {
         worker[k] = w;
         thread[k] = std::this_thread::get_id();
         if (k == 0) {
@@ -260,11 +236,11 @@ TEST(ThreadPoolStream, FullStreamOwnerRunsTheOldestUnclaimedItem)
     stream.push();
     ASSERT_TRUE(stream.full());
     stream.help();
-    EXPECT_EQ(worker[1], pool.size());
+    EXPECT_EQ(worker[1], stream.size());
     EXPECT_EQ(thread[1], std::this_thread::get_id());
     EXPECT_FALSE(stream.retire());
     stream.help();
-    EXPECT_EQ(worker[2], pool.size());
+    EXPECT_EQ(worker[2], stream.size());
     EXPECT_FALSE(stream.retire());
     release.count_down();
     EXPECT_EQ(produce(stream, 0), iota64(3));
@@ -272,17 +248,16 @@ TEST(ThreadPoolStream, FullStreamOwnerRunsTheOldestUnclaimedItem)
     EXPECT_NE(thread[0], std::this_thread::get_id());
 }
 
-TEST(ThreadPoolStream, RetiresInOrderWhenWorkersFinishOutOfOrder)
+TEST(Stream, RetiresInOrderWhenWorkersFinishOutOfOrder)
 {
     // Item 0 finishes only after item 1 has, and the others take
     // uneven times; every item still runs once and retires once, in
     // item order, whether a worker or the owner ran it.
-    exec::ThreadPool pool(4);
     constexpr u64 kItems = 200;
     std::vector<std::atomic<unsigned>> runs(kItems);
     std::latch oneDone(1);
     std::atomic<bool> zeroAfterOne{false};
-    Stream stream(pool, 8, [&](u64 k, unsigned) {
+    Stream stream(4, 8, [&](u64 k, unsigned) {
         if (k == 0) {
             oneDone.wait();
             zeroAfterOne.store(runs[1].load() == 1);
@@ -298,15 +273,14 @@ TEST(ThreadPoolStream, RetiresInOrderWhenWorkersFinishOutOfOrder)
         EXPECT_EQ(runs[k].load(), 1u) << "item " << k;
 }
 
-TEST(ThreadPoolStream, WorkerFailureReachesTheOwner)
+TEST(Stream, WorkerFailureReachesTheOwner)
 {
     // A body that throws on a worker: the owner's next retire() or
     // help() rethrows it, and no worker claims an item after it.
-    exec::ThreadPool pool(1);
     std::latch claimed(1);
     std::atomic<unsigned> ran{0};
     {
-        Stream stream(pool, 4, [&](u64, unsigned) {
+        Stream stream(1, 4, [&](u64, unsigned) {
             ran.fetch_add(1);
             claimed.count_down();
             throw std::runtime_error("worker failed");
@@ -325,16 +299,15 @@ TEST(ThreadPoolStream, WorkerFailureReachesTheOwner)
     EXPECT_EQ(ran.load(), 1u);
 }
 
-TEST(ThreadPoolStream, OwnerFailurePropagatesAndRunningItemsFinish)
+TEST(Stream, OwnerFailurePropagatesAndRunningItemsFinish)
 {
     // A body that throws on the owner propagates out of help() at
     // once. Destroying the stream then waits for the item a worker is
     // still running.
-    exec::ThreadPool pool(1);
     std::latch held(1);
     std::atomic<bool> finished{false};
     {
-        Stream stream(pool, 2, [&](u64 k, unsigned) {
+        Stream stream(1, 2, [&](u64 k, unsigned) {
             if (k == 1)
                 throw std::runtime_error("owner failed");
             held.count_down();
@@ -349,56 +322,59 @@ TEST(ThreadPoolStream, OwnerFailurePropagatesAndRunningItemsFinish)
     EXPECT_TRUE(finished.load());
 }
 
-TEST(ThreadPoolStream, DestructorLetsAppendedItemsFinish)
+TEST(Stream, DestructorLetsAppendedItemsFinish)
 {
-    std::atomic<unsigned> ran{0};
-    {
-        exec::ThreadPool pool(2);
-        Stream stream(pool, 8, [&](u64, unsigned) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            ran.fetch_add(1);
-        });
-        for (int i = 0; i < 8; ++i)
-            stream.push();
+    // With workers and without: the destructor runs what no worker
+    // claimed on the owner.
+    for (const unsigned workers : {0u, 2u}) {
+        std::atomic<unsigned> ran{0};
+        {
+            Stream stream(workers, 8, [&](u64, unsigned) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                ran.fetch_add(1);
+            });
+            for (int i = 0; i < 8; ++i)
+                stream.push();
+        }
+        EXPECT_EQ(ran.load(), 8u) << workers << " workers";
     }
-    EXPECT_EQ(ran.load(), 8u);
 }
 
 namespace
 {
 
-/** The worker indices that run a loop of pool.size() bodies, each of
- *  which waits until every worker holds one. */
+/** The worker indices that run size() items, each of which waits
+ *  until every worker holds one. */
 std::vector<unsigned>
-workerIndices(exec::ThreadPool &pool)
+workerIndices(unsigned workers)
 {
-    std::latch all_in(pool.size());
-    std::vector<unsigned> seen(pool.size());
-    pool.parallelFor(pool.size(), [&](u64 k, unsigned worker) {
+    std::latch all_in(workers);
+    std::vector<unsigned> seen(workers);
+    Stream stream(workers, workers, [&](u64 k, unsigned worker) {
         all_in.arrive_and_wait();
         seen[k] = worker;
     });
+    pushAndAwait(stream, workers);
     std::sort(seen.begin(), seen.end());
     return seen;
 }
 
-/** The index a stream on pool gives an item its owner runs: every
- *  worker holds an item while the owner runs the next. */
+/** The index a stream gives an item its owner runs: every worker
+ *  holds an item while the owner runs the next. */
 unsigned
-ownerIndex(exec::ThreadPool &pool)
+ownerIndex(unsigned workers)
 {
-    const unsigned n = pool.size();
-    std::latch held(n), release(1);
+    std::latch held(workers), release(1);
     unsigned seen = ~0u;
-    Stream stream(pool, n + 1, [&](u64 k, unsigned worker) {
-        if (k < n) {
+    Stream stream(workers, workers + 1, [&](u64 k, unsigned worker) {
+        if (k < workers) {
             held.count_down();
             release.wait();
         } else {
             seen = worker;
         }
     });
-    for (unsigned k = 0; k < n; ++k)
+    for (unsigned k = 0; k < workers; ++k)
         stream.push();
     held.wait();
     stream.push();
@@ -418,27 +394,27 @@ upTo(unsigned n)
 
 } // namespace
 
-TEST(ThreadPool, NestedPoolIndexesItsOwnWorkers)
+TEST(Stream, NestedStreamIndexesItsOwnWorkers)
 {
     // Worker indices are 0..size()-1, and a stream's owner runs its
-    // items as size(), whichever thread opens the job: this (no
-    // pool's) thread, or a worker of another pool — a campaign's
-    // producer in a paper harness cell — whose inner pool's owner
-    // index is the inner size(), not its own outer index.
-    exec::ThreadPool outer(4);
-    EXPECT_EQ(workerIndices(outer), upTo(4));
-    EXPECT_EQ(ownerIndex(outer), 4u);
+    // items as size(), whichever thread built it: this (no stream's)
+    // thread, or a worker of another stream — a campaign's producer
+    // in a paper harness cell — whose inner stream's owner index is
+    // the inner size(), not its own outer index.
+    EXPECT_EQ(workerIndices(4), upTo(4));
+    EXPECT_EQ(ownerIndex(4), 4u);
     std::vector<unsigned> outer_seen(4);
     std::atomic<unsigned> bad{0};
     std::latch all_in(4);
-    outer.parallelFor(4, [&](u64 k, unsigned mine) {
+    Stream outer(4, 4, [&](u64 k, unsigned mine) {
         all_in.arrive_and_wait();
         outer_seen[k] = mine;
-        exec::ThreadPool inner(k % 3 + 1);
-        if (workerIndices(inner) != upTo(inner.size()) ||
-            ownerIndex(inner) != inner.size())
+        const unsigned inner = k % 3 + 1;
+        if (workerIndices(inner) != upTo(inner) ||
+            ownerIndex(inner) != inner)
             bad.fetch_add(1);
     });
+    pushAndAwait(outer, 4);
     EXPECT_EQ(bad.load(), 0u);
     std::sort(outer_seen.begin(), outer_seen.end());
     EXPECT_EQ(outer_seen, upTo(4));
@@ -448,8 +424,8 @@ TEST(ProgressMeter, CountsConcurrentTicks)
 {
     exec::ProgressMeter meter("test", 5000, /*interval_ms=*/1u << 30);
     meter.start();
-    exec::ThreadPool pool(4);
-    pool.parallelFor(5000, [&](u64, unsigned) { meter.tick(); });
+    Stream stream(4, 64, [&](u64, unsigned) { meter.tick(); });
+    produce(stream, 5000);
     EXPECT_EQ(meter.done(), 5000u);
     EXPECT_EQ(meter.total(), 5000u);
 }
@@ -516,18 +492,18 @@ TEST(CampaignParallel, BitIdenticalFor1And4Threads)
                 EXPECT_EQ(bytes.empty(), !c.journal);
                 continue;
             }
-            expectIdentical(*serial, r);
-            EXPECT_TRUE(serial->profile == r.profile);
+            expectSameCampaign(*serial, r);
             EXPECT_EQ(serialJournal, bytes);
         }
     }
 }
 
-TEST(CampaignParallel, NestedInOuterPoolWorkerMatchesSerial)
+TEST(CampaignParallel, NestedInOuterStreamWorkerMatchesSerial)
 {
     // The paper harnesses split threads between scheme cells (outer
-    // pool) and each cell's campaign (inner pool); a campaign on any
-    // outer worker, at any inner size, must equal the serial run.
+    // stream) and each cell's campaign (its session's stream); a
+    // campaign on any outer worker, at any inner size, must equal the
+    // serial run.
     auto program = prog();
     fault::CampaignConfig cfg;
     cfg.injections = 16;
@@ -536,17 +512,17 @@ TEST(CampaignParallel, NestedInOuterPoolWorkerMatchesSerial)
     cfg.threads = 1;
     const auto serial = fault::runCampaign(fhParams(), &program, cfg);
 
-    exec::ThreadPool outer(4);
     std::latch all_in(4);
     std::vector<fault::CampaignResult> nested(4);
-    outer.parallelFor(4, [&](u64 k, unsigned) {
+    Stream outer(4, 4, [&](u64 k, unsigned) {
         all_in.arrive_and_wait();
         fault::CampaignConfig inner = cfg;
         inner.threads = k % 2 ? 2 : 1;
         nested[k] = fault::runCampaign(fhParams(), &program, inner);
     });
+    pushAndAwait(outer, 4);
     for (const fault::CampaignResult &r : nested)
-        expectIdentical(serial, r);
+        expectSameCampaign(serial, r);
 }
 
 TEST(CampaignParallel, BitIdenticalWithoutDetector)
@@ -564,7 +540,7 @@ TEST(CampaignParallel, BitIdenticalWithoutDetector)
     auto serial = fault::runCampaign(p, &program, cfg);
     cfg.threads = 3;
     auto parallel = fault::runCampaign(p, &program, cfg);
-    expectIdentical(serial, parallel);
+    expectSameCampaign(serial, parallel);
 }
 
 TEST(CampaignParallel, DefaultForkThreadsLeaveOneForTheProducer)
@@ -579,7 +555,7 @@ TEST(CampaignParallel, DefaultForkThreadsLeaveOneForTheProducer)
 
 TEST(CampaignParallel, AllHardwareThreadsMatchSerial)
 {
-    // threads = 0 sizes the pool from the host (one fork thread per
+    // threads = 0 sizes the stream from the host (one fork thread per
     // hardware thread but the producer's; fault::resolveForkThreads),
     // the default fhsim runs with; the campaign must
     // agree with the serial reference whatever that size turns out to
@@ -594,7 +570,7 @@ TEST(CampaignParallel, AllHardwareThreadsMatchSerial)
     auto serial = fault::runCampaign(fhParams(), &program, cfg);
     cfg.threads = 0;
     auto parallel = fault::runCampaign(fhParams(), &program, cfg);
-    expectIdentical(serial, parallel);
+    expectSameCampaign(serial, parallel);
 }
 
 TEST(HarnessRunner, ReturnsResultsInCellOrder)
@@ -658,9 +634,28 @@ TEST(HarnessRunner, CampaignCellsAreIdenticalAt1And4Jobs)
     for (u64 i = 0; i < 3; ++i) {
         SCOPED_TRACE(i);
         EXPECT_EQ(serial[i].injected, 12u);
-        expectIdentical(serial[i], parallel[i]);
-        EXPECT_TRUE(serial[i].profile == parallel[i].profile);
+        expectSameCampaign(serial[i], parallel[i]);
     }
+}
+
+TEST(HarnessRunner, OneJobStartsNoThread)
+{
+    // One job, or one cell, streams every cell on the caller.
+    bench::Options opts;
+    const unsigned before = taskCount();
+    const std::thread::id caller = std::this_thread::get_id();
+    const auto onCaller = [&](unsigned jobs, u64 cells) {
+        opts.jobs = jobs;
+        const auto out = bench::runCells(
+            opts, cells, [&](u64, const fault::CampaignConfig &) {
+                return int{std::this_thread::get_id() == caller &&
+                           taskCount() == before};
+            });
+        return std::all_of(out.begin(), out.end(),
+                           [](int ok) { return ok == 1; });
+    };
+    EXPECT_TRUE(onCaller(1, 6));
+    EXPECT_TRUE(onCaller(4, 1));
 }
 
 TEST(HarnessRunner, ACellsExceptionReachesTheCaller)
@@ -736,7 +731,7 @@ class SessionSink : public testing::TestWithParam<unsigned>
 
 TEST_P(SessionSink, RunsOnTheCallerInTrialOrder)
 {
-    // The pool's forks overlap the master's advance, but merging
+    // The stream's forks overlap the master's advance, but merging
     // stays the caller's: each range's trials reach the sink exactly
     // once, in order, on this thread, before runRange returns. The
     // first range starts past a skip-advanced prefix and ends with a
@@ -774,9 +769,10 @@ TEST_P(SessionSink, RunsOnTheCallerInTrialOrder)
 
 TEST_P(SessionSink, ThrowingSinkPropagatesAndLeavesNoThread)
 {
-    // A sink failure escapes runRange on the calling thread while a
-    // wave may still run on the pool; destroying the session below
-    // must let that wave finish before its trials go away.
+    // A sink failure escapes runRange on the calling thread while
+    // trials may still run on the stream's workers; destroying the
+    // session below must let them finish before their trials go
+    // away.
     auto program = prog();
     const fault::CampaignConfig cfg = config();
     auto session =
@@ -795,27 +791,10 @@ TEST_P(SessionSink, ThrowingSinkPropagatesAndLeavesNoThread)
     session.reset();
 }
 
-namespace
-{
-
-unsigned
-taskCount()
-{
-    unsigned n = 0;
-    for (const auto &entry :
-         std::filesystem::directory_iterator("/proc/self/task")) {
-        (void)entry;
-        ++n;
-    }
-    return n;
-}
-
-} // namespace
-
 TEST_P(SessionSink, StartsNoThreadPerRange)
 {
-    // The pool's workers start with the session; a range posts its
-    // waves to them and starts no thread of its own.
+    // The stream's workers start with the session; a range appends its
+    // trials to them and starts no thread of its own.
     auto program = prog();
     const fault::CampaignConfig cfg = config();
     fault::CampaignSession session(fhParams(), &program, cfg);

@@ -8,8 +8,8 @@
 
 #include "fault/campaign.hh"
 #include "fault/injector.hh"
-#include "fault/tandem.hh"
 #include "reference_memory.hh"
+#include "run_fork.hh"
 #include "workload/workload.hh"
 
 using namespace fh;

@@ -10,19 +10,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
-#include <optional>
 #include <ostream>
 #include <string>
 
-#include "exec/thread_pool.hh"
+#include "exec/stream.hh"
 #include "fault/campaign.hh"
 #include "fault/injector.hh"
-#include "fault/tandem.hh"
 #include "isa/functional.hh"
 #include "pipeline/core.hh"
 #include "random_program.hh"
 #include "reference_memory.hh"
+#include "run_fork.hh"
 #include "sim/rng.hh"
 #include "workload/workload.hh"
 
@@ -133,6 +133,20 @@ expectSameOutcome(const fault::ForkOutcome &a, const fault::ForkOutcome &b,
         << flavor << " trial " << trial;
 }
 
+/** Run body(k, thread) for every k in [0, n) on `threads` threads:
+ *  a stream of threads - 1 workers and its owner, thread index
+ *  threads - 1, which helps until every item is retired. */
+void
+runItems(unsigned threads, u64 n, const exec::Stream::Body &body)
+{
+    exec::Stream stream(threads - 1, std::max<u64>(n, 1), body);
+    for (u64 k = 0; k < n; ++k)
+        stream.push();
+    while (!stream.empty())
+        if (!stream.retire())
+            stream.help();
+}
+
 class ForkEquivalence : public testing::TestWithParam<unsigned>
 {
 };
@@ -146,8 +160,8 @@ class ForkEquivalence : public testing::TestWithParam<unsigned>
  * from-scratch copy constructor it replaced. Fuzz it over randomized
  * injection windows: a fresh runFork and a reused-scratch runForkInto
  * of the same snapshot must agree on every observable a classifier
- * reads. Parameterized over pool width so the per-worker scratch path
- * is exercised both single-threaded and with 4 workers racing.
+ * reads. Parameterized over thread count so the per-thread scratch
+ * path is exercised both single-threaded and with 4 threads racing.
  */
 TEST_P(ForkEquivalence, ScratchForkMatchesFreshFork)
 {
@@ -161,8 +175,18 @@ TEST_P(ForkEquivalence, ScratchForkMatchesFreshFork)
         master.tick();
     ASSERT_FALSE(master.allHalted());
 
+    // One scratch pair per thread, copied from the warmed master as a
+    // campaign session's are, and reused across the thread's trials so
+    // every restore hits genuinely dirty buffers.
+    struct Scratch
+    {
+        fault::ForkOutcome bare;
+        fault::ForkOutcome prot;
+    };
+    std::vector<Scratch> scratch(nthreads, Scratch{{master}, {master}});
+
     // Produce snapshots serially (randomized gaps and plans), then
-    // fork them on the pool with per-worker scratch — the campaign's
+    // fork them on a stream with per-thread scratch — the campaign's
     // exact memory-reuse pattern.
     struct Snap
     {
@@ -188,55 +212,35 @@ TEST_P(ForkEquivalence, ScratchForkMatchesFreshFork)
     }
     ASSERT_GE(snaps.size(), 8u);
 
-    // One scratch pair per worker; reused across this worker's trials
-    // so later restores hit genuinely dirty buffers.
-    struct Scratch
-    {
-        std::optional<fault::ForkOutcome> bare;
-        std::optional<fault::ForkOutcome> prot;
-    };
-    std::vector<Scratch> scratch(nthreads);
-    exec::ThreadPool pool(nthreads);
-    pool.parallelFor(snaps.size(), [&](u64 k, unsigned worker) {
-        Scratch &sc = scratch[worker];
+    runItems(nthreads, snaps.size(), [&](u64 k, unsigned thread) {
+        Scratch &sc = scratch[thread];
         const Snap &s = snaps[k];
 
         // Bare fork (detector off): fresh copy vs copy-restored scratch.
         fault::ForkOutcome fresh = fault::runFork(
             s.core, &s.plan, false, s.targets, kMaxCycles);
-        if (!sc.bare) {
-            sc.bare.emplace(fault::runFork(s.core, &s.plan, false,
-                                           s.targets, kMaxCycles));
-        } else {
-            fault::runForkInto(*sc.bare, s.core, &s.plan, false,
-                               s.targets, kMaxCycles);
-        }
-        expectSameOutcome(fresh, *sc.bare, k, "bare");
+        fault::runForkInto(sc.bare, s.core, &s.plan, false, s.targets,
+                           kMaxCycles);
+        expectSameOutcome(fresh, sc.bare, k, "bare");
 
         // Protected fork (detector on): fresh copy vs the consuming
-        // swap flavor fed a throwaway copy of the snapshot (a worker's
-        // first fork of a kind copies, as the campaign's does).
+        // swap flavor fed a throwaway copy of the snapshot.
         fault::ForkOutcome freshProt = fault::runFork(
             s.core, &s.plan, true, s.targets, kMaxCycles);
-        if (!sc.prot) {
-            sc.prot.emplace(fault::runFork(s.core, &s.plan, true,
-                                           s.targets, kMaxCycles));
-        } else {
-            pipeline::Core doomed(s.core);
-            fault::runForkInto(*sc.prot, std::move(doomed), &s.plan,
-                               true, s.targets, kMaxCycles);
-        }
-        expectSameOutcome(freshProt, *sc.prot, k, "protected");
+        pipeline::Core doomed(s.core);
+        fault::runForkInto(sc.prot, std::move(doomed), &s.plan, true,
+                           s.targets, kMaxCycles);
+        expectSameOutcome(freshProt, sc.prot, k, "protected");
         EXPECT_EQ(freshProt.core.detector().stats().triggers,
-                  sc.prot->core.detector().stats().triggers)
+                  sc.prot.core.detector().stats().triggers)
             << "trial " << k;
         EXPECT_EQ(freshProt.core.faultDetected(),
-                  sc.prot->core.faultDetected())
+                  sc.prot.core.faultDetected())
             << "trial " << k;
     });
 }
 
-INSTANTIATE_TEST_SUITE_P(PoolWidths, ForkEquivalence,
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, ForkEquivalence,
                          testing::Values(1u, 4u),
                          [](const testing::TestParamInfo<unsigned> &i) {
                              return "threads" + std::to_string(i.param);
@@ -261,8 +265,8 @@ class ScanOracleEquivalence : public testing::TestWithParam<unsigned>
  * tags (the wakeup overflow/park path), and the protected forks run
  * the FaultHound detector whose triggered replays re-dispatch
  * completed consumers (the non-monotonic markNotReady re-subscription
- * path). Parameterized over pool width to race per-worker forks at 1
- * and 4 threads.
+ * path). Parameterized over thread count to race per-thread forks at
+ * 1 and 4 threads.
  */
 TEST_P(ScanOracleEquivalence, WakeupMatchesScanIssue)
 {
@@ -314,8 +318,7 @@ TEST_P(ScanOracleEquivalence, WakeupMatchesScanIssue)
     }
     ASSERT_GE(snaps.size(), 6u);
 
-    exec::ThreadPool pool(nthreads);
-    pool.parallelFor(snaps.size(), [&](u64 k, unsigned) {
+    runItems(nthreads, snaps.size(), [&](u64 k, unsigned) {
         const Snap &s = snaps[k];
 
         // Bare forks: identical fault propagation without a detector.
@@ -340,7 +343,7 @@ TEST_P(ScanOracleEquivalence, WakeupMatchesScanIssue)
     });
 }
 
-INSTANTIATE_TEST_SUITE_P(PoolWidths, ScanOracleEquivalence,
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, ScanOracleEquivalence,
                          testing::Values(1u, 4u),
                          [](const testing::TestParamInfo<unsigned> &i) {
                              return "threads" + std::to_string(i.param);

@@ -29,11 +29,12 @@
 #include <deque>
 #include <ostream>
 
+#include "campaign_compare.hh"
 #include "fault/campaign.hh"
 #include "fault/golden_ledger.hh"
-#include "fault/tandem.hh"
 #include "oracle_modes.hh"
 #include "reference_memory.hh"
+#include "run_fork.hh"
 #include "sim/rng.hh"
 #include "workload/workload.hh"
 
@@ -232,19 +233,6 @@ expectSameCounts(const fault::CampaignResult &a,
     EXPECT_EQ(a.uncovered, b.uncovered);
 }
 
-void
-expectSameBins(const fault::CampaignResult &a,
-               const fault::CampaignResult &b)
-{
-    EXPECT_EQ(a.bins.covered, b.bins.covered);
-    EXPECT_EQ(a.bins.secondLevelMasked, b.bins.secondLevelMasked);
-    EXPECT_EQ(a.bins.completedReg, b.bins.completedReg);
-    EXPECT_EQ(a.bins.archReg, b.bins.archReg);
-    EXPECT_EQ(a.bins.renameUncovered, b.bins.renameUncovered);
-    EXPECT_EQ(a.bins.noTrigger, b.bins.noTrigger);
-    EXPECT_EQ(a.bins.other, b.bins.other);
-}
-
 class LedgerOracle
     : public testing::TestWithParam<std::tuple<LedgerCase, OracleMode>>
 {
@@ -269,8 +257,7 @@ TEST_P(LedgerOracle, EveryTrialMatchesItsNoFaultFork)
     // change a single count either way.
     const auto pooled = fault::runCampaign(
         coreParams(c, mode), &program, campaignConfig(c, mode, 4));
-    expectSameCounts(serial, pooled);
-    expectSameBins(serial, pooled);
+    test::expectSameCampaign(serial, pooled);
     test::expectOracleModeTookEffect(mode, pooled);
 }
 

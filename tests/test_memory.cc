@@ -3,7 +3,7 @@
  * mem::Memory: validity checks, trap plumbing, content digests, and
  * the paged copy-on-write storage — fuzzed against the flat
  * ReferenceMemory, held to one table plus one page per first write,
- * and driven from pool workers the way a campaign's forks drive it;
+ * and driven from stream workers the way a campaign's forks drive it;
  * and the heap a copy of a whole machine (a trial snapshot) requests.
  */
 
@@ -16,7 +16,7 @@
 #include <new>
 #include <vector>
 
-#include "exec/thread_pool.hh"
+#include "exec/stream.hh"
 #include "mem/memory.hh"
 #include "pipeline/core.hh"
 #include "reference_memory.hh"
@@ -411,24 +411,24 @@ TEST(SnapshotFootprint, PerlCoreCopyRequestsUnderHalfAMegabyte)
               u64{512} << 10);
 }
 
-TEST(MemoryPages, PoolWorkersWriteSnapshotsWhileTheOwnerWrites)
+TEST(MemoryPages, StreamWorkersWriteSnapshotsWhileTheOwnerWrites)
 {
-    // A campaign's producer/pool pattern: the owner (the master) hands
+    // A campaign's producer/stream pattern: the owner (the master) hands
     // each worker a snapshot through a stream, and keeps writing while
     // the workers restore their own scratch from it (dropping the
     // pages of the previous round on the worker), write the scratch
     // and check it. Retiring an item hands it back; the owner drains
     // each round as the producer drains a range, running whatever the
     // workers have not claimed on its own scratch.
-    exec::ThreadPool pool(2);
+    constexpr unsigned kWorkers = 2;
     Memory owner = layoutMemory<Memory>();
     ReferenceMemory model = layoutMemory<ReferenceMemory>();
-    std::vector<Memory> handed(2), scratch(pool.size() + 1);
+    std::vector<Memory> handed(2), scratch(kWorkers + 1);
     std::vector<ReferenceMemory> handedModel(2);
     std::vector<int> ok(2, 0);
     Rng rng(0x5eed);
     u64 round = 0;
-    exec::ThreadPool::Stream stream(pool, 2, [&](u64 k, unsigned worker) {
+    exec::Stream stream(kWorkers, 2, [&](u64 k, unsigned worker) {
         const size_t i = k % 2;
         Memory &s = scratch[worker];
         s = handed[i];

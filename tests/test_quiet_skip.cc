@@ -26,9 +26,9 @@
 #include <vector>
 
 #include "fault/injector.hh"
-#include "fault/tandem.hh"
 #include "pipeline/core.hh"
 #include "random_program.hh"
+#include "run_fork.hh"
 #include "sim/rng.hh"
 #include "workload/workload.hh"
 

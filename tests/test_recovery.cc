@@ -9,10 +9,10 @@
 
 #include <gtest/gtest.h>
 
-#include "fault/tandem.hh"
 #include "isa/program.hh"
 #include "pipeline/core.hh"
 #include "reference_memory.hh"
+#include "run_fork.hh"
 #include "sim/rng.hh"
 
 using namespace fh;

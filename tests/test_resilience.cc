@@ -21,13 +21,14 @@
 
 #include <sys/stat.h>
 
+#include "campaign_compare.hh"
 #include "exec/progress.hh"
 #include "fault/campaign.hh"
 #include "fault/campaign_json.hh"
 #include "fault/journal.hh"
-#include "fault/tandem.hh"
 #include "isa/program.hh"
 #include "pipeline/core.hh"
+#include "run_fork.hh"
 #include "sim/error.hh"
 #include "sim/logging.hh"
 #include "workload/workload.hh"
@@ -136,29 +137,6 @@ journalPath(const std::string &name)
     return path;
 }
 
-void
-expectIdentical(const fault::CampaignResult &a,
-                const fault::CampaignResult &b)
-{
-    EXPECT_EQ(a.injected, b.injected);
-    EXPECT_EQ(a.masked, b.masked);
-    EXPECT_EQ(a.noisy, b.noisy);
-    EXPECT_EQ(a.sdc, b.sdc);
-    EXPECT_EQ(a.recovered, b.recovered);
-    EXPECT_EQ(a.detected, b.detected);
-    EXPECT_EQ(a.uncovered, b.uncovered);
-    EXPECT_EQ(a.trialErrors, b.trialErrors);
-    EXPECT_EQ(a.hungBare, b.hungBare);
-    EXPECT_EQ(a.hungProtected, b.hungProtected);
-    EXPECT_EQ(a.bins.covered, b.bins.covered);
-    EXPECT_EQ(a.bins.secondLevelMasked, b.bins.secondLevelMasked);
-    EXPECT_EQ(a.bins.completedReg, b.bins.completedReg);
-    EXPECT_EQ(a.bins.archReg, b.bins.archReg);
-    EXPECT_EQ(a.bins.renameUncovered, b.bins.renameUncovered);
-    EXPECT_EQ(a.bins.noTrigger, b.bins.noTrigger);
-    EXPECT_EQ(a.bins.other, b.bins.other);
-}
-
 fault::CampaignConfig
 baseConfig()
 {
@@ -202,12 +180,12 @@ checkResume(unsigned threads)
     // Every trial the interrupted run completed was replayed from the
     // journal, not executed again.
     EXPECT_EQ(resumed.replayedTrials, interrupted.injected);
-    expectIdentical(reference, resumed);
+    test::expectSameCampaign(reference, resumed);
 
     // A second rerun replays everything and still matches.
     const auto replayed = fault::runCampaign(params, &program, cfg);
     EXPECT_EQ(replayed.replayedTrials, cfg.injections);
-    expectIdentical(reference, replayed);
+    test::expectSameCampaign(reference, replayed);
     std::remove(cfg.journalPath.c_str());
 }
 
@@ -280,10 +258,10 @@ TEST(TrialIsolation, CampaignIsolatesInTrialPanic)
               clean.masked + clean.noisy + clean.sdc);
 
     // Isolation does not disturb the worker-count determinism
-    // contract: the panicking trial errors identically under a pool.
+    // contract: the panicking trial errors identically on four fork threads.
     cfg.threads = 4;
     const auto parallel = fault::runCampaign(params, &program, cfg);
-    expectIdentical(serial, parallel);
+    test::expectSameCampaign(serial, parallel);
 }
 
 TEST(TrialIsolationDeathTest, StrictModeAbortsCampaignOnTrialPanic)
@@ -336,7 +314,7 @@ TEST(Journal, CompletedJournalShortCircuitsTheCampaign)
     EXPECT_EQ(first.replayedTrials, 0u);
     const auto second = fault::runCampaign(params, &program, cfg);
     EXPECT_EQ(second.replayedTrials, cfg.injections);
-    expectIdentical(first, second);
+    test::expectSameCampaign(first, second);
     // The journal covers the campaign, so no range runs: the master
     // never advances past warmup to skip over the journaled gaps.
     EXPECT_EQ(second.sched.issueEvals, 0u);
@@ -541,5 +519,5 @@ TEST(HungForks, CampaignCountsHungForksWithoutReclassifying)
 
     cfg.threads = 4;
     const auto parallel = fault::runCampaign(params, &program, cfg);
-    expectIdentical(serial, parallel);
+    test::expectSameCampaign(serial, parallel);
 }
